@@ -35,6 +35,7 @@ from .models import (
     build_cifar_net,
     build_lenet,
     forward,
+    forward_batch,
     seed_weights,
 )
 from .profiling import (
@@ -100,6 +101,7 @@ __all__ = [
     "export_histogram",
     "forge_bands",
     "forward",
+    "forward_batch",
     "partition",
     "parse_cifar10",
     "parse_idx",

@@ -31,6 +31,7 @@ from .profiling import (
     estimate_trigger_rate,
     export_histogram,
     forge_bands,
+    layer_stats,
     make_probe_dataset,
     profile_layer,
 )
@@ -227,10 +228,11 @@ def cmd_profile(cfg: dict) -> None:
 
 
 def _forge_phase(cfg: dict, model, validation):
-    stats = profile_layer(model, validation, cfg["watchLayer"])
+    obs = collect_observations(model, validation, cfg["watchLayer"])
+    stats = layer_stats(cfg["watchLayer"], obs)
     bands = forge_bands(stats, float(cfg["kLo"]), float(cfg["kHi"]))
     # exact stealthiness assertion behind the histogram-resolution forge check
-    assert_bands_clear(bands, collect_observations(model, validation, cfg["watchLayer"]))
+    assert_bands_clear(bands, obs)
     return stats, bands
 
 
@@ -255,8 +257,8 @@ def cmd_attack(cfg: dict) -> None:
     validation, stream = build_datasets(cfg, model)
     _, bands = _forge_phase(cfg, model, validation)
     trojan_cfg, malicious_blob = build_trojan_config(cfg, model, bands)
-    labels, report, state = run_compromised(model, trojan_cfg, stream)
-    clean = [models.forward(model, img).final_label for img, _ in stream.items]
+    clean = models.forward_batch(model, stream.images(), ())[0].tolist()
+    labels, report, state = run_compromised(model, trojan_cfg, stream, clean)
 
     out = Path(cfg["outputDir"])
     out.mkdir(parents=True, exist_ok=True)

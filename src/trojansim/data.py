@@ -202,7 +202,7 @@ def synthesize(count: int, shape: tuple[int, ...], seed: int, mode: str = "unifo
     items = []
     for i in range(count):
         if mode == "uniform":
-            vals = np.array([rng.next_double() for _ in range(n)], dtype=np.float32)
+            vals = rng.next_doubles(n).astype(np.float32)
         else:
             vals = np.array(_box_muller(rng, n), dtype=np.float32)
         items.append((Tensor(shape, FLOAT32, vals), i % NUM_CLASSES))
@@ -210,10 +210,13 @@ def synthesize(count: int, shape: tuple[int, ...], seed: int, mode: str = "unifo
 
 
 def _box_muller(rng: Xoshiro256StarStar, n: int) -> list[float]:
+    # one pair of draws per two outputs; the transcendentals stay scalar libm
+    # calls, which NumPy's vectorised ones are not guaranteed to match
+    draws = rng.next_doubles(2 * ((n + 1) // 2)).tolist()
     out: list[float] = []
-    while len(out) < n:
-        u1 = 1.0 - rng.next_double()  # (0, 1]: keeps log() finite
-        u2 = rng.next_double()
+    for i in range(0, len(draws), 2):
+        u1 = 1.0 - draws[i]  # (0, 1]: keeps log() finite
+        u2 = draws[i + 1]
         radius = math.sqrt(-2.0 * math.log(u1))
         out.append(radius * math.cos(2.0 * math.pi * u2))
         if len(out) < n:

@@ -24,7 +24,7 @@ from .models import (
     PARAMETERIZED_KINDS,
     LayerSpec,
     ModelSpec,
-    forward,
+    forward_batch,
     iter_layer_shapes,
     run_layers,
 )
@@ -33,13 +33,13 @@ from .profiling import (
     count_band_collisions,
     estimate_trigger_rate,
     forge_bands,
+    in_bands,
     make_probe_dataset,
     profile_layer,
     wilson_half_width,
 )
 from .rng import Xoshiro256StarStar
 from .tensor import FLOAT32, Tensor
-from .trojan import check_trigger
 
 PER_IMAGE = "perImage"
 PER_PIXEL = "perPixel"
@@ -74,10 +74,12 @@ def scale_factors(plan: ScalePlan, dataset: Dataset) -> list[np.ndarray]:
     Draw order is image-major, so the two modes share a seed discipline.
     """
     rng = Xoshiro256StarStar(plan.seed)
+    lo, hi = plan.r_min, plan.r_max
     out = []
     for img, _ in dataset.items:
         n = 1 if plan.mode == PER_IMAGE else img.size
-        out.append(np.array([rng.uniform(plan.r_min, plan.r_max) for _ in range(n)]))
+        # the same float64 sequence as rng.uniform(lo, hi), one draw after another
+        out.append(lo + (hi - lo) * rng.next_doubles(n))
     return out
 
 
@@ -136,11 +138,9 @@ class DefenseReport:
 
 def stream_hit_rate(model: ModelSpec, bands, dataset: Dataset, watch_layer: str) -> tuple[int, int]:
     """(hits, images): how many images put any watched element in a band."""
-    hits = 0
-    for img, _ in dataset.items:
-        tap = forward(model, img).taps[watch_layer]
-        if check_trigger(tap, bands) is not None:
-            hits += 1
+    _, taps = forward_batch(model, dataset.images(), (watch_layer,))
+    mask = in_bands(taps[watch_layer], bands)
+    hits = int(np.count_nonzero(mask.any(axis=tuple(range(1, mask.ndim)))))
     return hits, len(dataset)
 
 

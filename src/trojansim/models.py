@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -172,8 +172,15 @@ def model_numeric_dtype(model: ModelSpec):
 
 
 def run_layers(layers: tuple[LayerSpec, ...], x: Tensor) -> dict[str, Tensor]:
-    """Execute a contiguous layer slice, returning the tap for every layer."""
-    taps: dict[str, Tensor] = {}
+    """Execute a contiguous layer slice on one input, returning the tap for
+    every layer."""
+    return dict(_layer_outputs(layers, x, batched=False))
+
+
+def _layer_outputs(layers: tuple[LayerSpec, ...], x: Tensor, batched: bool) -> Iterator[tuple[str, Tensor]]:
+    """Yield (layer name, output) down a layer slice; batched inputs carry a
+    leading image axis, which flatten keeps. The kernels are looked up on
+    the tensor module at each call, so wrappers installed there see every op."""
     for layer in layers:
         if layer.kind in PARAMETERIZED_KINDS and layer.params is None:
             raise ConfigError(f"layer {layer.name!r} has no parameters loaded")
@@ -185,11 +192,10 @@ def run_layers(layers: tuple[LayerSpec, ...], x: Tensor) -> dict[str, Tensor]:
         elif layer.kind == "relu":
             x = T.relu(x)
         elif layer.kind == "flatten":
-            x = x.reshaped((x.size,))
+            x = x.reshaped((x.shape[0], x.size // x.shape[0]) if batched else (x.size,))
         else:
             x = T.dense(x, layer.params)
-        taps[layer.name] = x
-    return taps
+        yield layer.name, x
 
 
 def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
@@ -204,6 +210,68 @@ def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     taps = run_layers(model.layers, image)
     last = taps[model.layers[-1].name]
     return ForwardTrace(final_label=T.argmax(last), taps=taps)
+
+
+# Scratch budget of one forward_batch chunk: the chunk size is this divided
+# by the widest layer's per-image accumulator bytes.
+SCRATCH_BYTES = 1 << 20
+
+
+def batch_chunk_size(model: ModelSpec) -> int:
+    """Images per forward_batch chunk. A conv layer holds an accumulator,
+    a product buffer and one window row; a dense layer an accumulator and a
+    product buffer; all float64."""
+    widest = 1
+    for layer, _, out in iter_layer_shapes(model):
+        if layer.kind == "conv":
+            widest = max(widest, 2 * int(np.prod(out)) + out[1] * out[2])
+        elif layer.kind == "dense":
+            widest = max(widest, 2 * out[0])
+    return max(1, SCRATCH_BYTES // (8 * widest))
+
+
+def forward_batch(
+    model: ModelSpec, images: Sequence[Tensor], keep: Sequence[str]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Run many images through the model, a chunk at a time.
+
+    Returns (labels, taps): labels[i] is forward(model, images[i]).final_label
+    and taps[name][i] is its tap data for each layer named in keep, shaped
+    like the layer's output and stored as forward stores it (float32, or
+    float64 for fixed point). Every value is bitwise equal to the per-image
+    forward; only one chunk of images is stacked at a time.
+    """
+    shapes = layer_output_shapes(model)
+    for name in keep:
+        model.get_layer(name)  # unknown layer -> error listing valid names
+    last = model.layers[-1].name
+    n = len(images)
+    if n and len(shapes[last]) != 1:
+        raise DimensionError(f"argmax input must be 1-D, got {shapes[last]}")
+    mode = model_numeric_dtype(model)
+    store = np.float64 if isinstance(mode, FixedFormat) else np.float32
+    labels = np.empty(n, dtype=np.int64)
+    taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
+    chunk = batch_chunk_size(model)
+    for start in range(0, n, chunk):
+        part = images[start:start + chunk]
+        dtype = part[0].dtype
+        for i, img in enumerate(part, start):
+            if img.shape != model.input_shape:
+                raise DimensionError(
+                    f"image {i} shape {img.shape} does not match model input {model.input_shape}"
+                )
+            if img.dtype != dtype:
+                raise ValueError(f"forward_batch: image {i} is {img.dtype}, image {start} is {dtype}")
+        x = Tensor((len(part),) + model.input_shape, dtype, np.concatenate([img.data for img in part]))
+        if isinstance(mode, FixedFormat) and dtype == FLOAT32:
+            x = T.quantize(x, mode)
+        # taps not kept are dropped as soon as the next layer has run
+        for name, out in _layer_outputs(model.layers, x, batched=True):
+            if name in taps:
+                taps[name][start:start + len(part)] = out.array
+        labels[start:start + len(part)] = np.argmax(out.array, axis=1)
+    return labels, taps
 
 
 def seed_weights(model: ModelSpec, seed: int) -> ModelSpec:
@@ -231,8 +299,10 @@ def seed_weights(model: ModelSpec, seed: int) -> ModelSpec:
             fan_in = in_shape[0]
         s = float(np.float32(1.0 / math.sqrt(fan_in)))
         n_w = int(np.prod(w_shape, dtype=np.int64))
-        w_vals = np.array([rng.uniform(-s, s) for _ in range(n_w)], dtype=np.float32)
-        b_vals = np.array([rng.uniform(-s, s) for _ in range(w_shape[0])], dtype=np.float32)
+        lo, hi = -s, s
+        # the same float64 sequence as rng.uniform(lo, hi), one draw after another
+        vals = (lo + (hi - lo) * rng.next_doubles(n_w + w_shape[0])).astype(np.float32)
+        w_vals, b_vals = vals[:n_w], vals[n_w:]
         kernel = Kernel(
             weights=Tensor(w_shape, FLOAT32, w_vals),
             bias=Tensor((w_shape[0],), FLOAT32, b_vals),

@@ -17,8 +17,7 @@ import numpy as np
 
 from .data import Dataset, synthesize
 from .errors import ConfigError, DegenerateStatsError, DimensionError, ForgeError, InvariantViolation
-from .models import ModelSpec, forward
-from .tensor import Tensor
+from .models import ModelSpec, forward_batch
 
 DEFAULT_BIN_COUNT = 101
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -141,32 +140,33 @@ class TriggerRateEstimate:
 
 
 def collect_observations(model: ModelSpec, dataset: Dataset, layer_name: str) -> np.ndarray:
-    """All scalar elements of one layer's tap across a dataset, as float64."""
-    model.get_layer(layer_name)  # unknown layer -> error listing valid names
-    chunks = [
-        forward(model, img).taps[layer_name].data.astype(np.float64) for img, _ in dataset.items
-    ]
-    if not chunks:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(chunks)
+    """All scalar elements of one layer's tap across a dataset, as float64,
+    image by image in row-major order."""
+    _, taps = forward_batch(model, dataset.images(), (layer_name,))
+    return taps[layer_name].reshape(-1).astype(np.float64, copy=False)
 
 
-def profile_layer(
-    model: ModelSpec, validation: Dataset, layer_name: str, bin_count: int = DEFAULT_BIN_COUNT
+def _pooled_moments(sorted_obs: np.ndarray) -> tuple[float, float]:
+    """(mean, population stddev) of sorted observations."""
+    mean = float(np.mean(sorted_obs))
+    return mean, float(np.sqrt(np.mean((sorted_obs - mean) ** 2)))
+
+
+def layer_stats(
+    layer_name: str, observations: np.ndarray, bin_count: int = DEFAULT_BIN_COUNT
 ) -> LayerStats:
-    """Pool one layer's outputs over a validation set into summary stats.
+    """Summarize one layer's pooled observations.
 
     Observations are sorted before reduction, so the result is bitwise
-    insensitive to the order of the validation images.
+    insensitive to the order of the images they came from.
     """
     if bin_count < 1:
         raise ConfigError("bin_count must be >= 1")
-    obs = np.sort(collect_observations(model, validation, layer_name))
+    obs = np.sort(observations)
     if obs.size == 0:
         empty = Histogram(bin_count, 0.0, 0.0, (0,) * bin_count)
         return LayerStats(layer_name, 0, 0.0, 0.0, 0.0, 0.0, empty)
-    mean = float(np.mean(obs))
-    stddev = float(np.sqrt(np.mean((obs - mean) ** 2)))
+    mean, stddev = _pooled_moments(obs)
     lo, hi = float(obs[0]), float(obs[-1])
     # degenerate spread still needs well-formed fixed-width bins
     h_lo, h_hi = (lo, hi) if hi > lo else (lo - 0.5, hi + 0.5)
@@ -182,15 +182,11 @@ def profile_layer(
     )
 
 
-def merge_stats_observations(parts: list[np.ndarray]) -> np.ndarray:
-    """Fixed-order pairwise merge of partial observation arrays."""
-    if not parts:
-        return np.empty(0, dtype=np.float64)
-    layer = list(parts)
-    while len(layer) > 1:
-        nxt = [np.concatenate(layer[i : i + 2]) for i in range(0, len(layer), 2)]
-        layer = nxt
-    return layer[0]
+def profile_layer(
+    model: ModelSpec, validation: Dataset, layer_name: str, bin_count: int = DEFAULT_BIN_COUNT
+) -> LayerStats:
+    """Pool one layer's outputs over a validation set into summary stats."""
+    return layer_stats(layer_name, collect_observations(model, validation, layer_name), bin_count)
 
 
 def forge_bands(
@@ -247,14 +243,19 @@ def _histogram_mass_overlapping(hist: Histogram, band_lo: float, band_hi: float)
     return total
 
 
+def in_bands(values, bands) -> np.ndarray:
+    """Mask of the values inside any band, bounds inclusive. Values are
+    compared as float64, whatever their storage type."""
+    values = np.asarray(values, dtype=np.float64)
+    mask = np.zeros(values.shape, dtype=bool)
+    for b in bands:
+        mask |= (values >= b.lo) & (values <= b.hi)
+    return mask
+
+
 def count_band_collisions(bands: list[SigmaBand], observations: np.ndarray) -> int:
     """Exact count of observations falling inside any band (inclusive)."""
-    if observations.size == 0 or not bands:
-        return 0
-    mask = np.zeros(observations.shape, dtype=bool)
-    for b in bands:
-        mask |= (observations >= b.lo) & (observations <= b.hi)
-    return int(np.count_nonzero(mask))
+    return int(np.count_nonzero(in_bands(observations, bands)))
 
 
 def assert_bands_clear(bands: list[SigmaBand], observations: np.ndarray) -> None:
@@ -328,10 +329,7 @@ def estimate_trigger_rate(
         while done < samples:
             n = min(block, samples - done)
             acts = mean + stddev * rng.standard_normal((n, layer_length))
-            in_band = np.zeros((n, layer_length), dtype=bool)
-            for b in bands:
-                in_band |= (acts >= b.lo) & (acts <= b.hi)
-            hits += int(np.count_nonzero(in_band.any(axis=1)))
+            hits += int(np.count_nonzero(in_bands(acts, bands).any(axis=1)))
             done += n
         return TriggerRateEstimate(
             p_image, hits / samples, samples, wilson_half_width(hits, samples)
@@ -346,16 +344,12 @@ def estimate_trigger_rate(
             f"layer {layer_name!r} yields {obs.size // len(probe)} elements per image, "
             f"caller declared {layer_length}"
         )
-    mean = float(np.mean(np.sort(obs)))
-    stddev = float(np.sqrt(np.mean((np.sort(obs) - mean) ** 2)))
+    mean, stddev = _pooled_moments(np.sort(obs))
     _, p_image = analytic_rate(mean, stddev, bands, layer_length)
     if mode == "analytic":
         return TriggerRateEstimate(p_image, 0.0, 0, 0.0)
     per_image = obs.reshape(len(probe), layer_length)
-    in_band = np.zeros(per_image.shape, dtype=bool)
-    for b in bands:
-        in_band |= (per_image >= b.lo) & (per_image <= b.hi)
-    hits = int(np.count_nonzero(in_band.any(axis=1)))
+    hits = int(np.count_nonzero(in_bands(per_image, bands).any(axis=1)))
     n = len(probe)
     return TriggerRateEstimate(p_image, hits / n, n, wilson_half_width(hits, n))
 

@@ -10,6 +10,13 @@ tests compare against):
   * Fixed-point results are rounded half-to-even to the format's resolution
     and saturated to its representable range; saturation events are counted
     on the result tensor, never silently wrapped.
+  * conv2d, maxpool2d and dense also take a leading batch axis ((N, C, H, W)
+    or (N, in)); relu and quantize take any shape. Each image of a batch goes
+    through exactly the sequence above, so row i of a batched result is
+    bitwise equal to the op applied to image i alone, and a batched result's
+    saturation count is the sum over its rows. Sums are folded one term at a
+    time across the whole batch; matmul, einsum and tensordot are never
+    used, because they reorder the terms.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -151,17 +158,24 @@ class Kernel:
 
 
 def _finish(acc: np.ndarray, dtype: DType) -> Tensor:
-    """Round a float64 accumulator into the target dtype, counting saturation."""
+    """Round a float64 accumulator (any layout) into the target dtype,
+    counting saturation.
+
+    The fixed-point finish rounds in place: callers hand over scratch they
+    own and do not read afterwards.
+    """
     if dtype == FLOAT32:
-        return Tensor.from_array(acc.astype(np.float32), FLOAT32)
+        return Tensor(tuple(acc.shape), FLOAT32, np.ascontiguousarray(acc, dtype=np.float32).reshape(-1))
     fmt = dtype
-    raw = np.rint(acc * (2.0 ** fmt.frac_bits))
-    lo = np.rint(fmt.min_value * (2.0 ** fmt.frac_bits))
-    hi = np.rint(fmt.max_value * (2.0 ** fmt.frac_bits))
-    saturated = int(np.count_nonzero((raw < lo) | (raw > hi)))
-    raw = np.clip(raw, lo, hi)
-    values = raw * fmt.resolution
-    return Tensor(tuple(acc.shape), fmt, values.reshape(-1), saturated)
+    scale = 2.0 ** fmt.frac_bits
+    lo = np.rint(fmt.min_value * scale)
+    hi = np.rint(fmt.max_value * scale)
+    np.multiply(acc, scale, out=acc)
+    np.rint(acc, out=acc)
+    saturated = int(np.count_nonzero(acc < lo)) + int(np.count_nonzero(acc > hi))
+    np.clip(acc, lo, hi, out=acc)
+    np.multiply(acc, fmt.resolution, out=acc)
+    return Tensor(tuple(acc.shape), fmt, np.ascontiguousarray(acc).reshape(-1), saturated)
 
 
 def _check_same_dtype(a: DType, b: DType, what: str) -> None:
@@ -170,14 +184,15 @@ def _check_same_dtype(a: DType, b: DType, what: str) -> None:
 
 
 def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
-    """Valid (unpadded) 2-D convolution of a (C, H, W) tensor."""
-    if len(input.shape) != 3:
-        raise DimensionError(f"conv2d input must be (C, H, W), got {input.shape}")
+    """Valid (unpadded) 2-D convolution of a (C, H, W) tensor, or of every
+    image of an (N, C, H, W) batch."""
+    if len(input.shape) not in (3, 4):
+        raise DimensionError(f"conv2d input must be (C, H, W) or (N, C, H, W), got {input.shape}")
     if len(kernel.weights.shape) != 4:
         raise DimensionError(f"conv2d kernel must be 4-D, got {kernel.weights.shape}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    c, h, w = input.shape
+    c, h, w = input.shape[-3:]
     out_ch, in_ch, kh, kw = kernel.weights.shape
     if in_ch != c:
         raise DimensionError(
@@ -191,25 +206,33 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
 
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    x = input.array.astype(np.float64)
+    x = input.array.reshape((-1, c, h, w))
+    n = x.shape[0]
     wts = kernel.weights.array.astype(np.float64)
-    acc = np.empty((out_ch, oh, ow), dtype=np.float64)
-    acc[:] = kernel.bias.array.astype(np.float64)[:, None, None]
+    # acc is (out, N, oh, ow) so that one weight scales a whole window row
+    acc = np.empty((out_ch, n, oh, ow), dtype=np.float64)
+    acc[:] = kernel.bias.array.astype(np.float64)[:, None, None, None]
+    row = np.empty((n, oh, ow), dtype=np.float64)
+    tmp = np.empty_like(acc)
     for ci in range(in_ch):
         for u in range(kh):
             for v in range(kw):
-                win = x[ci, u:u + stride * oh:stride, v:v + stride * ow:stride]
-                acc += wts[:, ci, u, v][:, None, None] * win[None, :, :]
-    return _finish(acc, input.dtype)
+                np.copyto(row, x[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
+                np.multiply(wts[:, ci, u, v, None, None, None], row, out=tmp)
+                acc += tmp
+    del row, tmp  # the finish may copy acc; keep the peak down
+    out = acc.transpose(1, 0, 2, 3)
+    return _finish(out if len(input.shape) == 4 else out[0], input.dtype)
 
 
 def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling over square windows of a (C, H, W) tensor."""
-    if len(input.shape) != 3:
-        raise DimensionError(f"maxpool2d input must be (C, H, W), got {input.shape}")
+    """Max pooling over square windows of a (C, H, W) tensor or of every
+    image of an (N, C, H, W) batch."""
+    if len(input.shape) not in (3, 4):
+        raise DimensionError(f"maxpool2d input must be (C, H, W) or (N, C, H, W), got {input.shape}")
     if window < 1 or stride < 1:
         raise ValueError(f"window and stride must be positive, got {window}, {stride}")
-    c, h, w = input.shape
+    h, w = input.shape[-2:]
     if window > h or window > w:
         raise DimensionError(f"window {window} larger than input {input.shape}")
     oh = (h - window) // stride + 1
@@ -218,36 +241,43 @@ def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
     acc = None
     for u in range(window):
         for v in range(window):
-            win = x[:, u:u + stride * oh:stride, v:v + stride * ow:stride]
-            acc = win.copy() if acc is None else np.maximum(acc, win)
+            win = x[..., u:u + stride * oh:stride, v:v + stride * ow:stride]
+            if acc is None:
+                acc = win.copy()
+            else:
+                np.maximum(acc, win, out=acc)
     # max never rounds or leaves the representable set, so dtype carries over
-    return Tensor(tuple(acc.shape), input.dtype, acc.reshape(-1).copy())
+    return Tensor(tuple(acc.shape), input.dtype, acc.reshape(-1))
 
 
 def dense(input: Tensor, kernel: Kernel) -> Tensor:
-    """Fully connected layer: out[i] = sum_j W[i][j] * in[j] + bias[i]."""
-    if len(input.shape) != 1:
-        raise DimensionError(f"dense input must be 1-D, got {input.shape}")
+    """Fully connected layer: out[i] = sum_j W[i][j] * in[j] + bias[i], on a
+    1-D tensor or on every row of an (N, in) batch."""
+    if len(input.shape) not in (1, 2):
+        raise DimensionError(f"dense input must be 1-D or (N, in), got {input.shape}")
     if len(kernel.weights.shape) != 2:
         raise DimensionError(f"dense kernel must be 2-D, got {kernel.weights.shape}")
     m, n = kernel.weights.shape
-    if input.shape[0] != n:
+    if input.shape[-1] != n:
         raise DimensionError(
-            f"input length {input.shape[0]} does not match kernel columns {kernel.weights.shape}"
+            f"input length {input.shape[-1]} does not match kernel columns {kernel.weights.shape}"
         )
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
-    x = input.data.astype(np.float64)
-    wts = kernel.weights.array.astype(np.float64)
-    acc = kernel.bias.array.astype(np.float64).copy()
+    # transposed, so that input column j and weight column j are contiguous
+    x_t = np.ascontiguousarray(input.array.reshape((-1, n)).T, dtype=np.float64)
+    w_t = np.ascontiguousarray(kernel.weights.array.T, dtype=np.float64)
+    acc = np.empty((x_t.shape[1], m), dtype=np.float64)
+    acc[:] = kernel.bias.array.astype(np.float64)
+    tmp = np.empty_like(acc)
     for j in range(n):
-        acc += wts[:, j] * x[j]
-    return _finish(acc, input.dtype)
+        np.multiply(x_t[j, :, None], w_t[j], out=tmp)
+        acc += tmp
+    return _finish(acc if len(input.shape) == 2 else acc[0], input.dtype)
 
 
 def relu(input: Tensor) -> Tensor:
-    """Elementwise max(0, x); exact in every dtype."""
-    arr = np.maximum(input.array, np.zeros((), dtype=input.array.dtype))
-    return Tensor(input.shape, input.dtype, arr.reshape(-1).copy())
+    """Elementwise max(0, x); exact in every dtype and any shape."""
+    return Tensor(input.shape, input.dtype, np.maximum(input.data, np.zeros((), dtype=input.data.dtype)))
 
 
 def argmax(input: Tensor) -> int:
@@ -263,9 +293,3 @@ def quantize(input: Tensor, fmt: FixedFormat) -> Tensor:
     """Round to the nearest representable fixed-point value (half to even),
     saturating out-of-range values and counting them on the result."""
     return _finish(input.array.astype(np.float64), fmt)
-
-
-def to_float32(input: Tensor) -> Tensor:
-    """Reinterpret any tensor as float32 (fixed-point values convert exactly
-    only when they fit in a float32 significand; used for reporting)."""
-    return Tensor.from_array(input.array.astype(np.float32), FLOAT32)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .models import ForwardTrace, ModelSpec, forward
-from .profiling import SigmaBand
+from .models import ForwardTrace, ModelSpec, forward, forward_batch
+from .profiling import SigmaBand, in_bands
 from .tensor import Tensor
 
 DORMANT = "Dormant"
@@ -117,17 +117,11 @@ class AttackReport:
 
 def check_trigger(layer_output: Tensor, bands) -> tuple[int, float] | None:
     """First element (lowest index) inside any band, bounds inclusive."""
-    if not bands:
-        return None
-    vals = layer_output.data.astype(np.float64)
-    mask = np.zeros(vals.shape, dtype=bool)
-    for b in bands:
-        mask |= (vals >= b.lo) & (vals <= b.hi)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(in_bands(layer_output.data, bands))
     if idx.size == 0:
         return None
     i = int(idx[0])
-    return i, float(vals[i])
+    return i, float(layer_output.data[i])
 
 
 def step(
@@ -185,7 +179,7 @@ def run_compromised(
             f"watchLayer {config.watch_layer!r} not in model; valid: {model.layer_names()}"
         )
     if clean_labels is None:
-        clean_labels = [forward(model, img).final_label for img, _ in stream.items]
+        clean_labels = forward_batch(model, stream.images(), ())[0].tolist()
     if len(clean_labels) != len(stream):
         raise DataError(f"{len(clean_labels)} clean labels for {len(stream)} stream images")
     state = TrojanState()
