@@ -158,14 +158,13 @@ class Kernel:
 
 
 def _finish(acc: np.ndarray, dtype: DType) -> Tensor:
-    """Round a float64 accumulator (any layout) into the target dtype,
-    counting saturation.
+    """Round a float64 accumulator into the target dtype, counting saturation.
 
     The fixed-point finish rounds in place: callers hand over scratch they
     own and do not read afterwards.
     """
     if dtype == FLOAT32:
-        return Tensor(tuple(acc.shape), FLOAT32, np.ascontiguousarray(acc, dtype=np.float32).reshape(-1))
+        return Tensor(tuple(acc.shape), FLOAT32, acc.astype(np.float32).reshape(-1))
     fmt = dtype
     scale = 2.0 ** fmt.frac_bits
     lo = np.rint(fmt.min_value * scale)
@@ -175,7 +174,7 @@ def _finish(acc: np.ndarray, dtype: DType) -> Tensor:
     saturated = int(np.count_nonzero(acc < lo)) + int(np.count_nonzero(acc > hi))
     np.clip(acc, lo, hi, out=acc)
     np.multiply(acc, fmt.resolution, out=acc)
-    return Tensor(tuple(acc.shape), fmt, np.ascontiguousarray(acc).reshape(-1), saturated)
+    return Tensor(tuple(acc.shape), fmt, acc.reshape(-1), saturated)
 
 
 def _check_same_dtype(a: DType, b: DType, what: str) -> None:
@@ -220,8 +219,11 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
                 np.copyto(row, x[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
                 np.multiply(wts[:, ci, u, v, None, None, None], row, out=tmp)
                 acc += tmp
-    del row, tmp  # the finish may copy acc; keep the peak down
-    out = acc.transpose(1, 0, 2, 3)
+    # reorder to (N, out, oh, ow) inside tmp's buffer, so that no third
+    # accumulator-sized array exists while the result is finished
+    out = tmp.reshape((n, out_ch, oh, ow))
+    np.copyto(out, acc.transpose(1, 0, 2, 3))
+    del acc, row
     return _finish(out if len(input.shape) == 4 else out[0], input.dtype)
 
 

@@ -29,6 +29,7 @@ from trojansim.models import (
     forward,
     forward_batch,
     layer_output_shapes,
+    model_numeric_dtype,
     model_params,
     quantize_model,
     seed_weights,
@@ -203,6 +204,8 @@ def test_forward_batch_matches_forward_on_every_tap(model_case, offset, monkeypa
     assert labels.shape == (n,)
     assert labels.tolist() == [t.final_label for t in traces]
     assert batched_saturations == saturations[0]
+    if n and model_numeric_dtype(model) == Q16_16:
+        assert batched_saturations > 0  # the images force saturation
     for name, shape in shapes.items():
         assert taps[name].shape == (n,) + shape, name
         for i, trace in enumerate(traces):
