@@ -147,9 +147,11 @@ def collect_observations(model: ModelSpec, dataset: Dataset, layer_name: str) ->
 
 
 def _pooled_moments(sorted_obs: np.ndarray) -> tuple[float, float]:
-    """(mean, population stddev) of sorted observations."""
+    """(mean, population stddev) of sorted observations, which it overwrites
+    with their squared deviations (so no second array of their size exists)."""
     mean = float(np.mean(sorted_obs))
-    return mean, float(np.sqrt(np.mean((sorted_obs - mean) ** 2)))
+    np.subtract(sorted_obs, mean, out=sorted_obs)
+    return mean, float(np.sqrt(np.mean(np.square(sorted_obs, out=sorted_obs))))
 
 
 def layer_stats(
@@ -166,7 +168,7 @@ def layer_stats(
     if obs.size == 0:
         empty = Histogram(bin_count, 0.0, 0.0, (0,) * bin_count)
         return LayerStats(layer_name, 0, 0.0, 0.0, 0.0, 0.0, empty)
-    mean, stddev = _pooled_moments(obs)
+    mean, stddev = _pooled_moments(obs.copy())
     lo, hi = float(obs[0]), float(obs[-1])
     # degenerate spread still needs well-formed fixed-width bins
     h_lo, h_hi = (lo, hi) if hi > lo else (lo - 0.5, hi + 0.5)
