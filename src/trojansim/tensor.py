@@ -33,6 +33,10 @@ from .errors import DimensionError
 
 FLOAT32 = "float32"
 
+# Elements per slice of the fixed-point representability check, so that the
+# check's scaled and rounded temporaries stay slice-sized, not tensor-sized.
+CHECK_SLICE = 8192
+
 
 @dataclass(frozen=True)
 class FixedFormat:
@@ -91,9 +95,11 @@ class Tensor:
             )
         if isinstance(self.dtype, FixedFormat):
             fmt = self.dtype
-            scaled = self.data * (2.0 ** fmt.frac_bits)
-            if not np.array_equal(scaled, np.rint(scaled)):
-                raise ValueError(f"values not representable in {fmt}")
+            scale = 2.0 ** fmt.frac_bits
+            for start in range(0, self.data.size, CHECK_SLICE):
+                scaled = self.data[start:start + CHECK_SLICE] * scale
+                if not np.array_equal(scaled, np.rint(scaled)):
+                    raise ValueError(f"values not representable in {fmt}")
             if self.data.size and (self.data.min() < fmt.min_value or self.data.max() > fmt.max_value):
                 raise ValueError(f"values outside {fmt} range [{fmt.min_value}, {fmt.max_value}]")
         self.data.flags.writeable = False

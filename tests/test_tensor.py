@@ -43,6 +43,15 @@ def test_fixed_tensor_rejects_unrepresentable_values():
     Tensor((1,), Q16_16, np.array([1.5]))
 
 
+def test_fixed_tensor_check_covers_every_slice():
+    n = 2 * T.CHECK_SLICE + 3
+    data = np.full(n, 0.25)
+    Tensor((n,), Q16_16, data.copy())
+    data[-1] = 0.1  # only the last slice holds a non-representable value
+    with pytest.raises(ValueError, match="not representable"):
+        Tensor((n,), Q16_16, data)
+
+
 def test_tensor_data_is_immutable():
     t = Tensor.from_array([1.0, 2.0])
     with pytest.raises(ValueError):
