@@ -6,6 +6,11 @@ Dormant:  pass the legitimate image through, watch one layer's output; if
 Armed:    substitute the selected malicious image for this cycle's input
           (the legitimate image is dropped), skip trigger evaluation, and
           reset to Dormant.
+
+`step` advances the machine by one cycle and is the per-cycle reference.
+`run_compromised` gives the same labels and state for a whole stream from
+one batched pass: a dormant cycle is exactly a clean forward, so the pass
+serves every dormant cycle and the machine walks only the cycles with a hit.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .models import ForwardTrace, ModelSpec, forward, forward_batch
+from .models import ForwardTrace, ModelSpec, batch_chunk_size, forward, forward_batch
 from .profiling import SigmaBand, in_bands
 from .tensor import Tensor
 
@@ -170,23 +175,56 @@ def run_compromised(
 ) -> tuple[list[int], AttackReport, TrojanState]:
     """Drive the full stream through the compromised pipeline, in order.
 
+    Returns what driving step cycle by cycle returns, without the per-cycle
+    loop: a dormant cycle is exactly a clean forward, so one batched pass,
+    a chunk at a time, yields every clean label and each cycle's first
+    watch-tap element inside a band. The Dormant/Armed machine then walks
+    only the cycles with a hit; a hit on a substituted cycle is never
+    evaluated. Each malicious image is forwarded once, on first use.
+
     clean_labels are the uncompromised per-cycle outputs; when not supplied
-    they are computed here, so the report's misclassification and
+    the batched pass provides them, so the report's misclassification and
     clean-equivalence fields are always filled against a real baseline.
     """
     if config.watch_layer not in model.layer_names():
         raise ConfigError(
             f"watchLayer {config.watch_layer!r} not in model; valid: {model.layer_names()}"
         )
-    if clean_labels is None:
-        clean_labels = forward_batch(model, stream.images(), ())[0].tolist()
-    if len(clean_labels) != len(stream):
-        raise DataError(f"{len(clean_labels)} clean labels for {len(stream)} stream images")
-    state = TrojanState()
+    n = len(stream)
+    if clean_labels is not None and len(clean_labels) != n:
+        raise DataError(f"{len(clean_labels)} clean labels for {n} stream images")
+    images = stream.images()
+    chunk = batch_chunk_size(model)
     labels: list[int] = []
-    for cycle, (img, _) in enumerate(stream.items):
-        _, state, _, trace = step(state, model, config, cycle, img)
-        labels.append(trace.final_label)
+    log: list[TriggerEvent] = []
+    substitutions = 0
+    malicious_labels: dict[int, int] = {}
+    for start in range(0, n, chunk):
+        part, taps = forward_batch(model, images[start:start + chunk], (config.watch_layer,))
+        labels += part.tolist()
+        tap = taps[config.watch_layer].reshape(len(part), -1)
+        mask = in_bands(tap, config.bands)
+        rows = np.flatnonzero(mask.any(axis=1))
+        for row, col in zip(rows.tolist(), mask[rows].argmax(axis=1).tolist()):
+            cycle = start + row
+            if log and log[-1].cycle == cycle:
+                continue  # substituted cycle: trigger evaluation is suppressed
+            hit_value = float(tap[row, col])
+            log.append(TriggerEvent(cycle, "Triggered", hit_value=hit_value, hit_index=col))
+            if cycle + 1 == n:
+                break  # no next cycle to poison: the machine stays armed
+            used_idx, image = config.select_image(substitutions)
+            if used_idx not in malicious_labels:
+                malicious_labels[used_idx] = forward(model, image).final_label
+            log.append(TriggerEvent(cycle + 1, "Substituted", used_malicious_index=used_idx))
+            substitutions += 1
+    if clean_labels is None:
+        clean_labels = list(labels)
+    for e in log:
+        if e.kind == "Substituted":
+            labels[e.cycle] = malicious_labels[e.used_malicious_index]
+    mode = ARMED if log and log[-1].kind == "Triggered" else DORMANT
+    state = TrojanState(mode, len(log) - substitutions, tuple(log))
     report = evaluate_attack(clean_labels, (labels, state), stream)
     return labels, report, state
 

@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 
 from oracles import check_trigger_naive
+from trojansim import models, trojan
 from trojansim.data import Dataset, synthesize
 from trojansim.errors import ConfigError, DataError, DimensionError
-from trojansim.models import LayerSpec, ModelSpec, build_lenet, forward, seed_weights
+from trojansim.models import (
+    LayerSpec,
+    ModelSpec,
+    batch_chunk_size,
+    build_lenet,
+    forward,
+    forward_batch,
+    quantize_model,
+    seed_weights,
+)
 from trojansim.profiling import SigmaBand
 from trojansim.rng import Xoshiro256StarStar
-from trojansim.tensor import Kernel, Tensor
+from trojansim.tensor import Q16_16, Kernel, Tensor
 from trojansim.trojan import (
     ARMED,
     DORMANT,
@@ -278,3 +288,152 @@ def test_labels_csv_roundtrip(tmp_path):
     assert [r[1] for r in rows] == labels
     subs = substituted_cycles(state)
     assert [r[2] for r in rows] == [1 if c in subs else 0 for c in range(4)]
+
+
+# --- run_compromised against the step reference ----------------------------
+
+
+def step_reference(model, config, stream):
+    """Drive step cycle by cycle: the per-cycle definition of the payload."""
+    state = TrojanState()
+    labels = []
+    for cycle, (img, _) in enumerate(stream.items):
+        _, state, _, trace = step(state, model, config, cycle, img)
+        labels.append(trace.final_label)
+    return labels, state
+
+
+def assert_matches_step(model, config, stream):
+    labels, _, state = run_compromised(model, config, stream)
+    ref_labels, ref_state = step_reference(model, config, stream)
+    assert labels == ref_labels
+    assert state.log == ref_state.log
+    assert state.mode == ref_state.mode
+    assert state.fired_count == ref_state.fired_count
+    return state
+
+
+def isolated_band(layer, row, index, others):
+    """A band around row[index] that holds none of the other values."""
+    v = float(row[index])
+    gap = float(np.min(np.abs(np.asarray(others, dtype=np.float64) - v)))
+    assert gap > 0
+    return SigmaBand(layer, v - gap / 2, v + gap / 2, "upper", 3.0, 4.0)
+
+
+def lenet_pool(model, watch, seed):
+    """Six images and their flattened watch taps. Images 0 and 1 are hot:
+    each lands in its own band. Images 2-5 are cold: no band holds any of
+    their tap elements."""
+    pool = synthesize(6, (1, 28, 28), seed=seed).images()
+    flat = forward_batch(model, pool, (watch,))[1][watch].reshape(len(pool), -1)
+    return pool, flat
+
+
+def pool_stream(pool, picks):
+    return Dataset("stream", tuple((pool[p], 0) for p in picks), "synthetic(0)")
+
+
+def test_chunk_edges_final_trigger_and_in_band_malicious_image():
+    model = seed_weights(build_lenet(), 4)
+    chunk = batch_chunk_size(model)
+    pool, flat = lenet_pool(model, "fc1", 40)
+    cold = flat[2:].ravel()
+    bands = (isolated_band("fc1", flat[0], int(np.argmax(flat[0])), cold),)
+    # hot on the last cycle of chunk 0 (substituted at the start of chunk 1,
+    # where a hot legitimate image is dropped unevaluated), on the last cycle
+    # of chunk 1, and on the final cycle of a stream longer than two chunks
+    n = 2 * chunk + 4
+    picks = [2 + c % 4 for c in range(n)]
+    for c in (chunk - 1, chunk, 2 * chunk - 1, n - 1):
+        picks[c] = 0
+    stream = pool_stream(pool, picks)
+    # round robin over three images; the first is in-band and must not re-arm
+    config = TrojanConfig("fc1", bands, (pool[0], pool[2], pool[3]), selection=ROUND_ROBIN)
+    state = assert_matches_step(model, config, stream)
+    kinds = [(e.cycle, e.kind) for e in state.log]
+    assert kinds == [
+        (chunk - 1, "Triggered"), (chunk, "Substituted"),
+        (2 * chunk - 1, "Triggered"), (2 * chunk, "Substituted"),
+        (n - 1, "Triggered"),
+    ]
+    assert [e.used_malicious_index for e in state.log if e.kind == "Substituted"] == [0, 1]
+    assert state.mode == ARMED and state.fired_count == 3
+
+
+def test_q16_conv_watch_hit_index_follows_row_major_flattening():
+    model = quantize_model(seed_weights(build_lenet(), 6), Q16_16)
+    pool, flat = lenet_pool(model, "conv1", 41)
+    per_channel = flat.shape[1] // 6
+    # two elements of image 0: late in channel 0 and early in channel 5, so a
+    # channel-last flattening would report the second one first
+    first = per_channel - 1
+    second = 5 * per_channel
+    others = np.concatenate([flat[2:].ravel(), np.delete(flat[0], [first, second])])
+    bands = (
+        isolated_band("conv1", flat[0], second, others),
+        isolated_band("conv1", flat[0], first, others),
+    )
+    stream = pool_stream(pool, [2, 0, 3, 4, 0, 5, 2, 0])
+    config = TrojanConfig("conv1", bands, (pool[4],), selection=FIXED_INDEX)
+    state = assert_matches_step(model, config, stream)
+    hits = [(e.cycle, e.hit_index, e.hit_value) for e in state.log if e.kind == "Triggered"]
+    assert hits == [(1, first, float(flat[0][first])), (4, first, float(flat[0][first])),
+                    (7, first, float(flat[0][first]))]
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["f32-fc1", "q16-conv1"])
+def test_run_compromised_matches_step_fuzz(quantized):
+    model = seed_weights(build_lenet(), 8)
+    watch = "fc1"
+    if quantized:
+        model, watch = quantize_model(model, Q16_16), "conv1"
+    chunk = batch_chunk_size(model)
+    pool, flat = lenet_pool(model, watch, 42)
+    cold = flat[2:].ravel()
+    bands = tuple(
+        isolated_band(watch, flat[h], int(np.argmax(flat[h])), np.concatenate([cold, flat[1 - h]]))
+        for h in (0, 1)
+    )
+    rng = np.random.default_rng(2024 + quantized)
+    triggers = 0
+    for trial, n in enumerate([1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]):
+        picks = rng.choice(6, size=n, p=[0.2, 0.15, 0.2, 0.15, 0.15, 0.15]).tolist()
+        if trial % 2:
+            picks[-1] = 0  # trigger on the final cycle
+        stream = pool_stream(pool, picks)
+        if trial % 3 == 2:
+            config = TrojanConfig(watch, bands, (pool[2], pool[1]), selection=FIXED_INDEX, fixed_index=1)
+        else:
+            config = TrojanConfig(watch, bands, (pool[1], pool[3], pool[0]), selection=ROUND_ROBIN)
+        state = assert_matches_step(model, config, stream)
+        triggers += state.fired_count
+    assert triggers >= 10
+
+
+def test_each_used_malicious_image_is_forwarded_once(monkeypatch):
+    real = models.forward
+    forwarded = []
+
+    def counting(model, image):
+        forwarded.append(image)
+        return real(model, image)
+
+    # every name the package calls forward through
+    monkeypatch.setattr(models, "forward", counting)
+    monkeypatch.setattr(trojan, "forward", counting)
+    m = mirror_model()
+    config = make_config(malicious_values=(0.1, 0.2, 0.3), selection=ROUND_ROBIN)
+
+    _, report, _ = run_compromised(m, config, scalar_stream([0.0, 1.0, 2.0, 0.5]))
+    assert report.trigger_count == 0
+    assert forwarded == []
+
+    stream = scalar_stream([3.5, 0.0, 3.5, 0.0, 3.5, 0.0, 3.5, 0.0, 3.5, 0.0])
+    _, report, state = run_compromised(m, config, stream)
+    assert [e.used_malicious_index for e in state.log if e.kind == "Substituted"] == [0, 1, 2, 0, 1]
+    assert [id(img) for img in forwarded] == [id(img) for img in config.malicious_images]
+
+    forwarded.clear()
+    _, _, state = run_compromised(m, config, scalar_stream([3.5, 0.0, 3.5, 0.0]))
+    assert [id(img) for img in forwarded] == [id(img) for img in config.malicious_images[:2]]
