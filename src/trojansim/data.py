@@ -64,8 +64,11 @@ class SplitPlan:
             raise ConfigError("split counts must be nonnegative")
 
 
-class _Cursor:
-    def __init__(self, buf: bytes, label: str):
+class ByteCursor:
+    """Reads a byte buffer front to back. A short read raises ParseError
+    naming the field and the offset where the read started."""
+
+    def __init__(self, buf: bytes, label: str = "file"):
         self.buf = buf
         self.label = label
         self.off = 0
@@ -76,6 +79,15 @@ class _Cursor:
         chunk = self.buf[self.off : self.off + n]
         self.off += n
         return chunk
+
+    def u8(self, what: str) -> int:
+        return self.take(1, what)[0]
+
+    def u16(self, what: str) -> int:
+        return struct.unpack("<H", self.take(2, what))[0]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
 
     def u32be(self, what: str) -> int:
         return struct.unpack(">I", self.take(4, what))[0]
@@ -93,7 +105,7 @@ def _scale_pixels(raw: np.ndarray) -> np.ndarray:
 
 def parse_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Parse an MNIST-style IDX image/label file pair (big-endian headers)."""
-    img_cur = _Cursor(Path(images_path).read_bytes(), "images file")
+    img_cur = ByteCursor(Path(images_path).read_bytes(), "images file")
     magic = img_cur.u32be("magic")
     if magic != IDX_IMAGES_MAGIC:
         raise ParseError(f"images file magic {magic}, expected {IDX_IMAGES_MAGIC}", offset=0)
@@ -105,7 +117,7 @@ def parse_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     )
     img_cur.done()
 
-    lab_cur = _Cursor(Path(labels_path).read_bytes(), "labels file")
+    lab_cur = ByteCursor(Path(labels_path).read_bytes(), "labels file")
     magic = lab_cur.u32be("magic")
     if magic != IDX_LABELS_MAGIC:
         raise ParseError(f"labels file magic {magic}, expected {IDX_LABELS_MAGIC}", offset=0)

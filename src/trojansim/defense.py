@@ -26,6 +26,7 @@ from .models import (
     ModelSpec,
     forward_batch,
     iter_layer_shapes,
+    layers_to_json,
     run_layers,
 )
 from .profiling import (
@@ -383,10 +384,7 @@ def view_to_json(view: DesignerView) -> dict:
         "groupIndex": view.group_index,
         "inputDims": list(view.input_dims),
         "outputDims": list(view.output_dims),
-        "layers": [
-            {"name": l.name, "kind": l.kind, "hyperparams": dict(l.hyperparams), "params": None}
-            for l in view.layers
-        ],
+        "layers": layers_to_json(view.layers),
     }
 
 

@@ -370,15 +370,20 @@ def model_params(model: ModelSpec) -> dict[str, Tensor]:
     return out
 
 
+def layers_to_json(layers: Sequence[LayerSpec]) -> list[dict]:
+    """Layer listing of an architecture record, parameters left out."""
+    return [
+        {"name": l.name, "kind": l.kind, "hyperparams": dict(l.hyperparams), "params": None}
+        for l in layers
+    ]
+
+
 def model_to_json(model: ModelSpec) -> dict:
     """Architecture record; parameters travel separately in weight files."""
     return {
         "name": model.name,
         "inputShape": list(model.input_shape),
-        "layers": [
-            {"name": l.name, "kind": l.kind, "hyperparams": dict(l.hyperparams), "params": None}
-            for l in model.layers
-        ],
+        "layers": layers_to_json(model.layers),
     }
 
 

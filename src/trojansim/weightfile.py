@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import ByteCursor
 from .errors import ConfigError, ParseError
 from .tensor import FLOAT32, Q16_16, FixedFormat, Tensor
 
@@ -58,31 +59,9 @@ def write_entries(entries: dict[str, Tensor], path: str | Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
-class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.buf):
-            raise ParseError(f"file truncated reading {what}", offset=self.off)
-        chunk = self.buf[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-
 def read_entries(path: str | Path) -> dict[str, Tensor]:
     """Parse a weight file back into named tensors, preserving entry order."""
-    cur = _Cursor(Path(path).read_bytes())
+    cur = ByteCursor(Path(path).read_bytes())
     magic_off = cur.off
     if cur.take(4, "magic") != MAGIC:
         raise ParseError(f"bad magic, expected {MAGIC!r}", offset=magic_off)
