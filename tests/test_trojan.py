@@ -322,9 +322,9 @@ def isolated_band(layer, row, index, others):
 
 
 def lenet_pool(model, watch, seed):
-    """Six images and their flattened watch taps. Images 0 and 1 are hot:
-    each lands in its own band. Images 2-5 are cold: no band holds any of
-    their tap elements."""
+    """Six images and their flattened watch taps. The tests band elements of
+    images 0 and 1 (hot) and keep every tap element of images 2-5 (cold)
+    out of the bands."""
     pool = synthesize(6, (1, 28, 28), seed=seed).images()
     flat = forward_batch(model, pool, (watch,))[1][watch].reshape(len(pool), -1)
     return pool, flat
