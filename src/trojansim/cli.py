@@ -69,6 +69,18 @@ _ESTIMATOR_DEFAULTS = {
 }
 
 
+_MAX_SEED = 2**64 - 1
+
+
+def _check_natural(section: dict, key: str, where: str, limit: int | None = None) -> None:
+    """ConfigError unless section[key] is an int (not a bool) in [0, limit]."""
+    value = section[key]
+    natural = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    if not natural or (limit is not None and value > limit):
+        bound = "a nonnegative integer" if limit is None else f"an integer in [0, {limit}]"
+        raise ConfigError(f"config field {where}.{key} must be {bound}, got {value!r}")
+
+
 def load_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -103,6 +115,8 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
             raise ConfigError("--seed cannot override weights loaded from a path")
         weights = dict(weights, seed=seed_override)
         cfg["weights"] = weights
+    if "path" not in weights:
+        _check_natural(weights, "seed", "weights", _MAX_SEED)
 
     if "dataset" not in cfg:
         raise ConfigError("config field missing: dataset")
@@ -114,6 +128,9 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     split_cfg.setdefault("validationCount", 100)
     split_cfg.setdefault("streamCount", 1000)
     split_cfg.setdefault("seed", 0)
+    for key in ("validationCount", "streamCount"):
+        _check_natural(split_cfg, key, "dataset.split")
+    _check_natural(split_cfg, "seed", "dataset.split", _MAX_SEED)
     ds["split"] = split_cfg
     if kind == "mnist":
         for fieldname in ("imagesPath", "labelsPath"):
@@ -126,14 +143,21 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
         ds.setdefault("mode", "uniform")
         ds.setdefault("seed", 0)
         ds.setdefault("count", split_cfg["validationCount"] + split_cfg["streamCount"])
+        _check_natural(ds, "count", "dataset")
+        _check_natural(ds, "seed", "dataset", _MAX_SEED)
     cfg["dataset"] = ds
 
     trojan = dict(_TROJAN_DEFAULTS)
     trojan.update(cfg.get("trojan", {}))
+    for key in ("maliciousCount", "fixedIndex"):
+        _check_natural(trojan, key, "trojan")
+    _check_natural(trojan, "maliciousSeed", "trojan", _MAX_SEED)
     cfg["trojan"] = trojan
 
     est = dict(_ESTIMATOR_DEFAULTS)
     est.update(cfg.get("estimator", {}))
+    _check_natural(est, "probeCount", "estimator")
+    _check_natural(est, "probeSeed", "estimator", _MAX_SEED)
     cfg["estimator"] = est
 
     if not isinstance(cfg["kLo"], (int, float)) or not isinstance(cfg["kHi"], (int, float)):
@@ -156,7 +180,7 @@ def build_model(cfg: dict) -> models.ModelSpec:
         if not Path(path).exists():
             raise ConfigError(f"config field weights.path: file not found: {path}")
         return models.apply_weights(spec, weightfile.read_entries(path))
-    return models.seed_weights(spec, int(weights["seed"]))
+    return models.seed_weights(spec, weights["seed"])
 
 
 def build_datasets(cfg: dict, model: models.ModelSpec) -> tuple[Dataset, Dataset]:
@@ -167,15 +191,15 @@ def build_datasets(cfg: dict, model: models.ModelSpec) -> tuple[Dataset, Dataset
     elif ds["kind"] == "cifar10":
         base = parse_cifar10(ds["binPath"])
     else:
-        base = synthesize(int(ds["count"]), model.input_shape, int(ds["seed"]), ds["mode"])
+        base = synthesize(ds["count"], model.input_shape, ds["seed"], ds["mode"])
     if base.image_shape is not None and base.image_shape != model.input_shape:
         raise DataError(
             f"dataset images are {base.image_shape}, model expects {model.input_shape}"
         )
     plan = SplitPlan(
-        validation_count=int(ds["split"]["validationCount"]),
-        stream_count=int(ds["split"]["streamCount"]),
-        seed=int(ds["split"]["seed"]),
+        validation_count=ds["split"]["validationCount"],
+        stream_count=ds["split"]["streamCount"],
+        seed=ds["split"]["seed"],
     )
     return split(base, plan)
 
@@ -188,9 +212,14 @@ def build_trojan_config(cfg: dict, model: models.ModelSpec, bands) -> tuple[Troj
         images = tuple(entries[k] for k in entries)
         if not images:
             raise ConfigError("trojan.maliciousImagesPath holds no tensors")
+        for key, img in entries.items():
+            if img.shape != model.input_shape:
+                raise DataError(
+                    f"malicious image {key!r} is {img.shape}, model expects {model.input_shape}"
+                )
     else:
         noise = synthesize(
-            int(t["maliciousCount"]), model.input_shape, int(t["maliciousSeed"]), "uniform"
+            t["maliciousCount"], model.input_shape, t["maliciousSeed"], "uniform"
         )
         images = tuple(img for img, _ in noise.items)
     config = TrojanConfig(
@@ -198,7 +227,7 @@ def build_trojan_config(cfg: dict, model: models.ModelSpec, bands) -> tuple[Troj
         bands=tuple(bands),
         malicious_images=images,
         selection=t["selection"],
-        fixed_index=int(t["fixedIndex"]),
+        fixed_index=t["fixedIndex"],
     )
     blob = {f"malicious{i}": img for i, img in enumerate(images)}
     return config, blob
@@ -242,7 +271,7 @@ def cmd_forge(cfg: dict) -> None:
     stats, bands = _forge_phase(cfg, model, validation)
     layer_length = stats.count // len(validation) if len(validation) else 0
     est = cfg["estimator"]
-    probe = make_probe_dataset(model, int(est["probeCount"]), int(est["probeSeed"]))
+    probe = make_probe_dataset(model, est["probeCount"], est["probeSeed"])
     estimate = estimate_trigger_rate(
         (model, probe, cfg["watchLayer"]), bands, layer_length, mode="monteCarlo"
     )
@@ -305,8 +334,8 @@ def cmd_defend(cfg: dict) -> None:
             float(cfg["kLo"]),
             float(cfg["kHi"]),
             cfg["watchLayer"],
-            probe_count=int(est["probeCount"]),
-            probe_seed=int(est["probeSeed"]),
+            probe_count=est["probeCount"],
+            probe_seed=est["probeSeed"],
         )
         extra = {"scalePlan": plan.to_json()}
     elif kind == "distributed":

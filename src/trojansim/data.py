@@ -211,20 +211,24 @@ def synthesize(count: int, shape: tuple[int, ...], seed: int, mode: str = "unifo
         raise ConfigError(f"unknown synthesis mode {mode!r}")
     rng = Xoshiro256StarStar(seed)
     n = int(np.prod(shape, dtype=np.int64))
+    per_image = n if mode == "uniform" else 2 * ((n + 1) // 2)
     items = []
-    for i in range(count):
-        if mode == "uniform":
-            vals = rng.next_doubles(n).astype(np.float32)
-        else:
-            vals = np.array(_box_muller(rng, n), dtype=np.float32)
-        items.append((Tensor(shape, FLOAT32, vals), i % NUM_CLASSES))
+    # a block's worth of images per bulk draw; successive draws continue the
+    # state, so each image gets the same bits as a draw of its own
+    for draws in rng.next_double_rows(count, per_image):
+        for row in draws:
+            if mode == "uniform":
+                vals = row.astype(np.float32)
+            else:
+                vals = np.array(_box_muller(row, n), dtype=np.float32)
+            items.append((Tensor(shape, FLOAT32, vals), len(items) % NUM_CLASSES))
     return Dataset(name=f"synthetic-{mode}-{seed}", items=tuple(items), source=f"synthetic({seed})")
 
 
-def _box_muller(rng: Xoshiro256StarStar, n: int) -> list[float]:
+def _box_muller(draws: np.ndarray, n: int) -> list[float]:
     # one pair of draws per two outputs; the transcendentals stay scalar libm
     # calls, which NumPy's vectorised ones are not guaranteed to match
-    draws = rng.next_doubles(2 * ((n + 1) // 2)).tolist()
+    draws = draws.tolist()
     out: list[float] = []
     for i in range(0, len(draws), 2):
         u1 = 1.0 - draws[i]  # (0, 1]: keeps log() finite

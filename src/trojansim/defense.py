@@ -76,11 +76,12 @@ def scale_factors(plan: ScalePlan, dataset: Dataset) -> list[np.ndarray]:
     """
     rng = Xoshiro256StarStar(plan.seed)
     lo, hi = plan.r_min, plan.r_max
+    # a dataset has one image shape, so every image takes the same draws
+    width = 1 if plan.mode == PER_IMAGE else math.prod(dataset.image_shape or (1,))
     out = []
-    for img, _ in dataset.items:
-        n = 1 if plan.mode == PER_IMAGE else img.size
+    for draws in rng.next_double_rows(len(dataset), width):
         # the same float64 sequence as rng.uniform(lo, hi), one draw after another
-        out.append(lo + (hi - lo) * rng.next_doubles(n))
+        out.extend(lo + (hi - lo) * draws)
     return out
 
 
@@ -168,32 +169,24 @@ def evaluate_altered_defense(
     half-widths from the designed estimate.
     """
     altered = alter_validation(true_validation, plan)
-    findings: list[str] = []
     try:
         adv_stats = profile_layer(model, altered, watch_layer)
         layer_length = adv_stats.count // max(len(altered), 1)
         bands = forge_bands(adv_stats, k_lo, k_hi)
-    except DegenerateStatsError as e:
-        findings.append(f"adversary profiling degenerate: {e}")
+    except (DegenerateStatsError, ForgeError) as e:
+        # the adversary gets no bands: nothing to measure, both rates are 0
+        if isinstance(e, DegenerateStatsError):
+            finding, verdict = f"adversary profiling degenerate: {e}", "inconclusive"
+        else:
+            finding = f"adversary cannot forge collision-free bands on the altered set: {e}"
+            verdict = "effective"
         return DefenseReport(
             kind="alteredValidation",
             adversary_trigger_rate_designed=0.0,
             adversary_trigger_rate_actual=0.0,
             band_collision_count=0,
-            exposure_findings=tuple(findings),
-            verdict="inconclusive",
-        )
-    except ForgeError as e:
-        findings.append(
-            f"adversary cannot forge collision-free bands on the altered set: {e}"
-        )
-        return DefenseReport(
-            kind="alteredValidation",
-            adversary_trigger_rate_designed=0.0,
-            adversary_trigger_rate_actual=0.0,
-            band_collision_count=0,
-            exposure_findings=tuple(findings),
-            verdict="effective",
+            exposure_findings=(finding,),
+            verdict=verdict,
         )
 
     probe = make_probe_dataset(model, probe_count, probe_seed)
@@ -210,6 +203,7 @@ def evaluate_altered_defense(
     hw_actual = wilson_half_width(hits, n) if n else 0.0
     combined = math.sqrt(designed.confidence_half_width**2 + hw_actual**2)
     rate_broken = abs(actual - designed.monte_carlo) > 3.0 * combined
+    findings: list[str] = []
     findings.append(
         f"designed rate {designed.monte_carlo:.6f} (±{designed.confidence_half_width:.6f} "
         f"Wilson 95%, n={designed.samples}), actual stream rate {actual:.6f} "

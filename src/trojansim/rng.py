@@ -12,10 +12,24 @@ across platforms and Python versions:
   * Doubles: take the top 53 bits of an output word, scale by 2**-53,
     giving a uniform value in [0, 1).
 
-All arithmetic is modulo 2**64.
+All arithmetic is modulo 2**64. `next_u64` is the reference: one output and
+one transition per call, on Python ints.
+
+Bulk draws (`next_doubles`) give the same bits from parallel lanes. The
+transition only shifts, rotates and XORs, so it is linear over GF(2): the
+state LANE_LENGTH draws ahead is a fixed 256x256 bit matrix applied to the
+256 state bits. Its 256 rows, the images of the one-bit states, are built
+once, on the first bulk draw. A jump XORs the rows of the state's set bits.
+A bulk draw is cut into blocks of at most BLOCK_DRAWS draws, and each block
+into lanes of LANE_LENGTH successive draws; every lane after the first
+starts one jump after the one before. All lanes then take their steps
+together, vectorised over np.uint64 arrays, and the outputs are written lane
+after lane, in the order the scalar walk would give them.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,9 +41,19 @@ _SPLITMIX_MIX2 = 0x94D049BB133111EB
 
 _DOUBLE_SCALE = 2.0 ** -53
 
-# next_doubles walks the state this many draws at a time, so the Python ints
-# it holds at once stay few
-DRAW_BLOCK = 1 << 14
+# successive draws per lane of a bulk draw: the jump distance
+LANE_LENGTH = 256
+# draws per block of a bulk draw, 256 KiB of output words; the lanes of one
+# block walk together
+BLOCK_DRAWS = 1 << 15
+# draws per slice of the in-place scrambler, so that its temporaries stay
+# slice-sized
+_SCRAMBLE_SLICE = 4096
+
+# every operand of the vectorised walk is np.uint64: NumPy 1.x turns a uint64
+# combined with a Python int into float64
+_U5, _U7, _U9, _U11 = np.uint64(5), np.uint64(7), np.uint64(9), np.uint64(11)
+_U17, _U19, _U45, _U57 = np.uint64(17), np.uint64(19), np.uint64(45), np.uint64(57)
 
 
 def _rotl(x: int, k: int) -> int:
@@ -45,6 +69,85 @@ def splitmix64_stream(seed: int):
         z = ((z ^ (z >> 30)) * _SPLITMIX_MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _SPLITMIX_MIX2) & _MASK64
         yield z ^ (z >> 31)
+
+
+def _stepper(state: np.ndarray):
+    """A function that applies one transition to every lane of a (4, lanes)
+    uint64 state, in place."""
+    s1, s2, s3 = state[1], state[2], state[3]
+    low, high, high_swapped = state[:2], state[2:], state[:1:-1]
+    t = np.empty_like(s1)
+
+    def step() -> None:
+        np.left_shift(s1, _U17, out=t)
+        np.bitwise_xor(high, low, out=high)  # s2 ^= s0; s3 ^= s1
+        np.bitwise_xor(low, high_swapped, out=low)  # s0 ^= s3; s1 ^= s2
+        np.bitwise_xor(s2, t, out=s2)
+        np.left_shift(s3, _U45, out=t)
+        np.right_shift(s3, _U19, out=s3)
+        np.bitwise_or(s3, t, out=s3)
+
+    return step
+
+
+@functools.cache
+def _rows() -> np.ndarray:
+    """(256, 4) uint64, read-only: row 64*w + b is the state LANE_LENGTH
+    steps after the state whose only set bit is bit b of word w. Built on
+    the first bulk draw that needs a jump."""
+    bits = np.arange(256)
+    basis = np.zeros((4, 256), dtype=np.uint64)
+    basis[bits // 64, bits] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
+    step = _stepper(basis)
+    for _ in range(LANE_LENGTH):
+        step()
+    rows = basis.T.copy()
+    rows.flags.writeable = False
+    return rows
+
+
+def _jump(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (4,) uint64 state LANE_LENGTH steps after the given one."""
+    bits = np.unpackbits(state.astype("<u8").view(np.uint8), bitorder="little")
+    return np.bitwise_xor.reduce(rows[bits.view(bool)], axis=0)
+
+
+def _walk_block(start: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (at most BLOCK_DRAWS doubles) with the draws from state
+    start, and return the state after them."""
+    k = out.size
+    lanes = -(-k // LANE_LENGTH)
+    last = k - (lanes - 1) * LANE_LENGTH  # draws of the last lane
+    state = np.empty((4, lanes), dtype=np.uint64)
+    state[:, 0] = start
+    if lanes > 1:
+        rows = _rows()
+        for lane in range(1, lanes):
+            state[:, lane] = _jump(state[:, lane - 1], rows)
+    # s1 words go straight into out's memory, lane-major: step j of lane i
+    # is draw i * LANE_LENGTH + j; the last lane's slots end at its last draw
+    u = out.view(np.uint64)
+    step = _stepper(state)
+    end = None
+    for j in range(min(LANE_LENGTH, k)):
+        col = u[j::LANE_LENGTH]
+        col[...] = state[1, :col.size]
+        step()
+        if j + 1 == last:
+            end = state[:, -1].copy()
+    # the ** scrambler in place, a slice at a time
+    tmp = np.empty(min(k, _SCRAMBLE_SLICE), dtype=np.uint64)
+    for at in range(0, k, _SCRAMBLE_SLICE):
+        x = u[at:at + _SCRAMBLE_SLICE]
+        r = tmp[:x.size]
+        x *= _U5
+        np.left_shift(x, _U7, out=r)
+        x >>= _U57
+        x |= r
+        x *= _U9
+        x >>= _U11
+        np.multiply(x, np.float64(_DOUBLE_SCALE), out=out[at:at + _SCRAMBLE_SLICE])
+    return end
 
 
 class Xoshiro256StarStar:
@@ -73,29 +176,25 @@ class Xoshiro256StarStar:
         """n successive next_double() values as float64, leaving the state
         where n next_double() calls would.
 
-        The state walk stays in Python ints; the ** scrambler, which reads
-        only s1, runs vectorised over np.uint64, which wraps mod 2**64.
+        Drawn in lanes (see the module docstring); a call costs a few
+        microseconds per lane step, so few large calls are much cheaper than
+        many small ones.
         """
         out = np.empty(n, dtype=np.float64)
-        s0, s1, s2, s3 = self._s
-        for start in range(0, n, DRAW_BLOCK):
-            k = min(DRAW_BLOCK, n - start)
-            s1s = []
-            push = s1s.append
-            for _ in range(k):
-                push(s1)
-                t = (s1 << 17) & _MASK64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            x = np.array(s1s, dtype=np.uint64) * np.uint64(5)
-            x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-            np.multiply(x >> np.uint64(11), _DOUBLE_SCALE, out=out[start:start + k])
-        self._s = [s0, s1, s2, s3]
+        state = np.array(self._s, dtype=np.uint64)
+        for start in range(0, n, BLOCK_DRAWS):
+            state = _walk_block(state, out[start:start + BLOCK_DRAWS])
+        self._s = [int(w) for w in state]
         return out
+
+    def next_double_rows(self, rows: int, width: int):
+        """Yield the next rows * width doubles as (g, width) arrays of whole
+        rows, each from one next_doubles call of at most BLOCK_DRAWS draws
+        (or of one row, if a row is wider). Consume it before drawing again."""
+        per_call = max(1, BLOCK_DRAWS // width) if width else max(1, rows)
+        for first in range(0, rows, per_call):
+            g = min(per_call, rows - first)
+            yield self.next_doubles(g * width).reshape(g, width)
 
     def next_double(self) -> float:
         """Uniform in [0, 1), using the top 53 bits of one output."""

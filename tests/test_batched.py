@@ -1,6 +1,6 @@
 """The batched paths against their per-image and scalar references: kernels
 with a leading batch axis, forward_batch, batched stream_hit_rate, and bulk
-xoshiro draws.
+xoshiro draws against the scalar next_u64 walk.
 
 Float32 inputs are drawn from magnitudes 1 and 2**-30, so products of 1,
 2**-30 and 2**-60 meet in one sum: big terms cancel exactly and what is left
@@ -10,6 +10,8 @@ forward_batch models get such weights too, and sparse images, so that deeper
 layers still see repeated values that cancel; a small dense-only model makes
 the dense fold order visible, which the convolutional models' wide sums hide.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from trojansim.models import (
     seed_weights,
 )
 from trojansim.profiling import SigmaBand, collect_observations
-from trojansim.rng import DRAW_BLOCK, Xoshiro256StarStar
+from trojansim.rng import BLOCK_DRAWS, LANE_LENGTH, Xoshiro256StarStar
 from trojansim.tensor import FLOAT32, Q16_16, Kernel, Tensor
 from trojansim.trojan import check_trigger
 
@@ -255,10 +257,88 @@ def test_batched_stream_hit_rate_matches_per_image_check_trigger():
     assert stream_hit_rate(model, cases[1], empty, "fc1") == (0, 0)
 
 
-@pytest.mark.parametrize("n", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
+M, B = LANE_LENGTH, BLOCK_DRAWS
+
+
+def scalar_doubles(rng, n):
+    return np.array([rng.next_double() for _ in range(n)], dtype=np.float64)
+
+
+@pytest.mark.parametrize("n", [0, 1, M - 1, M, M + 1, B - 1, B, B + 1, 2 * B + 1])
 def test_next_doubles_equals_next_double_calls(n):
     bulk, scalar = Xoshiro256StarStar(2024), Xoshiro256StarStar(2024)
     got = bulk.next_doubles(n)
-    want = np.array([scalar.next_double() for _ in range(n)], dtype=np.float64)
+    want = scalar_doubles(scalar, n)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     assert [bulk.next_u64() for _ in range(4)] == [scalar.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_next_doubles_at_extreme_seeds(seed):
+    ref = Xoshiro256StarStar(seed)
+    words = [ref.next_u64() for _ in range(2 * B + 5)]
+    doubles = np.array([(w >> 11) * 2.0**-53 for w in words])
+    for n in (1, M - 1, M + 1, B + 1, 2 * B + 1):
+        bulk = Xoshiro256StarStar(seed)
+        assert bulk.next_doubles(n).tobytes() == doubles[:n].tobytes(), n
+        assert [bulk.next_u64() for _ in range(4)] == words[n:n + 4], n
+
+
+@pytest.mark.parametrize("k, j", [(1, M - 1), (M + 1, B + 3), (B - 1, 2), (0, 2 * M)])
+def test_next_doubles_continue_across_mixed_calls(k, j):
+    bulk, scalar = Xoshiro256StarStar(77), Xoshiro256StarStar(77)
+    first, word, second = bulk.next_doubles(k), bulk.next_u64(), bulk.next_doubles(j)
+    assert first.tobytes() == scalar_doubles(scalar, k).tobytes()
+    assert word == scalar.next_u64()
+    assert second.tobytes() == scalar_doubles(scalar, j).tobytes()
+    assert bulk.next_double() == scalar.next_double()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3 * B))
+def test_next_doubles_equals_scalar_walk_property(seed, n):
+    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    assert bulk.next_doubles(n).tobytes() == scalar_doubles(scalar, n).tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_next_double_rows_draw_at_most_a_block_per_call():
+    rng = Xoshiro256StarStar(3)
+    assert [a.shape for a in rng.next_double_rows(100, 1000)] == [(32, 1000)] * 3 + [(4, 1000)]
+    assert [a.shape for a in rng.next_double_rows(2, B + 1)] == [(1, B + 1)] * 2
+    assert list(rng.next_double_rows(0, 5)) == []
+
+
+def scalar_synthesize(count, shape, seed, mode):
+    """synthesize's images, drawn one scalar call at a time."""
+    rng = Xoshiro256StarStar(seed)
+    n = int(np.prod(shape))
+    images = []
+    for _ in range(count):
+        if mode == "uniform":
+            vals = [rng.next_double() for _ in range(n)]
+        else:
+            vals = []
+            for _ in range((n + 1) // 2):
+                radius = math.sqrt(-2.0 * math.log(1.0 - rng.next_double()))
+                angle = 2.0 * math.pi * rng.next_double()
+                vals += [radius * math.cos(angle), radius * math.sin(angle)]
+        images.append(np.array(vals[:n], dtype=np.float32))
+    return images
+
+
+@pytest.mark.parametrize(
+    "shape, mode",
+    [((1, 28, 28), "uniform"), ((1, 5, 5), "gaussianActivationProbe")],
+)
+def test_synthesize_matches_per_image_scalar_draws(shape, mode):
+    n = int(np.prod(shape))
+    per_image = n if mode == "uniform" else 2 * ((n + 1) // 2)
+    group = B // per_image  # images per bulk draw
+    for count in (0, 1, group, group + 1):
+        data = synthesize(count, shape, seed=9, mode=mode)
+        want = scalar_synthesize(count, shape, 9, mode)
+        assert len(data) == count
+        assert data.labels() == [i % 10 for i in range(count)]
+        for (img, _), ref in zip(data.items, want):
+            assert img.shape == shape and img.data.tobytes() == ref.tobytes()

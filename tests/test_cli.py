@@ -250,3 +250,45 @@ def test_report_with_no_phase_outputs(tmp_path):
 def test_unknown_subcommand_is_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["demolish", "--config", "x.json"])
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("dataset.split", "validationCount", "abc"),
+        ("dataset.split", "streamCount", -1),
+        ("dataset.split", "seed", True),
+        ("dataset.split", "seed", 2**64),
+        ("dataset", "count", 1.5),
+        ("dataset", "seed", "11"),
+        ("weights", "seed", "abc"),
+        ("trojan", "maliciousCount", "x"),
+        ("trojan", "maliciousSeed", -1),
+        ("estimator", "probeSeed", None),
+    ],
+)
+def test_bad_config_integers_exit_2_without_traceback(tmp_path, capsys, section, key, value):
+    cfg = base_config(tmp_path / "out")
+    fields = cfg
+    for name in section.split("."):
+        fields = fields.setdefault(name, {})
+    fields[key] = value
+    assert run("attack", write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{section}.{key} must be" in err
+
+
+def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, capsys):
+    wrong = tmp_path / "wrong.dlaw"
+    write_entries({"m0": Tensor.zeros((3, 32, 32))}, wrong)
+    cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(wrong)})
+    assert run("attack", write_config(tmp_path, cfg)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "'m0' is (3, 32, 32), model expects (1, 28, 28)" in err
+
+    right = tmp_path / "right.dlaw"
+    write_entries({"m0": Tensor.zeros((1, 28, 28))}, right)
+    cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(right)})
+    assert run("attack", write_config(tmp_path, cfg, "right.json")) == 0

@@ -31,6 +31,7 @@ from trojansim.models import (
     model_params,
     seed_weights,
 )
+from trojansim.rng import BLOCK_DRAWS, Xoshiro256StarStar
 from trojansim.tensor import Kernel, Tensor
 from trojansim.weightfile import read_entries
 
@@ -106,6 +107,22 @@ def test_scale_factors_shapes_and_range():
     assert all(np.array_equal(a, b) for a, b in zip(per_image, again))
 
 
+@pytest.mark.parametrize("mode", [PER_IMAGE, PER_PIXEL])
+def test_scale_factors_equal_scalar_uniform_calls_across_a_block_edge(mode):
+    if mode == PER_IMAGE:
+        img, count = Tensor.zeros((1, 1, 1)), BLOCK_DRAWS + 1
+    else:
+        img, count = Tensor.zeros((1, 28, 28)), BLOCK_DRAWS // 784 + 1
+    data = Dataset("d", ((img, 0),) * count, "synthetic(0)")
+    factors = scale_factors(ScalePlan(21, mode, 0.5, 2.0), data)
+    rng = Xoshiro256StarStar(21)
+    assert isinstance(factors, list) and len(factors) == count
+    for f in factors:
+        want = np.array([rng.uniform(0.5, 2.0) for _ in range(f.size)])
+        assert f.size == (1 if mode == PER_IMAGE else img.size)
+        assert f.tobytes() == want.tobytes()
+
+
 def test_identity_plan_is_bitwise_noop():
     data = tiny_dataset(10, seed=5)
     altered = alter_validation(data, ScalePlan(7, PER_IMAGE, 1.0, 1.0))
@@ -166,8 +183,7 @@ def test_random_scaling_defeats_band_forging():
     report = evaluate_altered_defense(
         m, val, ScalePlan(5, PER_IMAGE, 0.5, 2.0), short_stream, probe_count=50
     )
-    assert report.verdict == "effective"
-    assert any("cannot forge" in f for f in report.exposure_findings)
+    assert_bandless_report(report, "effective", "adversary cannot forge collision-free bands")
 
 
 def test_degenerate_adversary_stats_are_inconclusive():
@@ -176,8 +192,22 @@ def test_degenerate_adversary_stats_are_inconclusive():
     report = evaluate_altered_defense(
         m, val, ScalePlan(0, PER_IMAGE, 0.5, 2.0), val, watch_layer="out", probe_count=10
     )
-    assert report.verdict == "inconclusive"
-    assert any("degenerate" in f for f in report.exposure_findings)
+    assert_bandless_report(report, "inconclusive", "adversary profiling degenerate: ")
+
+
+def assert_bandless_report(report, verdict, finding_start):
+    """The report of an adversary left without bands: no rates, no
+    collisions, one finding that says why."""
+    doc = report.to_json()
+    (finding,) = doc.pop("exposureFindings")
+    assert finding.startswith(finding_start)
+    assert doc == {
+        "kind": "alteredValidation",
+        "adversaryTriggerRateDesigned": 0.0,
+        "adversaryTriggerRateActual": 0.0,
+        "bandCollisionCount": 0,
+        "verdict": verdict,
+    }
 
 
 def test_defense_report_validation_and_json():
