@@ -35,7 +35,7 @@ from .profiling import (
     make_probe_dataset,
     profile_layer,
 )
-from .trojan import TrojanConfig, run_compromised, write_labels_csv
+from .trojan import TrojanConfig, run_compromised, substituted_cycles, write_labels_csv
 
 FORMAT_VERSION = 1
 
@@ -286,8 +286,14 @@ def cmd_attack(cfg: dict) -> None:
     validation, stream = build_datasets(cfg, model)
     _, bands = _forge_phase(cfg, model, validation)
     trojan_cfg, malicious_blob = build_trojan_config(cfg, model, bands)
-    clean = models.forward_batch(model, stream.images(), ())[0].tolist()
-    labels, report, state = run_compromised(model, trojan_cfg, stream, clean)
+    labels, report, state = run_compromised(model, trojan_cfg, stream)
+    # a dormant cycle's label is its clean label, so only the legitimate
+    # images dropped on substituted cycles are forwarded again
+    clean = list(labels)
+    dropped = sorted(substituted_cycles(state))
+    relabelled = models.forward_batch(model, [stream.items[c][0] for c in dropped], ())[0]
+    for c, label in zip(dropped, relabelled.tolist()):
+        clean[c] = label
 
     out = Path(cfg["outputDir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -313,16 +319,50 @@ def cmd_attack(cfg: dict) -> None:
             f.write(f"{c},{label}\n")
 
 
+def _check_scale(d: dict) -> None:
+    """ConfigError unless defense.scale is an object with a seed and, if
+    given, a range of two finite numbers."""
+    if "scale" not in d:
+        raise ConfigError("config field missing: defense.scale")
+    scale = d["scale"]
+    if not isinstance(scale, dict):
+        raise ConfigError("config field defense.scale must be an object")
+    if "seed" not in scale:
+        raise ConfigError("config field missing: defense.scale.seed")
+    _check_natural(scale, "seed", "defense.scale", _MAX_SEED)
+    if "range" in scale:
+        bounds = scale["range"]
+        numbers = isinstance(bounds, list) and len(bounds) == 2 and all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= sys.float_info.max
+            for b in bounds
+        )
+        if not numbers:
+            raise ConfigError(f"config field defense.scale.range must be two finite numbers, got {bounds!r}")
+
+
+def _check_partition(d: dict) -> None:
+    """ConfigError unless defense.k, if given, is an integer and
+    defense.cuts, if given, a list of integers."""
+    if d.get("k") is not None:
+        _check_natural(d, "k", "defense")
+    cuts = d.get("cuts")
+    if cuts is not None and not (
+        isinstance(cuts, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in cuts)
+    ):
+        raise ConfigError(f"config field defense.cuts must be a list of integers, got {cuts!r}")
+
+
 def cmd_defend(cfg: dict) -> None:
     if "defense" not in cfg:
         raise ConfigError("config field missing: defense")
     d = cfg["defense"]
+    if not isinstance(d, dict):
+        raise ConfigError("config field defense must be an object")
     kind = d.get("kind")
     model = build_model(cfg)
     out = Path(cfg["outputDir"])
     if kind == "alteredValidation":
-        if "scale" not in d:
-            raise ConfigError("config field missing: defense.scale")
+        _check_scale(d)
         plan = defense_mod.ScalePlan.from_json(d["scale"])
         validation, stream = build_datasets(cfg, model)
         est = cfg["estimator"]
@@ -339,6 +379,7 @@ def cmd_defend(cfg: dict) -> None:
         )
         extra = {"scalePlan": plan.to_json()}
     elif kind == "distributed":
+        _check_partition(d)
         views = defense_mod.partition(
             model,
             k=d.get("k"),

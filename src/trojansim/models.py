@@ -212,22 +212,14 @@ def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     return ForwardTrace(final_label=T.argmax(last), taps=taps)
 
 
-# Scratch budget of one forward_batch chunk: the chunk size is this divided
-# by the widest layer's per-image accumulator bytes.
-SCRATCH_BYTES = 1 << 20
-
-
 def batch_chunk_size(model: ModelSpec) -> int:
-    """Images per forward_batch chunk. A conv layer holds an accumulator,
-    a product buffer and one window row; a dense layer an accumulator and a
-    product buffer; all float64."""
-    widest = 1
-    for layer, _, out in iter_layer_shapes(model):
-        if layer.kind == "conv":
-            widest = max(widest, 2 * int(np.prod(out)) + out[1] * out[2])
-        elif layer.kind == "dense":
-            widest = max(widest, 2 * out[0])
-    return max(1, SCRATCH_BYTES // (8 * widest))
+    """Images per forward_batch chunk: tensor.SCRATCH_BYTES divided by the
+    widest layer output's per-image bytes as stored (float32, or float64 for
+    fixed point). This bounds a chunk's activations; conv2d and dense keep
+    their own float64 scratch within the same budget, a tile at a time."""
+    itemsize = 8 if isinstance(model_numeric_dtype(model), FixedFormat) else 4
+    widest = max(int(np.prod(out)) for _, _, out in iter_layer_shapes(model))
+    return max(1, T.SCRATCH_BYTES // (itemsize * widest))
 
 
 def forward_batch(

@@ -11,12 +11,17 @@ tests compare against):
     and saturated to its representable range; saturation events are counted
     on the result tensor, never silently wrapped.
   * conv2d, maxpool2d and dense also take a leading batch axis ((N, C, H, W)
-    or (N, in)); relu and quantize take any shape. Each image of a batch goes
-    through exactly the sequence above, so row i of a batched result is
-    bitwise equal to the op applied to image i alone, and a batched result's
-    saturation count is the sum over its rows. Sums are folded one term at a
-    time across the whole batch; matmul, einsum and tensordot are never
-    used, because they reorder the terms.
+    or (N, in)) of any length; relu and quantize take any shape. Each image
+    of a batch goes through exactly the sequence above, so row i of a
+    batched result is bitwise equal to the op applied to image i alone, and
+    a batched result's saturation count is the sum over its rows. Sums are
+    folded one term at a time across a tile of images; matmul, einsum and
+    tensordot are never used, because they reorder the terms.
+  * conv2d and dense split the batch axis into tiles, so that their float64
+    scratch (weights copy plus accumulator, product buffer and one window
+    row or input column per image) stays within SCRATCH_BYTES whatever the
+    batch length. Each tile is rounded straight into its slice of one
+    output array of the stored dtype, and the tiles' saturations are summed.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -36,6 +41,10 @@ FLOAT32 = "float32"
 # Elements per slice of the fixed-point representability check, so that the
 # check's scaled and rounded temporaries stay slice-sized, not tensor-sized.
 CHECK_SLICE = 8192
+
+# Float64 scratch budget of one conv2d or dense call; models.batch_chunk_size
+# bounds a forward chunk's activations by the same budget.
+SCRATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,15 +117,13 @@ class Tensor:
     def from_array(cls, values, dtype: DType = FLOAT32, saturations: int = 0) -> "Tensor":
         arr = np.asarray(values)
         shape = arr.shape if arr.shape else (1,)
-        store = np.float32 if dtype == FLOAT32 else np.float64
-        flat = np.ascontiguousarray(arr, dtype=store).reshape(-1).copy()
+        flat = np.ascontiguousarray(arr, dtype=_storage(dtype)).reshape(-1).copy()
         return cls(tuple(shape), dtype, flat, saturations)
 
     @classmethod
     def zeros(cls, shape: Sequence[int], dtype: DType = FLOAT32) -> "Tensor":
         n = int(np.prod(shape, dtype=np.int64))
-        store = np.float32 if dtype == FLOAT32 else np.float64
-        return cls(tuple(shape), dtype, np.zeros(n, dtype=store))
+        return cls(tuple(shape), dtype, np.zeros(n, dtype=_storage(dtype)))
 
     @property
     def array(self) -> np.ndarray:
@@ -163,14 +170,21 @@ class Kernel:
         return self.weights.dtype
 
 
-def _finish(acc: np.ndarray, dtype: DType) -> Tensor:
-    """Round a float64 accumulator into the target dtype, counting saturation.
+def _storage(dtype: DType) -> type:
+    """NumPy type a tensor of this dtype stores its data in."""
+    return np.float32 if dtype == FLOAT32 else np.float64
 
-    The fixed-point finish rounds in place: callers hand over scratch they
-    own and do not read afterwards.
+
+def _finish(acc: np.ndarray, dtype: DType, out: np.ndarray) -> int:
+    """Round a float64 accumulator into out (the dtype's storage, acc's
+    shape), returning how many elements saturated.
+
+    The fixed-point finish scales and rounds acc in place: callers hand over
+    scratch they own and do not read afterwards. out may be acc itself.
     """
     if dtype == FLOAT32:
-        return Tensor(tuple(acc.shape), FLOAT32, acc.astype(np.float32).reshape(-1))
+        np.copyto(out, acc, casting="same_kind")
+        return 0
     fmt = dtype
     scale = 2.0 ** fmt.frac_bits
     lo = np.rint(fmt.min_value * scale)
@@ -179,8 +193,14 @@ def _finish(acc: np.ndarray, dtype: DType) -> Tensor:
     np.rint(acc, out=acc)
     saturated = int(np.count_nonzero(acc < lo)) + int(np.count_nonzero(acc > hi))
     np.clip(acc, lo, hi, out=acc)
-    np.multiply(acc, fmt.resolution, out=acc)
-    return Tensor(tuple(acc.shape), fmt, acc.reshape(-1), saturated)
+    np.multiply(acc, fmt.resolution, out=out)
+    return saturated
+
+
+def _tile_length(n: int, fixed: int, per_image: int) -> int:
+    """Images per kernel tile: as many as keep `fixed` float64 values plus
+    `per_image` per image within SCRATCH_BYTES; at least one, at most n."""
+    return max(1, min(n, (SCRATCH_BYTES // 8 - fixed) // per_image))
 
 
 def _check_same_dtype(a: DType, b: DType, what: str) -> None:
@@ -214,23 +234,27 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
     x = input.array.reshape((-1, c, h, w))
     n = x.shape[0]
     wts = kernel.weights.array.astype(np.float64)
-    # acc is (out, N, oh, ow) so that one weight scales a whole window row
-    acc = np.empty((out_ch, n, oh, ow), dtype=np.float64)
-    acc[:] = kernel.bias.array.astype(np.float64)[:, None, None, None]
-    row = np.empty((n, oh, ow), dtype=np.float64)
-    tmp = np.empty_like(acc)
-    for ci in range(in_ch):
-        for u in range(kh):
-            for v in range(kw):
-                np.copyto(row, x[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
-                np.multiply(wts[:, ci, u, v, None, None, None], row, out=tmp)
-                acc += tmp
-    # reorder to (N, out, oh, ow) inside tmp's buffer, so that no third
-    # accumulator-sized array exists while the result is finished
-    out = tmp.reshape((n, out_ch, oh, ow))
-    np.copyto(out, acc.transpose(1, 0, 2, 3))
-    del acc, row
-    return _finish(out if len(input.shape) == 4 else out[0], input.dtype)
+    bias = kernel.bias.array.astype(np.float64)[:, None, None, None]
+    out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
+    tile = _tile_length(n, wts.size + out_ch, (2 * out_ch + 1) * oh * ow)
+    saturations = 0
+    for start in range(0, n, tile):
+        xs = x[start:start + tile]
+        # acc is (out, tile, oh, ow) so that one weight scales a whole window row
+        acc = np.empty((out_ch, xs.shape[0], oh, ow), dtype=np.float64)
+        acc[:] = bias
+        row = np.empty(acc.shape[1:], dtype=np.float64)
+        tmp = np.empty_like(acc)
+        for ci in range(in_ch):
+            for u in range(kh):
+                for v in range(kw):
+                    np.copyto(row, xs[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
+                    np.multiply(wts[:, ci, u, v, None, None, None], row, out=tmp)
+                    acc += tmp
+        del row, tmp  # the fixed-point finish allocates masks of its own
+        saturations += _finish(acc.transpose(1, 0, 2, 3), input.dtype, out[start:start + tile])
+    shape = out.shape if len(input.shape) == 4 else out.shape[1:]
+    return Tensor(shape, input.dtype, out.reshape(-1), saturations)
 
 
 def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
@@ -271,16 +295,25 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
             f"input length {input.shape[-1]} does not match kernel columns {kernel.weights.shape}"
         )
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
-    # transposed, so that input column j and weight column j are contiguous
-    x_t = np.ascontiguousarray(input.array.reshape((-1, n)).T, dtype=np.float64)
+    x = input.array.reshape((-1, n))
     w_t = np.ascontiguousarray(kernel.weights.array.T, dtype=np.float64)
-    acc = np.empty((x_t.shape[1], m), dtype=np.float64)
-    acc[:] = kernel.bias.array.astype(np.float64)
-    tmp = np.empty_like(acc)
-    for j in range(n):
-        np.multiply(x_t[j, :, None], w_t[j], out=tmp)
-        acc += tmp
-    return _finish(acc if len(input.shape) == 2 else acc[0], input.dtype)
+    bias = kernel.bias.array.astype(np.float64)
+    out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
+    tile = _tile_length(x.shape[0], w_t.size + m, 2 * m + n)
+    saturations = 0
+    for start in range(0, x.shape[0], tile):
+        # transposed, so that input column j and weight column j are contiguous
+        x_t = np.ascontiguousarray(x[start:start + tile].T, dtype=np.float64)
+        acc = np.empty((x_t.shape[1], m), dtype=np.float64)
+        acc[:] = bias
+        tmp = np.empty_like(acc)
+        for j in range(n):
+            np.multiply(x_t[j, :, None], w_t[j], out=tmp)
+            acc += tmp
+        del x_t, tmp  # the fixed-point finish allocates masks of its own
+        saturations += _finish(acc, input.dtype, out[start:start + tile])
+    shape = out.shape if len(input.shape) == 2 else out.shape[1:]
+    return Tensor(shape, input.dtype, out.reshape(-1), saturations)
 
 
 def relu(input: Tensor) -> Tensor:
@@ -300,4 +333,5 @@ def argmax(input: Tensor) -> int:
 def quantize(input: Tensor, fmt: FixedFormat) -> Tensor:
     """Round to the nearest representable fixed-point value (half to even),
     saturating out-of-range values and counting them on the result."""
-    return _finish(input.array.astype(np.float64), fmt)
+    acc = input.data.astype(np.float64)
+    return Tensor(input.shape, fmt, acc, _finish(acc, fmt, acc))

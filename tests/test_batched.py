@@ -12,6 +12,7 @@ the dense fold order visible, which the convolutional models' wide sums hide.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from trojansim.models import (
     build_lenet,
     forward,
     forward_batch,
+    iter_layer_shapes,
     layer_output_shapes,
     model_numeric_dtype,
     model_params,
@@ -118,6 +120,115 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     assert got.shape == wide.shape
     assert np.array_equal(got.data, np.concatenate([q for q, _ in want]))
     assert got.saturations == sum(s for _, s in want)
+
+
+def tile_budget(kern, tile, per_image):
+    """SCRATCH_BYTES that gives a conv2d or dense call on kern tiles of
+    `tile` images, where per_image is the call's float64 scratch per image
+    (conv: accumulator, product and window row; dense: accumulator, product
+    and input column)."""
+    return 8 * (kern.weights.size + kern.bias.size + tile * per_image)
+
+
+def tiled(kernel, budget, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", budget)
+        return kernel(*args)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fixed=st.booleans(),
+    tile=st.integers(1, 3),
+    n=st.integers(2, 7),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 5),
+    w=st.integers(1, 5),
+    k=st.integers(1, 3),
+    stride=st.integers(1, 2),
+)
+def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, tile, n, cin, cout, h, w, k, stride):
+    rng = np.random.default_rng(seed)
+    dtype = Q16_16 if fixed else FLOAT32
+    k = min(k, h, w)
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    x = Tensor((n, cin, h, w), dtype, batch_values(rng, (n, cin, h, w), dtype))
+    kern = Kernel(
+        Tensor((cout, cin, k, k), dtype, batch_values(rng, (cout, cin, k, k), dtype)),
+        Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
+    )
+    got = tiled(T.conv2d, tile_budget(kern, tile, (2 * cout + 1) * oh * ow), x, kern, stride)
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want)
+
+    flat = x.reshaped((n, cin * h * w))
+    dkern = Kernel(
+        Tensor((cout, cin * h * w), dtype, batch_values(rng, (cout, cin * h * w), dtype)),
+        kern.bias,
+    )
+    got = tiled(T.dense, tile_budget(dkern, tile, 2 * cout + cin * h * w), flat, dkern)
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want)
+
+
+@pytest.mark.parametrize("hot", [(0,), (0, 3), (2, 4)])
+def test_tiled_saturations_sum_over_tiles(hot):
+    # seven Q16.16 images in tiles of two; only the hot rows saturate, so a
+    # count that drops any tile's saturations reads low
+    rng = np.random.default_rng(0)
+    n = 7
+    scale = np.where(np.isin(np.arange(n), hot), 30000.0, 1.0)[:, None]
+    raw = rng.random((n, 2 * 4 * 4)) * scale
+    x = Tensor((n, 2, 4, 4), Q16_16, quantize_naive(raw.ravel(), Q16_16)[0])
+    ones = Tensor((3, 2, 3, 3), Q16_16, np.ones(54))
+    kern = Kernel(ones, Tensor((3,), Q16_16, np.zeros(3)))
+    got = tiled(T.conv2d, tile_budget(kern, 2, 7 * 2 * 2), x, kern, 1)
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+    assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want)
+
+    flat = x.reshaped((n, 32))
+    dkern = Kernel(Tensor((3, 32), Q16_16, np.ones(96)), kern.bias)
+    got = tiled(T.dense, tile_budget(dkern, 2, 2 * 3 + 32), flat, dkern)
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want)
+
+
+@pytest.mark.parametrize("layer", ["conv1", "fc1"])
+def test_kernel_scratch_stays_within_budget(layer):
+    """A batch of four tiles peaks at its output plus one tile's scratch:
+    no kernel holds a whole batch's float64 accumulator."""
+    model = seed_weights(build_lenet(), 2)
+    spec = model.get_layer(layer)
+    in_shape = {l.name: i for l, i, _ in iter_layer_shapes(model)}[layer]
+    out_shape = layer_output_shapes(model)[layer]
+    if spec.kind == "conv":
+        per_image = (2 * out_shape[0] + 1) * out_shape[1] * out_shape[2]
+    else:
+        per_image = 2 * out_shape[0] + in_shape[0]
+    fixed = spec.params.weights.size + spec.params.bias.size
+    n = 4 * ((T.SCRATCH_BYTES // 8 - fixed) // per_image)
+    x = Tensor((n,) + in_shape, FLOAT32, np.random.default_rng(0).random(n * math.prod(in_shape)).astype(np.float32))
+    slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
+
+    tracemalloc.start()
+    try:
+        if spec.kind == "conv":
+            got = T.conv2d(x, spec.params, 1)
+        else:
+            got = T.dense(x, spec.params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (n,) + out_shape
+    assert peak <= got.data.nbytes + T.SCRATCH_BYTES + slack
 
 
 def cancelling_model(spec, seed):

@@ -5,7 +5,7 @@ import pytest
 
 from trojansim import cli
 from trojansim.data import SplitPlan, split, synthesize
-from trojansim.models import build_lenet, model_params, seed_weights
+from trojansim.models import build_lenet, forward, model_params, seed_weights
 from trojansim.profiling import SigmaBand, collect_observations, count_band_collisions
 from trojansim.tensor import Tensor
 from trojansim.weightfile import write_entries
@@ -292,3 +292,67 @@ def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, caps
     write_entries({"m0": Tensor.zeros((1, 28, 28))}, right)
     cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(right)})
     assert run("attack", write_config(tmp_path, cfg, "right.json")) == 0
+
+
+@pytest.mark.parametrize(
+    "defense",
+    [
+        {"kind": "alteredValidation", "scale": {"mode": "perImage"}},
+        {"kind": "alteredValidation", "scale": {"seed": "7"}},
+        {"kind": "alteredValidation", "scale": {"seed": True}},
+        {"kind": "alteredValidation", "scale": {"seed": -1}},
+        {"kind": "alteredValidation", "scale": {"seed": 2**64}},
+        {"kind": "alteredValidation", "scale": {"seed": 7, "range": [0.5]}},
+        {"kind": "alteredValidation", "scale": {"seed": 7, "range": ["0.5", 2.0]}},
+        {"kind": "alteredValidation", "scale": {"seed": 7, "range": 1.0}},
+        {"kind": "alteredValidation", "scale": [7]},
+        {"kind": "distributed", "k": "2"},
+        {"kind": "distributed", "k": 2.5},
+        {"kind": "distributed", "cuts": "3"},
+        {"kind": "distributed", "cuts": [3, "6"]},
+        {"kind": "distributed", "cuts": [3.0]},
+        ["distributed", 2],
+    ],
+)
+def test_bad_defense_section_exits_2_without_traceback(tmp_path, capsys, defense):
+    cfg = base_config(tmp_path / "out", defense=defense)
+    assert run("defend", write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: config field") and "defense" in err and err.count("\n") == 1
+
+
+def test_attack_clean_labels_are_the_dropped_images_labels(tmp_path):
+    # a small MLP whose seeded labels vary across the stream, so that a
+    # substituted cycle's malicious label can differ from its clean label
+    arch = {"name": "mlp", "inputShape": [1, 28, 28], "layers": [
+        {"name": "flatten", "kind": "flatten", "hyperparams": {}},
+        {"name": "fc1", "kind": "dense", "hyperparams": {"units": 64}},
+        {"name": "relu1", "kind": "relu", "hyperparams": {}},
+        {"name": "fc2", "kind": "dense", "hyperparams": {"units": 10}},
+    ]}
+    (tmp_path / "mlp.json").write_text(json.dumps(arch), encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = base_config(out, modelName=str(tmp_path / "mlp.json"), weights={"seed": 5})
+    resolved = cli.resolve_config(cfg, None, None)
+    model = cli.build_model(resolved)
+    _, stream = cli.build_datasets(resolved, model)
+    clean = [forward(model, img).final_label for img in stream.images()]
+
+    assert run("attack", write_config(tmp_path, cfg)) == 0
+    dropped = [e["cycle"] for e in load(out, "events.json")["events"] if e["kind"] == "Substituted"]
+    assert dropped
+    # a malicious image whose label differs from every dropped image's
+    malicious = next(img for img, label in zip(stream.images(), clean)
+                     if all(label != clean[c] for c in dropped))
+    write_entries({"m0": malicious}, tmp_path / "m.dlaw")
+    cfg["trojan"] = {"maliciousImagesPath": str(tmp_path / "m.dlaw")}
+    assert run("attack", write_config(tmp_path, cfg, "m.json")) == 0
+
+    report = load(out, "attack_report.json")["attackReport"]
+    assert report["misclassifications"] == len(dropped)
+    rows = [r.split(",") for r in (out / "clean_labels.csv").read_text().splitlines()[1:]]
+    assert [int(label) for _, label in rows] == clean
+    rows = [r.split(",") for r in (out / "labels.csv").read_text().splitlines()[1:]]
+    assert [int(s) for _, _, s in rows] == [int(c in dropped) for c in range(len(clean))]
+    assert all(int(label) != clean[c] for c, (_, label, _) in enumerate(rows) if c in dropped)
