@@ -24,10 +24,11 @@ from .models import (
     PARAMETERIZED_KINDS,
     LayerSpec,
     ModelSpec,
+    _layer_outputs,
     forward_batch,
     iter_layer_shapes,
     layers_to_json,
-    run_layers,
+    model_params,
 )
 from .profiling import (
     collect_observations,
@@ -277,8 +278,9 @@ def run_view(view: DesignerView, x: Tensor) -> Tensor:
         raise ConfigError(
             f"group {view.group_index} expects input dims {view.input_dims}, got {x.shape}"
         )
-    taps = run_layers(view.layers, x)
-    return taps[view.layers[-1].name]
+    taps = dict(_layer_outputs(view.layers, x.reshaped((1,) + x.shape)))
+    out = taps[view.layers[-1].name]
+    return out.reshaped(out.shape[1:])
 
 
 def run_partitioned(views: list[DesignerView], image: Tensor) -> Tensor:
@@ -390,10 +392,5 @@ def save_view(view: DesignerView, directory: str | Path) -> tuple[Path, Path]:
     json_path.write_text(
         json.dumps(view_to_json(view), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    entries = {}
-    for l in view.layers:
-        if l.kind in PARAMETERIZED_KINDS and l.params is not None:
-            entries[f"{l.name}.weight"] = l.params.weights
-            entries[f"{l.name}.bias"] = l.params.bias
-    weightfile.write_entries(entries, weights_path)
+    weightfile.write_entries(model_params(view), weights_path)
     return json_path, weights_path

@@ -171,16 +171,10 @@ def model_numeric_dtype(model: ModelSpec):
     return None
 
 
-def run_layers(layers: tuple[LayerSpec, ...], x: Tensor) -> dict[str, Tensor]:
-    """Execute a contiguous layer slice on one input, returning the tap for
-    every layer."""
-    return dict(_layer_outputs(layers, x, batched=False))
-
-
-def _layer_outputs(layers: tuple[LayerSpec, ...], x: Tensor, batched: bool) -> Iterator[tuple[str, Tensor]]:
-    """Yield (layer name, output) down a layer slice; batched inputs carry a
-    leading image axis, which flatten keeps. The kernels are looked up on
-    the tensor module at each call, so wrappers installed there see every op."""
+def _layer_outputs(layers: tuple[LayerSpec, ...], x: Tensor) -> Iterator[tuple[str, Tensor]]:
+    """Yield (layer name, output) down a layer slice for a batch x, whose
+    leading image axis flatten keeps. The kernels are looked up on the
+    tensor module at each call, so wrappers installed there see every op."""
     for layer in layers:
         if layer.kind in PARAMETERIZED_KINDS and layer.params is None:
             raise ConfigError(f"layer {layer.name!r} has no parameters loaded")
@@ -192,22 +186,37 @@ def _layer_outputs(layers: tuple[LayerSpec, ...], x: Tensor, batched: bool) -> I
         elif layer.kind == "relu":
             x = T.relu(x)
         elif layer.kind == "flatten":
-            x = x.reshaped((x.shape[0], x.size // x.shape[0]) if batched else (x.size,))
+            x = x.reshaped((x.shape[0], x.size // x.shape[0]))
         else:
             x = T.dense(x, layer.params)
         yield layer.name, x
 
 
-def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
-    """Run one image through the model, tapping every layer output."""
-    if image.shape != model.input_shape:
-        raise DimensionError(
-            f"image shape {image.shape} does not match model input {model.input_shape}"
-        )
+def _stack_inputs(model: ModelSpec, images: Sequence[Tensor], first: int = 0) -> Tensor:
+    """The input gate of forward and forward_batch: every image must have the
+    model's input shape and the first image's dtype; they are stacked into
+    one batch, and float32 images are quantized into a fixed-point model's
+    format on entry. first is the index of images[0], for error messages."""
+    dtype = images[0].dtype
+    for i, img in enumerate(images, first):
+        if img.shape != model.input_shape:
+            raise DimensionError(
+                f"image {i} shape {img.shape} does not match model input {model.input_shape}"
+            )
+        if img.dtype != dtype:
+            raise ValueError(f"image {i} is {img.dtype}, image {first} is {dtype}")
+    x = Tensor((len(images),) + model.input_shape, dtype, np.concatenate([img.data for img in images]))
     mode = model_numeric_dtype(model)
-    if isinstance(mode, FixedFormat) and image.dtype == FLOAT32:
-        image = T.quantize(image, mode)
-    taps = run_layers(model.layers, image)
+    if isinstance(mode, FixedFormat) and dtype == FLOAT32:
+        x = T.quantize(x, mode)
+    return x
+
+
+def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
+    """Run one image through the model as a batch of one, tapping every
+    layer output."""
+    x = _stack_inputs(model, [image])
+    taps = {name: out.reshaped(out.shape[1:]) for name, out in _layer_outputs(model.layers, x)}
     last = taps[model.layers[-1].name]
     return ForwardTrace(final_label=T.argmax(last), taps=taps)
 
@@ -240,29 +249,17 @@ def forward_batch(
     n = len(images)
     if n and len(shapes[last]) != 1:
         raise DimensionError(f"argmax input must be 1-D, got {shapes[last]}")
-    mode = model_numeric_dtype(model)
-    store = np.float64 if isinstance(mode, FixedFormat) else np.float32
+    store = np.float64 if isinstance(model_numeric_dtype(model), FixedFormat) else np.float32
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = batch_chunk_size(model)
     for start in range(0, n, chunk):
-        part = images[start:start + chunk]
-        dtype = part[0].dtype
-        for i, img in enumerate(part, start):
-            if img.shape != model.input_shape:
-                raise DimensionError(
-                    f"image {i} shape {img.shape} does not match model input {model.input_shape}"
-                )
-            if img.dtype != dtype:
-                raise ValueError(f"forward_batch: image {i} is {img.dtype}, image {start} is {dtype}")
-        x = Tensor((len(part),) + model.input_shape, dtype, np.concatenate([img.data for img in part]))
-        if isinstance(mode, FixedFormat) and dtype == FLOAT32:
-            x = T.quantize(x, mode)
+        x = _stack_inputs(model, images[start:start + chunk], start)
         # taps not kept are dropped as soon as the next layer has run
-        for name, out in _layer_outputs(model.layers, x, batched=True):
+        for name, out in _layer_outputs(model.layers, x):
             if name in taps:
-                taps[name][start:start + len(part)] = out.array
-        labels[start:start + len(part)] = np.argmax(out.array, axis=1)
+                taps[name][start:start + x.shape[0]] = out.array
+        labels[start:start + x.shape[0]] = np.argmax(out.array, axis=1)
     return labels, taps
 
 
@@ -279,16 +276,8 @@ def seed_weights(model: ModelSpec, seed: int) -> ModelSpec:
         if layer.kind not in PARAMETERIZED_KINDS:
             new_layers.append(layer)
             continue
-        if layer.kind == "conv":
-            k = layer.hyperparams["kernelSize"]
-            out_ch = layer.hyperparams["outChannels"]
-            in_ch = in_shape[0]
-            w_shape = (out_ch, in_ch, k, k)
-            fan_in = in_ch * k * k
-        else:
-            units = layer.hyperparams["units"]
-            w_shape = (units, in_shape[0])
-            fan_in = in_shape[0]
+        w_shape = _weight_shape(layer, in_shape)
+        fan_in = math.prod(w_shape[1:])
         s = float(np.float32(1.0 / math.sqrt(fan_in)))
         n_w = int(np.prod(w_shape, dtype=np.int64))
         lo, hi = -s, s
@@ -318,6 +307,20 @@ def quantize_model(model: ModelSpec, fmt: FixedFormat) -> ModelSpec:
     return ModelSpec(model.name, model.input_shape, tuple(new_layers))
 
 
+def _weight_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Parameter layout of a conv or dense layer on in_shape input: weights
+    are (out, in, k, k) for conv and (out, in) for dense; the bias is (out,)."""
+    if layer.kind == "conv":
+        k = layer.hyperparams["kernelSize"]
+        return (layer.hyperparams["outChannels"], in_shape[0], k, k)
+    return (layer.hyperparams["units"], in_shape[0])
+
+
+def _param_keys(layer_name: str) -> tuple[str, str]:
+    """Weight-file entry names of a layer's weights and bias."""
+    return f"{layer_name}.weight", f"{layer_name}.bias"
+
+
 def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
     """Attach `name.weight` / `name.bias` tensors to their layers."""
     used = set()
@@ -326,12 +329,12 @@ def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
         if layer.kind not in PARAMETERIZED_KINDS:
             new_layers.append(layer)
             continue
-        w_key, b_key = f"{layer.name}.weight", f"{layer.name}.bias"
+        w_key, b_key = _param_keys(layer.name)
         if w_key not in params or b_key not in params:
             raise ConfigError(f"missing weights for layer {layer.name!r} ({w_key}, {b_key})")
         used.update((w_key, b_key))
         weights, bias = params[w_key], params[b_key]
-        expected = _expected_param_shape(layer, in_shape)
+        expected = _weight_shape(layer, in_shape)
         if weights.shape != expected:
             raise DimensionError(
                 f"layer {layer.name!r} expects weights {expected}, file has {weights.shape}"
@@ -343,22 +346,16 @@ def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
     return ModelSpec(model.name, model.input_shape, tuple(new_layers))
 
 
-def _expected_param_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    if layer.kind == "conv":
-        k = layer.hyperparams["kernelSize"]
-        return (layer.hyperparams["outChannels"], in_shape[0], k, k)
-    return (layer.hyperparams["units"], in_shape[0])
-
-
 def model_params(model: ModelSpec) -> dict[str, Tensor]:
-    """Collect attached parameters as `name.weight` / `name.bias` entries."""
+    """Collect attached parameters as `name.weight` / `name.bias` entries.
+    Only model.layers is read, so a designer view's slice works too."""
     out: dict[str, Tensor] = {}
     for layer in model.layers:
         if layer.kind in PARAMETERIZED_KINDS:
             if layer.params is None:
                 raise ConfigError(f"layer {layer.name!r} has no parameters to save")
-            out[f"{layer.name}.weight"] = layer.params.weights
-            out[f"{layer.name}.bias"] = layer.params.bias
+            w_key, b_key = _param_keys(layer.name)
+            out[w_key], out[b_key] = layer.params.weights, layer.params.bias
     return out
 
 

@@ -89,9 +89,6 @@ class SigmaBand:
         if self.side not in ("upper", "lower"):
             raise ConfigError(f"band side must be 'upper' or 'lower', got {self.side!r}")
 
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def to_json(self) -> dict:
         return {
             "layerName": self.layer_name,

@@ -171,7 +171,6 @@ def run_compromised(
     model: ModelSpec,
     config: TrojanConfig,
     stream: Dataset,
-    clean_labels: list[int] | None = None,
 ) -> tuple[list[int], AttackReport, TrojanState]:
     """Drive the full stream through the compromised pipeline, in order.
 
@@ -180,19 +179,14 @@ def run_compromised(
     a chunk at a time, yields every clean label and each cycle's first
     watch-tap element inside a band. The Dormant/Armed machine then walks
     only the cycles with a hit; a hit on a substituted cycle is never
-    evaluated. Each malicious image is forwarded once, on first use.
-
-    clean_labels are the uncompromised per-cycle outputs; when not supplied
-    the batched pass provides them, so the report's misclassification and
-    clean-equivalence fields are always filled against a real baseline.
+    evaluated. Each malicious image is forwarded once, on first use. The
+    report is scored against the batched pass's labels.
     """
     if config.watch_layer not in model.layer_names():
         raise ConfigError(
             f"watchLayer {config.watch_layer!r} not in model; valid: {model.layer_names()}"
         )
     n = len(stream)
-    if clean_labels is not None and len(clean_labels) != n:
-        raise DataError(f"{len(clean_labels)} clean labels for {n} stream images")
     images = stream.images()
     chunk = batch_chunk_size(model)
     labels: list[int] = []
@@ -218,8 +212,7 @@ def run_compromised(
                 malicious_labels[used_idx] = forward(model, image).final_label
             log.append(TriggerEvent(cycle + 1, "Substituted", used_malicious_index=used_idx))
             substitutions += 1
-    if clean_labels is None:
-        clean_labels = list(labels)
+    clean_labels = list(labels)
     for e in log:
         if e.kind == "Substituted":
             labels[e.cycle] = malicious_labels[e.used_malicious_index]
