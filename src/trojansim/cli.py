@@ -71,6 +71,23 @@ _ESTIMATOR_DEFAULTS = {
 
 _MAX_SEED = 2**64 - 1
 
+# fields that must be JSON objects (dict) or strings (str) when present;
+# each section comes before the fields inside it
+_TYPED_FIELDS = (
+    ("weights", dict),
+    ("dataset", dict),
+    ("dataset.split", dict),
+    ("trojan", dict),
+    ("estimator", dict),
+    ("modelName", str),
+    ("outputDir", str),
+    ("weights.path", str),
+    ("dataset.imagesPath", str),
+    ("dataset.labelsPath", str),
+    ("dataset.binPath", str),
+    ("trojan.maliciousImagesPath", str),
+)
+
 
 def _check_natural(section: dict, key: str, where: str, limit: int | None = None) -> None:
     """ConfigError unless section[key] is an int (not a bool) in [0, limit]."""
@@ -79,6 +96,18 @@ def _check_natural(section: dict, key: str, where: str, limit: int | None = None
     if not natural or (limit is not None and value > limit):
         bound = "a nonnegative integer" if limit is None else f"an integer in [0, {limit}]"
         raise ConfigError(f"config field {where}.{key} must be {bound}, got {value!r}")
+
+
+def _check_types(cfg: dict) -> None:
+    """ConfigError unless every present field of _TYPED_FIELDS has its type."""
+    for path, kind in _TYPED_FIELDS:
+        *sections, key = path.split(".")
+        fields = cfg
+        for name in sections:
+            fields = fields.get(name, {})
+        if key in fields and not isinstance(fields[key], kind):
+            noun = "an object" if kind is dict else "a string"
+            raise ConfigError(f"config field {path} must be {noun}, got {fields[key]!r}")
 
 
 def load_config(path: str | Path) -> dict:
@@ -102,13 +131,14 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     cfg.update(raw)
     if out_override is not None:
         cfg["outputDir"] = out_override
+    _check_types(cfg)
 
     if "modelName" not in cfg:
         raise ConfigError("config field missing: modelName")
     if "weights" not in cfg:
         raise ConfigError("config field missing: weights")
     weights = cfg["weights"]
-    if not isinstance(weights, dict) or not ({"seed", "path"} & set(weights)):
+    if not {"seed", "path"} & set(weights):
         raise ConfigError("config field weights must be an object with 'seed' or 'path'")
     if seed_override is not None:
         if "path" in weights:
@@ -160,18 +190,21 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     _check_natural(est, "probeSeed", "estimator", _MAX_SEED)
     cfg["estimator"] = est
 
-    if not isinstance(cfg["kLo"], (int, float)) or not isinstance(cfg["kHi"], (int, float)):
-        raise ConfigError("config fields kLo/kHi must be numbers")
+    for key in ("kLo", "kHi"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
+            raise ConfigError(f"config field {key} must be a number, got {cfg[key]!r}")
     return cfg
 
 
 def build_model(cfg: dict) -> models.ModelSpec:
     name = cfg["modelName"]
-    if isinstance(name, str) and name.endswith(".json"):
+    if name.endswith(".json"):
         try:
             spec = models.model_from_json(json.loads(Path(name).read_text(encoding="utf-8")))
         except FileNotFoundError:
             raise ConfigError(f"modelName file not found: {name}")
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"modelName file {name} is not valid JSON: {e}")
     else:
         spec = models.build_model(name)
     weights = cfg["weights"]

@@ -9,10 +9,6 @@ class TrojansimError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(TrojansimError):
-    """Shape or length mismatch between tensors, kernels, or label streams."""
-
-
 class ConfigError(TrojansimError):
     """Invalid or incomplete configuration (missing params, bad fields)."""
 
@@ -31,6 +27,11 @@ class ParseError(TrojansimError):
 
 class DataError(TrojansimError):
     """Dataset-level problem (insufficient items, label out of range)."""
+
+
+class DimensionError(DataError):
+    """Shape or length mismatch between tensors, kernels, or label streams;
+    a data problem, so the CLI exits 3 on it like on any DataError."""
 
 
 class DegenerateStatsError(TrojansimError):

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from .rng import Xoshiro256StarStar
 from .tensor import FLOAT32, FixedFormat, Kernel, Tensor
 
@@ -322,8 +322,12 @@ def _param_keys(layer_name: str) -> tuple[str, str]:
 
 
 def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
-    """Attach `name.weight` / `name.bias` tensors to their layers."""
-    used = set()
+    """Attach `name.weight` / `name.bias` tensors to their layers.
+
+    Each tensor must have its layer's layout (DimensionError otherwise), and
+    all of them one dtype (DataError otherwise).
+    """
+    used: list[str] = []
     new_layers = []
     for layer, in_shape, _ in iter_layer_shapes(model):
         if layer.kind not in PARAMETERIZED_KINDS:
@@ -332,15 +336,19 @@ def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
         w_key, b_key = _param_keys(layer.name)
         if w_key not in params or b_key not in params:
             raise ConfigError(f"missing weights for layer {layer.name!r} ({w_key}, {b_key})")
-        used.update((w_key, b_key))
-        weights, bias = params[w_key], params[b_key]
-        expected = _weight_shape(layer, in_shape)
-        if weights.shape != expected:
-            raise DimensionError(
-                f"layer {layer.name!r} expects weights {expected}, file has {weights.shape}"
-            )
-        new_layers.append(replace(layer, params=Kernel(weights=weights, bias=bias)))
-    extra = set(params) - used
+        w_shape = _weight_shape(layer, in_shape)
+        for key, shape in ((w_key, w_shape), (b_key, w_shape[:1])):
+            tensor = params[key]
+            if tensor.shape != shape:
+                raise DimensionError(f"{key} must be {shape}, file has {tensor.shape}")
+            if used and tensor.dtype != params[used[0]].dtype:
+                raise DataError(
+                    f"{key} is {tensor.dtype} but {used[0]} is {params[used[0]].dtype}; "
+                    "all parameters must share one dtype"
+                )
+            used.append(key)
+        new_layers.append(replace(layer, params=Kernel(weights=params[w_key], bias=params[b_key])))
+    extra = set(params) - set(used)
     if extra:
         raise ConfigError(f"weight entries do not match any layer: {sorted(extra)}")
     return ModelSpec(model.name, model.input_shape, tuple(new_layers))
@@ -376,11 +384,29 @@ def model_to_json(model: ModelSpec) -> dict:
     }
 
 
+def _positive_ints(values) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values)
+
+
 def model_from_json(obj: dict) -> ModelSpec:
+    """Architecture from its JSON record; a malformed record is a ConfigError."""
     try:
+        shape = obj["inputShape"]
+        if not (isinstance(shape, list) and shape and _positive_ints(shape)):
+            raise ConfigError(
+                f"model JSON field inputShape must be a list of positive integers, got {shape!r}"
+            )
         layers = tuple(
             LayerSpec(l["name"], l["kind"], dict(l["hyperparams"])) for l in obj["layers"]
         )
-        return ModelSpec(obj["name"], tuple(obj["inputShape"]), layers)
+        for l in layers:
+            if not _positive_ints(l.hyperparams.values()):
+                raise ConfigError(
+                    f"model JSON layer {l.name!r} hyperparams must be positive integers, "
+                    f"got {l.hyperparams}"
+                )
+        return ModelSpec(obj["name"], tuple(shape), layers)
     except KeyError as e:
         raise ConfigError(f"model JSON missing field {e}") from e
+    except (TypeError, ValueError, DimensionError) as e:
+        raise ConfigError(f"model JSON is malformed: {e}") from e

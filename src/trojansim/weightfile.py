@@ -73,7 +73,11 @@ def read_entries(path: str | Path) -> dict[str, Tensor]:
     entries: dict[str, Tensor] = {}
     for i in range(count):
         name_len = cur.u16(f"entry {i} name length")
-        name = cur.take(name_len, f"entry {i} name").decode("utf-8")
+        name_off = cur.off
+        try:
+            name = cur.take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"entry {i} name is not UTF-8", offset=name_off) from None
         dtype_off = cur.off
         dtype_byte = cur.u8(f"entry {i} dtype")
         rank_off = cur.off

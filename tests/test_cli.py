@@ -1,14 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from trojansim import cli
 from trojansim.data import SplitPlan, split, synthesize
+from trojansim.errors import ParseError
 from trojansim.models import build_lenet, forward, model_params, seed_weights
 from trojansim.profiling import SigmaBand, collect_observations, count_band_collisions
-from trojansim.tensor import Tensor
-from trojansim.weightfile import write_entries
+from trojansim.tensor import Q16_16, Tensor, quantize
+from trojansim.weightfile import read_entries, write_entries
 
 
 def base_config(out_dir, **extra):
@@ -265,18 +267,95 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
         ("trojan", "maliciousCount", "x"),
         ("trojan", "maliciousSeed", -1),
         ("estimator", "probeSeed", None),
+        ("", "dataset", "mnist"),
+        ("dataset", "split", [1, 2]),
+        ("", "trojan", "x"),
+        ("", "estimator", [1]),
+        ("", "outputDir", 5),
+        ("weights", "path", 5),
+        ("dataset", "imagesPath", 5),
+        ("", "kLo", True),
     ],
 )
 def test_bad_config_integers_exit_2_without_traceback(tmp_path, capsys, section, key, value):
     cfg = base_config(tmp_path / "out")
     fields = cfg
-    for name in section.split("."):
+    for name in filter(None, section.split(".")):
         fields = fields.setdefault(name, {})
     fields[key] = value
     assert run("attack", write_config(tmp_path, cfg)) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"{section}.{key} must be" in err
+    assert f"{section}.{key} must be".lstrip(".") in err
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [
+        {"name": "m", "inputShape": 5, "layers": []},
+        {"name": "m", "inputShape": [1, 0, 28], "layers": []},
+        {"name": "m", "inputShape": [1, 28, 28], "layers": "flatten"},
+        {"name": "m", "inputShape": [1, 28, 28], "layers": [
+            {"name": "conv1", "kind": "conv", "hyperparams": {"outChannels": 2, "kernelSize": 29}},
+            {"name": "fc1", "kind": "dense", "hyperparams": {"units": 2}},
+        ]},
+        {"name": "m", "inputShape": [1, 28, 28], "layers": [
+            {"name": "flatten", "kind": "flatten", "hyperparams": {}},
+            {"name": "fc1", "kind": "dense", "hyperparams": {"units": "2"}},
+        ]},
+        {"name": "m", "inputShape": [1, 28, 28], "layers": [
+            {"name": "flatten", "kind": "flatten", "hyperparams": {}},
+            {"name": "fc1", "kind": "dense", "hyperparams": {"units": 0}},
+        ]},
+        [1, 28, 28],
+    ],
+)
+def test_bad_model_json_exits_2_without_traceback(tmp_path, capsys, arch):
+    (tmp_path / "m.json").write_text(json.dumps(arch), encoding="utf-8")
+    cfg = base_config(tmp_path / "out", modelName=str(tmp_path / "m.json"))
+    assert run("profile", write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: model JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [
+        lambda e: {"fc1.weight": Tensor.zeros((120, 255))},
+        lambda e: {"fc1.bias": Tensor.zeros((119,))},
+        lambda e: {"fc1.bias": Tensor.zeros((120, 1))},
+        lambda e: {"fc1.bias": quantize(e["fc1.bias"], Q16_16)},
+        lambda e: {k: quantize(e[k], Q16_16) for k in ("fc2.weight", "fc2.bias")},
+    ],
+    ids=["weight-shape", "bias-length", "bias-rank", "bias-dtype", "layer-dtype"],
+)
+def test_weight_file_layout_errors_exit_3_without_traceback(tmp_path, capsys, swap):
+    entries = model_params(seed_weights(build_lenet(), 2))
+    entries.update(swap(entries))
+    write_entries(entries, tmp_path / "w.dlaw")
+    cfg = base_config(tmp_path / "out", weights={"path": str(tmp_path / "w.dlaw")})
+    assert run("profile", write_config(tmp_path, cfg)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {next(iter(swap(entries)))}") and err.count("\n") == 1
+
+
+def test_non_utf8_entry_name_exits_3_with_its_offset(tmp_path, capsys):
+    path = tmp_path / "malicious.dlaw"
+    write_entries({"m0": Tensor.zeros((1, 28, 28))}, path)
+    blob = bytearray(path.read_bytes())
+    blob[14] ^= 0x80  # the name's first byte: "m" becomes a bare UTF-8 lead byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError) as e:
+        read_entries(path)
+    assert e.value.offset == 14
+    cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(path)})
+    assert run("attack", write_config(tmp_path, cfg)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    offset = int(re.search(r"at byte offset (\d+)", err).group(1))
+    assert 0 <= offset < len(blob)
 
 
 def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, capsys):
