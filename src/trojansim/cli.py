@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -35,6 +36,7 @@ from .profiling import (
     make_probe_dataset,
     profile_layer,
 )
+from .tensor import FLOAT32
 from .trojan import TrojanConfig, run_compromised, substituted_cycles, write_labels_csv
 
 FORMAT_VERSION = 1
@@ -191,8 +193,9 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     cfg["estimator"] = est
 
     for key in ("kLo", "kHi"):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
-            raise ConfigError(f"config field {key} must be a number, got {cfg[key]!r}")
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"config field {key} must be a finite number, got {value!r}")
     return cfg
 
 
@@ -245,11 +248,16 @@ def build_trojan_config(cfg: dict, model: models.ModelSpec, bands) -> tuple[Troj
         images = tuple(entries[k] for k in entries)
         if not images:
             raise ConfigError("trojan.maliciousImagesPath holds no tensors")
+        # float32 images are quantized on entry into a fixed-point model
+        mode = models.model_numeric_dtype(model)
+        takes = "float32" if mode == FLOAT32 else f"float32 or {mode}"
         for key, img in entries.items():
             if img.shape != model.input_shape:
                 raise DataError(
                     f"malicious image {key!r} is {img.shape}, model expects {model.input_shape}"
                 )
+            if img.dtype not in (FLOAT32, mode):
+                raise DataError(f"malicious image {key!r} is {img.dtype}, model takes {takes}")
     else:
         noise = synthesize(
             t["maliciousCount"], model.input_shape, t["maliciousSeed"], "uniform"

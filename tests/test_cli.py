@@ -275,6 +275,7 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
         ("weights", "path", 5),
         ("dataset", "imagesPath", 5),
         ("", "kLo", True),
+        ("", "kHi", float("inf")),
     ],
 )
 def test_bad_config_integers_exit_2_without_traceback(tmp_path, capsys, section, key, value):
@@ -371,6 +372,16 @@ def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, caps
     write_entries({"m0": Tensor.zeros((1, 28, 28))}, right)
     cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(right)})
     assert run("attack", write_config(tmp_path, cfg, "right.json")) == 0
+
+
+def test_malicious_image_of_foreign_dtype_exits_3_without_traceback(tmp_path, capsys):
+    fixed = tmp_path / "fixed.dlaw"
+    write_entries({"m0": Tensor.zeros((1, 28, 28), Q16_16)}, fixed)
+    cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(fixed)})
+    assert run("attack", write_config(tmp_path, cfg)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "'m0' is Q16.16, model takes float32" in err
 
 
 @pytest.mark.parametrize(
