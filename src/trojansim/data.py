@@ -29,7 +29,6 @@ CIFAR_RECORD_LEN = 3073  # 1 label byte + 3*32*32 pixels
 class Dataset:
     name: str
     items: tuple[tuple[Tensor, int], ...]
-    source: str
 
     def __post_init__(self):
         shapes = {img.shape for img, _ in self.items}
@@ -141,7 +140,7 @@ def parse_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         )
         for i in range(count)
     )
-    return Dataset(name="mnist", items=items, source="mnist")
+    return Dataset(name="mnist", items=items)
 
 
 def write_idx(dataset: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
@@ -183,7 +182,7 @@ def parse_cifar10(bin_path: str | Path) -> Dataset:
             raise ParseError(f"record {rec} has label {label} outside [0, {NUM_CLASSES})", offset=start)
         raw = np.frombuffer(buf, dtype=np.uint8, count=CIFAR_RECORD_LEN - 1, offset=start + 1)
         items.append((Tensor((3, 32, 32), FLOAT32, _scale_pixels(raw)), label))
-    return Dataset(name="cifar10", items=tuple(items), source="cifar10")
+    return Dataset(name="cifar10", items=tuple(items))
 
 
 def write_cifar10(dataset: Dataset, bin_path: str | Path) -> None:
@@ -222,7 +221,7 @@ def synthesize(count: int, shape: tuple[int, ...], seed: int, mode: str = "unifo
             else:
                 vals = np.array(_box_muller(row, n), dtype=np.float32)
             items.append((Tensor(shape, FLOAT32, vals), len(items) % NUM_CLASSES))
-    return Dataset(name=f"synthetic-{mode}-{seed}", items=tuple(items), source=f"synthetic({seed})")
+    return Dataset(name=f"synthetic-{mode}-{seed}", items=tuple(items))
 
 
 def _box_muller(draws: np.ndarray, n: int) -> list[float]:
@@ -259,14 +258,6 @@ def split(dataset: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
         perm[i], perm[j] = perm[j], perm[i]
     val_idx = sorted(perm[: plan.validation_count])
     stream_idx = sorted(perm[plan.validation_count : need])
-    validation = Dataset(
-        name=f"{dataset.name}/validation",
-        items=tuple(dataset.items[i] for i in val_idx),
-        source=dataset.source,
-    )
-    stream = Dataset(
-        name=f"{dataset.name}/stream",
-        items=tuple(dataset.items[i] for i in stream_idx),
-        source=dataset.source,
-    )
+    validation = Dataset(name=f"{dataset.name}/validation", items=tuple(dataset.items[i] for i in val_idx))
+    stream = Dataset(name=f"{dataset.name}/stream", items=tuple(dataset.items[i] for i in stream_idx))
     return validation, stream

@@ -97,7 +97,7 @@ def alter_validation(dataset: Dataset, plan: ScalePlan) -> Dataset:
     for (img, label), r in zip(dataset.items, factors):
         scaled = (img.data.astype(np.float64) * r).astype(np.float32)
         items.append((Tensor(img.shape, FLOAT32, scaled), label))
-    return Dataset(name=f"{dataset.name}/altered", items=tuple(items), source=dataset.source)
+    return Dataset(name=f"{dataset.name}/altered", items=tuple(items))
 
 
 @dataclass(frozen=True, eq=False)

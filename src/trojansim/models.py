@@ -215,10 +215,10 @@ def _stack_inputs(model: ModelSpec, images: Sequence[Tensor], first: int = 0) ->
 def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     """Run one image through the model as a batch of one, tapping every
     layer output."""
-    x = _stack_inputs(model, [image])
-    taps = {name: out.reshaped(out.shape[1:]) for name, out in _layer_outputs(model.layers, x)}
-    last = taps[model.layers[-1].name]
-    return ForwardTrace(final_label=T.argmax(last), taps=taps)
+    outs = dict(_layer_outputs(model.layers, _stack_inputs(model, [image])))
+    taps = {name: out.reshaped(out.shape[1:]) for name, out in outs.items()}
+    label = np.argmax(outs[model.layers[-1].name].array, axis=1)[0]
+    return ForwardTrace(final_label=int(label), taps=taps)
 
 
 def batch_chunk_size(model: ModelSpec) -> int:
@@ -226,7 +226,7 @@ def batch_chunk_size(model: ModelSpec) -> int:
     widest layer output's per-image bytes as stored (float32, or float64 for
     fixed point). This bounds a chunk's activations; conv2d and dense keep
     their own float64 scratch within the same budget, a tile at a time."""
-    itemsize = 8 if isinstance(model_numeric_dtype(model), FixedFormat) else 4
+    itemsize = np.dtype(T._storage(model_numeric_dtype(model) or FLOAT32)).itemsize
     widest = max(int(np.prod(out)) for _, _, out in iter_layer_shapes(model))
     return max(1, T.SCRATCH_BYTES // (itemsize * widest))
 
@@ -245,11 +245,8 @@ def forward_batch(
     shapes = layer_output_shapes(model)
     for name in keep:
         model.get_layer(name)  # unknown layer -> error listing valid names
-    last = model.layers[-1].name
     n = len(images)
-    if n and len(shapes[last]) != 1:
-        raise DimensionError(f"argmax input must be 1-D, got {shapes[last]}")
-    store = np.float64 if isinstance(model_numeric_dtype(model), FixedFormat) else np.float32
+    store = T._storage(model_numeric_dtype(model) or FLOAT32)
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = batch_chunk_size(model)

@@ -145,10 +145,15 @@ def collect_observations(model: ModelSpec, dataset: Dataset, layer_name: str) ->
 
 def _pooled_moments(sorted_obs: np.ndarray) -> tuple[float, float]:
     """(mean, population stddev) of sorted observations, which it overwrites
-    with their squared deviations (so no second array of their size exists)."""
+    with their squared deviations (so no second array of their size exists).
+    Non-finite activations (a NaN or Inf weight, or float32 overflow) leave
+    nothing to profile: a non-finite mean or stddev is DegenerateStatsError."""
     mean = float(np.mean(sorted_obs))
     np.subtract(sorted_obs, mean, out=sorted_obs)
-    return mean, float(np.sqrt(np.mean(np.square(sorted_obs, out=sorted_obs))))
+    stddev = float(np.sqrt(np.mean(np.square(sorted_obs, out=sorted_obs))))
+    if not (math.isfinite(mean) and math.isfinite(stddev)):
+        raise DegenerateStatsError(f"observations have non-finite mean {mean} or stddev {stddev}")
+    return mean, stddev
 
 
 def layer_stats(

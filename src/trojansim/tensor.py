@@ -10,11 +10,11 @@ tests compare against):
   * Fixed-point results are rounded half-to-even to the format's resolution
     and saturated to its representable range; saturation events are counted
     on the result tensor, never silently wrapped.
-  * conv2d, maxpool2d and dense also take a leading batch axis ((N, C, H, W)
-    or (N, in)) of any length; relu and quantize take any shape. Each image
-    of a batch goes through exactly the sequence above, so row i of a
-    batched result is bitwise equal to the op applied to image i alone, and
-    a batched result's saturation count is the sum over its rows. Sums are
+  * conv2d and maxpool2d take only a batch (N, C, H, W) and dense only a
+    batch (N, in), of any length N; relu and quantize take any shape. Each
+    image of a batch goes through exactly the sequence above, so row i of a
+    result is bitwise equal to the op applied to a batch of image i alone,
+    and a result's saturation count is the sum over its rows. Sums are
     folded one term at a time across a tile of images; matmul, einsum and
     tensordot are never used, because they reorder the terms.
   * conv2d and dense split the batch axis into tiles, so that their float64
@@ -209,15 +209,15 @@ def _check_same_dtype(a: DType, b: DType, what: str) -> None:
 
 
 def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
-    """Valid (unpadded) 2-D convolution of a (C, H, W) tensor, or of every
-    image of an (N, C, H, W) batch."""
-    if len(input.shape) not in (3, 4):
-        raise DimensionError(f"conv2d input must be (C, H, W) or (N, C, H, W), got {input.shape}")
+    """Valid (unpadded) 2-D convolution of every image of an (N, C, H, W)
+    batch."""
+    if len(input.shape) != 4:
+        raise DimensionError(f"conv2d input must be (N, C, H, W), got {input.shape}")
     if len(kernel.weights.shape) != 4:
         raise DimensionError(f"conv2d kernel must be 4-D, got {kernel.weights.shape}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    c, h, w = input.shape[-3:]
+    n, c, h, w = input.shape
     out_ch, in_ch, kh, kw = kernel.weights.shape
     if in_ch != c:
         raise DimensionError(
@@ -231,8 +231,7 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
 
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    x = input.array.reshape((-1, c, h, w))
-    n = x.shape[0]
+    x = input.array
     wts = kernel.weights.array.astype(np.float64)
     bias = kernel.bias.array.astype(np.float64)[:, None, None, None]
     out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
@@ -253,15 +252,14 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
                     acc += tmp
         del row, tmp  # the fixed-point finish allocates masks of its own
         saturations += _finish(acc.transpose(1, 0, 2, 3), input.dtype, out[start:start + tile])
-    shape = out.shape if len(input.shape) == 4 else out.shape[1:]
-    return Tensor(shape, input.dtype, out.reshape(-1), saturations)
+    return Tensor(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
 def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling over square windows of a (C, H, W) tensor or of every
-    image of an (N, C, H, W) batch."""
-    if len(input.shape) not in (3, 4):
-        raise DimensionError(f"maxpool2d input must be (C, H, W) or (N, C, H, W), got {input.shape}")
+    """Max pooling over square windows of every image of an (N, C, H, W)
+    batch."""
+    if len(input.shape) != 4:
+        raise DimensionError(f"maxpool2d input must be (N, C, H, W), got {input.shape}")
     if window < 1 or stride < 1:
         raise ValueError(f"window and stride must be positive, got {window}, {stride}")
     h, w = input.shape[-2:]
@@ -283,19 +281,19 @@ def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
 
 
 def dense(input: Tensor, kernel: Kernel) -> Tensor:
-    """Fully connected layer: out[i] = sum_j W[i][j] * in[j] + bias[i], on a
-    1-D tensor or on every row of an (N, in) batch."""
-    if len(input.shape) not in (1, 2):
-        raise DimensionError(f"dense input must be 1-D or (N, in), got {input.shape}")
+    """Fully connected layer: out[i] = sum_j W[i][j] * in[j] + bias[i], on
+    every row of an (N, in) batch."""
+    if len(input.shape) != 2:
+        raise DimensionError(f"dense input must be (N, in), got {input.shape}")
     if len(kernel.weights.shape) != 2:
         raise DimensionError(f"dense kernel must be 2-D, got {kernel.weights.shape}")
     m, n = kernel.weights.shape
-    if input.shape[-1] != n:
+    if input.shape[1] != n:
         raise DimensionError(
-            f"input length {input.shape[-1]} does not match kernel columns {kernel.weights.shape}"
+            f"input length {input.shape[1]} does not match kernel columns {kernel.weights.shape}"
         )
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
-    x = input.array.reshape((-1, n))
+    x = input.array
     w_t = np.ascontiguousarray(kernel.weights.array.T, dtype=np.float64)
     bias = kernel.bias.array.astype(np.float64)
     out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
@@ -312,22 +310,12 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
             acc += tmp
         del x_t, tmp  # the fixed-point finish allocates masks of its own
         saturations += _finish(acc, input.dtype, out[start:start + tile])
-    shape = out.shape if len(input.shape) == 2 else out.shape[1:]
-    return Tensor(shape, input.dtype, out.reshape(-1), saturations)
+    return Tensor(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
 def relu(input: Tensor) -> Tensor:
     """Elementwise max(0, x); exact in every dtype and any shape."""
     return Tensor(input.shape, input.dtype, np.maximum(input.data, np.zeros((), dtype=input.data.dtype)))
-
-
-def argmax(input: Tensor) -> int:
-    """Index of the maximum element; ties resolve to the lowest index."""
-    if len(input.shape) != 1:
-        raise DimensionError(f"argmax input must be 1-D, got {input.shape}")
-    if input.size == 0:
-        raise DimensionError("argmax of an empty tensor")
-    return int(np.argmax(input.data))
 
 
 def quantize(input: Tensor, fmt: FixedFormat) -> Tensor:

@@ -103,8 +103,5 @@ def read_entries(path: str | Path) -> dict[str, Tensor]:
         if name in entries:
             raise ParseError(f"duplicate entry name {name!r}", offset=dtype_off)
         entries[name] = tensor
-    if cur.off != len(cur.buf):
-        raise ParseError(
-            f"{len(cur.buf) - cur.off} trailing bytes after last entry", offset=cur.off
-        )
+    cur.done()
     return entries

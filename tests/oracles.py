@@ -26,6 +26,15 @@ def _finish_scalar(acc: float, dtype):
     return raw / scale, sat
 
 
+def on_image(kernel_op, x: Tensor, *args) -> Tensor:
+    """A production kernel, which takes only batches, applied to a batch of
+    the one image x; the batch axis is taken off the result again, which
+    keeps its saturation count, so it compares with an oracle's result."""
+    out = kernel_op(x.reshaped((1,) + x.shape), *args)
+    assert out.shape[0] == 1
+    return out.reshaped(out.shape[1:])
+
+
 def conv2d_naive(x: Tensor, weights: Tensor, bias: Tensor, stride: int) -> Tensor:
     cin, h, w = x.shape
     cout, cin2, kh, kw = weights.shape

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import conv2d_naive, dense_naive, maxpool2d_naive
+from oracles import conv2d_naive, dense_naive, maxpool2d_naive, on_image
 from trojansim.data import (
     Dataset,
     SplitPlan,
@@ -146,19 +146,19 @@ def test_criterion_1_kernels_match_scalar_oracles():
                     x = rand_tensor(rng, (1, h, w))
                     kern = rand_kernel(rng, (1, 1, k, k))
                     assert_matches_oracle(
-                        conv2d(x, kern, s),
+                        on_image(conv2d, x, kern, s),
                         conv2d_naive(x, kern.weights, kern.bias, s))
                     checked += 1
                 for s in (1, 2):
                     x = rand_tensor(rng, (2, h, w))
                     assert_matches_oracle(
-                        maxpool2d(x, k, s), maxpool2d_naive(x, k, s))
+                        on_image(maxpool2d, x, k, s), maxpool2d_naive(x, k, s))
                     checked += 1
     for n in range(1, 9):
         for m in range(1, 9):
             x = rand_tensor(rng, (n,))
             kern = rand_kernel(rng, (m, n))
-            assert_matches_oracle(dense(x, kern), dense_naive(x, kern.weights, kern.bias))
+            assert_matches_oracle(on_image(dense, x, kern), dense_naive(x, kern.weights, kern.bias))
             checked += 1
 
     # 1000 randomized larger configurations across ops and dtypes
@@ -175,20 +175,20 @@ def test_criterion_1_kernels_match_scalar_oracles():
             s = int(rng.integers(1, 4))
             x = rand_tensor(rng, (cin, h, w), dtype, scale)
             kern = rand_kernel(rng, (cout, cin, k, k), dtype, scale)
-            got = conv2d(x, kern, s)
+            got = on_image(conv2d, x, kern, s)
             want = conv2d_naive(x, kern.weights, kern.bias, s)
         elif op == 1:
             n, m = int(rng.integers(8, 25)), int(rng.integers(8, 25))
             x = rand_tensor(rng, (n,), dtype, scale)
             kern = rand_kernel(rng, (m, n), dtype, scale)
-            got = dense(x, kern)
+            got = on_image(dense, x, kern)
             want = dense_naive(x, kern.weights, kern.bias)
         else:
             c, h, w = int(rng.integers(1, 4)), int(rng.integers(8, 17)), int(rng.integers(8, 17))
             win = int(rng.integers(1, 5))
             s = int(rng.integers(1, 3))
             x = rand_tensor(rng, (c, h, w), dtype, scale)
-            got = maxpool2d(x, win, s)
+            got = on_image(maxpool2d, x, win, s)
             want = maxpool2d_naive(x, win, s)
         assert_matches_oracle(got, want)
         saturated_cases += got.saturations > 0
@@ -240,7 +240,6 @@ def test_criterion_3_substitution_timing_fuzz():
                 (Tensor.from_array(rng.uniform(-2, 2, 4).astype(np.float32)), 0)
                 for _ in range(length)
             ),
-            "synthetic(0)",
         )
         center = float(rng.uniform(-1.2, 1.2))
         width = float(rng.uniform(0.05, 0.5))

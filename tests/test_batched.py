@@ -364,7 +364,7 @@ def test_batched_stream_hit_rate_matches_per_image_check_trigger():
         assert stream_hit_rate(model, bands, data, "fc1") == (want, len(data))
         if bands:
             assert 0 < want < len(data)  # the bands split the images
-    empty = Dataset("none", (), "synthetic(0)")
+    empty = Dataset("none", ())
     assert stream_hit_rate(model, cases[1], empty, "fc1") == (0, 0)
 
 

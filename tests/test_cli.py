@@ -194,6 +194,31 @@ def test_zero_weights_degenerate_forge_exit(tmp_path):
     assert run("forge", config_path) == 4
 
 
+@pytest.mark.parametrize("poison", ["nan", "inf", "overflow"])
+def test_non_finite_activations_exit_4_without_traceback(tmp_path, capsys, poison):
+    """One NaN or Inf in conv1.weight, or finite conv1 weights whose float32
+    activations overflow, leave no statistics to profile or forge from."""
+    entries = model_params(seed_weights(build_lenet(), 2))
+    w = entries["conv1.weight"].array.copy()
+    if poison == "overflow":
+        w[...] = 3e38
+    else:
+        w.flat[7] = float(poison)
+    entries["conv1.weight"] = Tensor.from_array(w)
+    write_entries(entries, tmp_path / "w.dlaw")
+    cfg = base_config(
+        tmp_path / "out",
+        weights={"path": str(tmp_path / "w.dlaw")},
+        defense={"kind": "alteredValidation",
+                 "scale": {"seed": 5, "mode": "perImage", "range": [0.9, 1.1]}},
+    )
+    config_path = write_config(tmp_path, cfg)
+    codes = {phase: run(phase, config_path) for phase in ("profile", "forge", "attack", "defend")}
+    assert codes == {"profile": 4, "forge": 4, "attack": 4, "defend": 0}
+    assert "Traceback" not in capsys.readouterr().err
+    assert load(tmp_path / "out", "defense_report.json")["defenseReport"]["verdict"] == "inconclusive"
+
+
 def test_config_error_exits(tmp_path, capsys):
     out = tmp_path / "out"
 

@@ -198,4 +198,4 @@ def test_split_empty_validation_and_insufficient():
 def test_dataset_invariants():
     ds = synthesize(3, (1, 2, 2), seed=1)
     with pytest.raises(DataError):
-        Dataset("mix", (ds.items[0], (synthesize(1, (1, 3, 3), 0).items[0][0], 1)), "synthetic")
+        Dataset("mix", (ds.items[0], (synthesize(1, (1, 3, 3), 0).items[0][0], 1)))

@@ -113,7 +113,7 @@ def test_scale_factors_equal_scalar_uniform_calls_across_a_block_edge(mode):
         img, count = Tensor.zeros((1, 1, 1)), BLOCK_DRAWS + 1
     else:
         img, count = Tensor.zeros((1, 28, 28)), BLOCK_DRAWS // 784 + 1
-    data = Dataset("d", ((img, 0),) * count, "synthetic(0)")
+    data = Dataset("d", ((img, 0),) * count)
     factors = scale_factors(ScalePlan(21, mode, 0.5, 2.0), data)
     rng = Xoshiro256StarStar(21)
     assert isinstance(factors, list) and len(factors) == count
@@ -165,7 +165,7 @@ def test_identity_plan_leaves_attack_intact():
     m = seeded_lenet()
     base = synthesize(1100, (1, 28, 28), seed=11)
     val, stream = split(base, SplitPlan(100, 1000, seed=3))
-    short_stream = Dataset("s", stream.items[:300], stream.source)
+    short_stream = Dataset("s", stream.items[:300])
     report = evaluate_altered_defense(
         m, val, ScalePlan(5, PER_IMAGE, 1.0, 1.0), short_stream, probe_count=400
     )
@@ -179,7 +179,7 @@ def test_random_scaling_defeats_band_forging():
     m = seeded_lenet()
     base = synthesize(1100, (1, 28, 28), seed=11)
     val, stream = split(base, SplitPlan(100, 1000, seed=3))
-    short_stream = Dataset("s", stream.items[:50], stream.source)
+    short_stream = Dataset("s", stream.items[:50])
     report = evaluate_altered_defense(
         m, val, ScalePlan(5, PER_IMAGE, 0.5, 2.0), short_stream, probe_count=50
     )

@@ -7,10 +7,13 @@ from trojansim.errors import ConfigError, DimensionError, ParseError
 from trojansim.models import (
     LayerSpec,
     ModelSpec,
+    apply_weights,
     build_cifar_net,
     build_lenet,
     forward,
+    forward_batch,
     layer_output_shapes,
+    quantize_model,
     seed_weights,
 )
 from trojansim.tensor import FLOAT32, Q16_16, Tensor
@@ -60,6 +63,25 @@ def test_model_validation_rejects_bad_builds():
         LayerSpec("z", "softmax", {})
 
 
+@pytest.mark.parametrize("late", [
+    LayerSpec("late", "conv", {"outChannels": 1, "kernelSize": 1}),
+    LayerSpec("late", "maxpool", {"window": 1, "stride": 1}),
+], ids=["conv", "maxpool"])
+@pytest.mark.parametrize("between", [(), ("relu",), ("flatten",), ("relu", "flatten")],
+                         ids=["none", "relu", "flatten", "relu-flatten"])
+def test_model_refuses_conv_or_maxpool_after_dense(late, between):
+    """Only relu, flatten and dense follow a dense layer, so the last layer
+    output, which forward and forward_batch label, is always 1-D."""
+    layers = (
+        LayerSpec("flatten0", "flatten", {}),
+        LayerSpec("fc", "dense", {"units": 4}),
+        *(LayerSpec(f"{kind}1", kind, {}) for kind in between),
+        late,
+    )
+    with pytest.raises(DimensionError):
+        ModelSpec("late", (1, 3, 3), layers)
+
+
 def test_get_layer_lists_valid_names():
     m = build_lenet()
     with pytest.raises(ConfigError, match="fc1"):
@@ -75,23 +97,37 @@ def test_forward_matches_manual_composition():
     img = uniform_image((1, 28, 28), 0)
     trace = forward(m, img)
 
-    x = img
+    x = img.reshaped((1,) + img.shape)
     x = T.conv2d(x, m.get_layer("conv1").params, 1)
     x = T.relu(x)
     x = T.maxpool2d(x, 2, 2)
     x = T.conv2d(x, m.get_layer("conv2").params, 1)
     x = T.relu(x)
     x = T.maxpool2d(x, 2, 2)
-    x = x.reshaped((x.size,))
+    x = x.reshaped((1, x.size))
     fc1 = T.dense(x, m.get_layer("fc1").params)
     x = T.relu(fc1)
     x = T.dense(x, m.get_layer("fc2").params)
     x = T.relu(x)
     logits = T.dense(x, m.get_layer("fc3").params)
 
-    assert T.bitwise_equal(trace.taps["fc1"], fc1)
-    assert T.bitwise_equal(trace.taps["fc3"], logits)
-    assert trace.final_label == T.argmax(logits)
+    assert T.bitwise_equal(trace.taps["fc1"], fc1.reshaped((120,)))
+    assert T.bitwise_equal(trace.taps["fc3"], logits.reshaped((10,)))
+    assert trace.final_label == int(np.argmax(logits.data))
+
+
+def test_forward_and_forward_batch_label_ties_to_lowest_index():
+    """Zero weights leave only the biases, whose maximum is tied between
+    classes 1 and 2: both forward paths label the lower index, 1."""
+    m = apply_weights(ModelSpec("tie", (4,), (LayerSpec("fc", "dense", {"units": 3}),)), {
+        "fc.weight": Tensor.zeros((3, 4)),
+        "fc.bias": Tensor.from_array(np.array([1.0, 3.0, 3.0], dtype=np.float32)),
+    })
+    images = [uniform_image((4,), seed) for seed in range(3)]
+    for model in (m, quantize_model(m, Q16_16)):
+        assert [forward(model, img).final_label for img in images] == [1, 1, 1]
+        labels, _ = forward_batch(model, images, ())
+        assert labels.tolist() == [1, 1, 1]
 
 
 def test_forward_taps_every_layer():

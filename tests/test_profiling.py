@@ -34,7 +34,7 @@ def linear_probe_model(rows):
 
 def one_image_dataset(value=1.0):
     img = Tensor.from_array(np.array([value], dtype=np.float32))
-    return Dataset("one", ((img, 0),), "synthetic(0)")
+    return Dataset("one", ((img, 0),))
 
 
 def flat_stats(mean, stddev, layer="fc1", bins=101):
@@ -78,7 +78,7 @@ def test_profile_unknown_layer_lists_names():
 def test_profile_layer_order_insensitive():
     m = seed_weights(build_lenet(), 2)
     base = synthesize(20, (1, 28, 28), seed=7)
-    shuffled = Dataset("shuf", tuple(reversed(base.items)), base.source)
+    shuffled = Dataset("shuf", tuple(reversed(base.items)))
     a = profile_layer(m, base, "fc1")
     b = profile_layer(m, shuffled, "fc1")
     assert a.mean == b.mean and a.stddev == b.stddev
@@ -87,7 +87,7 @@ def test_profile_layer_order_insensitive():
 
 
 def test_profile_empty_dataset():
-    stats = profile_layer(linear_probe_model([1.0]), Dataset("e", (), "synthetic(0)"), "out")
+    stats = profile_layer(linear_probe_model([1.0]), Dataset("e", ()), "out")
     assert stats.count == 0 and stats.stddev == 0.0
 
 
@@ -236,7 +236,6 @@ def test_model_source_estimate_counts_real_taps():
         "p",
         tuple((Tensor.from_array(np.array([v], dtype=np.float32)), 0)
               for v in (0.1, 0.5, 2.0, 3.0)),
-        "synthetic(0)",
     )
     band = SigmaBand("out", 3.9, 6.5, "upper", 3, 4)
     est = estimate_trigger_rate((m, probe, "out"), [band], 2, mode="monteCarlo")
@@ -294,7 +293,7 @@ def test_histogram_export_roundtrip(tmp_path):
 
 
 def test_histogram_export_empty(tmp_path):
-    stats = profile_layer(linear_probe_model([1.0]), Dataset("e", (), "s"), "out")
+    stats = profile_layer(linear_probe_model([1.0]), Dataset("e", ()), "out")
     path = tmp_path / "h.csv"
     export_histogram(stats, path)
     assert path.read_text() == "bin_lo,bin_hi,count\n"

@@ -5,7 +5,7 @@ from trojansim import tensor as T
 from trojansim.errors import DimensionError
 from trojansim.tensor import FLOAT32, Q16_16, FixedFormat, Kernel, Tensor
 
-from oracles import conv2d_naive, dense_naive, maxpool2d_naive, quantize_naive
+from oracles import conv2d_naive, dense_naive, maxpool2d_naive, on_image, quantize_naive
 
 
 def rand_tensor(rng, shape, dtype=FLOAT32, scale=1.0):
@@ -87,7 +87,7 @@ def test_conv2d_exhaustive_spatial_grid():
                 for s in (1, 2, 3):
                     x = rand_tensor(rng, (1, h, w))
                     kern = rand_kernel(rng, (1, 1, k, k))
-                    got = T.conv2d(x, kern, s)
+                    got = on_image(T.conv2d, x, kern, s)
                     want = conv2d_naive(x, kern.weights, kern.bias, s)
                     assert T.bitwise_equal(got, want), (h, w, k, s)
                     checked += 1
@@ -101,7 +101,7 @@ def test_conv2d_exhaustive_channel_grid():
             for k in (1, 2, 3):
                 x = rand_tensor(rng, (cin, 5, 5))
                 kern = rand_kernel(rng, (cout, cin, k, k))
-                got = T.conv2d(x, kern, 1)
+                got = on_image(T.conv2d, x, kern, 1)
                 want = conv2d_naive(x, kern.weights, kern.bias, 1)
                 assert T.bitwise_equal(got, want), (cin, cout, k)
 
@@ -117,14 +117,16 @@ def test_conv2d_rectangular_kernels():
         s = int(rng.integers(1, 3))
         x = rand_tensor(rng, (cin, h, w))
         kern = rand_kernel(rng, (cout, cin, kh, kw))
-        got = T.conv2d(x, kern, s)
+        got = on_image(T.conv2d, x, kern, s)
         want = conv2d_naive(x, kern.weights, kern.bias, s)
         assert T.bitwise_equal(got, want)
 
 
 def test_conv2d_shape_and_dtype_errors():
     rng = np.random.default_rng(14)
-    x = rand_tensor(rng, (2, 4, 4))
+    x = rand_tensor(rng, (1, 2, 4, 4))
+    with pytest.raises(DimensionError):
+        T.conv2d(x.reshaped((2, 4, 4)), rand_kernel(rng, (1, 2, 2, 2)))  # one image, no batch
     with pytest.raises(DimensionError):
         T.conv2d(x, rand_kernel(rng, (1, 3, 2, 2)))  # channel mismatch
     with pytest.raises(DimensionError):
@@ -138,9 +140,9 @@ def test_conv2d_shape_and_dtype_errors():
 def test_conv2d_linearity_power_of_two():
     # scaling input by 2 scales output by exactly 2 when bias is zero
     rng = np.random.default_rng(15)
-    x = rand_tensor(rng, (2, 6, 6))
+    x = rand_tensor(rng, (1, 2, 6, 6))
     kern = Kernel(rand_tensor(rng, (3, 2, 3, 3)), Tensor.zeros((3,)))
-    doubled = Tensor((2, 6, 6), FLOAT32, (x.data * np.float32(2)))
+    doubled = Tensor((1, 2, 6, 6), FLOAT32, (x.data * np.float32(2)))
     assert np.array_equal(T.conv2d(doubled, kern).data, T.conv2d(x, kern).data * np.float32(2))
 
 
@@ -153,7 +155,7 @@ def test_dense_exhaustive_small():
         for n in range(1, 9):
             x = rand_tensor(rng, (n,))
             kern = rand_kernel(rng, (m, n))
-            got = T.dense(x, kern)
+            got = on_image(T.dense, x, kern)
             want = dense_naive(x, kern.weights, kern.bias)
             assert T.bitwise_equal(got, want), (m, n)
 
@@ -165,7 +167,7 @@ def test_dense_accumulation_order_matters_and_matches():
         weights=Tensor.from_array(np.ones((1, 4), dtype=np.float32)),
         bias=Tensor.from_array(np.array([0.5], dtype=np.float32)),
     )
-    got = T.dense(x, kern)
+    got = on_image(T.dense, x, kern)
     want = dense_naive(x, kern.weights, kern.bias)
     assert T.bitwise_equal(got, want)
 
@@ -173,7 +175,9 @@ def test_dense_accumulation_order_matters_and_matches():
 def test_dense_errors():
     rng = np.random.default_rng(22)
     with pytest.raises(DimensionError):
-        T.dense(rand_tensor(rng, (3,)), rand_kernel(rng, (2, 4)))
+        T.dense(rand_tensor(rng, (4,)), rand_kernel(rng, (2, 4)))  # one row, no batch
+    with pytest.raises(DimensionError):
+        T.dense(rand_tensor(rng, (1, 3)), rand_kernel(rng, (2, 4)))
     with pytest.raises(DimensionError):
         T.dense(rand_tensor(rng, (2, 2)), rand_kernel(rng, (2, 4)))
 
@@ -189,7 +193,7 @@ def test_maxpool_exhaustive_small():
                 for s in (1, 2, 3):
                     for c in (1, 3):
                         x = rand_tensor(rng, (c, h, w))
-                        got = T.maxpool2d(x, win, s)
+                        got = on_image(T.maxpool2d, x, win, s)
                         want = maxpool2d_naive(x, win, s)
                         assert T.bitwise_equal(got, want), (c, h, w, win, s)
 
@@ -197,9 +201,11 @@ def test_maxpool_exhaustive_small():
 def test_maxpool_errors():
     rng = np.random.default_rng(32)
     with pytest.raises(DimensionError):
-        T.maxpool2d(rand_tensor(rng, (1, 2, 2)), 3, 1)
+        T.maxpool2d(rand_tensor(rng, (1, 2, 2)), 1, 1)  # one image, no batch
+    with pytest.raises(DimensionError):
+        T.maxpool2d(rand_tensor(rng, (1, 1, 2, 2)), 3, 1)
     with pytest.raises(ValueError):
-        T.maxpool2d(rand_tensor(rng, (1, 2, 2)), 1, 0)
+        T.maxpool2d(rand_tensor(rng, (1, 1, 2, 2)), 1, 0)
 
 
 # --- fixed point ---------------------------------------------------------
@@ -240,10 +246,10 @@ def test_fixed_conv_and_dense_match_oracle():
     for _ in range(20):
         x = rand_tensor(rng, (2, 5, 5), Q16_16)
         kern = rand_kernel(rng, (2, 2, 3, 3), Q16_16)
-        assert T.bitwise_equal(T.conv2d(x, kern), conv2d_naive(x, kern.weights, kern.bias, 1))
+        assert T.bitwise_equal(on_image(T.conv2d, x, kern), conv2d_naive(x, kern.weights, kern.bias, 1))
         xd = rand_tensor(rng, (6,), Q16_16)
         kd = rand_kernel(rng, (4, 6), Q16_16)
-        assert T.bitwise_equal(T.dense(xd, kd), dense_naive(xd, kd.weights, kd.bias))
+        assert T.bitwise_equal(on_image(T.dense, xd, kd), dense_naive(xd, kd.weights, kd.bias))
 
 
 def test_fixed_dense_saturation_counted():
@@ -253,7 +259,7 @@ def test_fixed_dense_saturation_counted():
         weights=Tensor((1, 2), Q16_16, np.array([2.0, 2.0])),
         bias=Tensor((1,), Q16_16, np.array([0.0])),
     )
-    out = T.dense(x, kern)
+    out = on_image(T.dense, x, kern)
     assert out.saturations == 1
     assert out.data[0] == Q16_16.max_value
     want = dense_naive(x, kern.weights, kern.bias)
@@ -268,15 +274,9 @@ def test_relu():
     assert np.array_equal(T.relu(t).data, np.array([0.0, 0.0, 2.5], dtype=np.float32))
 
 
-def test_argmax_first_max_and_errors():
-    assert T.argmax(Tensor.from_array(np.array([1.0, 3.0, 3.0], dtype=np.float32))) == 1
-    with pytest.raises(DimensionError):
-        T.argmax(Tensor.from_array(np.zeros((2, 2), dtype=np.float32)))
-
-
 def test_ops_are_deterministic():
     rng = np.random.default_rng(51)
-    x = rand_tensor(rng, (3, 7, 7))
+    x = rand_tensor(rng, (1, 3, 7, 7))
     kern = rand_kernel(rng, (4, 3, 3, 3))
     a = T.conv2d(x, kern, 2)
     b = T.conv2d(x, kern, 2)

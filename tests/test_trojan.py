@@ -49,7 +49,7 @@ def scalar_image(v):
 
 
 def scalar_stream(values, name="stream"):
-    return Dataset(name, tuple((scalar_image(v), 0) for v in values), "synthetic(0)")
+    return Dataset(name, tuple((scalar_image(v), 0) for v in values))
 
 
 def band(lo, hi, side="upper", layer="out"):
@@ -328,7 +328,7 @@ def lenet_pool(model, watch, seed):
 
 
 def pool_stream(pool, picks):
-    return Dataset("stream", tuple((pool[p], 0) for p in picks), "synthetic(0)")
+    return Dataset("stream", tuple((pool[p], 0) for p in picks))
 
 
 def test_chunk_edges_final_trigger_and_in_band_malicious_image():
