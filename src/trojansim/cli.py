@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 from . import defense as defense_mod
 from . import models, weightfile
@@ -50,65 +51,77 @@ EXIT_INTERNAL = 5
 
 # --- config resolution ----------------------------------------------------
 
+# merged under the config's own fields, section by section
 _DEFAULTS = {
     "watchLayer": "fc1",
     "kLo": 3.0,
     "kHi": 4.0,
     "outputDir": "out",
-}
-
-_TROJAN_DEFAULTS = {
-    "maliciousCount": 1,
-    "maliciousSeed": 1337,
-    "selection": "roundRobin",
-    "fixedIndex": 0,
-}
-
-_ESTIMATOR_DEFAULTS = {
-    "samples": 100_000,
-    "probeCount": 2000,
-    "probeSeed": 7177,
+    "trojan": {"maliciousCount": 1, "maliciousSeed": 1337, "selection": "roundRobin", "fixedIndex": 0},
+    "estimator": {"samples": 100_000, "probeCount": 2000, "probeSeed": 7177},
 }
 
 
-_MAX_SEED = 2**64 - 1
-
-# fields that must be JSON objects (dict) or strings (str) when present;
-# each section comes before the fields inside it
-_TYPED_FIELDS = (
-    ("weights", dict),
-    ("dataset", dict),
-    ("dataset.split", dict),
-    ("trojan", dict),
-    ("estimator", dict),
-    ("modelName", str),
-    ("outputDir", str),
-    ("weights.path", str),
-    ("dataset.imagesPath", str),
-    ("dataset.labelsPath", str),
-    ("dataset.binPath", str),
-    ("trojan.maliciousImagesPath", str),
-)
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _check_natural(section: dict, key: str, where: str, limit: int | None = None) -> None:
-    """ConfigError unless section[key] is an int (not a bool) in [0, limit]."""
-    value = section[key]
-    natural = isinstance(value, int) and not isinstance(value, bool) and value >= 0
-    if not natural or (limit is not None and value > limit):
-        bound = "a nonnegative integer" if limit is None else f"an integer in [0, {limit}]"
-        raise ConfigError(f"config field {where}.{key} must be {bound}, got {value!r}")
+# the kinds a config field can have: (test, noun for the error message);
+# JSON true and false are bools, and type(True) is not int
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NATURAL = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+_SEED = (lambda v: type(v) is int and 0 <= v < 2**64, f"an integer in [0, {2**64 - 1}]")
+_FINITE = (_finite, "a finite number")
+_FINITE_PAIR = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)), "two finite numbers")
+_INT_LIST = (lambda v: isinstance(v, list) and all(type(c) is int for c in v), "a list of integers")
+
+# every config field with a kind, by dotted path; each section comes before
+# the fields inside it. Fields with a fixed set of values (dataset.kind,
+# defense.kind, ...) are refused where that set is checked
+_FIELDS = {
+    "weights": _OBJECT,
+    "dataset": _OBJECT,
+    "dataset.split": _OBJECT,
+    "trojan": _OBJECT,
+    "estimator": _OBJECT,
+    "defense": _OBJECT,
+    "defense.scale": _OBJECT,
+    "modelName": _STRING,
+    "outputDir": _STRING,
+    "weights.path": _STRING,
+    "dataset.imagesPath": _STRING,
+    "dataset.labelsPath": _STRING,
+    "dataset.binPath": _STRING,
+    "trojan.maliciousImagesPath": _STRING,
+    "weights.seed": _SEED,
+    "dataset.count": _NATURAL,
+    "dataset.seed": _SEED,
+    "dataset.split.validationCount": _NATURAL,
+    "dataset.split.streamCount": _NATURAL,
+    "dataset.split.seed": _SEED,
+    "trojan.maliciousCount": _NATURAL,
+    "trojan.maliciousSeed": _SEED,
+    "trojan.fixedIndex": _NATURAL,
+    "estimator.probeCount": _NATURAL,
+    "estimator.probeSeed": _SEED,
+    "kLo": _FINITE,
+    "kHi": _FINITE,
+    "defense.scale.seed": _SEED,
+    "defense.scale.range": _FINITE_PAIR,
+    "defense.k": _NATURAL,
+    "defense.cuts": _INT_LIST,
+}
 
 
-def _check_types(cfg: dict) -> None:
-    """ConfigError unless every present field of _TYPED_FIELDS has its type."""
-    for path, kind in _TYPED_FIELDS:
+def _check_fields(cfg: dict) -> None:
+    """ConfigError unless every present field of _FIELDS has its kind."""
+    for path, (test, noun) in _FIELDS.items():
         *sections, key = path.split(".")
         fields = cfg
         for name in sections:
             fields = fields.get(name, {})
-        if key in fields and not isinstance(fields[key], kind):
-            noun = "an object" if kind is dict else "a string"
+        if key in fields and not test(fields[key]):
             raise ConfigError(f"config field {path} must be {noun}, got {fields[key]!r}")
 
 
@@ -125,78 +138,44 @@ def load_config(path: str | Path) -> dict:
 
 
 def resolve_config(raw: dict, out_override: str | None, seed_override: int | None) -> dict:
-    """Apply defaults and CLI overrides; validate field presence and types.
+    """Apply CLI overrides, check field kinds and presence, then defaults.
 
     The returned dict is the canonical record embedded in every report.
     """
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
+    cfg = dict(raw)
     if out_override is not None:
         cfg["outputDir"] = out_override
-    _check_types(cfg)
+    if seed_override is not None and isinstance(cfg.get("weights"), dict):
+        cfg["weights"] = dict(cfg["weights"], seed=seed_override)
+    _check_fields(cfg)
 
-    if "modelName" not in cfg:
-        raise ConfigError("config field missing: modelName")
-    if "weights" not in cfg:
-        raise ConfigError("config field missing: weights")
-    weights = cfg["weights"]
-    if not {"seed", "path"} & set(weights):
+    for key in ("modelName", "weights", "dataset"):
+        if key not in cfg:
+            raise ConfigError(f"config field missing: {key}")
+    if not {"seed", "path"} & set(cfg["weights"]):
         raise ConfigError("config field weights must be an object with 'seed' or 'path'")
-    if seed_override is not None:
-        if "path" in weights:
-            raise ConfigError("--seed cannot override weights loaded from a path")
-        weights = dict(weights, seed=seed_override)
-        cfg["weights"] = weights
-    if "path" not in weights:
-        _check_natural(weights, "seed", "weights", _MAX_SEED)
-
-    if "dataset" not in cfg:
-        raise ConfigError("config field missing: dataset")
-    ds = dict(cfg["dataset"])
+    if seed_override is not None and "path" in cfg["weights"]:
+        raise ConfigError("--seed cannot override weights loaded from a path")
+    ds = cfg["dataset"]
     kind = ds.get("kind")
     if kind not in ("mnist", "cifar10", "synthetic"):
         raise ConfigError("config field dataset.kind must be mnist, cifar10, or synthetic")
-    split_cfg = dict(ds.get("split", {}))
-    split_cfg.setdefault("validationCount", 100)
-    split_cfg.setdefault("streamCount", 1000)
-    split_cfg.setdefault("seed", 0)
-    for key in ("validationCount", "streamCount"):
-        _check_natural(split_cfg, key, "dataset.split")
-    _check_natural(split_cfg, "seed", "dataset.split", _MAX_SEED)
-    ds["split"] = split_cfg
-    if kind == "mnist":
-        for fieldname in ("imagesPath", "labelsPath"):
-            if fieldname not in ds:
-                raise ConfigError(f"config field missing: dataset.{fieldname}")
-    elif kind == "cifar10":
-        if "binPath" not in ds:
-            raise ConfigError("config field missing: dataset.binPath")
-    else:
-        ds.setdefault("mode", "uniform")
-        ds.setdefault("seed", 0)
-        ds.setdefault("count", split_cfg["validationCount"] + split_cfg["streamCount"])
-        _check_natural(ds, "count", "dataset")
-        _check_natural(ds, "seed", "dataset", _MAX_SEED)
-    cfg["dataset"] = ds
+    for key in {"mnist": ("imagesPath", "labelsPath"), "cifar10": ("binPath",)}.get(kind, ()):
+        if key not in ds:
+            raise ConfigError(f"config field missing: dataset.{key}")
 
-    trojan = dict(_TROJAN_DEFAULTS)
-    trojan.update(cfg.get("trojan", {}))
-    for key in ("maliciousCount", "fixedIndex"):
-        _check_natural(trojan, key, "trojan")
-    _check_natural(trojan, "maliciousSeed", "trojan", _MAX_SEED)
-    cfg["trojan"] = trojan
-
-    est = dict(_ESTIMATOR_DEFAULTS)
-    est.update(cfg.get("estimator", {}))
-    _check_natural(est, "probeCount", "estimator")
-    _check_natural(est, "probeSeed", "estimator", _MAX_SEED)
-    cfg["estimator"] = est
-
-    for key in ("kLo", "kHi"):
-        value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ConfigError(f"config field {key} must be a finite number, got {value!r}")
-    return cfg
+    split_cfg = {"validationCount": 100, "streamCount": 1000, "seed": 0, **ds.get("split", {})}
+    ds = dict(ds, split=split_cfg)
+    if kind == "synthetic":
+        count = split_cfg["validationCount"] + split_cfg["streamCount"]
+        ds = {"mode": "uniform", "seed": 0, "count": count, **ds}
+    return {
+        **_DEFAULTS,
+        **cfg,
+        "dataset": ds,
+        "trojan": {**_DEFAULTS["trojan"], **cfg.get("trojan", {})},
+        "estimator": {**_DEFAULTS["estimator"], **cfg.get("estimator", {})},
+    }
 
 
 def build_model(cfg: dict) -> models.ModelSpec:
@@ -258,6 +237,8 @@ def build_trojan_config(cfg: dict, model: models.ModelSpec, bands) -> tuple[Troj
                 )
             if img.dtype not in (FLOAT32, mode):
                 raise DataError(f"malicious image {key!r} is {img.dtype}, model takes {takes}")
+            if not np.isfinite(img.data).all():
+                raise DataError(f"malicious image {key!r} holds non-finite values")
     else:
         noise = synthesize(
             t["maliciousCount"], model.input_shape, t["maliciousSeed"], "uniform"
@@ -360,50 +341,18 @@ def cmd_attack(cfg: dict) -> None:
             f.write(f"{c},{label}\n")
 
 
-def _check_scale(d: dict) -> None:
-    """ConfigError unless defense.scale is an object with a seed and, if
-    given, a range of two finite numbers."""
-    if "scale" not in d:
-        raise ConfigError("config field missing: defense.scale")
-    scale = d["scale"]
-    if not isinstance(scale, dict):
-        raise ConfigError("config field defense.scale must be an object")
-    if "seed" not in scale:
-        raise ConfigError("config field missing: defense.scale.seed")
-    _check_natural(scale, "seed", "defense.scale", _MAX_SEED)
-    if "range" in scale:
-        bounds = scale["range"]
-        numbers = isinstance(bounds, list) and len(bounds) == 2 and all(
-            isinstance(b, (int, float)) and not isinstance(b, bool) and abs(b) <= sys.float_info.max
-            for b in bounds
-        )
-        if not numbers:
-            raise ConfigError(f"config field defense.scale.range must be two finite numbers, got {bounds!r}")
-
-
-def _check_partition(d: dict) -> None:
-    """ConfigError unless defense.k, if given, is an integer and
-    defense.cuts, if given, a list of integers."""
-    if d.get("k") is not None:
-        _check_natural(d, "k", "defense")
-    cuts = d.get("cuts")
-    if cuts is not None and not (
-        isinstance(cuts, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in cuts)
-    ):
-        raise ConfigError(f"config field defense.cuts must be a list of integers, got {cuts!r}")
-
-
 def cmd_defend(cfg: dict) -> None:
     if "defense" not in cfg:
         raise ConfigError("config field missing: defense")
     d = cfg["defense"]
-    if not isinstance(d, dict):
-        raise ConfigError("config field defense must be an object")
     kind = d.get("kind")
     model = build_model(cfg)
     out = Path(cfg["outputDir"])
     if kind == "alteredValidation":
-        _check_scale(d)
+        if "scale" not in d:
+            raise ConfigError("config field missing: defense.scale")
+        if "seed" not in d["scale"]:
+            raise ConfigError("config field missing: defense.scale.seed")
         plan = defense_mod.ScalePlan.from_json(d["scale"])
         validation, stream = build_datasets(cfg, model)
         est = cfg["estimator"]
@@ -420,7 +369,6 @@ def cmd_defend(cfg: dict) -> None:
         )
         extra = {"scalePlan": plan.to_json()}
     elif kind == "distributed":
-        _check_partition(d)
         views = defense_mod.partition(
             model,
             k=d.get("k"),
@@ -496,7 +444,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = resolve_config(load_config(args.config), args.out, args.seed)
-        _COMMANDS[args.command](cfg)
+        # non-finite activations end in one error line (exit 4), not warnings
+        with np.errstate(invalid="ignore", over="ignore"):
+            _COMMANDS[args.command](cfg)
         return EXIT_OK
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trojansim import cli
-from trojansim.data import SplitPlan, split, synthesize
+from trojansim.data import SplitPlan, split, synthesize, write_cifar10, write_idx
 from trojansim.errors import ParseError
-from trojansim.models import build_lenet, forward, model_params, seed_weights
+from trojansim.models import build_lenet, forward, model_params, quantize_model, seed_weights
 from trojansim.profiling import SigmaBand, collect_observations, count_band_collisions
 from trojansim.tensor import Q16_16, Tensor, quantize
 from trojansim.weightfile import read_entries, write_entries
@@ -195,7 +198,7 @@ def test_zero_weights_degenerate_forge_exit(tmp_path):
 
 
 @pytest.mark.parametrize("poison", ["nan", "inf", "overflow"])
-def test_non_finite_activations_exit_4_without_traceback(tmp_path, capsys, poison):
+def test_non_finite_activations_exit_4_without_traceback(tmp_path, capsys, recwarn, poison):
     """One NaN or Inf in conv1.weight, or finite conv1 weights whose float32
     activations overflow, leave no statistics to profile or forge from."""
     entries = model_params(seed_weights(build_lenet(), 2))
@@ -213,9 +216,17 @@ def test_non_finite_activations_exit_4_without_traceback(tmp_path, capsys, poiso
                  "scale": {"seed": 5, "mode": "perImage", "range": [0.9, 1.1]}},
     )
     config_path = write_config(tmp_path, cfg)
-    codes = {phase: run(phase, config_path) for phase in ("profile", "forge", "attack", "defend")}
+    codes, errs = {}, {}
+    for phase in ("profile", "forge", "attack", "defend"):
+        codes[phase] = run(phase, config_path)
+        errs[phase] = capsys.readouterr().err
     assert codes == {"profile": 4, "forge": 4, "attack": 4, "defend": 0}
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in "".join(errs.values())
+    # one error line per failing phase, and no NumPy warning ahead of it
+    for phase in ("profile", "forge", "attack"):
+        assert errs[phase].startswith("error: ") and errs[phase].count("\n") == 1
+    assert errs["defend"] == ""
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
     assert load(tmp_path / "out", "defense_report.json")["defenseReport"]["verdict"] == "inconclusive"
 
 
@@ -240,6 +251,11 @@ def test_config_error_exits(tmp_path, capsys):
 
     cfg = base_config(out, kLo=4.0, kHi=3.0)
     assert run("forge", write_config(tmp_path, cfg, "c3.json")) == 2
+
+    # an integer beyond the float range is no finite number
+    cfg = base_config(out, kHi=10**400)
+    assert run("forge", write_config(tmp_path, cfg, "c8.json")) == 2
+    assert "kHi must be a finite number" in capsys.readouterr().err
 
     cfg = base_config(out)
     assert run("defend", write_config(tmp_path, cfg, "c4.json")) == 2
@@ -279,40 +295,75 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
         cli.main(["demolish", "--config", "x.json"])
 
 
-@pytest.mark.parametrize(
-    "section, key, value",
-    [
-        ("dataset.split", "validationCount", "abc"),
-        ("dataset.split", "streamCount", -1),
-        ("dataset.split", "seed", True),
-        ("dataset.split", "seed", 2**64),
-        ("dataset", "count", 1.5),
-        ("dataset", "seed", "11"),
-        ("weights", "seed", "abc"),
-        ("trojan", "maliciousCount", "x"),
-        ("trojan", "maliciousSeed", -1),
-        ("estimator", "probeSeed", None),
-        ("", "dataset", "mnist"),
-        ("dataset", "split", [1, 2]),
-        ("", "trojan", "x"),
-        ("", "estimator", [1]),
-        ("", "outputDir", 5),
-        ("weights", "path", 5),
-        ("dataset", "imagesPath", 5),
-        ("", "kLo", True),
-        ("", "kHi", float("inf")),
-    ],
-)
+# one wrong-kind value for every row of cli._FIELDS
+BAD_FIELDS = [
+    ("dataset.split", "validationCount", "abc"),
+    ("dataset.split", "streamCount", -1),
+    ("dataset.split", "seed", True),
+    ("dataset.split", "seed", 2**64),
+    ("dataset", "count", 1.5),
+    ("dataset", "seed", "11"),
+    ("weights", "seed", "abc"),
+    ("trojan", "maliciousCount", "x"),
+    ("trojan", "maliciousSeed", -1),
+    ("estimator", "probeSeed", None),
+    ("", "dataset", "mnist"),
+    ("dataset", "split", [1, 2]),
+    ("", "trojan", "x"),
+    ("", "estimator", [1]),
+    ("", "outputDir", 5),
+    ("weights", "path", 5),
+    ("dataset", "imagesPath", 5),
+    ("", "kLo", True),
+    ("", "kHi", float("inf")),
+    ("", "weights", 2),
+    ("", "modelName", ["lenet"]),
+    ("dataset", "labelsPath", None),
+    ("dataset", "binPath", 1.0),
+    ("trojan", "maliciousImagesPath", {}),
+    ("trojan", "fixedIndex", -1),
+    ("estimator", "probeCount", 2.0),
+    ("", "defense", "distributed"),
+    ("defense", "scale", 7),
+    ("defense.scale", "seed", -1),
+    ("defense.scale", "range", [0.5, float("nan")]),
+    ("defense", "k", True),
+    ("defense", "cuts", [3, "6"]),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_FIELDS)
 def test_bad_config_integers_exit_2_without_traceback(tmp_path, capsys, section, key, value):
     cfg = base_config(tmp_path / "out")
     fields = cfg
     for name in filter(None, section.split(".")):
         fields = fields.setdefault(name, {})
     fields[key] = value
-    assert run("attack", write_config(tmp_path, cfg)) == 2
+    path = f"{section}.{key}".lstrip(".")
+    # every phase checks every field, so a bad defense field stops profile too
+    phase = "profile" if path.startswith("defense") else "attack"
+    assert run(phase, write_config(tmp_path, cfg)) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"{section}.{key} must be".lstrip(".") in err
+    assert f"{path} must be" in err
+
+
+def test_every_config_field_has_a_bad_value_case():
+    assert {f"{section}.{key}".lstrip(".") for section, key, _ in BAD_FIELDS} == set(cli._FIELDS)
+
+
+@pytest.mark.parametrize(
+    "field, cfg_extra",
+    [
+        ("weights.seed", {"weights": {"path": "w.dlaw", "seed": "2"}}),
+        ("dataset.seed", {"dataset": {"kind": "mnist", "imagesPath": "i", "labelsPath": "l", "seed": -1}}),
+        ("dataset.count", {"dataset": {"kind": "cifar10", "binPath": "c.bin", "count": "9"}}),
+    ],
+)
+def test_fields_are_checked_where_the_config_does_not_use_them(tmp_path, capsys, field, cfg_extra):
+    cfg = base_config(tmp_path / "out", **cfg_extra)
+    assert run("profile", write_config(tmp_path, cfg)) == 2
+    assert f"config field {field} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -407,6 +458,72 @@ def test_malicious_image_of_foreign_dtype_exits_3_without_traceback(tmp_path, ca
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "'m0' is Q16.16, model takes float32" in err
+
+
+@pytest.mark.parametrize("pixel", [np.nan, np.inf])
+def test_non_finite_malicious_image_exits_3_without_traceback(tmp_path, capsys, pixel):
+    """A float32 image quantized on entry into a Q16.16 model keeps a NaN, which
+    no Q16.16 tensor can hold; the config is refused before the stream runs."""
+    write_entries(model_params(quantize_model(seed_weights(build_lenet(), 2), Q16_16)), tmp_path / "w.dlaw")
+    image = np.zeros((1, 28, 28), dtype=np.float32)
+    image[0, 3, 4] = pixel
+    write_entries({"m0": Tensor.from_array(image)}, tmp_path / "m.dlaw")
+    # this stream substitutes at least once, so the image would be forwarded
+    dataset = {"kind": "synthetic", "seed": 16,
+               "split": {"validationCount": 30, "streamCount": 200, "seed": 3}}
+    cfg = base_config(tmp_path / "out", weights={"path": str(tmp_path / "w.dlaw")}, dataset=dataset,
+                      trojan={"maliciousImagesPath": str(tmp_path / "m.dlaw")})
+    assert run("attack", write_config(tmp_path, cfg)) == 3
+    assert capsys.readouterr().err == "error: malicious image 'm0' holds non-finite values\n"
+
+
+@pytest.fixture(scope="module")
+def binary_inputs(tmp_path_factory):
+    """name -> (file, phase, config path): each binary input and a config
+    whose phase reads it through cli.main."""
+    root = tmp_path_factory.mktemp("binary")
+    write_idx(synthesize(16, (1, 28, 28), seed=8), root / "img.idx", root / "lab.idx")
+    write_cifar10(synthesize(6, (3, 32, 32), seed=9), root / "c.bin")
+    write_entries(model_params(seed_weights(build_lenet(), 2)), root / "w.dlaw")
+    write_entries({"m0": synthesize(1, (1, 28, 28), seed=5).items[0][0]}, root / "m.dlaw")
+    mnist = {"kind": "mnist", "imagesPath": str(root / "img.idx"), "labelsPath": str(root / "lab.idx"),
+             "split": {"validationCount": 8, "streamCount": 8, "seed": 3}}
+    cifar = {"kind": "cifar10", "binPath": str(root / "c.bin"),
+             "split": {"validationCount": 3, "streamCount": 3, "seed": 3}}
+    out = root / "out"
+    readers = {
+        "img.idx": ("profile", base_config(out, dataset=mnist)),
+        "lab.idx": ("profile", base_config(out, dataset=mnist)),
+        "c.bin": ("profile", base_config(out, modelName="cifar", dataset=cifar)),
+        "w.dlaw": ("profile", base_config(out, weights={"path": str(root / "w.dlaw")})),
+        "m.dlaw": ("attack", base_config(out, trojan={"maliciousImagesPath": str(root / "m.dlaw")})),
+    }
+    return {name: (root / name, phase, write_config(root, cfg, f"{name}.json"))
+            for name, (phase, cfg) in readers.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncated_or_bit_flipped_inputs_exit_without_traceback(binary_inputs, data):
+    name = data.draw(st.sampled_from(sorted(binary_inputs)))
+    path, phase, config_path = binary_inputs[name]
+    clean = path.read_bytes()
+    blob = bytearray(clean)
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        del blob[at:]
+    else:
+        blob[at] ^= 1 << data.draw(st.integers(0, 7))
+    path.write_bytes(bytes(blob))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main([phase, "--config", config_path])
+    finally:
+        path.write_bytes(clean)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert all(int(o) <= len(blob) for o in re.findall(r"at byte offset (\d+)", err.getvalue()))
 
 
 @pytest.mark.parametrize(
