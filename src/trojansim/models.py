@@ -221,26 +221,88 @@ def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     return ForwardTrace(final_label=int(label), taps=taps)
 
 
-def batch_chunk_size(model: ModelSpec) -> int:
-    """Images per forward_batch chunk: tensor.SCRATCH_BYTES divided by the
-    widest layer output's per-image bytes as stored (float32, or float64 for
-    fixed point). This bounds a chunk's activations; conv2d and dense keep
-    their own float64 scratch within the same budget, a tile at a time."""
+def forward_stages(model: ModelSpec) -> list[tuple[tuple[LayerSpec, ...], int]]:
+    """forward_batch's stages: the layer walk cut after each maxpool, where
+    the per-image activation shrinks, each with its own chunk of images.
+
+    A stage's chunk is tensor.SCRATCH_BYTES over the widest per-image
+    activation the stage holds, its input included, as stored (float32, or
+    float64 for fixed point). It is capped at the most images any of the
+    model's convs needs for a full multiply row (tensor.row_images); a
+    model without conv has no cap.
+    """
     itemsize = np.dtype(T._storage(model_numeric_dtype(model) or FLOAT32)).itemsize
-    widest = max(int(np.prod(out)) for _, _, out in iter_layer_shapes(model))
-    return max(1, T.SCRATCH_BYTES // (itemsize * widest))
+    walk = list(iter_layer_shapes(model))
+    cap = max((T.row_images(out[1] * out[2]) for layer, _, out in walk if layer.kind == "conv"), default=None)
+    stages: list[tuple[tuple[LayerSpec, ...], int]] = []
+    layers: list[LayerSpec] = []
+    for layer, in_shape, out in walk:
+        if not layers:
+            widest = math.prod(in_shape)
+        layers.append(layer)
+        widest = max(widest, math.prod(out))
+        if layer.kind == "maxpool" or layer is walk[-1][0]:
+            chunk = max(1, T.SCRATCH_BYTES // (itemsize * widest))
+            stages.append((tuple(layers), chunk if cap is None else min(chunk, cap)))
+            layers = []
+    return stages
+
+
+def batch_chunk_size(model: ModelSpec) -> int:
+    """The largest stage chunk of forward_batch: as many images as a caller
+    that forwards a stream a part at a time should hand it per call."""
+    return max(chunk for _, chunk in forward_stages(model))
+
+
+def _run_stage(layers: tuple[LayerSpec, ...], batches: Iterator[Tensor], taps: dict) -> Iterator[Tensor]:
+    """Run each batch through a stage's layers, storing the kept taps at the
+    batch's images, and yield the stage's output batches."""
+    start = 0
+    for x in batches:
+        n = x.shape[0]
+        for name, x in _layer_outputs(layers, x):
+            if name in taps:
+                taps[name][start:start + n] = x.array
+        start += n
+        yield x
+        del x  # consumed: let it go before the previous stage runs again
+
+
+def _recut(batches: Iterator[Tensor], chunk: int) -> Iterator[Tensor]:
+    """The images of batches again, in batches of chunk (the last one may be
+    shorter). They are copied into one buffer allocated once, which each
+    yielded batch views, so a batch is valid only until the next is asked
+    for."""
+    buf = None
+    fill = 0
+    for x in batches:
+        if buf is None:
+            buf, dtype = np.empty((chunk,) + x.shape[1:], dtype=x.data.dtype), x.dtype
+        taken = 0
+        while taken < x.shape[0]:
+            step = min(chunk - fill, x.shape[0] - taken)
+            buf[fill:fill + step] = x.array[taken:taken + step]
+            fill, taken = fill + step, taken + step
+            if fill == chunk:
+                yield Tensor(buf.shape, dtype, buf.reshape(-1))
+                fill = 0
+        del x  # copied: let it go before the previous stage runs again
+    if fill:
+        yield Tensor((fill,) + buf.shape[1:], dtype, buf[:fill].reshape(-1))
 
 
 def forward_batch(
     model: ModelSpec, images: Sequence[Tensor], keep: Sequence[str]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run many images through the model, a chunk at a time.
+    """Run many images through the model, stage by stage.
 
     Returns (labels, taps): labels[i] is forward(model, images[i]).final_label
     and taps[name][i] is its tap data for each layer named in keep, shaped
     like the layer's output and stored as forward stores it (float32, or
     float64 for fixed point). Every value is bitwise equal to the per-image
-    forward; only one chunk of images is stacked at a time.
+    forward. Each stage of forward_stages runs on batches of its own chunk,
+    re-cut from the previous stage's output, so only one chunk per stage is
+    held at a time.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -249,14 +311,17 @@ def forward_batch(
     store = T._storage(model_numeric_dtype(model) or FLOAT32)
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
-    chunk = batch_chunk_size(model)
-    for start in range(0, n, chunk):
-        x = _stack_inputs(model, images[start:start + chunk], start)
-        # taps not kept are dropped as soon as the next layer has run
-        for name, out in _layer_outputs(model.layers, x):
-            if name in taps:
-                taps[name][start:start + x.shape[0]] = out.array
-        labels[start:start + x.shape[0]] = np.argmax(out.array, axis=1)
+    stages = forward_stages(model)
+    first = stages[0][1]
+    batches = (_stack_inputs(model, images[s:s + first], s) for s in range(0, n, first))
+    for i, (layers, chunk) in enumerate(stages):
+        if i:
+            batches = _recut(batches, chunk)
+        batches = _run_stage(layers, batches, taps)
+    start = 0
+    for out in batches:
+        labels[start:start + out.shape[0]] = np.argmax(out.array, axis=1)
+        start += out.shape[0]
     return labels, taps
 
 
@@ -321,8 +386,10 @@ def _param_keys(layer_name: str) -> tuple[str, str]:
 def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
     """Attach `name.weight` / `name.bias` tensors to their layers.
 
-    Each tensor must have its layer's layout (DimensionError otherwise), and
-    all of them one dtype (DataError otherwise).
+    Every layer needs both entries and every entry a layer, each tensor must
+    have its layer's layout (DimensionError) and all of them one dtype; any
+    other mismatch is a DataError too, as the entries come from a weight
+    file.
     """
     used: list[str] = []
     new_layers = []
@@ -332,7 +399,7 @@ def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
             continue
         w_key, b_key = _param_keys(layer.name)
         if w_key not in params or b_key not in params:
-            raise ConfigError(f"missing weights for layer {layer.name!r} ({w_key}, {b_key})")
+            raise DataError(f"missing weights for layer {layer.name!r} ({w_key}, {b_key})")
         w_shape = _weight_shape(layer, in_shape)
         for key, shape in ((w_key, w_shape), (b_key, w_shape[:1])):
             tensor = params[key]
@@ -347,7 +414,7 @@ def apply_weights(model: ModelSpec, params: dict[str, Tensor]) -> ModelSpec:
         new_layers.append(replace(layer, params=Kernel(weights=params[w_key], bias=params[b_key])))
     extra = set(params) - set(used)
     if extra:
-        raise ConfigError(f"weight entries do not match any layer: {sorted(extra)}")
+        raise DataError(f"weight entries do not match any layer: {sorted(extra)}")
     return ModelSpec(model.name, model.input_shape, tuple(new_layers))
 
 

@@ -15,13 +15,22 @@ tests compare against):
     image of a batch goes through exactly the sequence above, so row i of a
     result is bitwise equal to the op applied to a batch of image i alone,
     and a result's saturation count is the sum over its rows. Sums are
-    folded one term at a time across a tile of images; matmul, einsum and
+    folded one term at a time across a block of images; matmul, einsum and
     tensordot are never used, because they reorder the terms.
-  * conv2d and dense split the batch axis into tiles, so that their float64
-    scratch (weights copy plus accumulator, product buffer and one window
-    row or input column per image) stays within SCRATCH_BYTES whatever the
-    batch length. Each tile is rounded straight into its slice of one
-    output array of the stored dtype, and the tiles' saturations are summed.
+  * conv2d folds the batch in blocks of images x output channels. A block
+    holds enough images that one weight scales a window row of at least
+    half NumPy's ufunc buffer (row_images): NumPy buffers a broadcast
+    multiply whose contiguous operand is shorter than a third of that
+    buffer, which costs several times more per element. The rest of
+    SCRATCH_BYTES, after the float64 weights copy and the block's window
+    row, sets the output channels per block (an accumulator and a product
+    each), split evenly across the channel blocks. dense splits the batch
+    into tiles whose float64 scratch (weights copy plus accumulator,
+    product buffer and input column per image) fits SCRATCH_BYTES. Every
+    element is folded bias first, then term by term in the order
+    above, and rounded once; each block or tile is rounded straight into
+    its slice of one output array of the stored dtype, and the blocks'
+    saturations are summed.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -42,8 +51,8 @@ FLOAT32 = "float32"
 # check's scaled and rounded temporaries stay slice-sized, not tensor-sized.
 CHECK_SLICE = 8192
 
-# Float64 scratch budget of one conv2d or dense call; models.batch_chunk_size
-# bounds a forward chunk's activations by the same budget.
+# Float64 scratch budget of one conv2d or dense call; models.forward_stages
+# bounds each stage chunk's activations by the same budget.
 SCRATCH_BYTES = 1 << 20
 
 
@@ -198,9 +207,30 @@ def _finish(acc: np.ndarray, dtype: DType, out: np.ndarray) -> int:
 
 
 def _tile_length(n: int, fixed: int, per_image: int) -> int:
-    """Images per kernel tile: as many as keep `fixed` float64 values plus
+    """Images per dense tile: as many as keep `fixed` float64 values plus
     `per_image` per image within SCRATCH_BYTES; at least one, at most n."""
     return max(1, min(n, (SCRATCH_BYTES // 8 - fixed) // per_image))
+
+
+def row_images(window: int) -> int:
+    """Images whose output windows of `window` elements each make a conv2d
+    multiply row of at least half NumPy's ufunc buffer, too long for NumPy
+    to buffer the broadcast multiply (see the module docstring)."""
+    return -(-(np.getbufsize() // 2) // window)
+
+
+def _conv_block(n: int, out_ch: int, fixed: int, window: int) -> tuple[int, int]:
+    """Images and output channels per conv2d block. Images: enough for a
+    full multiply row (row_images), fewer only if the budget cannot hold
+    even one channel's accumulator and product for them. Channels: as many
+    as the rest of SCRATCH_BYTES holds for an accumulator and a product
+    each, split evenly across the channel blocks. `fixed` counts the float64
+    weights copy and bias, `window` one image's output window."""
+    free = SCRATCH_BYTES // 8 - fixed
+    images = max(1, min(n, row_images(window), free // (3 * window)))
+    row = images * window
+    blocks = -(-out_ch // max(1, min(out_ch, (free - row) // (2 * row))))
+    return images, -(-out_ch // blocks)
 
 
 def _check_same_dtype(a: DType, b: DType, what: str) -> None:
@@ -235,23 +265,28 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
     wts = kernel.weights.array.astype(np.float64)
     bias = kernel.bias.array.astype(np.float64)[:, None, None, None]
     out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
-    tile = _tile_length(n, wts.size + out_ch, (2 * out_ch + 1) * oh * ow)
+    images, channels = _conv_block(n, out_ch, wts.size + out_ch, oh * ow)
+    row_buf = np.empty(images * oh * ow, dtype=np.float64)
+    acc_buf = np.empty(channels * row_buf.size, dtype=np.float64)
+    tmp_buf = np.empty_like(acc_buf)
     saturations = 0
-    for start in range(0, n, tile):
-        xs = x[start:start + tile]
-        # acc is (out, tile, oh, ow) so that one weight scales a whole window row
-        acc = np.empty((out_ch, xs.shape[0], oh, ow), dtype=np.float64)
-        acc[:] = bias
-        row = np.empty(acc.shape[1:], dtype=np.float64)
-        tmp = np.empty_like(acc)
-        for ci in range(in_ch):
-            for u in range(kh):
-                for v in range(kw):
-                    np.copyto(row, xs[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
-                    np.multiply(wts[:, ci, u, v, None, None, None], row, out=tmp)
-                    acc += tmp
-        del row, tmp  # the fixed-point finish allocates masks of its own
-        saturations += _finish(acc.transpose(1, 0, 2, 3), input.dtype, out[start:start + tile])
+    for start in range(0, n, images):
+        xs = x[start:start + images]
+        row = row_buf[:xs.shape[0] * oh * ow].reshape(xs.shape[0], oh, ow)
+        for k in range(0, out_ch, channels):
+            ks = slice(k, min(k + channels, out_ch))
+            # acc is (channels, images, oh, ow) so that one weight scales a
+            # whole window row of the block's images
+            acc = acc_buf[:(ks.stop - k) * row.size].reshape((-1,) + row.shape)
+            tmp = tmp_buf[:acc.size].reshape(acc.shape)
+            acc[:] = bias[ks]
+            for ci in range(in_ch):
+                for u in range(kh):
+                    for v in range(kw):
+                        np.copyto(row, xs[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
+                        np.multiply(wts[ks, ci, u, v, None, None, None], row, out=tmp)
+                        acc += tmp
+            saturations += _finish(acc.transpose(1, 0, 2, 3), input.dtype, out[start:start + images, ks])
     return Tensor(out.shape, input.dtype, out.reshape(-1), saturations)
 
 

@@ -31,6 +31,7 @@ from trojansim.models import (
     build_lenet,
     forward,
     forward_batch,
+    forward_stages,
     iter_layer_shapes,
     layer_output_shapes,
     model_numeric_dtype,
@@ -123,11 +124,18 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
 
 
 def tile_budget(kern, tile, per_image):
-    """SCRATCH_BYTES that gives a conv2d or dense call on kern tiles of
-    `tile` images, where per_image is the call's float64 scratch per image
-    (conv: accumulator, product and window row; dense: accumulator, product
+    """SCRATCH_BYTES that gives a dense call on kern tiles of `tile` images,
+    where per_image is its float64 scratch per image (accumulator, product
     and input column)."""
     return 8 * (kern.weights.size + kern.bias.size + tile * per_image)
+
+
+def block_budget(kern, window, images, channels):
+    """SCRATCH_BYTES that gives a conv2d call on kern blocks of `images`
+    images and, of what is left, room for `channels` output channels: each
+    image's window row plus an accumulator and a product per channel, all
+    float64, over `window` output elements per image."""
+    return 8 * (kern.weights.size + kern.bias.size + images * window * (1 + 2 * channels))
 
 
 def tiled(kernel, budget, *args):
@@ -136,30 +144,47 @@ def tiled(kernel, budget, *args):
         return kernel(*args)
 
 
+def conv_block(budget, n, kern, window):
+    """The (images, channels) blocks conv2d picks under budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", budget)
+        return T._conv_block(n, kern.weights.shape[0], kern.weights.size + kern.bias.size, window)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     fixed=st.booleans(),
+    by_channel=st.booleans(),
     tile=st.integers(1, 3),
     n=st.integers(2, 7),
     cin=st.integers(1, 3),
-    cout=st.integers(1, 3),
+    cout=st.integers(1, 5),
     h=st.integers(1, 5),
     w=st.integers(1, 5),
     k=st.integers(1, 3),
     stride=st.integers(1, 2),
 )
-def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, tile, n, cin, cout, h, w, k, stride):
+def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_channel, tile, n, cin, cout, h, w, k, stride):
+    # conv2d: either blocks of `tile` images with one channel each (partial
+    # when tile does not divide n), or all images with channels split into
+    # blocks of at most `tile` (uneven when it does not divide cout)
     rng = np.random.default_rng(seed)
     dtype = Q16_16 if fixed else FLOAT32
     k = min(k, h, w)
-    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    window = ((h - k) // stride + 1) * ((w - k) // stride + 1)
     x = Tensor((n, cin, h, w), dtype, batch_values(rng, (n, cin, h, w), dtype))
     kern = Kernel(
         Tensor((cout, cin, k, k), dtype, batch_values(rng, (cout, cin, k, k), dtype)),
         Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
     )
-    got = tiled(T.conv2d, tile_budget(kern, tile, (2 * cout + 1) * oh * ow), x, kern, stride)
+    if by_channel:
+        budget = block_budget(kern, window, n, tile)
+        assert conv_block(budget, n, kern, window) == (n, -(-cout // -(-cout // tile)))
+    else:
+        budget = block_budget(kern, window, tile, 1)
+        assert conv_block(budget, n, kern, window) == (min(n, tile), 1)
+    got = tiled(T.conv2d, budget, x, kern, stride)
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
@@ -175,10 +200,36 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, tile, n, cin, cout,
     assert got.saturations == sum(o.saturations for o in want)
 
 
+@pytest.mark.parametrize("fixed", [False, True], ids=["f32", "q16"])
+def test_row_blocks_match_oracles_row_by_row(fixed):
+    # an 11x11 output window needs 34 images for a full multiply row, so 37
+    # images make one full image block and a partial one; five channels in
+    # blocks of two make an uneven last channel block
+    rng = np.random.default_rng(7 + fixed)
+    dtype = Q16_16 if fixed else FLOAT32
+    n, window = 37, 11 * 11
+    x = Tensor((n, 2, 12, 12), dtype, batch_values(rng, (n, 2, 12, 12), dtype))
+    kern = Kernel(
+        Tensor((5, 2, 2, 2), dtype, batch_values(rng, (5, 2, 2, 2), dtype)),
+        Tensor((5,), dtype, batch_values(rng, (5,), dtype)),
+    )
+    budget = block_budget(kern, window, T.row_images(window), 2)
+    assert T.row_images(window) == 34
+    assert conv_block(budget, n, kern, window) == (34, 2)
+    got = tiled(T.conv2d, budget, x, kern, 1)
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want)
+    if fixed:
+        assert got.saturations > 0
+
+
 @pytest.mark.parametrize("hot", [(0,), (0, 3), (2, 4)])
 def test_tiled_saturations_sum_over_tiles(hot):
-    # seven Q16.16 images in tiles of two; only the hot rows saturate, so a
-    # count that drops any tile's saturations reads low
+    # seven Q16.16 images in blocks (conv) and tiles (dense) of two images,
+    # and once more in conv blocks of all seven images and two of the three
+    # channels; only the hot rows saturate, so a count that drops any
+    # block's or tile's saturations reads low
     rng = np.random.default_rng(0)
     n = 7
     scale = np.where(np.isin(np.arange(n), hot), 30000.0, 1.0)[:, None]
@@ -186,11 +237,14 @@ def test_tiled_saturations_sum_over_tiles(hot):
     x = Tensor((n, 2, 4, 4), Q16_16, quantize_naive(raw.ravel(), Q16_16)[0])
     ones = Tensor((3, 2, 3, 3), Q16_16, np.ones(54))
     kern = Kernel(ones, Tensor((3,), Q16_16, np.zeros(3)))
-    got = tiled(T.conv2d, tile_budget(kern, 2, 7 * 2 * 2), x, kern, 1)
     want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
     assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
-    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
-    assert got.saturations == sum(o.saturations for o in want)
+    for images, channels in ((2, 1), (n, 2)):
+        budget = block_budget(kern, 4, images, channels)
+        assert conv_block(budget, n, kern, 4) == (images, channels)
+        got = tiled(T.conv2d, budget, x, kern, 1)
+        assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+        assert got.saturations == sum(o.saturations for o in want)
 
     flat = x.reshaped((n, 32))
     dkern = Kernel(Tensor((3, 32), Q16_16, np.ones(96)), kern.bias)
@@ -201,22 +255,31 @@ def test_tiled_saturations_sum_over_tiles(hot):
     assert got.saturations == sum(o.saturations for o in want)
 
 
-@pytest.mark.parametrize("layer", ["conv1", "fc1"])
-def test_kernel_scratch_stays_within_budget(layer):
-    """A batch of four tiles peaks at its output plus one tile's scratch:
-    no kernel holds a whole batch's float64 accumulator."""
-    model = seed_weights(build_lenet(), 2)
+@pytest.mark.parametrize(
+    "build, layer, whole",
+    [(build_lenet, "conv1", 4), (build_lenet, "fc1", 4), (build_cifar_net, "conv1", 4), (build_cifar_net, "conv2", 1)],
+    ids=["conv1", "fc1", "cifar-conv1", "cifar-conv2"],
+)
+def test_kernel_scratch_stays_within_budget(build, layer, whole):
+    """A batch of `whole` full blocks or tiles and a partial one peaks at
+    its output plus one block's or tile's scratch: no kernel holds a whole
+    batch's float64 accumulator, which for each of these batches would
+    exceed the bound."""
+    model = seed_weights(build(), 2)
     spec = model.get_layer(layer)
     in_shape = {l.name: i for l, i, _ in iter_layer_shapes(model)}[layer]
     out_shape = layer_output_shapes(model)[layer]
+    fixed = spec.params.weights.size + spec.params.bias.size
     if spec.kind == "conv":
         per_image = (2 * out_shape[0] + 1) * out_shape[1] * out_shape[2]
+        per_call = T._conv_block(10**6, out_shape[0], fixed, out_shape[1] * out_shape[2])[0]
     else:
         per_image = 2 * out_shape[0] + in_shape[0]
-    fixed = spec.params.weights.size + spec.params.bias.size
-    n = 4 * ((T.SCRATCH_BYTES // 8 - fixed) // per_image)
+        per_call = (T.SCRATCH_BYTES // 8 - fixed) // per_image
+    n = whole * per_call + 1
     x = Tensor((n,) + in_shape, FLOAT32, np.random.default_rng(0).random(n * math.prod(in_shape)).astype(np.float32))
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
+    assert 8 * n * per_image > T.SCRATCH_BYTES + slack
 
     tracemalloc.start()
     try:
@@ -275,56 +338,119 @@ def build_mlp():
     )
 
 
+# model, image maker, and a SCRATCH_BYTES for forward_batch that
+# cuts small stage chunks (cifar 5/20/41, lenet 2/8/32 in both dtypes, mlp
+# 8) while every conv's float64 weights still fit, so that the conv blocks
+# stay wide enough to run quickly
 MODELS = {
-    "mlp-f32": (lambda: cancelling_model(build_mlp(), 4), cancelling_images),
-    "lenet-f32": (lambda: cancelling_model(build_lenet(), 2), cancelling_images),
-    "lenet-q16": (lambda: quantize_model(seed_weights(build_lenet(), 2), Q16_16), saturating_images),
-    "cifar-f32": (lambda: cancelling_model(build_cifar_net(), 3), cancelling_images),
+    "mlp-f32": (lambda: cancelling_model(build_mlp(), 4), cancelling_images, 1 << 14),
+    "lenet-f32": (lambda: cancelling_model(build_lenet(), 2), cancelling_images, 1 << 15),
+    "lenet-q16": (lambda: quantize_model(seed_weights(build_lenet(), 2), Q16_16), saturating_images, 1 << 16),
+    "cifar-f32": (lambda: cancelling_model(build_cifar_net(), 3), cancelling_images, 1 << 19),
 }
 
-
-@pytest.fixture(scope="module", params=sorted(MODELS))
-def model_case(request):
-    build, images = MODELS[request.param]
-    return build(), images
+OFFSETS = {"zero": None, "one": None, "chunk-1": -1, "chunk": 0, "chunk+1": 1}
 
 
-@pytest.mark.parametrize("offset", ["zero", "one", "chunk-1", "chunk", "chunk+1"])
-def test_forward_batch_matches_forward_on_every_tap(model_case, offset, monkeypatch):
-    model, make_images = model_case
-    chunk = batch_chunk_size(model)
-    n = {"zero": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[offset]
-    images = make_images(model.input_shape, n, seed=n)
-
-    saturations = [0]
+def counting_saturations(mp):
+    """Patch the saturating kernels on the tensor module, where the layer
+    walk looks them up, to add every result's saturations to the returned
+    one-element list."""
+    total = [0]
 
     def counting(kernel):
         def counted(*args, **kwargs):
             result = kernel(*args, **kwargs)
-            saturations[0] += result.saturations
+            total[0] += result.saturations
             return result
 
         return counted
 
     for name in ("conv2d", "dense", "quantize"):
-        monkeypatch.setattr(T, name, counting(getattr(T, name)))
+        mp.setattr(T, name, counting(getattr(T, name)))
+    return total
 
+
+@pytest.fixture(scope="module", params=sorted(MODELS))
+def model_case(request):
+    """The model, its stage chunks under its patched budget, and enough
+    images for the largest stage edge with their per-image forward traces
+    and saturation counts (forward at the real budget)."""
+    build, make_images, budget = MODELS[request.param]
+    model = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", budget)
+        chunks = [chunk for _, chunk in forward_stages(model)]
+    images = make_images(model.input_shape, max(chunks) + 1, seed=len(chunks))
+    traces, saturations = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        total = counting_saturations(mp)
+        for img in images:
+            total[0] = 0
+            traces.append(forward(model, img))
+            saturations.append(total[0])
+    return model, budget, chunks, images, traces, saturations
+
+
+@pytest.mark.parametrize("offset", list(OFFSETS))
+def test_forward_batch_matches_forward_on_every_tap(model_case, offset, monkeypatch):
+    """forward_batch at one image, none, and each stage's chunk -1, exact
+    and +1, so that every stage meets a short, a full and a spilling batch."""
+    model, budget, chunks, images, traces, saturations = model_case
+    if OFFSETS[offset] is None:
+        counts = [{"zero": 0, "one": 1}[offset]]
+    else:
+        counts = sorted({chunk + OFFSETS[offset] for chunk in chunks})
+    monkeypatch.setattr(T, "SCRATCH_BYTES", budget)
+    total = counting_saturations(monkeypatch)
     shapes = layer_output_shapes(model)
-    labels, taps = forward_batch(model, images, list(shapes))
-    batched_saturations, saturations[0] = saturations[0], 0
-    traces = [forward(model, img) for img in images]
+    for n in counts:
+        total[0] = 0
+        labels, taps = forward_batch(model, images[:n], list(shapes))
+        assert labels.shape == (n,)
+        assert labels.tolist() == [t.final_label for t in traces[:n]]
+        assert total[0] == sum(saturations[:n]), n
+        if n and model_numeric_dtype(model) == Q16_16:
+            assert total[0] > 0  # the images force saturation
+        for name, shape in shapes.items():
+            assert taps[name].shape == (n,) + shape, name
+            for i, trace in enumerate(traces[:n]):
+                tap = trace.taps[name]
+                assert taps[name].dtype == tap.data.dtype, name
+                assert taps[name][i].tobytes() == tap.data.tobytes(), (name, i, n)
 
-    assert labels.shape == (n,)
-    assert labels.tolist() == [t.final_label for t in traces]
-    assert batched_saturations == saturations[0]
-    if n and model_numeric_dtype(model) == Q16_16:
-        assert batched_saturations > 0  # the images force saturation
-    for name, shape in shapes.items():
-        assert taps[name].shape == (n,) + shape, name
-        for i, trace in enumerate(traces):
-            tap = trace.taps[name]
-            assert taps[name].dtype == tap.data.dtype, name
-            assert taps[name][i].tobytes() == tap.data.tobytes(), (name, i)
+
+@pytest.mark.parametrize(
+    "name, chunks",
+    [("mlp-f32", [512]), ("lenet-f32", [64, 64, 64]), ("lenet-q16", [37, 64, 64]), ("cifar-f32", [10, 41, 41])],
+    ids=["mlp-f32", "lenet-f32", "lenet-q16", "cifar-f32"],
+)
+def test_stage_chunks_at_the_real_budget(name, chunks):
+    """Each stage's chunk is the budget over its widest activation, capped
+    at the images the fullest conv row needs (lenet conv2 64, cifar conv2
+    41); the conv-free mlp has one stage and no cap."""
+    model = MODELS[name][0]()
+    assert [chunk for _, chunk in forward_stages(model)] == chunks
+    assert batch_chunk_size(model) == max(chunks)
+    assert [layers[-1].kind for layers, _ in forward_stages(model)][:-1] == ["maxpool"] * (len(chunks) - 1)
+
+
+@pytest.mark.parametrize("name", ["cifar-f32", "lenet-q16"])
+def test_forward_batch_memory_stays_within_four_budgets(name):
+    """300 images, far more than any stage's chunk: the pass holds one
+    batch per stage, the next stage's buffer and one kernel's scratch,
+    never the whole input's activations."""
+    build, make_images, _ = MODELS[name]
+    model = build()
+    images = make_images(model.input_shape, 300, seed=1)
+    tracemalloc.start()
+    try:
+        labels, _ = forward_batch(model, images, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (300,)
+    assert peak <= 4 * T.SCRATCH_BYTES
 
 
 def test_forward_batch_dtype_on_empty_input():

@@ -435,6 +435,21 @@ def test_non_utf8_entry_name_exits_3_with_its_offset(tmp_path, capsys):
     assert 0 <= offset < len(blob)
 
 
+def test_damaged_entry_name_exits_3_without_traceback(tmp_path, capsys):
+    # one flipped letter leaves conv1 without weights and an entry without a
+    # layer: the file is damaged, not the config
+    path = tmp_path / "w.dlaw"
+    write_entries(model_params(seed_weights(build_lenet(), 2)), path)
+    blob = path.read_bytes()
+    assert blob.count(b"conv1.weight") == 1
+    path.write_bytes(blob.replace(b"conv1.weight", b"aonv1.weight"))
+    cfg = base_config(tmp_path / "out", weights={"path": str(path)})
+    assert run("profile", write_config(tmp_path, cfg)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: missing weights for layer 'conv1'") and err.count("\n") == 1
+
+
 def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, capsys):
     wrong = tmp_path / "wrong.dlaw"
     write_entries({"m0": Tensor.zeros((3, 32, 32))}, wrong)

@@ -3,7 +3,7 @@ import pytest
 
 from trojansim import tensor as T
 from trojansim import models, weightfile
-from trojansim.errors import ConfigError, DimensionError, ParseError
+from trojansim.errors import ConfigError, DataError, DimensionError, ParseError
 from trojansim.models import (
     LayerSpec,
     ModelSpec,
@@ -262,11 +262,11 @@ def test_apply_weights_shape_mismatch_and_extras(tmp_path):
     bad["fc1.weight"] = Tensor.from_array(np.zeros((120, 200), dtype=np.float32))
     with pytest.raises(DimensionError, match="fc1"):
         models.apply_weights(build_lenet(), bad)
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(DataError, match="missing"):
         models.apply_weights(build_lenet(), {k: v for k, v in params.items() if k != "fc2.bias"})
     extra = dict(params)
     extra["ghost.weight"] = params["fc3.bias"]
-    with pytest.raises(ConfigError, match="ghost"):
+    with pytest.raises(DataError, match="ghost"):
         models.apply_weights(build_lenet(), extra)
 
 
