@@ -248,47 +248,25 @@ def forward_stages(model: ModelSpec) -> list[tuple[tuple[LayerSpec, ...], int]]:
     return stages
 
 
-def batch_chunk_size(model: ModelSpec) -> int:
-    """The largest stage chunk of forward_batch: as many images as a caller
-    that forwards a stream a part at a time should hand it per call."""
-    return max(chunk for _, chunk in forward_stages(model))
-
-
-def _run_stage(layers: tuple[LayerSpec, ...], batches: Iterator[Tensor], taps: dict) -> Iterator[Tensor]:
-    """Run each batch through a stage's layers, storing the kept taps at the
-    batch's images, and yield the stage's output batches."""
-    start = 0
-    for x in batches:
-        n = x.shape[0]
-        for name, x in _layer_outputs(layers, x):
+def _run_stage(layers: tuple[LayerSpec, ...], x: Tensor, chunk: int, taps: dict, start: int) -> Tensor:
+    """Run the batch x, whose first image is image start of the pass, through
+    a stage's layers in parts of chunk images, storing the kept taps at the
+    parts' images, and return the stage's output for the whole batch."""
+    n = x.shape[0]
+    per_image = x.size // n
+    out = None
+    for s in range(0, n, chunk):
+        m = min(chunk, n - s)
+        part = x if m == n else Tensor((m,) + x.shape[1:], x.dtype, x.data[s * per_image:(s + m) * per_image])
+        for name, part in _layer_outputs(layers, part):
             if name in taps:
-                taps[name][start:start + n] = x.array
-        start += n
-        yield x
-        del x  # consumed: let it go before the previous stage runs again
-
-
-def _recut(batches: Iterator[Tensor], chunk: int) -> Iterator[Tensor]:
-    """The images of batches again, in batches of chunk (the last one may be
-    shorter). They are copied into one buffer allocated once, which each
-    yielded batch views, so a batch is valid only until the next is asked
-    for."""
-    buf = None
-    fill = 0
-    for x in batches:
-        if buf is None:
-            buf, dtype = np.empty((chunk,) + x.shape[1:], dtype=x.data.dtype), x.dtype
-        taken = 0
-        while taken < x.shape[0]:
-            step = min(chunk - fill, x.shape[0] - taken)
-            buf[fill:fill + step] = x.array[taken:taken + step]
-            fill, taken = fill + step, taken + step
-            if fill == chunk:
-                yield Tensor(buf.shape, dtype, buf.reshape(-1))
-                fill = 0
-        del x  # copied: let it go before the previous stage runs again
-    if fill:
-        yield Tensor((fill,) + buf.shape[1:], dtype, buf[:fill].reshape(-1))
+                taps[name][start + s:start + s + m] = part.array
+        if m == n:
+            return part
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], dtype=part.data.dtype)
+        out[s:s + m] = part.array
+    return Tensor(out.shape, part.dtype, out.reshape(-1))
 
 
 def forward_batch(
@@ -300,9 +278,9 @@ def forward_batch(
     and taps[name][i] is its tap data for each layer named in keep, shaped
     like the layer's output and stored as forward stores it (float32, or
     float64 for fixed point). Every value is bitwise equal to the per-image
-    forward. Each stage of forward_stages runs on batches of its own chunk,
-    re-cut from the previous stage's output, so only one chunk per stage is
-    held at a time.
+    forward. The images are stacked in batches of the largest stage chunk
+    of forward_stages; each stage runs a batch in parts of its own chunk and
+    writes the parts' outputs into one array for the next stage.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -312,16 +290,12 @@ def forward_batch(
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     stages = forward_stages(model)
-    first = stages[0][1]
-    batches = (_stack_inputs(model, images[s:s + first], s) for s in range(0, n, first))
-    for i, (layers, chunk) in enumerate(stages):
-        if i:
-            batches = _recut(batches, chunk)
-        batches = _run_stage(layers, batches, taps)
-    start = 0
-    for out in batches:
-        labels[start:start + out.shape[0]] = np.argmax(out.array, axis=1)
-        start += out.shape[0]
+    batch = max(chunk for _, chunk in stages)
+    for start in range(0, n, batch):
+        x = _stack_inputs(model, images[start:start + batch], start)
+        for layers, chunk in stages:
+            x = _run_stage(layers, x, chunk, taps, start)
+        labels[start:start + x.shape[0]] = np.argmax(x.array, axis=1)
     return labels, taps
 
 

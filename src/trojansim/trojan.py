@@ -16,6 +16,7 @@ serves every dormant cycle and the machine walks only the cycles with a hit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .models import ForwardTrace, ModelSpec, batch_chunk_size, forward, forward_batch
+from .models import ForwardTrace, ModelSpec, forward, forward_batch
 from .profiling import SigmaBand, in_bands
 from .tensor import Tensor
 
@@ -175,8 +176,8 @@ def run_compromised(
     """Drive the full stream through the compromised pipeline, in order.
 
     Returns what driving step cycle by cycle returns, without the per-cycle
-    loop: a dormant cycle is exactly a clean forward, so one batched pass,
-    a chunk at a time, yields every clean label and each cycle's first
+    loop: a dormant cycle is exactly a clean forward, so one batched pass
+    over the stream yields every clean label and each cycle's first
     watch-tap element inside a band. The Dormant/Armed machine then walks
     only the cycles with a hit; a hit on a substituted cycle is never
     evaluated. Each malicious image is forwarded once, on first use. The
@@ -187,32 +188,27 @@ def run_compromised(
             f"watchLayer {config.watch_layer!r} not in model; valid: {model.layer_names()}"
         )
     n = len(stream)
-    images = stream.images()
-    chunk = batch_chunk_size(model)
-    labels: list[int] = []
+    clean, taps = forward_batch(model, stream.images(), (config.watch_layer,))
+    tap = taps[config.watch_layer]
+    tap = tap.reshape(n, math.prod(tap.shape[1:]))  # an empty stream leaves no size to infer
+    mask = in_bands(tap, config.bands)
+    rows = np.flatnonzero(mask.any(axis=1))
     log: list[TriggerEvent] = []
     substitutions = 0
     malicious_labels: dict[int, int] = {}
-    for start in range(0, n, chunk):
-        part, taps = forward_batch(model, images[start:start + chunk], (config.watch_layer,))
-        labels += part.tolist()
-        tap = taps[config.watch_layer].reshape(len(part), -1)
-        mask = in_bands(tap, config.bands)
-        rows = np.flatnonzero(mask.any(axis=1))
-        for row, col in zip(rows.tolist(), mask[rows].argmax(axis=1).tolist()):
-            cycle = start + row
-            if log and log[-1].cycle == cycle:
-                continue  # substituted cycle: trigger evaluation is suppressed
-            hit_value = float(tap[row, col])
-            log.append(TriggerEvent(cycle, "Triggered", hit_value=hit_value, hit_index=col))
-            if cycle + 1 == n:
-                break  # no next cycle to poison: the machine stays armed
-            used_idx, image = config.select_image(substitutions)
-            if used_idx not in malicious_labels:
-                malicious_labels[used_idx] = forward(model, image).final_label
-            log.append(TriggerEvent(cycle + 1, "Substituted", used_malicious_index=used_idx))
-            substitutions += 1
-    clean_labels = list(labels)
+    for cycle, col in zip(rows.tolist(), mask[rows].argmax(axis=1).tolist()):
+        if log and log[-1].cycle == cycle:
+            continue  # substituted cycle: trigger evaluation is suppressed
+        log.append(TriggerEvent(cycle, "Triggered", hit_value=float(tap[cycle, col]), hit_index=col))
+        if cycle + 1 == n:
+            break  # no next cycle to poison: the machine stays armed
+        used_idx, image = config.select_image(substitutions)
+        if used_idx not in malicious_labels:
+            malicious_labels[used_idx] = forward(model, image).final_label
+        log.append(TriggerEvent(cycle + 1, "Substituted", used_malicious_index=used_idx))
+        substitutions += 1
+    clean_labels = clean.tolist()
+    labels = list(clean_labels)
     for e in log:
         if e.kind == "Substituted":
             labels[e.cycle] = malicious_labels[e.used_malicious_index]

@@ -26,7 +26,6 @@ from trojansim.models import (
     LayerSpec,
     ModelSpec,
     apply_weights,
-    batch_chunk_size,
     build_cifar_net,
     build_lenet,
     forward,
@@ -349,7 +348,17 @@ MODELS = {
     "cifar-f32": (lambda: cancelling_model(build_cifar_net(), 3), cancelling_images, 1 << 19),
 }
 
-OFFSETS = {"zero": None, "one": None, "chunk-1": -1, "chunk": 0, "chunk+1": 1}
+# forward_batch's image counts per test id, from a model's stage chunks:
+# none, one, each stage's chunk -1, exact and +1, and past two full batches
+# of the largest chunk, in which forward_batch stacks its images
+COUNTS = {
+    "zero": lambda chunks: [0],
+    "one": lambda chunks: [1],
+    "chunk-1": lambda chunks: sorted({chunk - 1 for chunk in chunks}),
+    "chunk": lambda chunks: sorted(set(chunks)),
+    "chunk+1": lambda chunks: sorted({chunk + 1 for chunk in chunks}),
+    "two-batches": lambda chunks: [2 * max(chunks) + 1],
+}
 
 
 def counting_saturations(mp):
@@ -374,14 +383,14 @@ def counting_saturations(mp):
 @pytest.fixture(scope="module", params=sorted(MODELS))
 def model_case(request):
     """The model, its stage chunks under its patched budget, and enough
-    images for the largest stage edge with their per-image forward traces
-    and saturation counts (forward at the real budget)."""
+    images for the largest count of COUNTS with their per-image forward
+    traces and saturation counts (forward at the real budget)."""
     build, make_images, budget = MODELS[request.param]
     model = build()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", budget)
         chunks = [chunk for _, chunk in forward_stages(model)]
-    images = make_images(model.input_shape, max(chunks) + 1, seed=len(chunks))
+    images = make_images(model.input_shape, 2 * max(chunks) + 1, seed=len(chunks))
     traces, saturations = [], []
     with pytest.MonkeyPatch.context() as mp:
         total = counting_saturations(mp)
@@ -392,15 +401,12 @@ def model_case(request):
     return model, budget, chunks, images, traces, saturations
 
 
-@pytest.mark.parametrize("offset", list(OFFSETS))
-def test_forward_batch_matches_forward_on_every_tap(model_case, offset, monkeypatch):
-    """forward_batch at one image, none, and each stage's chunk -1, exact
-    and +1, so that every stage meets a short, a full and a spilling batch."""
+@pytest.mark.parametrize("counts_id", list(COUNTS))
+def test_forward_batch_matches_forward_on_every_tap(model_case, counts_id, monkeypatch):
+    """forward_batch at the counts of COUNTS, so that every stage meets a
+    short, a full and a spilling part, and the pass more than two batches."""
     model, budget, chunks, images, traces, saturations = model_case
-    if OFFSETS[offset] is None:
-        counts = [{"zero": 0, "one": 1}[offset]]
-    else:
-        counts = sorted({chunk + OFFSETS[offset] for chunk in chunks})
+    counts = COUNTS[counts_id](chunks)
     monkeypatch.setattr(T, "SCRATCH_BYTES", budget)
     total = counting_saturations(monkeypatch)
     shapes = layer_output_shapes(model)
@@ -431,15 +437,15 @@ def test_stage_chunks_at_the_real_budget(name, chunks):
     41); the conv-free mlp has one stage and no cap."""
     model = MODELS[name][0]()
     assert [chunk for _, chunk in forward_stages(model)] == chunks
-    assert batch_chunk_size(model) == max(chunks)
     assert [layers[-1].kind for layers, _ in forward_stages(model)][:-1] == ["maxpool"] * (len(chunks) - 1)
 
 
 @pytest.mark.parametrize("name", ["cifar-f32", "lenet-q16"])
 def test_forward_batch_memory_stays_within_four_budgets(name):
     """300 images, far more than any stage's chunk: the pass holds one
-    batch per stage, the next stage's buffer and one kernel's scratch,
-    never the whole input's activations."""
+    stacked batch of the largest chunk, its stage output array, one part's
+    activations and one kernel's scratch, never the whole input's
+    activations."""
     build, make_images, _ = MODELS[name]
     model = build()
     images = make_images(model.input_shape, 300, seed=1)
@@ -474,7 +480,7 @@ def test_forward_batch_rejects_mismatched_image_shape():
 
 def test_batched_stream_hit_rate_matches_per_image_check_trigger():
     model = seed_weights(build_lenet(), 2)
-    chunk = batch_chunk_size(model)
+    chunk = max(chunk for _, chunk in forward_stages(model))
     data = synthesize(2 * chunk + 3, model.input_shape, seed=5)
     per_image = collect_observations(model, data, "fc1").reshape(len(data), -1)
     # bands between the median and the extreme of the per-image max (min), so

@@ -100,6 +100,18 @@ def test_pipeline_end_to_end(tmp_path):
     assert "config" not in summary["phases"]["profile"]
 
 
+def test_empty_stream_runs_every_phase(tmp_path):
+    out = tmp_path / "out"
+    dataset = {"kind": "synthetic", "seed": 11, "count": 30,
+               "split": {"validationCount": 30, "streamCount": 0, "seed": 3}}
+    cfg = base_config(out, dataset=dataset, defense={"kind": "distributed", "k": 2})
+    config_path = write_config(tmp_path, cfg)
+    for phase in ("profile", "forge", "attack", "defend", "report"):
+        assert run(phase, config_path) == 0, phase
+    assert load(out, "attack_report.json")["attackReport"]["imagesProcessed"] == 0
+    assert (out / "labels.csv").read_text() == "cycle,label,substituted\n"
+
+
 def test_profile_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "out"
     config_path = write_config(tmp_path, base_config(out))
