@@ -279,8 +279,10 @@ def forward_batch(
     like the layer's output and stored as forward stores it (float32, or
     float64 for fixed point). Every value is bitwise equal to the per-image
     forward. The images are stacked in batches of the largest stage chunk
-    of forward_stages; each stage runs a batch in parts of its own chunk and
-    writes the parts' outputs into one array for the next stage.
+    of forward_stages, rounded down to a multiple of the first stage's
+    chunk where the last first-stage part would be too short for a full
+    conv row; each stage runs a batch in parts of its own chunk and writes
+    the parts' outputs into one array for the next stage.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -291,6 +293,13 @@ def forward_batch(
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     stages = forward_stages(model)
     batch = max(chunk for _, chunk in stages)
+    # a last part of the first stage too short for a full conv multiply row
+    # (tensor.row_images) would be buffered: leave its images to the next batch
+    first_layers, first = stages[0]
+    rest = batch % first
+    rows = [T.row_images(math.prod(shapes[layer.name][1:])) for layer in first_layers if layer.kind == "conv"]
+    if rest < max(rows, default=0):
+        batch -= rest
     for start in range(0, n, batch):
         x = _stack_inputs(model, images[start:start + batch], start)
         for layers, chunk in stages:

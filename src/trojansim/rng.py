@@ -17,14 +17,22 @@ one transition per call, on Python ints.
 
 Bulk draws (`next_doubles`) give the same bits from parallel lanes. The
 transition only shifts, rotates and XORs, so it is linear over GF(2): the
-state LANE_LENGTH draws ahead is a fixed 256x256 bit matrix applied to the
-256 state bits. Its 256 rows, the images of the one-bit states, are built
-once, on the first bulk draw. A jump XORs the rows of the state's set bits.
-A bulk draw is cut into blocks of at most BLOCK_DRAWS draws, and each block
-into lanes of LANE_LENGTH successive draws; every lane after the first
-starts one jump after the one before. All lanes then take their steps
-together, vectorised over np.uint64 arrays, and the outputs are written lane
-after lane, in the order the scalar walk would give them.
+state d draws ahead is a fixed 256x256 bit matrix applied to the 256 state
+bits. A bulk draw is cut into blocks of at most BLOCK_DRAWS draws (the
+kernels' scratch budget of output words), and each block into lanes of
+LANE_LENGTH successive draws, so a full block has 512 lanes. Lane i starts
+i * LANE_LENGTH draws after the block, and the starts are made by doubling:
+lanes [2^k, 2^(k+1)) are lanes [0, 2^k) jumped by LANE_LENGTH * 2^k draws.
+Each of those jumps is stored as 4-bit lookup tables, 64 nibbles x 16 values
+of a whole state each (32 KiB), so jumping a set of lanes is one gather and
+one XOR reduction. The table for LANE_LENGTH draws comes from stepping the
+256 one-bit states; each larger one squares the one before (jumps its
+one-bit images once more). The tables are built once, on the first bulk draw
+that needs them. All lanes then take their steps together, vectorised over
+np.uint64 arrays, recording step j of every lane in row j of a (LANE_LENGTH,
+lanes) buffer; one transposed copy lays the words out lane after lane, in
+the order the scalar walk would give them, and the ** scrambler runs on them
+in place.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .tensor import SCRATCH_BYTES
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,9 +53,9 @@ _DOUBLE_SCALE = 2.0 ** -53
 
 # successive draws per lane of a bulk draw: the jump distance
 LANE_LENGTH = 256
-# draws per block of a bulk draw, 256 KiB of output words; the lanes of one
-# block walk together
-BLOCK_DRAWS = 1 << 15
+# draws per block of a bulk draw, SCRATCH_BYTES of recorded words (512 lanes);
+# the lanes of one block walk together
+BLOCK_DRAWS = SCRATCH_BYTES // 8
 # draws per slice of the in-place scrambler, so that its temporaries stay
 # slice-sized
 _SCRAMBLE_SLICE = 4096
@@ -91,25 +101,44 @@ def _stepper(state: np.ndarray):
 
 
 @functools.cache
-def _rows() -> np.ndarray:
-    """(256, 4) uint64, read-only: row 64*w + b is the state LANE_LENGTH
-    steps after the state whose only set bit is bit b of word w. Built on
-    the first bulk draw that needs a jump."""
-    bits = np.arange(256)
-    basis = np.zeros((4, 256), dtype=np.uint64)
-    basis[bits // 64, bits] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
-    step = _stepper(basis)
-    for _ in range(LANE_LENGTH):
-        step()
-    rows = basis.T.copy()
-    rows.flags.writeable = False
-    return rows
+def _doubling_table(k: int) -> np.ndarray:
+    """(1024, 4) uint64, read-only: the jump by LANE_LENGTH * 2**k draws as
+    4-bit lookup tables. Entry 16*g + v is the state that many steps after
+    the state whose bits 4g..4g+3 (bit 64*w + b being bit b of word w) are
+    the bits of v and whose other bits are clear. Built on the first bulk
+    draw that needs it: k = 0 by stepping the 256 one-bit states, every
+    later k by jumping the one-bit images of k - 1 once more (squaring)."""
+    if k == 0:
+        bits = np.arange(256)
+        basis = np.zeros((4, 256), dtype=np.uint64)
+        basis[bits // 64, bits] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
+        step = _stepper(basis)
+        for _ in range(LANE_LENGTH):
+            step()
+        rows = basis.T
+    else:
+        prev = _doubling_table(k - 1)
+        rows = _advance(prev, prev.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4))
+    # entry v of nibble g XORs the rows of v's set bits
+    nibbles = rows.reshape(64, 4, 1, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for bit in range(4):
+        has = (np.arange(16) >> bit) & 1 == 1
+        table[:, has] ^= nibbles[:, bit]
+    table = table.reshape(1024, 4)
+    table.flags.writeable = False
+    return table
 
 
-def _jump(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The (4,) uint64 state LANE_LENGTH steps after the given one."""
-    bits = np.unpackbits(state.astype("<u8").view(np.uint8), bitorder="little")
-    return np.bitwise_xor.reduce(rows[bits.view(bool)], axis=0)
+def _advance(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 states one table's jump after the given (m, 4) ones:
+    one gather of a table entry per nibble, XORed together."""
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T  # octet i holds bits 8i..8i+7
+    index = np.empty((64, states.shape[0]), dtype=np.intp)
+    np.bitwise_and(octets, 15, out=index[0::2])
+    np.right_shift(octets, 4, out=index[1::2])
+    index += np.arange(0, 1024, 16)[:, None]
+    return np.bitwise_xor.reduce(table[index], axis=0)
 
 
 def _walk_block(start: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -118,23 +147,33 @@ def _walk_block(start: np.ndarray, out: np.ndarray) -> np.ndarray:
     k = out.size
     lanes = -(-k // LANE_LENGTH)
     last = k - (lanes - 1) * LANE_LENGTH  # draws of the last lane
+    # lane starts by doubling: lanes [2^j, 2^(j+1)) are lanes [0, 2^j)
+    # jumped by LANE_LENGTH * 2^j draws
     state = np.empty((4, lanes), dtype=np.uint64)
-    state[:, 0] = start
-    if lanes > 1:
-        rows = _rows()
-        for lane in range(1, lanes):
-            state[:, lane] = _jump(state[:, lane - 1], rows)
-    # s1 words go straight into out's memory, lane-major: step j of lane i
-    # is draw i * LANE_LENGTH + j; the last lane's slots end at its last draw
-    u = out.view(np.uint64)
+    starts = state.T  # lane i's start in row i
+    starts[0] = start
+    have = 1
+    while have < lanes:
+        m = min(have, lanes - have)
+        starts[have:have + m] = _advance(_doubling_table(have.bit_length() - 1), starts[:m])
+        have += m
+    # step j of every lane into row j; draw i * LANE_LENGTH + j is row j of
+    # lane i, the last lane's rows ending at its last draw
+    steps = min(LANE_LENGTH, k)
+    record = np.empty((steps, lanes), dtype=np.uint64)
     step = _stepper(state)
     end = None
-    for j in range(min(LANE_LENGTH, k)):
-        col = u[j::LANE_LENGTH]
-        col[...] = state[1, :col.size]
+    for j in range(steps):
+        record[j] = state[1]
         step()
         if j + 1 == last:
             end = state[:, -1].copy()
+    u = out.view(np.uint64)
+    full, rest = divmod(k, LANE_LENGTH)
+    if full:
+        u[:full * LANE_LENGTH].reshape(full, LANE_LENGTH)[...] = record[:, :full].T
+    u[full * LANE_LENGTH:] = record[:rest, -1]
+    del record
     # the ** scrambler in place, a slice at a time
     tmp = np.empty(min(k, _SCRAMBLE_SLICE), dtype=np.uint64)
     for at in range(0, k, _SCRAMBLE_SLICE):

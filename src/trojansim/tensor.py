@@ -341,7 +341,10 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
         acc[:] = bias
         tmp = np.empty_like(acc)
         for j in range(n):
-            np.multiply(x_t[j, :, None], w_t[j], out=tmp)
+            # a plain in-place multiply: the broadcast form buffers its short
+            # contiguous operand (see the module docstring)
+            tmp[...] = w_t[j]
+            tmp *= x_t[j, :, None]
             acc += tmp
         del x_t, tmp  # the fixed-point finish allocates masks of its own
         saturations += _finish(acc, input.dtype, out[start:start + tile])

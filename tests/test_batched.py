@@ -11,6 +11,8 @@ layers still see repeated values that cancel; a small dense-only model makes
 the dense fold order visible, which the convolutional models' wide sums hide.
 """
 
+import functools
+import hashlib
 import math
 import tracemalloc
 
@@ -459,6 +461,30 @@ def test_forward_batch_memory_stays_within_four_budgets(name):
     assert peak <= 4 * T.SCRATCH_BYTES
 
 
+@pytest.mark.parametrize(
+    "name, parts",
+    [("cifar-f32", [10] * 30), ("lenet-q16", [37, 27] * 4 + [37, 7])],
+    ids=["cifar-f32", "lenet-q16"],
+)
+def test_first_stage_parts_at_the_real_budget(name, parts, monkeypatch):
+    """conv1's parts in a 300-image pass. cifar stacks 40 images, not its
+    largest chunk 41, so conv1 never runs a 1-image part, whose multiply
+    row NumPy would buffer; Q16.16 lenet keeps batches of 64, as their last
+    first-stage part of 27 images already fills a row (tensor.row_images 8)."""
+    build, make_images, _ = MODELS[name]
+    model = build()
+    real, conv1 = T.conv2d, []
+
+    def counting(input, kernel, *args, **kwargs):
+        if input.shape[1:] == model.input_shape:
+            conv1.append(input.shape[0])
+        return real(input, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(T, "conv2d", counting)
+    forward_batch(model, make_images(model.input_shape, 300, seed=2), ())
+    assert conv1 == parts
+
+
 def test_forward_batch_dtype_on_empty_input():
     model = quantize_model(seed_weights(build_lenet(), 2), Q16_16)
     labels, taps = forward_batch(model, [], ("fc1",))
@@ -547,9 +573,86 @@ def test_next_doubles_equals_scalar_walk_property(seed, n):
 
 def test_next_double_rows_draw_at_most_a_block_per_call():
     rng = Xoshiro256StarStar(3)
-    assert [a.shape for a in rng.next_double_rows(100, 1000)] == [(32, 1000)] * 3 + [(4, 1000)]
+    assert [a.shape for a in rng.next_double_rows(3 * (B // 1000) + 4, 1000)] == [(B // 1000, 1000)] * 3 + [(4, 1000)]
     assert [a.shape for a in rng.next_double_rows(2, B + 1)] == [(1, B + 1)] * 2
     assert list(rng.next_double_rows(0, 5)) == []
+
+
+# draws that start 2^k and 2^k + 1 lanes (the last of them one draw long),
+# for k = 0 ... 9: every doubling of the lane starts, a full block and one
+# draw past it; and three whole blocks
+DOUBLING_EDGES = {
+    **{f"{2**k}-lanes": 2**k * M for k in range(10)},
+    **{f"{2**k}-lanes+1": 2**k * M + 1 for k in range(10)},
+    "3-blocks": 3 * B,
+}
+
+
+@functools.cache
+def scalar_words(seed):
+    """next_u64 words from seed, for every draw count of DOUBLING_EDGES and
+    four more."""
+    ref = Xoshiro256StarStar(seed)
+    return tuple(ref.next_u64() for _ in range(max(DOUBLING_EDGES.values()) + 4))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", list(DOUBLING_EDGES.values()), ids=list(DOUBLING_EDGES))
+def test_next_doubles_at_lane_doubling_edges(seed, n):
+    words = scalar_words(seed)
+    bulk = Xoshiro256StarStar(seed)
+    want = np.array([w >> 11 for w in words[:n]], dtype=np.float64) * 2.0**-53
+    assert bulk.next_doubles(n).tobytes() == want.tobytes()
+    assert [bulk.next_u64() for _ in range(4)] == list(words[n:n + 4])
+
+
+def test_next_doubles_block_memory():
+    """A whole block holds its output, one SCRATCH_BYTES record of the
+    lanes' words and little else; the jump tables are built beforehand."""
+    rng = Xoshiro256StarStar(5)
+    rng.next_doubles(B)
+    tracemalloc.start()
+    try:
+        out = rng.next_doubles(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + T.SCRATCH_BYTES + 64 * 1024
+
+
+def sha256_of(tensors):
+    digest = hashlib.sha256()
+    for name, t in tensors:
+        digest.update(name.encode())
+        digest.update(t.data.tobytes())
+    return digest.hexdigest()
+
+
+# recorded with the per-lane jump walk that bulk draws replaced, itself
+# bitwise equal to the scalar walk: a walk that is deterministic but wrong
+# fails these, where the rerun gates would not
+RECORDED_DIGESTS = {
+    "lenet-1100-uniform": (
+        lambda: sha256_of(("", img) for img, _ in synthesize(1100, (1, 28, 28), 11).items),
+        "9f5099ea84d246fcf15abafd3b61f12cc32e4590122e48fae9146e7c4b9f28ce",
+    ),
+    "cifar-60-probes": (
+        lambda: sha256_of(
+            ("", img) for img, _ in synthesize(60, (3, 32, 32), 7, "gaussianActivationProbe").items
+        ),
+        "b97a8777f603eb46973d02fdc16b03cfe5cd9b118b09a34bbcd76d90f0804b3c",
+    ),
+    "lenet-weights-2": (
+        lambda: sha256_of(model_params(seed_weights(build_lenet(), 2)).items()),
+        "0d42a92056ea1fccf25a1d1cb5c2697b489885156d7761d57f7dd6502f7249f6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORDED_DIGESTS))
+def test_seeded_outputs_match_recorded_digests(case):
+    digest, want = RECORDED_DIGESTS[case]
+    assert digest() == want
 
 
 def scalar_synthesize(count, shape, seed, mode):
