@@ -209,7 +209,7 @@ def synthesize(count: int, shape: tuple[int, ...], seed: int, mode: str = "unifo
     if mode not in ("uniform", "gaussianActivationProbe"):
         raise ConfigError(f"unknown synthesis mode {mode!r}")
     rng = Xoshiro256StarStar(seed)
-    n = int(np.prod(shape, dtype=np.int64))
+    n = math.prod(shape)
     per_image = n if mode == "uniform" else 2 * ((n + 1) // 2)
     items = []
     # a block's worth of images per bulk draw; successive draws continue the

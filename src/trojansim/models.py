@@ -88,7 +88,7 @@ def output_shape_of(kind: str, hyperparams: dict, in_shape: tuple[int, ...]) -> 
     if kind == "relu":
         return in_shape
     if kind == "flatten":
-        return (int(np.prod(in_shape, dtype=np.int64)),)
+        return (math.prod(in_shape),)
     if kind == "dense":
         if len(in_shape) != 1:
             raise DimensionError(f"dense expects 1-D input, got {in_shape}")
@@ -205,7 +205,7 @@ def _stack_inputs(model: ModelSpec, images: Sequence[Tensor], first: int = 0) ->
             )
         if img.dtype != dtype:
             raise ValueError(f"image {i} is {img.dtype}, image {first} is {dtype}")
-    x = Tensor((len(images),) + model.input_shape, dtype, np.concatenate([img.data for img in images]))
+    x = Tensor._built((len(images),) + model.input_shape, dtype, np.concatenate([img.data for img in images]))
     mode = model_numeric_dtype(model)
     if isinstance(mode, FixedFormat) and dtype == FLOAT32:
         x = T.quantize(x, mode)
@@ -257,7 +257,7 @@ def _run_stage(layers: tuple[LayerSpec, ...], x: Tensor, chunk: int, taps: dict,
     out = None
     for s in range(0, n, chunk):
         m = min(chunk, n - s)
-        part = x if m == n else Tensor((m,) + x.shape[1:], x.dtype, x.data[s * per_image:(s + m) * per_image])
+        part = x if m == n else Tensor._built((m,) + x.shape[1:], x.dtype, x.data[s * per_image:(s + m) * per_image])
         for name, part in _layer_outputs(layers, part):
             if name in taps:
                 taps[name][start + s:start + s + m] = part.array
@@ -266,7 +266,7 @@ def _run_stage(layers: tuple[LayerSpec, ...], x: Tensor, chunk: int, taps: dict,
         if out is None:
             out = np.empty((n,) + part.shape[1:], dtype=part.data.dtype)
         out[s:s + m] = part.array
-    return Tensor(out.shape, part.dtype, out.reshape(-1))
+    return Tensor._built(out.shape, part.dtype, out.reshape(-1))
 
 
 def forward_batch(
@@ -324,7 +324,7 @@ def seed_weights(model: ModelSpec, seed: int) -> ModelSpec:
         w_shape = _weight_shape(layer, in_shape)
         fan_in = math.prod(w_shape[1:])
         s = float(np.float32(1.0 / math.sqrt(fan_in)))
-        n_w = int(np.prod(w_shape, dtype=np.int64))
+        n_w = math.prod(w_shape)
         lo, hi = -s, s
         # the same float64 sequence as rng.uniform(lo, hi), one draw after another
         vals = (lo + (hi - lo) * rng.next_doubles(n_w + w_shape[0])).astype(np.float32)

@@ -16,7 +16,25 @@ tests compare against):
     result is bitwise equal to the op applied to a batch of image i alone,
     and a result's saturation count is the sum over its rows. Sums are
     folded one term at a time across a block of images; matmul, einsum and
-    tensordot are never used, because they reorder the terms.
+    tensordot reorder the terms, so they are used only where the order
+    provably cannot change a bit (next point).
+  * A fixed-point batch may be summed as one matrix product when a
+    certificate (_any_order_is_exact) holds. With f fractional bits every
+    value is a multiple of 2^-f, so every product and every sum of products
+    and bias is a multiple of 2^-2f. If max|b| + max_c sum_t |w_c,t| * max|x|
+    < 2^(52-2f) (Q16.16: 2^20), that bound caps every product and every
+    partial sum of every output element, in whatever order and grouping
+    they are added. Each of them is then k * 2^-2f with |k| < 2^53, which
+    float64 holds exactly, so every multiplication and addition (fused or
+    not) is exact and any order gives the same exact sum. The bound is one
+    bit below that limit, which covers the rounding of the bound itself.
+    No bias element may be -0.0: the fold ends on -0.0 only when the bias
+    and every product are -0.0, while a product that starts from +0.0 and
+    adds the bias after ends on +0.0. This assumes a conventional dgemm
+    (OpenBLAS, MKL, Accelerate or reference BLAS), which sums plain
+    products; none of them uses Strassen-like schemes, whose intermediate
+    differences the bound does not cover. float32 batches and uncertified
+    fixed-point batches are folded.
   * conv2d folds the batch in blocks of images x output channels. A block
     holds enough images that one weight scales a window row of at least
     half NumPy's ufunc buffer (row_images): NumPy buffers a broadcast
@@ -30,7 +48,11 @@ tests compare against):
     element is folded bias first, then term by term in the order
     above, and rounded once; each block or tile is rounded straight into
     its slice of one output array of the stored dtype, and the blocks'
-    saturations are summed.
+    saturations are summed. A certified conv2d multiplies the weights, one
+    row per output channel, by K-major window columns (C*kh*kw rows, one
+    column per output element of a block of images), in blocks of images
+    whose columns and product fit SCRATCH_BYTES; a certified dense
+    multiplies tiles of the batch straight into the output.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -38,10 +60,12 @@ with an independent scalar-loop implementation of the same contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
@@ -104,13 +128,7 @@ class Tensor:
     saturations: int = 0
 
     def __post_init__(self):
-        if any(d < 1 for d in self.shape):
-            raise DimensionError(f"non-positive dimension in shape {self.shape}")
-        n = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-        if self.data.ndim != 1 or self.data.size != n:
-            raise DimensionError(
-                f"data length {self.data.size} does not match shape {self.shape} (expect {n})"
-            )
+        self._check_layout()
         if isinstance(self.dtype, FixedFormat):
             fmt = self.dtype
             scale = 2.0 ** fmt.frac_bits
@@ -120,7 +138,28 @@ class Tensor:
                     raise ValueError(f"values not representable in {fmt}")
             if self.data.size and (self.data.min() < fmt.min_value or self.data.max() > fmt.max_value):
                 raise ValueError(f"values outside {fmt} range [{fmt.min_value}, {fmt.max_value}]")
+
+    def _check_layout(self) -> None:
+        """Check the shape against the flat data and freeze the data."""
+        if any(d < 1 for d in self.shape):
+            raise DimensionError(f"non-positive dimension in shape {self.shape}")
+        n = math.prod(self.shape)
+        if self.data.ndim != 1 or self.data.size != n:
+            raise DimensionError(
+                f"data length {self.data.size} does not match shape {self.shape} (expect {n})"
+            )
         self.data.flags.writeable = False
+
+    @classmethod
+    def _built(cls, shape: tuple[int, ...], dtype: DType, data: np.ndarray, saturations: int = 0) -> "Tensor":
+        """A tensor of values this module's ops made representable by
+        construction (kernel outputs, reshapes, batches stacked from checked
+        tensors): the layout is checked, the fixed-point value scan of
+        direct construction is skipped."""
+        t = object.__new__(cls)
+        vars(t).update(shape=shape, dtype=dtype, data=data, saturations=saturations)
+        t._check_layout()
+        return t
 
     @classmethod
     def from_array(cls, values, dtype: DType = FLOAT32, saturations: int = 0) -> "Tensor":
@@ -131,8 +170,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape: Sequence[int], dtype: DType = FLOAT32) -> "Tensor":
-        n = int(np.prod(shape, dtype=np.int64))
-        return cls(tuple(shape), dtype, np.zeros(n, dtype=_storage(dtype)))
+        return cls(tuple(shape), dtype, np.zeros(math.prod(shape), dtype=_storage(dtype)))
 
     @property
     def array(self) -> np.ndarray:
@@ -144,14 +182,20 @@ class Tensor:
         return self.data.size
 
     def reshaped(self, shape: Sequence[int]) -> "Tensor":
-        n = int(np.prod(shape, dtype=np.int64))
-        if n != self.size:
+        if math.prod(shape) != self.size:
             raise DimensionError(f"cannot reshape {self.shape} to {tuple(shape)}")
-        return Tensor(tuple(shape), self.dtype, self.data, self.saturations)
+        return Tensor._built(tuple(shape), self.dtype, self.data, self.saturations)
 
 
 def bitwise_equal(a: Tensor, b: Tensor) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.data, b.data)
+    """Same shape, dtype and bytes: -0.0 and +0.0 differ, as do NaNs of
+    different payloads."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.data.dtype == b.data.dtype
+        and a.data.tobytes() == b.data.tobytes()
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +277,51 @@ def _conv_block(n: int, out_ch: int, fixed: int, window: int) -> tuple[int, int]
     return images, -(-out_ch // blocks)
 
 
+def _any_order_is_exact(dtype: DType, x: np.ndarray, w_rows: np.ndarray, bias: np.ndarray) -> bool:
+    """The certificate of the module docstring: every output element's sum
+    of bias and w_rows[c] x window products, for any window of x, is exact
+    in float64 in any order. Fixed-point data are finite by construction."""
+    if not isinstance(dtype, FixedFormat):
+        return False
+    if np.any(np.signbit(bias) & (bias == 0)):
+        return False
+    bound = max(bias.max(), -bias.min()) + np.abs(w_rows).sum(axis=1).max() * max(x.max(), -x.min())
+    return bool(bound < 2.0 ** (52 - 2 * dtype.frac_bits))
+
+
+def _exact_sum(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b + bias on BLAS, for sums _any_order_is_exact certified."""
+    np.matmul(a, b, out=out)
+    out += bias
+
+
+def _conv2d_exact(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
+    """Certified conv2d of the batch x into out, returning the saturations:
+    blocks of images whose K-major window columns and product fit
+    SCRATCH_BYTES, one matrix product each."""
+    n = x.shape[0]
+    out_ch, _, kh, kw = kernel.weights.shape
+    oh, ow = out.shape[2:]
+    w_rows = kernel.weights.array.reshape(out_ch, -1)
+    bias = kernel.bias.array[:, None]
+    depth = w_rows.shape[1]
+    # windows[ci, u, v, i] is the fold's window row of term (ci, u, v) for image i
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    images = _tile_length(n, 0, (depth + out_ch) * oh * ow)
+    cols_buf = np.empty(depth * images * oh * ow, dtype=np.float64)
+    acc_buf = np.empty(out_ch * images * oh * ow, dtype=np.float64)
+    saturations = 0
+    for start in range(0, n, images):
+        block = windows[:, :, :, start:start + images]
+        m = block.shape[3]
+        cols = cols_buf[:depth * m * oh * ow].reshape(block.shape)
+        np.copyto(cols, block)
+        acc = acc_buf[:out_ch * m * oh * ow].reshape(out_ch, -1)
+        _exact_sum(w_rows, cols.reshape(depth, -1), bias, acc)
+        saturations += _finish(acc.reshape(out_ch, m, oh, ow).transpose(1, 0, 2, 3), kernel.dtype, out[start:start + m])
+    return saturations
+
+
 def _check_same_dtype(a: DType, b: DType, what: str) -> None:
     if a != b:
         raise ValueError(f"{what}: dtype mismatch ({a} vs {b})")
@@ -262,9 +351,12 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     x = input.array
+    out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
+    if _any_order_is_exact(input.dtype, x, kernel.weights.array.reshape(out_ch, -1), kernel.bias.array):
+        saturations = _conv2d_exact(x, kernel, stride, out)
+        return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
     wts = kernel.weights.array.astype(np.float64)
     bias = kernel.bias.array.astype(np.float64)[:, None, None, None]
-    out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
     images, channels = _conv_block(n, out_ch, wts.size + out_ch, oh * ow)
     row_buf = np.empty(images * oh * ow, dtype=np.float64)
     acc_buf = np.empty(channels * row_buf.size, dtype=np.float64)
@@ -287,7 +379,7 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
                         np.multiply(wts[ks, ci, u, v, None, None, None], row, out=tmp)
                         acc += tmp
             saturations += _finish(acc.transpose(1, 0, 2, 3), input.dtype, out[start:start + images, ks])
-    return Tensor(out.shape, input.dtype, out.reshape(-1), saturations)
+    return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
 def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
@@ -312,7 +404,7 @@ def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
             else:
                 np.maximum(acc, win, out=acc)
     # max never rounds or leaves the representable set, so dtype carries over
-    return Tensor(tuple(acc.shape), input.dtype, acc.reshape(-1))
+    return Tensor._built(tuple(acc.shape), input.dtype, acc.reshape(-1))
 
 
 def dense(input: Tensor, kernel: Kernel) -> Tensor:
@@ -329,9 +421,18 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
         )
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
     x = input.array
+    out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
+    if _any_order_is_exact(input.dtype, x, kernel.weights.array, kernel.bias.array):
+        # tiles bound the fixed-point finish's masks; each is its own accumulator
+        tile = _tile_length(x.shape[0], 0, m)
+        saturations = 0
+        for start in range(0, x.shape[0], tile):
+            acc = out[start:start + tile]
+            _exact_sum(x[start:start + tile], kernel.weights.array.T, kernel.bias.array, acc)
+            saturations += _finish(acc, input.dtype, acc)
+        return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
     w_t = np.ascontiguousarray(kernel.weights.array.T, dtype=np.float64)
     bias = kernel.bias.array.astype(np.float64)
-    out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
     tile = _tile_length(x.shape[0], w_t.size + m, 2 * m + n)
     saturations = 0
     for start in range(0, x.shape[0], tile):
@@ -348,12 +449,12 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
             acc += tmp
         del x_t, tmp  # the fixed-point finish allocates masks of its own
         saturations += _finish(acc, input.dtype, out[start:start + tile])
-    return Tensor(out.shape, input.dtype, out.reshape(-1), saturations)
+    return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
 def relu(input: Tensor) -> Tensor:
     """Elementwise max(0, x); exact in every dtype and any shape."""
-    return Tensor(input.shape, input.dtype, np.maximum(input.data, np.zeros((), dtype=input.data.dtype)))
+    return Tensor._built(input.shape, input.dtype, np.maximum(input.data, np.zeros((), dtype=input.data.dtype)))
 
 
 def quantize(input: Tensor, fmt: FixedFormat) -> Tensor:

@@ -6,6 +6,8 @@ rounding to the output type once at the end. The production kernels must
 match these bitwise.
 """
 
+import math
+
 import numpy as np
 
 from trojansim.tensor import FLOAT32, FixedFormat, Tensor
@@ -23,7 +25,8 @@ def _finish_scalar(acc: float, dtype):
         raw, sat = lo, 1
     elif raw > hi:
         raw, sat = hi, 1
-    return raw / scale, sat
+    # np.rint keeps the sign of a zero result (-0.3 -> -0.0); round() does not
+    return math.copysign(raw / scale, acc), sat
 
 
 def on_image(kernel_op, x: Tensor, *args) -> Tensor:

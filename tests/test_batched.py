@@ -9,6 +9,9 @@ terms in any other order than the scalar oracles gives different bits. The
 forward_batch models get such weights too, and sparse images, so that deeper
 layers still see repeated values that cancel; a small dense-only model makes
 the dense fold order visible, which the convolutional models' wide sums hide.
+Fixed-point sums that the kernels certify exact in any order run as matrix
+products; they are checked against the same oracles, and a counter on the
+product shows which path ran.
 """
 
 import functools
@@ -64,6 +67,21 @@ def batch_values(rng, shape, dtype):
     return q
 
 
+def counting_exact_sums(mp):
+    """Patch tensor._exact_sum, the one matrix product of the certified
+    fixed-point branch of conv2d and dense, to count its calls in the
+    returned one-element list."""
+    calls = [0]
+    real = T._exact_sum
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    mp.setattr(T, "_exact_sum", counted)
+    return calls
+
+
 def rows(t):
     """The images of a batched tensor as tensors of their own."""
     n = t.shape[0]
@@ -93,10 +111,13 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
         Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
     )
 
-    got = T.conv2d(x, kern, stride)
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_exact_sums(mp)
+        got = T.conv2d(x, kern, stride)
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
+    assert fixed or sums == [0]  # float32 sums are always folded
 
     got = T.maxpool2d(x, k, stride)
     want = [maxpool2d_naive(img, k, stride) for img in rows(x)]
@@ -111,10 +132,13 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
         Tensor((cout, cin * h * w), dtype, batch_values(rng, (cout, cin * h * w), dtype)),
         kern.bias,
     )
-    got = T.dense(flat, dkern)
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_exact_sums(mp)
+        got = T.dense(flat, dkern)
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
+    assert fixed or sums == [0]
 
     wide = Tensor((n, cin * h * w), FLOAT32, ((rng.random(n * cin * h * w) * 2 - 1) * 1e5).astype(np.float32))
     got = T.quantize(wide, Q16_16)
@@ -256,43 +280,168 @@ def test_tiled_saturations_sum_over_tiles(hot):
     assert got.saturations == sum(o.saturations for o in want)
 
 
+def fixed_values(rng, n, scale, signed_zeros=True):
+    """Q16.16 values uniform in [-scale, scale], one in eight of them zero:
+    -0.0 where the dropped value was negative if signed_zeros, else +0.0."""
+    v = np.rint((rng.random(n) * 2 - 1) * scale * 2**16) / 2**16
+    keep = rng.random(n) >= 0.125
+    return v * keep if signed_zeros else np.where(keep, v, 0.0)
+
+
+def exact_bound(x, kern):
+    """The certificate's bound: max|b| + max_c sum_t |w_c,t| * max|x|."""
+    w_rows = kern.weights.array.reshape(kern.weights.shape[0], -1)
+    return np.abs(kern.bias.data).max() + np.abs(w_rows).sum(axis=1).max() * np.abs(x.data).max()
+
+
+@pytest.mark.parametrize("cin, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+def test_certified_fixed_point_sums_take_blas(cin, stride):
+    """Q16.16 batches whose bound stays under 2**20 are one matrix product
+    per block of images (conv) or tile (dense), bitwise equal to the fold's
+    oracles, saturations included; a budget for two images per block or
+    tile leaves a partial last one. Zero weights and inputs carry both
+    signs."""
+    rng = np.random.default_rng(cin * 10 + stride)
+    n, h, k, cout = 5, 9, 3, 4
+    x = Tensor((n, cin, h, h), Q16_16, fixed_values(rng, n * cin * h * h, 190.0))
+    kern = Kernel(
+        Tensor((cout, cin, k, k), Q16_16, fixed_values(rng, cout * cin * k * k, 190.0)),
+        Tensor((cout,), Q16_16, fixed_values(rng, cout, 190.0, signed_zeros=False)),
+    )
+    assert exact_bound(x, kern) < 2**20
+    window = ((h - k) // stride + 1) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", 8 * 2 * (cin * k * k + cout) * window)
+        sums = counting_exact_sums(mp)
+        got = T.conv2d(x, kern, stride)
+    assert sums == [3]
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want) > 0
+
+    m = 20
+    flat = Tensor((n, m), Q16_16, fixed_values(rng, n * m, 220.0))
+    dkern = Kernel(Tensor((cout, m), Q16_16, fixed_values(rng, cout * m, 220.0)), kern.bias)
+    assert exact_bound(flat, dkern) < 2**20
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", 8 * 2 * cout)
+        sums = counting_exact_sums(mp)
+        got = T.dense(flat, dkern)
+    assert sums == [3]
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want) > 0
+
+
+@pytest.mark.parametrize("bias", [-0.0, 0.0], ids=["minus-zero", "plus-zero"])
+def test_minus_zero_bias_is_folded(bias):
+    """Over an all-zero window the fold of -0.0 + (-0.5 * 0) + (-0.25 * 0)
+    ends on -0.0, while a product that starts from +0.0 and adds the bias
+    after ends on +0.0: a -0.0 bias keeps the fold, a +0.0 one is
+    certified, and both match the oracles' sign."""
+    kern = Kernel(Tensor((1, 1, 1, 2), Q16_16, np.array([-0.5, -0.25])), Tensor((1,), Q16_16, np.array([bias])))
+    dkern = Kernel(kern.weights.reshaped((1, 2)), kern.bias)
+    x = Tensor((1, 1, 1, 2), Q16_16, np.zeros(2))
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_exact_sums(mp)
+        got = T.conv2d(x, kern, 1)
+        got_dense = T.dense(x.reshaped((1, 2)), dkern)
+    assert sums == [0 if np.signbit(bias) else 2]
+    want = conv2d_naive(rows(x)[0], kern.weights, kern.bias, 1)
+    assert T.bitwise_equal(rows(got)[0], want)
+    want = dense_naive(rows(x.reshaped((1, 2)))[0], dkern.weights, dkern.bias)
+    assert T.bitwise_equal(rows(got_dense)[0], want)
+    assert np.signbit(got.data[0]) == np.signbit(got_dense.data[0]) == np.signbit(bias)
+
+
+def test_fixed_point_sums_past_the_bound_are_folded():
+    """The scale-300 saturating values over 27-term sums: the bound reaches
+    2**20, so conv2d and dense keep the fold, and still match the oracles."""
+    rng = np.random.default_rng(5)
+    n, cin, h, k, cout = 3, 3, 5, 3, 4
+    x = Tensor((n, cin, h, h), Q16_16, batch_values(rng, (n, cin, h, h), Q16_16))
+    kern = Kernel(
+        Tensor((cout, cin, k, k), Q16_16, batch_values(rng, (cout, cin, k, k), Q16_16)),
+        Tensor((cout,), Q16_16, batch_values(rng, (cout,), Q16_16)),
+    )
+    flat = Tensor((n, cin * k * k), Q16_16, batch_values(rng, (n, cin * k * k), Q16_16))
+    dkern = Kernel(kern.weights.reshaped((cout, cin * k * k)), kern.bias)
+    assert exact_bound(x, kern) >= 2**20 and exact_bound(flat, dkern) >= 2**20
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_exact_sums(mp)
+        got = T.conv2d(x, kern, 1)
+        got_dense = T.dense(flat, dkern)
+    assert sums == [0]
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want) > 0
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
+    assert got_dense.saturations == sum(o.saturations for o in want) > 0
+
+
 @pytest.mark.parametrize(
-    "build, layer, whole",
-    [(build_lenet, "conv1", 4), (build_lenet, "fc1", 4), (build_cifar_net, "conv1", 4), (build_cifar_net, "conv2", 1)],
-    ids=["conv1", "fc1", "cifar-conv1", "cifar-conv2"],
+    "fixed, build, layer, whole",
+    [
+        (False, build_lenet, "conv1", 4),
+        (False, build_lenet, "fc1", 4),
+        (False, build_cifar_net, "conv1", 4),
+        (False, build_cifar_net, "conv2", 1),
+        (True, build_lenet, "conv1", 4),
+        (True, build_lenet, "fc1", 4),
+        (True, build_cifar_net, "conv1", 4),
+        (True, build_cifar_net, "conv2", 1),
+    ],
+    ids=["conv1", "fc1", "cifar-conv1", "cifar-conv2", "q16-conv1", "q16-fc1", "q16-cifar-conv1", "q16-cifar-conv2"],
 )
-def test_kernel_scratch_stays_within_budget(build, layer, whole):
+def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
     """A batch of `whole` full blocks or tiles and a partial one peaks at
     its output plus one block's or tile's scratch: no kernel holds a whole
     batch's float64 accumulator, which for each of these batches would
-    exceed the bound."""
+    exceed the bound. Q16.16 inputs in [0, 1) are certified, so their
+    blocks are window columns and product (conv) and their tiles the
+    output rows a product writes into (dense), one matrix product each."""
     model = seed_weights(build(), 2)
+    if fixed:
+        model = quantize_model(model, Q16_16)
     spec = model.get_layer(layer)
     in_shape = {l.name: i for l, i, _ in iter_layer_shapes(model)}[layer]
     out_shape = layer_output_shapes(model)[layer]
-    fixed = spec.params.weights.size + spec.params.bias.size
-    if spec.kind == "conv":
-        per_image = (2 * out_shape[0] + 1) * out_shape[1] * out_shape[2]
-        per_call = T._conv_block(10**6, out_shape[0], fixed, out_shape[1] * out_shape[2])[0]
+    if fixed:
+        # conv: K-major columns and product per output element; dense: the output row
+        depth = spec.params.weights.size // out_shape[0] if spec.kind == "conv" else 0
+        per_image = (depth + out_shape[0]) * math.prod(out_shape[1:])
+        per_call = T.SCRATCH_BYTES // 8 // per_image
+    elif spec.kind == "conv":
+        window = out_shape[1] * out_shape[2]
+        per_image = (2 * out_shape[0] + 1) * window
+        per_call = T._conv_block(10**6, out_shape[0], spec.params.weights.size + spec.params.bias.size, window)[0]
     else:
         per_image = 2 * out_shape[0] + in_shape[0]
-        per_call = (T.SCRATCH_BYTES // 8 - fixed) // per_image
+        per_call = (T.SCRATCH_BYTES // 8 - spec.params.weights.size - spec.params.bias.size) // per_image
     n = whole * per_call + 1
-    x = Tensor((n,) + in_shape, FLOAT32, np.random.default_rng(0).random(n * math.prod(in_shape)).astype(np.float32))
+    values = np.random.default_rng(0).random(n * math.prod(in_shape))
+    if fixed:
+        x = Tensor((n,) + in_shape, Q16_16, np.rint(values * 2**16) / 2**16)
+    else:
+        x = Tensor((n,) + in_shape, FLOAT32, values.astype(np.float32))
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
     assert 8 * n * per_image > T.SCRATCH_BYTES + slack
 
-    tracemalloc.start()
-    try:
-        if spec.kind == "conv":
-            got = T.conv2d(x, spec.params, 1)
-        else:
-            got = T.dense(x, spec.params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_exact_sums(mp)
+        tracemalloc.start()
+        try:
+            if spec.kind == "conv":
+                got = T.conv2d(x, spec.params, 1)
+            else:
+                got = T.dense(x, spec.params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert got.shape == (n,) + out_shape
     assert peak <= got.data.nbytes + T.SCRATCH_BYTES + slack
+    assert sums == [whole + 1 if fixed else 0]
 
 
 def cancelling_model(spec, seed):
@@ -628,8 +777,28 @@ def sha256_of(tensors):
     return digest.hexdigest()
 
 
-# recorded with the per-lane jump walk that bulk draws replaced, itself
-# bitwise equal to the scalar walk: a walk that is deterministic but wrong
+def lenet_q16_forward_digest():
+    """SHA-256 of every tap and the saturation total of a 70-image (two
+    batch) Q16.16 LeNet forward_batch on saturating images, whose sums all
+    layers but fc2 (a -0.0 bias element) take as matrix products."""
+    model = quantize_model(seed_weights(build_lenet(), 2), Q16_16)
+    images = saturating_images(model.input_shape, 70, seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        total = counting_saturations(mp)
+        sums = counting_exact_sums(mp)
+        _, taps = forward_batch(model, images, list(layer_output_shapes(model)))
+    assert sums[0] > 0
+    digest = hashlib.sha256()
+    for name, tap in taps.items():
+        digest.update(name.encode())
+        digest.update(tap.tobytes())
+    digest.update(str(total[0]).encode())
+    return digest.hexdigest()
+
+
+# the draws were recorded with the per-lane jump walk that bulk draws
+# replaced, itself bitwise equal to the scalar walk, and the Q16.16 forward
+# with every sum folded term by term: a path that is deterministic but wrong
 # fails these, where the rerun gates would not
 RECORDED_DIGESTS = {
     "lenet-1100-uniform": (
@@ -645,6 +814,10 @@ RECORDED_DIGESTS = {
     "lenet-weights-2": (
         lambda: sha256_of(model_params(seed_weights(build_lenet(), 2)).items()),
         "0d42a92056ea1fccf25a1d1cb5c2697b489885156d7761d57f7dd6502f7249f6",
+    ),
+    "lenet-q16-forward-70": (
+        lenet_q16_forward_digest,
+        "3d651d31166e5c6d41ffd814c86f9a3a41febfda1f48a0f6ff0acaccddd28ff9",
     ),
 }
 
