@@ -14,45 +14,76 @@ tests compare against):
     batch (N, in), of any length N; relu and quantize take any shape. Each
     image of a batch goes through exactly the sequence above, so row i of a
     result is bitwise equal to the op applied to a batch of image i alone,
-    and a result's saturation count is the sum over its rows. Sums are
-    folded one term at a time across a block of images; matmul, einsum and
-    tensordot reorder the terms, so they are used only where the order
-    provably cannot change a bit (next point).
-  * A fixed-point batch may be summed as one matrix product when a
-    certificate (_any_order_is_exact) holds. With f fractional bits every
-    value is a multiple of 2^-f, so every product and every sum of products
-    and bias is a multiple of 2^-2f. If max|b| + max_c sum_t |w_c,t| * max|x|
-    < 2^(52-2f) (Q16.16: 2^20), that bound caps every product and every
-    partial sum of every output element, in whatever order and grouping
-    they are added. Each of them is then k * 2^-2f with |k| < 2^53, which
-    float64 holds exactly, so every multiplication and addition (fused or
-    not) is exact and any order gives the same exact sum. The bound is one
-    bit below that limit, which covers the rounding of the bound itself.
-    No bias element may be -0.0: the fold ends on -0.0 only when the bias
-    and every product are -0.0, while a product that starts from +0.0 and
-    adds the bias after ends on +0.0. This assumes a conventional dgemm
-    (OpenBLAS, MKL, Accelerate or reference BLAS), which sums plain
-    products; none of them uses Strassen-like schemes, whose intermediate
-    differences the bound does not cover. float32 batches and uncertified
-    fixed-point batches are folded.
-  * conv2d folds the batch in blocks of images x output channels. A block
-    holds enough images that one weight scales a window row of at least
-    half NumPy's ufunc buffer (row_images): NumPy buffers a broadcast
-    multiply whose contiguous operand is shorter than a third of that
-    buffer, which costs several times more per element. The rest of
-    SCRATCH_BYTES, after the float64 weights copy and the block's window
-    row, sets the output channels per block (an accumulator and a product
-    each), split evenly across the channel blocks. dense splits the batch
-    into tiles whose float64 scratch (weights copy plus accumulator,
-    product buffer and input column per image) fits SCRATCH_BYTES. Every
-    element is folded bias first, then term by term in the order
-    above, and rounded once; each block or tile is rounded straight into
-    its slice of one output array of the stored dtype, and the blocks'
-    saturations are summed. A certified conv2d multiplies the weights, one
-    row per output channel, by K-major window columns (C*kh*kw rows, one
-    column per output element of a block of images), in blocks of images
-    whose columns and product fit SCRATCH_BYTES; a certified dense
-    multiplies tiles of the batch straight into the output.
+    and a result's saturation count is the sum over its rows. That
+    sequence, the fold, defines every sum. conv2d and dense compute sums as
+    BLAS matrix products, which add the terms in an order of their own,
+    and keep a product's result only where a certificate proves that it
+    has the fold's bits (next two points); every other sum is folded.
+  * float32: a certificate per output element. A float32 x float32
+    product is exact in float64, so the fold r and the product s add the
+    same n exact terms (the bias and the products), each by n - 1 rounded
+    additions in some order. Any order ends within gamma_(n-1) * A of the
+    exact sum, where A = |b| + sum |w| |x|, gamma_k = k u / (1 - k u) and
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), so |r - s| <= 2 gamma_(n-1) * A. A comes from a second
+    product, |w| times |x|; on input >= 0 one product of [w; |w|] gives s
+    and A together, and the computed A is within gamma_(n-1) * A of the
+    true one. E = (n + 4) * 2^-51 * A is twice what that bound and
+    the roundings of E and of s -+ E need (for n < 2^30), so fl(s - E) <=
+    r <= fl(s + E). Rounding float64 to float32 is monotone, overflow to
+    infinity included: where float32(s - E) and float32(s + E) are the
+    same nonzero value, r rounds to it. A sum with A = 0 adds only signed
+    zeros: the fold ends on -0.0 only when the bias and every term are
+    -0.0, and s, which adds the bias last, is +0.0 = float32(s -+ E) when
+    the bias is +0.0, so that zero stands. The other elements are folded:
+    those near a float32 rounding midpoint, the zeros of a cancelling sum
+    or of a -0.0 bias, whose sign only the fold decides, and those with a
+    NaN or infinite term, for which A and E are infinite and s - E or s +
+    E is NaN, or the two differ. Their terms are gathered from the input,
+    in slices that fit the block's scratch, and summed by
+    np.add.accumulate, which is defined as the running sum. This is Ziv's
+    strategy for correctly rounded functions: a fast path, a rounding
+    test, an exact fallback.
+  * Fixed point: a certificate per batch (_any_order_is_exact). With f
+    fractional bits every value is a multiple of 2^-f, so every product and
+    every sum of products and bias is a multiple of 2^-2f. If max|b| +
+    max_c sum_t |w_c,t| * max|x| < 2^(52-2f) (Q16.16: 2^20), that bound
+    caps every product and every partial sum of every output element, in
+    whatever order and grouping they are added. Each of them is then
+    k * 2^-2f with |k| < 2^53, which float64 holds exactly, so every
+    multiplication and addition (fused or not) is exact and any order
+    gives the same exact sum. The bound is one bit below that limit, which
+    covers the rounding of the bound itself. Only the sign of a zero sum
+    depends on the order: the fold ends on -0.0 only when the bias and
+    every product are -0.0, while the product adds the bias last, so a
+    zero sum of a -0.0 bias is refolded; with any other bias both give
+    +0.0. An uncertified fixed-point batch is folded.
+  * Both certificates assume a conventional dgemm (OpenBLAS, MKL,
+    Accelerate or reference BLAS), which sums plain products; none of
+    them uses Strassen-like schemes, whose intermediate differences the
+    bounds do not cover.
+  * The products run in blocks whose float64 scratch fits SCRATCH_BYTES
+    beside the float64 weights (for float32, [w; |w|] and [b; |b|]).
+    conv2d multiplies the weights, one row per output channel, by K-major
+    window columns (C*kh*kw rows, one column per output position of the
+    block): a block is whole images while one image's columns fit, else
+    output rows of one image. A float32 block holds, per output element,
+    the two products and two more values for rounding, which its folded
+    elements reuse; on input with a negative value it makes its columns
+    absolute in place after the terms' product. dense multiplies tiles of the batch the same way; a
+    fixed-point tile is written straight into the output.
+  * An uncertified fixed-point conv2d folds the batch in blocks of images
+    x output channels. A block holds enough images that one weight scales
+    a window row of at least half NumPy's ufunc buffer (row_images): NumPy
+    buffers a broadcast multiply whose contiguous operand is shorter than a
+    third of that buffer, which costs several times more per element. The
+    rest of SCRATCH_BYTES, after the float64 weights copy and the block's
+    window row, sets the output channels per block (an accumulator and a
+    product each), split evenly across the channel blocks. dense splits
+    the batch into tiles whose float64 scratch (weights copy plus
+    accumulator, product buffer and input column per image) fits
+    SCRATCH_BYTES. Each block or tile is rounded straight into its slice of
+    the output, and the blocks' saturations are summed.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -228,17 +259,13 @@ def _storage(dtype: DType) -> type:
     return np.float32 if dtype == FLOAT32 else np.float64
 
 
-def _finish(acc: np.ndarray, dtype: DType, out: np.ndarray) -> int:
-    """Round a float64 accumulator into out (the dtype's storage, acc's
-    shape), returning how many elements saturated.
+def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray) -> int:
+    """Round a float64 fixed-point accumulator into out (acc's shape),
+    returning how many elements saturated.
 
-    The fixed-point finish scales and rounds acc in place: callers hand over
-    scratch they own and do not read afterwards. out may be acc itself.
+    acc is scaled and rounded in place: callers hand over scratch they own
+    and do not read afterwards. out may be acc itself.
     """
-    if dtype == FLOAT32:
-        np.copyto(out, acc, casting="same_kind")
-        return 0
-    fmt = dtype
     scale = 2.0 ** fmt.frac_bits
     lo = np.rint(fmt.min_value * scale)
     hi = np.rint(fmt.max_value * scale)
@@ -251,8 +278,9 @@ def _finish(acc: np.ndarray, dtype: DType, out: np.ndarray) -> int:
 
 
 def _tile_length(n: int, fixed: int, per_image: int) -> int:
-    """Images per dense tile: as many as keep `fixed` float64 values plus
-    `per_image` per image within SCRATCH_BYTES; at least one, at most n."""
+    """Images per dense tile or conv2d product block: as many as keep
+    `fixed` float64 values plus `per_image` per image within SCRATCH_BYTES;
+    at least one, at most n."""
     return max(1, min(n, (SCRATCH_BYTES // 8 - fixed) // per_image))
 
 
@@ -277,48 +305,198 @@ def _conv_block(n: int, out_ch: int, fixed: int, window: int) -> tuple[int, int]
     return images, -(-out_ch // blocks)
 
 
-def _any_order_is_exact(dtype: DType, x: np.ndarray, w_rows: np.ndarray, bias: np.ndarray) -> bool:
-    """The certificate of the module docstring: every output element's sum
-    of bias and w_rows[c] x window products, for any window of x, is exact
-    in float64 in any order. Fixed-point data are finite by construction."""
-    if not isinstance(dtype, FixedFormat):
-        return False
-    if np.any(np.signbit(bias) & (bias == 0)):
-        return False
+def _any_order_is_exact(fmt: FixedFormat, x: np.ndarray, w_rows: np.ndarray, bias: np.ndarray) -> bool:
+    """The fixed-point certificate of the module docstring: every output
+    element's sum of bias and w_rows[c] x window products, for any window
+    of x, is exact in float64 in any order. Fixed-point data are finite by
+    construction."""
     bound = max(bias.max(), -bias.min()) + np.abs(w_rows).sum(axis=1).max() * max(x.max(), -x.min())
-    return bool(bound < 2.0 ** (52 - 2 * dtype.frac_bits))
+    return bool(bound < 2.0 ** (52 - 2 * fmt.frac_bits))
 
 
-def _exact_sum(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b + bias on BLAS, for sums _any_order_is_exact certified."""
-    np.matmul(a, b, out=out)
-    out += bias
+def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b + bias on BLAS, summed in whatever order it picks: the
+    one matrix product of conv2d and dense. A float32 sum it makes
+    non-finite is refolded, so warnings are left to the fold."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.matmul(a, b, out=out)
+        out += bias
 
 
-def _conv2d_exact(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
-    """Certified conv2d of the batch x into out, returning the saturations:
-    blocks of images whose K-major window columns and product fit
-    SCRATCH_BYTES, one matrix product each."""
+def _with_magnitudes(w_rows: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 weight rows and bias as float64 [w; |w|] and [b; |b|]: one
+    product sums the terms and, on input >= 0, their magnitudes."""
+    out_ch = w_rows.shape[0]
+    w = np.empty((2 * out_ch, w_rows.shape[1]))
+    w[:out_ch] = w_rows
+    np.abs(w[:out_ch], out=w[out_ch:])
+    b = np.empty(2 * out_ch)
+    b[:out_ch] = bias
+    np.abs(b[:out_ch], out=b[out_ch:])
+    return w, b
+
+
+def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
+                   flat: np.ndarray, scratch: np.ndarray | None) -> None:
+    """Fold the elements at C-order indices `flat` of dst, a (channel,
+    *element axes) view, in the pinned order: bias[c] first, then w_rows[c,
+    t] times term t of the element's input, for t = 0, 1, ...; source
+    holds the inputs as (*term axes, *element axes), in any layout. The
+    float64 sums are stored into dst. The elements go in slices: a slice's
+    bias, weights and products fill two thirds of scratch (float64, free
+    to overwrite), or of a buffer of at most a quarter of SCRATCH_BYTES
+    when scratch is None or too short for one element, and its inputs,
+    gathered from source, take the last third's size in a buffer of their
+    own."""
+    if not flat.size:
+        return
+    depth = w_rows.shape[1]
+    width = 3 * depth + 1
+    if scratch is None or scratch.size < width:
+        scratch = np.empty(width * max(1, min(flat.size, SCRATCH_BYTES // 32 // width)))
+    per = scratch.size // width
+    for start in range(0, flat.size, per):
+        c, *at = np.unravel_index(flat[start:start + per], dst.shape)
+        f = c.size
+        terms = scratch[:(depth + 1) * f].reshape(depth + 1, f)
+        ws = w_rows.take(c, 0, scratch[(depth + 1) * f:(2 * depth + 1) * f].reshape(f, depth), "clip").T
+        xs = source[(Ellipsis, *at)].reshape(depth, f)
+        bias.take(c, 0, terms[0], "clip")
+        np.multiply(ws, xs, out=terms[1:])
+        # accumulate is defined as the running sum, row after row
+        np.add.accumulate(terms, axis=0, out=terms)
+        dst[(c, *at)] = terms[depth]
+
+
+def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
+                sums: np.ndarray, out: np.ndarray, scratch: np.ndarray | None) -> int:
+    """Round a block's BLAS sums into out, returning the saturations. out
+    is a (channel, *element axes) view and source the block's input as
+    _fold_elements takes it; element (c, *e) sums bias[c] (float64) and
+    w_rows[c] (float64) times the element's input. float32: sums holds the
+    sums and then the error bounds' magnitude sums (2 * channels rows);
+    each element whose float32 bits the certificate of the module
+    docstring proves is rounded, the rest are folded, with scratch as
+    _fold_elements's buffer. Fixed point: sums holds the exact sums, of
+    which the zeros of a -0.0 bias are refolded for their sign, then
+    rounded and saturated."""
+    out_ch = w_rows.shape[0]
+    minus = (np.signbit(bias) & (bias == 0)).reshape((-1,) + (1,) * (out.ndim - 1))
+    if dtype != FLOAT32:
+        if minus.any():
+            _fold_elements(sums, w_rows, source, bias, np.flatnonzero((sums == 0) & minus), None)
+        return _finish(sums, dtype, out)
+    s, e = sums[:out_ch], sums[out_ch:]
+    e *= (w_rows.shape[1] + 5) * 2.0 ** -51
+    hi = np.empty(out.shape, dtype=np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # computed in float64, then rounded to float32 on output
+        np.subtract(s, e, out=out)
+        np.add(s, e, out=hi)
+    flagged = hi != out
+    del hi
+    # a zero whose terms and bias are all zeros (e == 0) is the fold's +0.0
+    # unless the bias is -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
+    flagged |= (out == 0) & ((e != 0) | minus)
+    _fold_elements(out, w_rows, source, bias, np.flatnonzero(flagged), scratch)
+    return 0
+
+
+def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tuple[int, int]:
+    """Images and output rows per conv2d product block: as many columns (one
+    per output position) as keep `fixed` float64 values plus `per_column`
+    per column within SCRATCH_BYTES. Whole images while one fits, else the
+    rows of one image split evenly into blocks; at least one row."""
+    columns = (SCRATCH_BYTES // 8 - fixed) // per_column
+    if columns >= oh * ow:
+        return max(1, min(n, columns // (oh * ow))), oh
+    blocks = -(-oh // max(1, columns // ow))
+    return 1, -(-oh // blocks)
+
+
+def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
+    """conv2d of the batch x into out on BLAS (float32, or fixed point that
+    _any_order_is_exact certified), returning the saturations: blocks of
+    images, or of output rows of one image, whose K-major window columns,
+    products and rounding scratch fit SCRATCH_BYTES, rounded by
+    _round_sums. A block is one matrix product, or for float32 input with
+    negative or non-finite values two: one of the terms, then one of their
+    magnitudes, for which the columns are made absolute in place (a refold
+    reads the terms from x)."""
     n = x.shape[0]
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[2:]
     w_rows = kernel.weights.array.reshape(out_ch, -1)
-    bias = kernel.bias.array[:, None]
+    bias = kernel.bias.array
     depth = w_rows.shape[1]
-    # windows[ci, u, v, i] is the fold's window row of term (ci, u, v) for image i
+    if kernel.dtype == FLOAT32:
+        w, b = _with_magnitudes(w_rows, bias)
+        w_rows, bias = w[:out_ch], b[:out_ch]
+        signed = x.size > 0 and not x.min() >= 0
+        held, per_column = w.size + b.size, depth + 4 * out_ch
+    else:
+        w, b, signed = w_rows, bias, False
+        held, per_column = 0, depth + out_ch
+    # windows[ci, u, v, i, r, c] is term (ci, u, v) of output (r, c) of image i
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
-    images = _tile_length(n, 0, (depth + out_ch) * oh * ow)
-    cols_buf = np.empty(depth * images * oh * ow, dtype=np.float64)
-    acc_buf = np.empty(out_ch * images * oh * ow, dtype=np.float64)
+    images, rows = _product_block(n, oh, ow, held, per_column)
+    columns = images * rows * ow
+    cols_buf = np.empty(depth * columns)
+    acc_buf = np.empty(w.shape[0] * columns)
     saturations = 0
     for start in range(0, n, images):
-        block = windows[:, :, :, start:start + images]
-        m = block.shape[3]
-        cols = cols_buf[:depth * m * oh * ow].reshape(block.shape)
-        np.copyto(cols, block)
-        acc = acc_buf[:out_ch * m * oh * ow].reshape(out_ch, -1)
-        _exact_sum(w_rows, cols.reshape(depth, -1), bias, acc)
-        saturations += _finish(acc.reshape(out_ch, m, oh, ow).transpose(1, 0, 2, 3), kernel.dtype, out[start:start + m])
+        for top in range(0, oh, rows):
+            block = windows[:, :, :, start:start + images, top:top + rows]
+            m, r = block.shape[3:5]
+            cols = cols_buf[:depth * m * r * ow].reshape(block.shape)
+            np.copyto(cols, block)
+            cols = cols.reshape(depth, -1)
+            acc = acc_buf[:w.shape[0] * cols.shape[1]].reshape(w.shape[0], -1)
+            if signed:
+                _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
+                _sum_products(w[out_ch:], np.abs(cols, out=cols), b[out_ch:, None], acc[out_ch:])
+            else:
+                _sum_products(w, cols, b[:, None], acc)
+            dst = out[start:start + m, :, top:top + r].transpose(1, 0, 2, 3)
+            sums = acc.reshape(-1, m, r, ow)
+            saturations += _round_sums(kernel.dtype, w_rows, block, bias, sums, dst, acc_buf)
+    return saturations
+
+
+def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
+    """dense of the batch x into out on BLAS (float32, or fixed point that
+    _any_order_is_exact certified), returning the saturations: tiles of
+    images, one matrix product each (two for float32 input with negative
+    or non-finite values, the second on the tile's input copy made
+    absolute in place), rounded by _round_sums. A fixed-point tile is its
+    own accumulator, and its length bounds the finish's masks; a float32
+    tile's input copy, products and rounding scratch fit SCRATCH_BYTES."""
+    m, n = kernel.weights.shape
+    w_rows, bias = kernel.weights.array, kernel.bias.array
+    saturations = 0
+    if kernel.dtype != FLOAT32:
+        tile = _tile_length(x.shape[0], 0, m)
+        for start in range(0, x.shape[0], tile):
+            acc, xs = out[start:start + tile], x[start:start + tile]
+            _sum_products(xs, w_rows.T, bias, acc)
+            saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, None)
+        return saturations
+    w, b = _with_magnitudes(w_rows, bias)
+    signed = x.size > 0 and not x.min() >= 0
+    tile = _tile_length(x.shape[0], w.size + b.size, n + 4 * m)
+    x_buf = np.empty(tile * n)
+    acc_buf = np.empty(tile * 2 * m)
+    for start in range(0, x.shape[0], tile):
+        t = min(tile, x.shape[0] - start)
+        xs = x_buf[:t * n].reshape(t, n)
+        np.copyto(xs, x[start:start + t])
+        acc = acc_buf[:t * 2 * m].reshape(t, 2 * m)
+        if signed:
+            _sum_products(xs, w[:m].T, b[:m], acc[:, :m])
+            _sum_products(np.abs(xs, out=xs), w[m:].T, b[m:], acc[:, m:])
+        else:
+            _sum_products(xs, w.T, b, acc)
+        _round_sums(FLOAT32, w[:m], x[start:start + t].T, b[:m], acc.T, out[start:start + t].T, acc_buf)
     return saturations
 
 
@@ -352,8 +530,10 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
     ow = (w - kw) // stride + 1
     x = input.array
     out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
-    if _any_order_is_exact(input.dtype, x, kernel.weights.array.reshape(out_ch, -1), kernel.bias.array):
-        saturations = _conv2d_exact(x, kernel, stride, out)
+    if input.dtype == FLOAT32 or _any_order_is_exact(
+        input.dtype, x, kernel.weights.array.reshape(out_ch, -1), kernel.bias.array
+    ):
+        saturations = _conv2d_products(x, kernel, stride, out)
         return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
     wts = kernel.weights.array.astype(np.float64)
     bias = kernel.bias.array.astype(np.float64)[:, None, None, None]
@@ -422,14 +602,8 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
     x = input.array
     out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
-    if _any_order_is_exact(input.dtype, x, kernel.weights.array, kernel.bias.array):
-        # tiles bound the fixed-point finish's masks; each is its own accumulator
-        tile = _tile_length(x.shape[0], 0, m)
-        saturations = 0
-        for start in range(0, x.shape[0], tile):
-            acc = out[start:start + tile]
-            _exact_sum(x[start:start + tile], kernel.weights.array.T, kernel.bias.array, acc)
-            saturations += _finish(acc, input.dtype, acc)
+    if input.dtype == FLOAT32 or _any_order_is_exact(input.dtype, x, kernel.weights.array, kernel.bias.array):
+        saturations = _dense_products(x, kernel, out)
         return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
     w_t = np.ascontiguousarray(kernel.weights.array.T, dtype=np.float64)
     bias = kernel.bias.array.astype(np.float64)

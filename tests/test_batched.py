@@ -9,9 +9,11 @@ terms in any other order than the scalar oracles gives different bits. The
 forward_batch models get such weights too, and sparse images, so that deeper
 layers still see repeated values that cancel; a small dense-only model makes
 the dense fold order visible, which the convolutional models' wide sums hide.
-Fixed-point sums that the kernels certify exact in any order run as matrix
-products; they are checked against the same oracles, and a counter on the
-product shows which path ran.
+Conv and dense sums run as matrix products: float32 ones keep the product's
+result where a per-element rounding certificate proves the fold's bits and
+refold the rest, fixed-point ones where a bound makes every order exact.
+Both are checked against the same oracles, with sums built to defeat the
+certificate; counters on the product and on the refold show which path ran.
 """
 
 import functools
@@ -67,18 +69,17 @@ def batch_values(rng, shape, dtype):
     return q
 
 
-def counting_exact_sums(mp):
-    """Patch tensor._exact_sum, the one matrix product of the certified
-    fixed-point branch of conv2d and dense, to count its calls in the
-    returned one-element list."""
+def counting_products(mp):
+    """Patch tensor._sum_products, the one matrix product of conv2d and
+    dense, to count its calls in the returned one-element list."""
     calls = [0]
-    real = T._exact_sum
+    real = T._sum_products
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    mp.setattr(T, "_exact_sum", counted)
+    mp.setattr(T, "_sum_products", counted)
     return calls
 
 
@@ -112,12 +113,15 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     )
 
     with pytest.MonkeyPatch.context() as mp:
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
-    assert fixed or sums == [0]  # float32 sums are always folded
+    # float32: one block, one product of the terms and their magnitudes on
+    # input >= 0, else one of each
+    products = [1 if x.data.min() >= 0 else 2]
+    assert fixed or sums == products
 
     got = T.maxpool2d(x, k, stride)
     want = [maxpool2d_naive(img, k, stride) for img in rows(x)]
@@ -133,12 +137,12 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
         kern.bias,
     )
     with pytest.MonkeyPatch.context() as mp:
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         got = T.dense(flat, dkern)
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
-    assert fixed or sums == [0]
+    assert fixed or sums == products
 
     wide = Tensor((n, cin * h * w), FLOAT32, ((rng.random(n * cin * h * w) * 2 - 1) * 1e5).astype(np.float32))
     got = T.quantize(wide, Q16_16)
@@ -312,7 +316,7 @@ def test_certified_fixed_point_sums_take_blas(cin, stride):
     window = ((h - k) // stride + 1) ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", 8 * 2 * (cin * k * k + cout) * window)
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
     assert sums == [3]
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
@@ -325,7 +329,7 @@ def test_certified_fixed_point_sums_take_blas(cin, stride):
     assert exact_bound(flat, dkern) < 2**20
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", 8 * 2 * cout)
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         got = T.dense(flat, dkern)
     assert sums == [3]
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
@@ -333,20 +337,51 @@ def test_certified_fixed_point_sums_take_blas(cin, stride):
     assert got.saturations == sum(o.saturations for o in want) > 0
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("case", ["f32-nonneg", "f32-signed", "q16"])
+def test_product_blocks_of_output_rows_match_oracles(case, stride):
+    """A budget that holds 3 output rows of window columns, less than one
+    image: conv2d multiplies blocks of rows of one image, 3 + 3 + 3
+    (stride 1, 9 rows) or 3 + 2 (stride 2, 5 rows), one product each (two
+    for signed float32 input), rows bitwise equal to the oracles."""
+    rng = np.random.default_rng(stride)
+    fixed = case == "q16"
+    dtype = Q16_16 if fixed else FLOAT32
+    n, cin, cout, k = 3, 2, 4, 3
+
+    def values(shape, low):
+        v = rng.uniform(low, 1.0, size=shape)
+        return np.rint(v * 2**16) / 2**16 if fixed else v.astype(np.float32)
+
+    x = Tensor((n, cin, 11, 7), dtype, values(n * cin * 77, 0.0 if case == "f32-nonneg" else -1.0))
+    kern = Kernel(Tensor((cout, cin, k, k), dtype, values(cout * cin * k * k, -1.0)), Tensor((cout,), dtype, values(cout, -1.0)))
+    oh, ow = (11 - k) // stride + 1, (7 - k) // stride + 1
+    depth = cin * k * k
+    per_column, held = (depth + cout, 0) if fixed else (depth + 4 * cout, 2 * (kern.weights.size + cout))
+    assert not fixed or exact_bound(x, kern) < 2**20
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", 8 * (held + per_column * (3 * ow + 1)))
+        sums = counting_products(mp)
+        got = T.conv2d(x, kern, stride)
+    assert sums == [n * -(-oh // 3) * (2 if case == "f32-signed" else 1)]
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+
+
 @pytest.mark.parametrize("bias", [-0.0, 0.0], ids=["minus-zero", "plus-zero"])
 def test_minus_zero_bias_is_folded(bias):
     """Over an all-zero window the fold of -0.0 + (-0.5 * 0) + (-0.25 * 0)
     ends on -0.0, while a product that starts from +0.0 and adds the bias
-    after ends on +0.0: a -0.0 bias keeps the fold, a +0.0 one is
-    certified, and both match the oracles' sign."""
+    after ends on +0.0: both biases take the product, the zero sum of the
+    -0.0 one is refolded, and both match the oracles' sign."""
     kern = Kernel(Tensor((1, 1, 1, 2), Q16_16, np.array([-0.5, -0.25])), Tensor((1,), Q16_16, np.array([bias])))
     dkern = Kernel(kern.weights.reshaped((1, 2)), kern.bias)
     x = Tensor((1, 1, 1, 2), Q16_16, np.zeros(2))
     with pytest.MonkeyPatch.context() as mp:
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         got = T.conv2d(x, kern, 1)
         got_dense = T.dense(x.reshaped((1, 2)), dkern)
-    assert sums == [0 if np.signbit(bias) else 2]
+    assert sums == [2]
     want = conv2d_naive(rows(x)[0], kern.weights, kern.bias, 1)
     assert T.bitwise_equal(rows(got)[0], want)
     want = dense_naive(rows(x.reshaped((1, 2)))[0], dkern.weights, dkern.bias)
@@ -368,7 +403,7 @@ def test_fixed_point_sums_past_the_bound_are_folded():
     dkern = Kernel(kern.weights.reshaped((cout, cin * k * k)), kern.bias)
     assert exact_bound(x, kern) >= 2**20 and exact_bound(flat, dkern) >= 2**20
     with pytest.MonkeyPatch.context() as mp:
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         got = T.conv2d(x, kern, 1)
         got_dense = T.dense(flat, dkern)
     assert sums == [0]
@@ -378,6 +413,199 @@ def test_fixed_point_sums_past_the_bound_are_folded():
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
     assert got_dense.saturations == sum(o.saturations for o in want) > 0
+
+
+# float32 values whose products (1, 2**-12, 2**-24, 2**-27, 2**-39, 2**-54,
+# ...) put sums on, next to and far from float32 rounding midpoints: 1 +
+# 2**-24 lies halfway between 1 and its float32 successor, and 2**-54 terms
+# move it by less than a float64 ulp, so such a sum's float32 bits depend on
+# the order its terms are added in
+MIDPOINT_VALUES = np.array(
+    [0.0, -0.0, 1.0, -1.0, 2.0**-12, -(2.0**-12), 2.0**-27, -(2.0**-27), 1.0 + 2.0**-23, 3.0], dtype=np.float32
+)
+# both infinities and quiet NaNs of three payloads and both signs
+SPECIAL_VALUES = np.concatenate([
+    np.array([np.inf, -np.inf], dtype=np.float32),
+    np.array([0x7FC00001, 0xFFC0ABCD, 0x7FD23456], dtype=np.uint32).view(np.float32),
+])
+
+
+def midpoint_values(rng, shape, special):
+    """MIDPOINT_VALUES of the given shape, each replaced by one of
+    SPECIAL_VALUES with probability special."""
+    v = rng.choice(MIDPOINT_VALUES, size=shape)
+    hit = rng.random(shape) < special
+    v[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
+    return v
+
+
+def counting_refolds(mp):
+    """Patch tensor._fold_elements to count the elements it folds in the
+    returned one-element list."""
+    folded = [0]
+    real = T._fold_elements
+
+    def counted(dst, w_rows, cols, bias, flat, scratch):
+        folded[0] += flat.size
+        return real(dst, w_rows, cols, bias, flat, scratch)
+
+    mp.setattr(T, "_fold_elements", counted)
+    return folded
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([0.0, 0.05]),
+    n=st.integers(1, 3),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 5),
+    w=st.integers(1, 5),
+    k=st.integers(1, 3),
+    stride=st.integers(1, 2),
+)
+def test_float32_refolds_what_the_certificate_cannot_settle(seed, special, n, cin, cout, h, w, k, stride):
+    """float32 conv2d and dense on sums on and next to rounding midpoints,
+    on NaN and infinite inputs, weights and biases, and in one extra output
+    channel of signed-zero weights and a -0.0 bias, whose exact zero sums
+    only the fold gives a sign: every row bitwise equal to the oracles, NaN
+    payloads and signs of zero included, and some elements refolded."""
+    rng = np.random.default_rng(seed)
+    k = min(k, h, w)
+    signed_zeros = np.array([0.0, -0.0], dtype=np.float32)
+
+    def kernel(shape):
+        weights = midpoint_values(rng, (cout + 1,) + shape, special)
+        weights[-1] = rng.choice(signed_zeros, size=shape)
+        bias = midpoint_values(rng, (cout + 1,), special)
+        bias[-1] = -0.0
+        return Kernel(Tensor(weights.shape, FLOAT32, weights.ravel()), Tensor((cout + 1,), FLOAT32, bias))
+
+    x = Tensor((n, cin, h, w), FLOAT32, midpoint_values(rng, (n, cin, h, w), special).ravel())
+    kern = kernel((cin, k, k))
+    flat = x.reshaped((n, cin * h * w))
+    dkern = kernel((cin * h * w,))
+    with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
+        folded = counting_refolds(mp)
+        got = T.conv2d(x, kern, stride)
+        conv_folded = folded[0]
+        got_dense = T.dense(flat, dkern)
+        want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
+        want_dense = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want_dense))
+    assert conv_folded >= got.size // got.shape[1] and folded[0] - conv_folded >= n
+
+
+def test_order_dependent_float32_sum_is_refolded():
+    """1 + 2**-12 * 2**-12 + three 2**-27 * 2**-27 products: the fold adds
+    each 2**-54 to 1 + 2**-24, a float32 midpoint, where it rounds away, and
+    ends on the midpoint, which rounds to 1.0; the exact sum, and a sum that
+    adds the small terms first, round to 1 + 2**-23. The certificate cannot
+    settle it, and the refold gives the fold's 1.0."""
+    terms = np.array([2.0**-12] + [2.0**-27] * 3, dtype=np.float32)
+    x = Tensor((1, 4), FLOAT32, terms)
+    kern = Kernel(Tensor((1, 4), FLOAT32, terms), Tensor((1,), FLOAT32, np.ones(1, dtype=np.float32)))
+    assert np.float32(math.fsum([1.0] + [float(t) ** 2 for t in terms])) == 1.0 + 2.0**-23
+    with pytest.MonkeyPatch.context() as mp:
+        folded = counting_refolds(mp)
+        got = T.dense(x, kern)
+    assert folded == [1]
+    assert T.bitwise_equal(rows(got)[0], dense_naive(rows(x)[0], kern.weights, kern.bias))
+    assert got.data[0] == 1.0
+
+
+@pytest.mark.parametrize("per", [1, 3, None], ids=["slices-of-1", "slices-of-3", "own-buffer"])
+def test_fold_elements_sums_left_to_right(per):
+    """_fold_elements adds bias first, then term by term, as a scalar loop
+    does, on terms where NumPy's pairwise sum gives other bits: 1 plus
+    forty 2**-53-sized terms each round away when added to 1 one at a time,
+    while pairwise partial sums of them do not. Scratch for one or three
+    elements per slice, or none, so the fold allocates its own."""
+    rng = np.random.default_rng(11)
+    depth, columns = 40, 5
+    w_rows = np.full((2, depth), 2.0**-27)
+    cols = rng.choice([2.0**-26, 3 * 2.0**-26, -(2.0**-26)], size=(depth, columns))
+    bias = np.array([1.0, -1.0])
+    dst = np.zeros((2, columns))
+    flat = np.arange(0, dst.size, 2)
+    scratch = None if per is None else np.empty(per * (3 * depth + 1))
+    T._fold_elements(dst, w_rows, cols, bias, flat, scratch)
+    differs = 0
+    for f in flat:
+        c, j = divmod(int(f), columns)
+        acc = float(bias[c])
+        for t in range(depth):
+            acc += float(w_rows[c, t]) * float(cols[t, j])
+        assert dst[c, j].tobytes() == np.float64(acc).tobytes()
+        differs += np.sum(np.concatenate([bias[c:c + 1], w_rows[c] * cols[:, j]])) != acc
+    assert differs > 0
+    untouched = np.setdiff1d(np.arange(dst.size), flat)
+    assert not dst.reshape(-1)[untouched].any()
+
+
+@pytest.mark.parametrize("bias", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+def test_all_zero_float32_sums_refold_only_for_a_minus_zero_bias(bias):
+    """Sums of signed-zero inputs and a signed-zero bias: the fold ends on
+    -0.0 only when the bias and every term are -0.0, so with a +0.0 bias
+    the products' +0.0 stands and nothing is refolded, while with a -0.0
+    bias every sum is. Image 0 is all -0.0 and channel 0's weights are
+    positive, so its terms are all -0.0; rows bitwise equal to the
+    oracles."""
+    rng = np.random.default_rng(5)
+    values = np.array([1.0, -2.0, 2.0**-12, 0.0, -0.0], dtype=np.float32)
+    x = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(3, 2, 5, 5))
+    x[0] = -0.0
+    x = Tensor(x.shape, FLOAT32, x.ravel())
+    weights = rng.choice(values, size=(4, 2, 3, 3))
+    weights[0] = 1.0
+    biases = Tensor((4,), FLOAT32, np.full(4, bias, dtype=np.float32))
+    kern = Kernel(Tensor(weights.shape, FLOAT32, weights.ravel()), biases)
+    flat = x.reshaped((3, 50))
+    dense_weights = rng.choice(values, size=(4, 50))
+    dense_weights[0] = 1.0
+    dkern = Kernel(Tensor((4, 50), FLOAT32, dense_weights.ravel()), biases)
+    with pytest.MonkeyPatch.context() as mp:
+        folded = counting_refolds(mp)
+        got = T.conv2d(x, kern, 1)
+        got_dense = T.dense(flat, dkern)
+    assert folded == [got.size + got_dense.size if np.signbit(bias) else 0]
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
+    assert (got.data == 0).all() and (got_dense.data == 0).all()
+    assert np.signbit(got.array[0, 0]).all() == np.signbit(bias)
+    assert np.signbit(got_dense.array[0, 0]) == np.signbit(bias)
+
+
+def test_kernels_never_see_an_empty_batch():
+    """A tensor has no zero-length axis, so conv2d and dense always get at
+    least one image; forward_batch answers an empty image list without
+    calling them (test_forward_batch_dtype_on_empty_input)."""
+    for shape in [(0, 1, 5, 5), (0, 25)]:
+        with pytest.raises(DimensionError):
+            Tensor.from_array(np.zeros(shape, dtype=np.float32))
+
+
+def test_quantized_lenet_fc2_takes_the_product():
+    """quantize rounds fc2.bias[3], -5.7e-6, to -0.0; the layer still takes the
+    matrix product (one per tile), and its relu3 inputs, zeros among them,
+    give the oracles' bits."""
+    model = quantize_model(seed_weights(build_lenet(), 2), Q16_16)
+    fc2 = model.get_layer("fc2").params
+    assert np.signbit(fc2.bias.data[3]) and fc2.bias.data[3] == 0
+    images = saturating_images(model.input_shape, 4, seed=3)
+    _, taps = forward_batch(model, images, ("relu3",))
+    x = Tensor(taps["relu3"].shape, Q16_16, taps["relu3"].ravel())
+    assert (x.data == 0).any()
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_products(mp)
+        got = T.dense(x, fc2)
+    assert sums == [1]
+    want = [dense_naive(row, fc2.weights, fc2.bias) for row in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
 
 
 @pytest.mark.parametrize(
@@ -398,28 +626,36 @@ def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
     """A batch of `whole` full blocks or tiles and a partial one peaks at
     its output plus one block's or tile's scratch: no kernel holds a whole
     batch's float64 accumulator, which for each of these batches would
-    exceed the bound. Q16.16 inputs in [0, 1) are certified, so their
-    blocks are window columns and product (conv) and their tiles the
-    output rows a product writes into (dense), one matrix product each."""
+    exceed the bound. Every block or tile is one matrix product: Q16.16
+    inputs in [0, 1) are certified, and float32 inputs >= 0 sum their
+    terms and their magnitudes in one product. A conv block holds whole
+    images where one image's columns fit the budget, else output rows of
+    one image."""
     model = seed_weights(build(), 2)
     if fixed:
         model = quantize_model(model, Q16_16)
     spec = model.get_layer(layer)
     in_shape = {l.name: i for l, i, _ in iter_layer_shapes(model)}[layer]
     out_shape = layer_output_shapes(model)[layer]
+    depth = spec.params.weights.size // out_shape[0]
+    window = math.prod(out_shape[1:])
+    # per output position, float64 values: fixed point, the K-major column
+    # (conv) and the product per output element; float32, the column (conv)
+    # or input row (dense), and per output element the products of the
+    # weights and of their magnitudes and two more for rounding, beside the
+    # float64 weights and their magnitudes
     if fixed:
-        # conv: K-major columns and product per output element; dense: the output row
-        depth = spec.params.weights.size // out_shape[0] if spec.kind == "conv" else 0
-        per_image = (depth + out_shape[0]) * math.prod(out_shape[1:])
-        per_call = T.SCRATCH_BYTES // 8 // per_image
-    elif spec.kind == "conv":
-        window = out_shape[1] * out_shape[2]
-        per_image = (2 * out_shape[0] + 1) * window
-        per_call = T._conv_block(10**6, out_shape[0], spec.params.weights.size + spec.params.bias.size, window)[0]
+        per_column, held = (depth if spec.kind == "conv" else 0) + out_shape[0], 0
     else:
-        per_image = 2 * out_shape[0] + in_shape[0]
-        per_call = (T.SCRATCH_BYTES // 8 - spec.params.weights.size - spec.params.bias.size) // per_image
-    n = whole * per_call + 1
+        per_column, held = depth + 4 * out_shape[0], 2 * (spec.params.weights.size + spec.params.bias.size)
+    per_image = per_column * window
+    columns = (T.SCRATCH_BYTES // 8 - held) // per_column
+    if columns >= window:
+        n, blocks = whole * (columns // window) + 1, whole + 1
+    else:
+        # one image's output rows, in blocks of at most columns // width rows
+        n = whole + 1
+        blocks = n * -(-out_shape[1] // (columns // out_shape[2]))
     values = np.random.default_rng(0).random(n * math.prod(in_shape))
     if fixed:
         x = Tensor((n,) + in_shape, Q16_16, np.rint(values * 2**16) / 2**16)
@@ -429,7 +665,7 @@ def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
     assert 8 * n * per_image > T.SCRATCH_BYTES + slack
 
     with pytest.MonkeyPatch.context() as mp:
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         tracemalloc.start()
         try:
             if spec.kind == "conv":
@@ -441,7 +677,7 @@ def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
             tracemalloc.stop()
     assert got.shape == (n,) + out_shape
     assert peak <= got.data.nbytes + T.SCRATCH_BYTES + slack
-    assert sums == [whole + 1 if fixed else 0]
+    assert sums == [blocks]
 
 
 def cancelling_model(spec, seed):
@@ -779,13 +1015,13 @@ def sha256_of(tensors):
 
 def lenet_q16_forward_digest():
     """SHA-256 of every tap and the saturation total of a 70-image (two
-    batch) Q16.16 LeNet forward_batch on saturating images, whose sums all
-    layers but fc2 (a -0.0 bias element) take as matrix products."""
+    batch) Q16.16 LeNet forward_batch on saturating images, whose sums
+    every layer takes as matrix products."""
     model = quantize_model(seed_weights(build_lenet(), 2), Q16_16)
     images = saturating_images(model.input_shape, 70, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         total = counting_saturations(mp)
-        sums = counting_exact_sums(mp)
+        sums = counting_products(mp)
         _, taps = forward_batch(model, images, list(layer_output_shapes(model)))
     assert sums[0] > 0
     digest = hashlib.sha256()
@@ -796,10 +1032,25 @@ def lenet_q16_forward_digest():
     return digest.hexdigest()
 
 
+def float32_forward_digest(build, count, seed):
+    """SHA-256 of every tap and the labels of a float32 forward_batch of
+    the model with weights seed 2 on `count` synthesized images: realistic
+    sums, which the certificate settles almost everywhere."""
+    model = seed_weights(build(), 2)
+    images = [img for img, _ in synthesize(count, model.input_shape, seed).items]
+    labels, taps = forward_batch(model, images, list(layer_output_shapes(model)))
+    digest = hashlib.sha256()
+    for name, tap in taps.items():
+        digest.update(name.encode())
+        digest.update(tap.tobytes())
+    digest.update(labels.tobytes())
+    return digest.hexdigest()
+
+
 # the draws were recorded with the per-lane jump walk that bulk draws
-# replaced, itself bitwise equal to the scalar walk, and the Q16.16 forward
-# with every sum folded term by term: a path that is deterministic but wrong
-# fails these, where the rerun gates would not
+# replaced, itself bitwise equal to the scalar walk, and the forwards with
+# every sum folded term by term (Q16.16 and float32): a path that is
+# deterministic but wrong fails these, where the rerun gates would not
 RECORDED_DIGESTS = {
     "lenet-1100-uniform": (
         lambda: sha256_of(("", img) for img, _ in synthesize(1100, (1, 28, 28), 11).items),
@@ -818,6 +1069,14 @@ RECORDED_DIGESTS = {
     "lenet-q16-forward-70": (
         lenet_q16_forward_digest,
         "3d651d31166e5c6d41ffd814c86f9a3a41febfda1f48a0f6ff0acaccddd28ff9",
+    ),
+    "lenet-f32-forward-70": (
+        lambda: float32_forward_digest(build_lenet, 70, 11),
+        "ca73f670e50613ff96cba701497ab3e0f97e95d0c0a2388016e4114773367646",
+    ),
+    "cifar-f32-forward-12": (
+        lambda: float32_forward_digest(build_cifar_net, 12, 21),
+        "67a4467c5db225b7cb7f49a5ea62018c17333f53c6ac56b6e38f43a097da8028",
     ),
 }
 
