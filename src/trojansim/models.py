@@ -221,19 +221,29 @@ def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     return ForwardTrace(final_label=int(label), taps=taps)
 
 
+def _row_images(window: int) -> int:
+    """Images whose conv outputs of `window` elements together fill half
+    NumPy's ufunc buffer (4096 elements). No kernel depends on that length;
+    the count stays because it caps every stage's chunk (forward_stages),
+    and so the batch forward_batch stacks, which bounds a pass's memory:
+    without the cap, the tracemalloc peak of a 1500-image LeNet pass rose
+    from 1.9 to 8.1 MiB (float32) and from 2.6 to 8.1 MiB (Q16.16).
+    Replacing it needs a measurement of its own."""
+    return -(-(np.getbufsize() // 2) // window)
+
+
 def forward_stages(model: ModelSpec) -> list[tuple[tuple[LayerSpec, ...], int]]:
     """forward_batch's stages: the layer walk cut after each maxpool, where
     the per-image activation shrinks, each with its own chunk of images.
 
     A stage's chunk is tensor.SCRATCH_BYTES over the widest per-image
     activation the stage holds, its input included, as stored (float32, or
-    float64 for fixed point). It is capped at the most images any of the
-    model's convs needs for a full multiply row (tensor.row_images); a
-    model without conv has no cap.
+    float64 for fixed point). It is capped at the largest _row_images of
+    the model's convs; a model without conv has no cap.
     """
     itemsize = np.dtype(T._storage(model_numeric_dtype(model) or FLOAT32)).itemsize
     walk = list(iter_layer_shapes(model))
-    cap = max((T.row_images(out[1] * out[2]) for layer, _, out in walk if layer.kind == "conv"), default=None)
+    cap = max((_row_images(out[1] * out[2]) for layer, _, out in walk if layer.kind == "conv"), default=None)
     stages: list[tuple[tuple[LayerSpec, ...], int]] = []
     layers: list[LayerSpec] = []
     for layer, in_shape, out in walk:
@@ -280,9 +290,9 @@ def forward_batch(
     float64 for fixed point). Every value is bitwise equal to the per-image
     forward. The images are stacked in batches of the largest stage chunk
     of forward_stages, rounded down to a multiple of the first stage's
-    chunk where the last first-stage part would be too short for a full
-    conv row; each stage runs a batch in parts of its own chunk and writes
-    the parts' outputs into one array for the next stage.
+    chunk where the last first-stage part would hold fewer images than
+    its convs' _row_images; each stage runs a batch in parts of its own
+    chunk and writes the parts' outputs into one array for the next stage.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -293,11 +303,12 @@ def forward_batch(
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     stages = forward_stages(model)
     batch = max(chunk for _, chunk in stages)
-    # a last part of the first stage too short for a full conv multiply row
-    # (tensor.row_images) would be buffered: leave its images to the next batch
+    # leave a last first-stage part shorter than its convs' _row_images to
+    # the next batch (cifar stacks 40 images, not 41, so conv1 never runs a
+    # 1-image part)
     first_layers, first = stages[0]
     rest = batch % first
-    rows = [T.row_images(math.prod(shapes[layer.name][1:])) for layer in first_layers if layer.kind == "conv"]
+    rows = [_row_images(math.prod(shapes[layer.name][1:])) for layer in first_layers if layer.kind == "conv"]
     if rest < max(rows, default=0):
         batch -= rest
     for start in range(0, n, batch):

@@ -19,31 +19,37 @@ tests compare against):
     BLAS matrix products, which add the terms in an order of their own,
     and keep a product's result only where a certificate proves that it
     has the fold's bits (next two points); every other sum is folded.
-  * float32: a certificate per output element. A float32 x float32
-    product is exact in float64, so the fold r and the product s add the
-    same n exact terms (the bias and the products), each by n - 1 rounded
-    additions in some order. Any order ends within gamma_(n-1) * A of the
-    exact sum, where A = |b| + sum |w| |x|, gamma_k = k u / (1 - k u) and
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 4.2), so |r - s| <= 2 gamma_(n-1) * A. A comes from a second
-    product, |w| times |x|; on input >= 0 one product of [w; |w|] gives s
-    and A together, and the computed A is within gamma_(n-1) * A of the
-    true one. E = (n + 4) * 2^-51 * A is twice what that bound and
-    the roundings of E and of s -+ E need (for n < 2^30), so fl(s - E) <=
-    r <= fl(s + E). Rounding float64 to float32 is monotone, overflow to
-    infinity included: where float32(s - E) and float32(s + E) are the
-    same nonzero value, r rounds to it. A sum with A = 0 adds only signed
-    zeros: the fold ends on -0.0 only when the bias and every term are
-    -0.0, and s, which adds the bias last, is +0.0 = float32(s -+ E) when
-    the bias is +0.0, so that zero stands. The other elements are folded:
-    those near a float32 rounding midpoint, the zeros of a cancelling sum
-    or of a -0.0 bias, whose sign only the fold decides, and those with a
-    NaN or infinite term, for which A and E are infinite and s - E or s +
-    E is NaN, or the two differ. Their terms are gathered from the input,
-    in slices that fit the block's scratch, and summed by
-    np.add.accumulate, which is defined as the running sum. This is Ziv's
-    strategy for correctly rounded functions: a fast path, a rounding
-    test, an exact fallback.
+  * A certificate per output element, for float32 and for fixed-point
+    batches that the batch certificate below does not cover. The fold r
+    and the product s each add n terms, the bias and n - 1 products, by
+    n - 1 rounded additions in some order. Let A = |b| + sum |w| |x|,
+    gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, secs. 3.1 and 4.2). A float32 x
+    float32 product is exact in float64, so either sum ends within
+    gamma_(n-1) * A of the exact one. A fixed-point product is rounded in
+    float64 (a Q16.16 one has up to 62 significant bits), so either ends
+    within gamma_n * A; its nonzero products are multiples of 2^-2f, so
+    none underflows. Either way |r - s| <= 2 gamma_n * A. A comes from a
+    second product, |w| times |x|; on input >= 0 one product of [w; |w|]
+    gives s and A together, and the computed A is within gamma_n * A of
+    the true one. E = (n + 4) * 2^-51 * A is twice what that bound and the
+    roundings of E and of s -+ E need (for n < 2^30), so fl(s - E) <= r <=
+    fl(s + E). Rounding to the output is monotone: float64 to float32,
+    overflow to infinity included, and for fixed point v -> rint(v * 2^f),
+    compared before saturation, so that both ends also decide it. Where
+    the two ends round to the same nonzero value, r rounds to it (fixed
+    point keeps s - E, which the finish rounds and saturates as r). A sum
+    with A = 0 adds only signed zeros: the fold ends on -0.0 only when the
+    bias and every term are -0.0, and s, which adds the bias last, is +0.0
+    when the bias is +0.0, and so are s -+ E, so that zero stands. The
+    other elements are folded: those near a rounding midpoint, every other
+    zero (of a cancelling sum, or of a -0.0 bias), whose sign only the
+    fold decides, and float32 sums with a NaN or infinite term, for which
+    A and E are infinite and s - E or s + E is NaN, or the two differ.
+    Their terms are gathered from the input, in slices that fit the
+    block's scratch, and summed by np.add.accumulate, which is defined as
+    the running sum. This is Ziv's strategy for correctly rounded
+    functions: a fast path, a rounding test, an exact fallback.
   * Fixed point: a certificate per batch (_any_order_is_exact). With f
     fractional bits every value is a multiple of 2^-f, so every product and
     every sum of products and bias is a multiple of 2^-2f. If max|b| +
@@ -57,33 +63,23 @@ tests compare against):
     depends on the order: the fold ends on -0.0 only when the bias and
     every product are -0.0, while the product adds the bias last, so a
     zero sum of a -0.0 bias is refolded; with any other bias both give
-    +0.0. An uncertified fixed-point batch is folded.
+    +0.0. A certified batch takes one product of w, not [w; |w|].
   * Both certificates assume a conventional dgemm (OpenBLAS, MKL,
     Accelerate or reference BLAS), which sums plain products; none of
     them uses Strassen-like schemes, whose intermediate differences the
     bounds do not cover.
   * The products run in blocks whose float64 scratch fits SCRATCH_BYTES
-    beside the float64 weights (for float32, [w; |w|] and [b; |b|]).
+    beside the float64 weights (per element, [w; |w|] and [b; |b|]).
     conv2d multiplies the weights, one row per output channel, by K-major
     window columns (C*kh*kw rows, one column per output position of the
     block): a block is whole images while one image's columns fit, else
-    output rows of one image. A float32 block holds, per output element,
-    the two products and two more values for rounding, which its folded
-    elements reuse; on input with a negative value it makes its columns
-    absolute in place after the terms' product. dense multiplies tiles of the batch the same way; a
-    fixed-point tile is written straight into the output.
-  * An uncertified fixed-point conv2d folds the batch in blocks of images
-    x output channels. A block holds enough images that one weight scales
-    a window row of at least half NumPy's ufunc buffer (row_images): NumPy
-    buffers a broadcast multiply whose contiguous operand is shorter than a
-    third of that buffer, which costs several times more per element. The
-    rest of SCRATCH_BYTES, after the float64 weights copy and the block's
-    window row, sets the output channels per block (an accumulator and a
-    product each), split evenly across the channel blocks. dense splits
-    the batch into tiles whose float64 scratch (weights copy plus
-    accumulator, product buffer and input column per image) fits
-    SCRATCH_BYTES. Each block or tile is rounded straight into its slice of
-    the output, and the blocks' saturations are summed.
+    output rows of one image. A block under the per-element certificate
+    holds, per output element, the two products and two more values for
+    rounding, which its folded elements reuse; on input with a negative
+    value it makes its columns absolute in place after the terms'
+    product. dense multiplies tiles of the batch the same way; a
+    certified fixed-point tile is written straight into the output. The
+    blocks' and tiles' saturations are summed.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -278,31 +274,10 @@ def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray) -> int:
 
 
 def _tile_length(n: int, fixed: int, per_image: int) -> int:
-    """Images per dense tile or conv2d product block: as many as keep
+    """Images per dense tile: as many as keep
     `fixed` float64 values plus `per_image` per image within SCRATCH_BYTES;
     at least one, at most n."""
     return max(1, min(n, (SCRATCH_BYTES // 8 - fixed) // per_image))
-
-
-def row_images(window: int) -> int:
-    """Images whose output windows of `window` elements each make a conv2d
-    multiply row of at least half NumPy's ufunc buffer, too long for NumPy
-    to buffer the broadcast multiply (see the module docstring)."""
-    return -(-(np.getbufsize() // 2) // window)
-
-
-def _conv_block(n: int, out_ch: int, fixed: int, window: int) -> tuple[int, int]:
-    """Images and output channels per conv2d block. Images: enough for a
-    full multiply row (row_images), fewer only if the budget cannot hold
-    even one channel's accumulator and product for them. Channels: as many
-    as the rest of SCRATCH_BYTES holds for an accumulator and a product
-    each, split evenly across the channel blocks. `fixed` counts the float64
-    weights copy and bias, `window` one image's output window."""
-    free = SCRATCH_BYTES // 8 - fixed
-    images = max(1, min(n, row_images(window), free // (3 * window)))
-    row = images * window
-    blocks = -(-out_ch // max(1, min(out_ch, (free - row) // (2 * row))))
-    return images, -(-out_ch // blocks)
 
 
 def _any_order_is_exact(fmt: FixedFormat, x: np.ndarray, w_rows: np.ndarray, bias: np.ndarray) -> bool:
@@ -324,8 +299,8 @@ def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarra
 
 
 def _with_magnitudes(w_rows: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 weight rows and bias as float64 [w; |w|] and [b; |b|]: one
-    product sums the terms and, on input >= 0, their magnitudes."""
+    """Weight rows and bias as float64 [w; |w|] and [b; |b|]: one product
+    sums the terms and, on input >= 0, their magnitudes."""
     out_ch = w_rows.shape[0]
     w = np.empty((2 * out_ch, w_rows.shape[1]))
     w[:out_ch] = w_rows
@@ -373,33 +348,40 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
     """Round a block's BLAS sums into out, returning the saturations. out
     is a (channel, *element axes) view and source the block's input as
     _fold_elements takes it; element (c, *e) sums bias[c] (float64) and
-    w_rows[c] (float64) times the element's input. float32: sums holds the
-    sums and then the error bounds' magnitude sums (2 * channels rows);
-    each element whose float32 bits the certificate of the module
-    docstring proves is rounded, the rest are folded, with scratch as
-    _fold_elements's buffer. Fixed point: sums holds the exact sums, of
-    which the zeros of a -0.0 bias are refolded for their sign, then
-    rounded and saturated."""
+    w_rows[c] (float64) times the element's input. A certified fixed-point
+    block's sums are one row per channel, exact: the zeros of a -0.0 bias
+    are refolded for their sign, then all are rounded and saturated.
+    Otherwise sums holds the sums and then the error bounds' magnitude sums
+    (2 * channels rows), and the per-element certificate of the module
+    docstring runs: each element whose rounded value it proves keeps s - E
+    (float32: rounded; fixed point: rounded and saturated by the finish,
+    as the fold would be), the rest are folded, with scratch as
+    _fold_elements's buffer."""
     out_ch = w_rows.shape[0]
     minus = (np.signbit(bias) & (bias == 0)).reshape((-1,) + (1,) * (out.ndim - 1))
-    if dtype != FLOAT32:
+    if sums.shape[0] == out_ch:
         if minus.any():
             _fold_elements(sums, w_rows, source, bias, np.flatnonzero((sums == 0) & minus), None)
         return _finish(sums, dtype, out)
     s, e = sums[:out_ch], sums[out_ch:]
     e *= (w_rows.shape[1] + 5) * 2.0 ** -51
-    hi = np.empty(out.shape, dtype=np.float32)
+    hi = np.empty(out.shape, dtype=out.dtype)
     with np.errstate(invalid="ignore", over="ignore"):
-        # computed in float64, then rounded to float32 on output
+        # computed in float64; a float32 out and hi round on output
         np.subtract(s, e, out=out)
         np.add(s, e, out=hi)
-    flagged = hi != out
+    lo = out
+    if dtype != FLOAT32:
+        # compare rint(v * 2^f) before the clip; out keeps s - E for _finish
+        lo = np.rint(np.multiply(out, 2.0 ** dtype.frac_bits, out=s), out=s)
+        np.rint(np.multiply(hi, 2.0 ** dtype.frac_bits, out=hi), out=hi)
+    flagged = hi != lo
     del hi
     # a zero whose terms and bias are all zeros (e == 0) is the fold's +0.0
     # unless the bias is -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
-    flagged |= (out == 0) & ((e != 0) | minus)
+    flagged |= (lo == 0) & ((e != 0) | minus)
     _fold_elements(out, w_rows, source, bias, np.flatnonzero(flagged), scratch)
-    return 0
+    return 0 if dtype == FLOAT32 else _finish(out, dtype, out)
 
 
 def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tuple[int, int]:
@@ -415,28 +397,28 @@ def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tup
 
 
 def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
-    """conv2d of the batch x into out on BLAS (float32, or fixed point that
-    _any_order_is_exact certified), returning the saturations: blocks of
-    images, or of output rows of one image, whose K-major window columns,
-    products and rounding scratch fit SCRATCH_BYTES, rounded by
-    _round_sums. A block is one matrix product, or for float32 input with
-    negative or non-finite values two: one of the terms, then one of their
-    magnitudes, for which the columns are made absolute in place (a refold
-    reads the terms from x)."""
+    """conv2d of the batch x into out on BLAS, returning the saturations:
+    blocks of images, or of output rows of one image, whose K-major window
+    columns, products and rounding scratch fit SCRATCH_BYTES, rounded by
+    _round_sums. A block of a batch that _any_order_is_exact certified is
+    one product of the weights; any other block is one of [w; |w|], or for
+    input with negative or non-finite values two: one of the terms, then
+    one of their magnitudes, for which the columns are made absolute in
+    place (a refold reads the terms from x)."""
     n = x.shape[0]
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[2:]
     w_rows = kernel.weights.array.reshape(out_ch, -1)
     bias = kernel.bias.array
     depth = w_rows.shape[1]
-    if kernel.dtype == FLOAT32:
+    if kernel.dtype != FLOAT32 and _any_order_is_exact(kernel.dtype, x, w_rows, bias):
+        w, b, signed = w_rows, bias, False
+        held, per_column = 0, depth + out_ch
+    else:
         w, b = _with_magnitudes(w_rows, bias)
         w_rows, bias = w[:out_ch], b[:out_ch]
         signed = x.size > 0 and not x.min() >= 0
         held, per_column = w.size + b.size, depth + 4 * out_ch
-    else:
-        w, b, signed = w_rows, bias, False
-        held, per_column = 0, depth + out_ch
     # windows[ci, u, v, i, r, c] is term (ci, u, v) of output (r, c) of image i
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
     images, rows = _product_block(n, oh, ow, held, per_column)
@@ -464,17 +446,17 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
 
 
 def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
-    """dense of the batch x into out on BLAS (float32, or fixed point that
-    _any_order_is_exact certified), returning the saturations: tiles of
-    images, one matrix product each (two for float32 input with negative
-    or non-finite values, the second on the tile's input copy made
-    absolute in place), rounded by _round_sums. A fixed-point tile is its
-    own accumulator, and its length bounds the finish's masks; a float32
-    tile's input copy, products and rounding scratch fit SCRATCH_BYTES."""
+    """dense of the batch x into out on BLAS, returning the saturations:
+    tiles of images, rounded by _round_sums. A tile of a batch that
+    _any_order_is_exact certified is one product, its own accumulator,
+    and its length bounds the finish's masks. Any other tile is one
+    product of [w; |w|] (two for input with negative or non-finite values,
+    the second on the tile's input copy made absolute in place), and its
+    input copy, products and rounding scratch fit SCRATCH_BYTES."""
     m, n = kernel.weights.shape
     w_rows, bias = kernel.weights.array, kernel.bias.array
     saturations = 0
-    if kernel.dtype != FLOAT32:
+    if kernel.dtype != FLOAT32 and _any_order_is_exact(kernel.dtype, x, w_rows, bias):
         tile = _tile_length(x.shape[0], 0, m)
         for start in range(0, x.shape[0], tile):
             acc, xs = out[start:start + tile], x[start:start + tile]
@@ -496,7 +478,9 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
             _sum_products(np.abs(xs, out=xs), w[m:].T, b[m:], acc[:, m:])
         else:
             _sum_products(xs, w.T, b, acc)
-        _round_sums(FLOAT32, w[:m], x[start:start + t].T, b[:m], acc.T, out[start:start + t].T, acc_buf)
+        saturations += _round_sums(
+            kernel.dtype, w[:m], x[start:start + t].T, b[:m], acc.T, out[start:start + t].T, acc_buf
+        )
     return saturations
 
 
@@ -530,35 +514,7 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
     ow = (w - kw) // stride + 1
     x = input.array
     out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
-    if input.dtype == FLOAT32 or _any_order_is_exact(
-        input.dtype, x, kernel.weights.array.reshape(out_ch, -1), kernel.bias.array
-    ):
-        saturations = _conv2d_products(x, kernel, stride, out)
-        return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
-    wts = kernel.weights.array.astype(np.float64)
-    bias = kernel.bias.array.astype(np.float64)[:, None, None, None]
-    images, channels = _conv_block(n, out_ch, wts.size + out_ch, oh * ow)
-    row_buf = np.empty(images * oh * ow, dtype=np.float64)
-    acc_buf = np.empty(channels * row_buf.size, dtype=np.float64)
-    tmp_buf = np.empty_like(acc_buf)
-    saturations = 0
-    for start in range(0, n, images):
-        xs = x[start:start + images]
-        row = row_buf[:xs.shape[0] * oh * ow].reshape(xs.shape[0], oh, ow)
-        for k in range(0, out_ch, channels):
-            ks = slice(k, min(k + channels, out_ch))
-            # acc is (channels, images, oh, ow) so that one weight scales a
-            # whole window row of the block's images
-            acc = acc_buf[:(ks.stop - k) * row.size].reshape((-1,) + row.shape)
-            tmp = tmp_buf[:acc.size].reshape(acc.shape)
-            acc[:] = bias[ks]
-            for ci in range(in_ch):
-                for u in range(kh):
-                    for v in range(kw):
-                        np.copyto(row, xs[:, ci, u:u + stride * oh:stride, v:v + stride * ow:stride])
-                        np.multiply(wts[ks, ci, u, v, None, None, None], row, out=tmp)
-                        acc += tmp
-            saturations += _finish(acc.transpose(1, 0, 2, 3), input.dtype, out[start:start + images, ks])
+    saturations = _conv2d_products(x, kernel, stride, out)
     return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
@@ -602,27 +558,7 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
     x = input.array
     out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
-    if input.dtype == FLOAT32 or _any_order_is_exact(input.dtype, x, kernel.weights.array, kernel.bias.array):
-        saturations = _dense_products(x, kernel, out)
-        return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
-    w_t = np.ascontiguousarray(kernel.weights.array.T, dtype=np.float64)
-    bias = kernel.bias.array.astype(np.float64)
-    tile = _tile_length(x.shape[0], w_t.size + m, 2 * m + n)
-    saturations = 0
-    for start in range(0, x.shape[0], tile):
-        # transposed, so that input column j and weight column j are contiguous
-        x_t = np.ascontiguousarray(x[start:start + tile].T, dtype=np.float64)
-        acc = np.empty((x_t.shape[1], m), dtype=np.float64)
-        acc[:] = bias
-        tmp = np.empty_like(acc)
-        for j in range(n):
-            # a plain in-place multiply: the broadcast form buffers its short
-            # contiguous operand (see the module docstring)
-            tmp[...] = w_t[j]
-            tmp *= x_t[j, :, None]
-            acc += tmp
-        del x_t, tmp  # the fixed-point finish allocates masks of its own
-        saturations += _finish(acc, input.dtype, out[start:start + tile])
+    saturations = _dense_products(x, kernel, out)
     return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 

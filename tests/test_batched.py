@@ -9,11 +9,14 @@ terms in any other order than the scalar oracles gives different bits. The
 forward_batch models get such weights too, and sparse images, so that deeper
 layers still see repeated values that cancel; a small dense-only model makes
 the dense fold order visible, which the convolutional models' wide sums hide.
-Conv and dense sums run as matrix products: float32 ones keep the product's
-result where a per-element rounding certificate proves the fold's bits and
-refold the rest, fixed-point ones where a bound makes every order exact.
-Both are checked against the same oracles, with sums built to defeat the
-certificate; counters on the product and on the refold show which path ran.
+Conv and dense sums run as matrix products. Fixed-point batches under a
+bound that makes every order exact keep the product; float32 sums, and
+fixed-point sums past that bound (Q16.16 at scale 300 among them), keep the
+product's result where a per-element rounding certificate proves the fold's
+bits and refold the rest. All are checked against the same oracles, with
+sums built to defeat the certificates; counters on the product and on the
+refold show which path ran, and the product blocks and tiles are sized
+through the kernels' own SCRATCH_BYTES arithmetic.
 """
 
 import functools
@@ -152,39 +155,56 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     assert got.saturations == sum(s for _, s in want)
 
 
-def tile_budget(kern, tile, per_image):
-    """SCRATCH_BYTES that gives a dense call on kern tiles of `tile` images,
-    where per_image is its float64 scratch per image (accumulator, product
-    and input column)."""
-    return 8 * (kern.weights.size + kern.bias.size + tile * per_image)
+def product_geometry(x, kern):
+    """How conv2d (4-D weights) or dense lays out its matrix products on
+    x, as (held, per, products): the float64 values held beside the blocks
+    or tiles (the weights and bias as [w; |w|] and [b; |b|]; none for a
+    Q16.16 batch under the exact bound), the float64 values per column of
+    a conv block (its K-major column) or per image of a dense tile (its
+    input copy) plus, per output element, the products and two more for
+    rounding under the per-element certificate, and the products per block
+    or tile (two for signed input under that certificate)."""
+    out_ch = kern.weights.shape[0]
+    depth = kern.weights.size // out_ch
+    if x.dtype != FLOAT32 and exact_bound(x, kern) < 2**20:
+        return 0, (depth if len(kern.weights.shape) == 4 else 0) + out_ch, 1
+    return 2 * (kern.weights.size + out_ch), depth + 4 * out_ch, 1 if x.data.min() >= 0 else 2
 
 
-def block_budget(kern, window, images, channels):
-    """SCRATCH_BYTES that gives a conv2d call on kern blocks of `images`
-    images and, of what is left, room for `channels` output channels: each
-    image's window row plus an accumulator and a product per channel, all
-    float64, over `window` output elements per image."""
-    return 8 * (kern.weights.size + kern.bias.size + images * window * (1 + 2 * channels))
+def scratch_budget(held, per, count):
+    """SCRATCH_BYTES that holds `held` float64 values plus `per` for each of
+    `count` conv block columns or dense tile images."""
+    return 8 * (held + per * count)
 
 
 def tiled(kernel, budget, *args):
+    """kernel(*args) under SCRATCH_BYTES = budget, and the number of its
+    matrix products."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", budget)
-        return kernel(*args)
+        sums = counting_products(mp)
+        return kernel(*args), sums[0]
 
 
-def conv_block(budget, n, kern, window):
-    """The (images, channels) blocks conv2d picks under budget."""
+def product_block(budget, n, oh, ow, held, per):
+    """The (images, output rows) conv2d product blocks under budget."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", budget)
-        return T._conv_block(n, kern.weights.shape[0], kern.weights.size + kern.bias.size, window)
+        return T._product_block(n, oh, ow, held, per)
+
+
+def tile_length(budget, n, held, per):
+    """The images per dense tile under budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", budget)
+        return T._tile_length(n, held, per)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     fixed=st.booleans(),
-    by_channel=st.booleans(),
+    by_rows=st.booleans(),
     tile=st.integers(1, 3),
     n=st.integers(2, 7),
     cin=st.integers(1, 3),
@@ -194,26 +214,32 @@ def conv_block(budget, n, kern, window):
     k=st.integers(1, 3),
     stride=st.integers(1, 2),
 )
-def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_channel, tile, n, cin, cout, h, w, k, stride):
-    # conv2d: either blocks of `tile` images with one channel each (partial
-    # when tile does not divide n), or all images with channels split into
-    # blocks of at most `tile` (uneven when it does not divide cout)
+def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, cin, cout, h, w, k, stride):
+    # conv2d: either product blocks of `tile` images (partial when tile does
+    # not divide n), or blocks of output rows of one image, at most `tile`
+    # of them, split evenly (uneven when they do not divide the rows);
+    # dense: tiles of `tile` images. Q16.16 sums take the exact product
+    # under the bound and the per-element certificate past it
     rng = np.random.default_rng(seed)
     dtype = Q16_16 if fixed else FLOAT32
     k = min(k, h, w)
-    window = ((h - k) // stride + 1) * ((w - k) // stride + 1)
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
     x = Tensor((n, cin, h, w), dtype, batch_values(rng, (n, cin, h, w), dtype))
     kern = Kernel(
         Tensor((cout, cin, k, k), dtype, batch_values(rng, (cout, cin, k, k), dtype)),
         Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
     )
-    if by_channel:
-        budget = block_budget(kern, window, n, tile)
-        assert conv_block(budget, n, kern, window) == (n, -(-cout // -(-cout // tile)))
+    held, per, products = product_geometry(x, kern)
+    if by_rows:
+        height = min(tile, oh)
+        budget = scratch_budget(held, per, height * ow)
+        block = (1, -(-oh // -(-oh // height)))
     else:
-        budget = block_budget(kern, window, tile, 1)
-        assert conv_block(budget, n, kern, window) == (min(n, tile), 1)
-    got = tiled(T.conv2d, budget, x, kern, stride)
+        budget = scratch_budget(held, per, tile * oh * ow)
+        block = (min(n, tile), oh)
+    assert product_block(budget, n, oh, ow, held, per) == block
+    got, sums = tiled(T.conv2d, budget, x, kern, stride)
+    assert sums == -(-n // block[0]) * -(-oh // block[1]) * products
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
@@ -223,29 +249,38 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_channel, tile, n
         Tensor((cout, cin * h * w), dtype, batch_values(rng, (cout, cin * h * w), dtype)),
         kern.bias,
     )
-    got = tiled(T.dense, tile_budget(dkern, tile, 2 * cout + cin * h * w), flat, dkern)
+    held, per, products = product_geometry(flat, dkern)
+    budget = scratch_budget(held, per, tile)
+    assert tile_length(budget, n, held, per) == min(n, tile)
+    got, sums = tiled(T.dense, budget, flat, dkern)
+    assert sums == -(-n // tile) * products
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
 
 
-@pytest.mark.parametrize("fixed", [False, True], ids=["f32", "q16"])
-def test_row_blocks_match_oracles_row_by_row(fixed):
-    # an 11x11 output window needs 34 images for a full multiply row, so 37
-    # images make one full image block and a partial one; five channels in
-    # blocks of two make an uneven last channel block
+@pytest.mark.parametrize("case", ["f32", "q16", "q16-past-bound"])
+def test_row_blocks_match_oracles_row_by_row(case):
+    # a budget for product blocks of 34 images of 11x11 outputs: 37 images
+    # make one full block and a partial one of 3. Q16.16 at scale 300 over
+    # 2x2 windows of 2 channels stays under the exact bound, and of 8
+    # channels passes it
+    fixed = case != "f32"
+    cin = 8 if case == "q16-past-bound" else 2
     rng = np.random.default_rng(7 + fixed)
     dtype = Q16_16 if fixed else FLOAT32
-    n, window = 37, 11 * 11
-    x = Tensor((n, 2, 12, 12), dtype, batch_values(rng, (n, 2, 12, 12), dtype))
+    n, oh = 37, 11
+    x = Tensor((n, cin, 12, 12), dtype, batch_values(rng, (n, cin, 12, 12), dtype))
     kern = Kernel(
-        Tensor((5, 2, 2, 2), dtype, batch_values(rng, (5, 2, 2, 2), dtype)),
+        Tensor((5, cin, 2, 2), dtype, batch_values(rng, (5, cin, 2, 2), dtype)),
         Tensor((5,), dtype, batch_values(rng, (5,), dtype)),
     )
-    budget = block_budget(kern, window, T.row_images(window), 2)
-    assert T.row_images(window) == 34
-    assert conv_block(budget, n, kern, window) == (34, 2)
-    got = tiled(T.conv2d, budget, x, kern, 1)
+    assert not fixed or (exact_bound(x, kern) >= 2**20) == (case == "q16-past-bound")
+    held, per, products = product_geometry(x, kern)
+    budget = scratch_budget(held, per, 34 * oh * oh)
+    assert product_block(budget, n, oh, oh, held, per) == (34, oh)
+    got, sums = tiled(T.conv2d, budget, x, kern, 1)
+    assert sums == 2 * products
     want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
@@ -255,33 +290,40 @@ def test_row_blocks_match_oracles_row_by_row(fixed):
 
 @pytest.mark.parametrize("hot", [(0,), (0, 3), (2, 4)])
 def test_tiled_saturations_sum_over_tiles(hot):
-    # seven Q16.16 images in blocks (conv) and tiles (dense) of two images,
-    # and once more in conv blocks of all seven images and two of the three
-    # channels; only the hot rows saturate, so a count that drops any
-    # block's or tile's saturations reads low
+    # seven Q16.16 images in conv product blocks of two images and of one
+    # output row of one image, and in dense tiles of two images; weights of
+    # ones keep the sums under the exact bound, of twos take them past it.
+    # Only the hot rows saturate, so a count that drops any block's or
+    # tile's saturations reads low
     rng = np.random.default_rng(0)
     n = 7
     scale = np.where(np.isin(np.arange(n), hot), 30000.0, 1.0)[:, None]
     raw = rng.random((n, 2 * 4 * 4)) * scale
     x = Tensor((n, 2, 4, 4), Q16_16, quantize_naive(raw.ravel(), Q16_16)[0])
-    ones = Tensor((3, 2, 3, 3), Q16_16, np.ones(54))
-    kern = Kernel(ones, Tensor((3,), Q16_16, np.zeros(3)))
-    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
-    assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
-    for images, channels in ((2, 1), (n, 2)):
-        budget = block_budget(kern, 4, images, channels)
-        assert conv_block(budget, n, kern, 4) == (images, channels)
-        got = tiled(T.conv2d, budget, x, kern, 1)
+    flat = x.reshaped((n, 32))
+    for weight in (1.0, 2.0):
+        kern = Kernel(Tensor((3, 2, 3, 3), Q16_16, np.full(54, weight)), Tensor((3,), Q16_16, np.zeros(3)))
+        assert (exact_bound(x, kern) >= 2**20) == (weight == 2.0)
+        want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+        assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
+        held, per, products = product_geometry(x, kern)
+        for images, height in ((2, 2), (1, 1)):
+            budget = scratch_budget(held, per, images * height * 2)
+            assert product_block(budget, n, 2, 2, held, per) == (images, height)
+            got, sums = tiled(T.conv2d, budget, x, kern, 1)
+            assert sums == -(-n // images) * (2 // height) * products
+            assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+            assert got.saturations == sum(o.saturations for o in want)
+
+        dkern = Kernel(Tensor((3, 32), Q16_16, np.full(96, weight)), kern.bias)
+        assert (exact_bound(flat, dkern) >= 2**20) == (weight == 2.0)
+        held, per, products = product_geometry(flat, dkern)
+        got, sums = tiled(T.dense, scratch_budget(held, per, 2), flat, dkern)
+        assert sums == -(-n // 2) * products
+        want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+        assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
         assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
         assert got.saturations == sum(o.saturations for o in want)
-
-    flat = x.reshaped((n, 32))
-    dkern = Kernel(Tensor((3, 32), Q16_16, np.ones(96)), kern.bias)
-    got = tiled(T.dense, tile_budget(dkern, 2, 2 * 3 + 32), flat, dkern)
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
-    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
-    assert got.saturations == sum(o.saturations for o in want)
 
 
 def fixed_values(rng, n, scale, signed_zeros=True):
@@ -389,9 +431,10 @@ def test_minus_zero_bias_is_folded(bias):
     assert np.signbit(got.data[0]) == np.signbit(got_dense.data[0]) == np.signbit(bias)
 
 
-def test_fixed_point_sums_past_the_bound_are_folded():
+def test_fixed_point_sums_past_the_bound_take_the_certificate():
     """The scale-300 saturating values over 27-term sums: the bound reaches
-    2**20, so conv2d and dense keep the fold, and still match the oracles."""
+    2**20, so conv2d and dense take the per-element certificate, two
+    products each on this signed input, and still match the oracles."""
     rng = np.random.default_rng(5)
     n, cin, h, k, cout = 3, 3, 5, 3, 4
     x = Tensor((n, cin, h, h), Q16_16, batch_values(rng, (n, cin, h, h), Q16_16))
@@ -406,13 +449,82 @@ def test_fixed_point_sums_past_the_bound_are_folded():
         sums = counting_products(mp)
         got = T.conv2d(x, kern, 1)
         got_dense = T.dense(flat, dkern)
-    assert sums == [0]
+    assert sums == [4]
     want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want) > 0
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
     assert got_dense.saturations == sum(o.saturations for o in want) > 0
+
+
+# Q16.16 inputs and, one row per output channel, weights and biases of sums
+# past the exact bound: 2**11 * 2**10 = 2**21 terms that cancel exactly,
+# and what is left lands where only the fold's bits settle the result
+RES = 2.0**-16
+PAST_BOUND_INPUT = np.array([2.0**10, RES, 2.0**10, RES, 2 - RES, -1.0])
+PAST_BOUND_SUMS = {
+    # 3 + 1/2 units: a rounding midpoint, rounds to 4 (even)
+    "midpoint": ([2.0**11, 0, -(2.0**11), 0.5, 0, 0], 3 * RES),
+    # the fold adds 2**-32 to 2**21 + 2**-15, a tie that rounds it away,
+    # and ends on the midpoint 2 + 1/2 units, which rounds to 2; the exact
+    # sum rounds to 3
+    "order-dependent": ([2.0**11, RES, -(2.0**11), 0.5, 0, 0], 2 * RES),
+    # 32767 + 1 - 2**-17: halfway between the format's max and one unit
+    # past it; rounds past the max and saturates
+    "max-midpoint": ([2.0**11, 0, -(2.0**11), 0, 0.5, 0], 32767.0),
+    # -32768 + 2**-17: halfway between the min and one unit above it;
+    # rounds to the min (even)
+    "min-midpoint": ([2.0**11, 0, -(2.0**11), 0, -0.5, 0], -32767.0),
+    # the big terms cancel to +0.0, then -2**-18 is left: rounds to -0.0
+    "negative-zero": ([2.0**11, 0, -(2.0**11), -0.25, 0, 0], 0.0),
+    # the big terms cancel and nothing is left: +0.0
+    "cancelled-zero": ([2.0**11, 0, -(2.0**11), 0, 0, 0], 0.0),
+    # a -0.0 bias and -0.0 terms on this input: only the fold gives -0.0
+    "minus-zero-bias": ([-0.0, -0.0, -0.0, -0.0, -0.0, 0.0], -0.0),
+}
+
+
+def test_fixed_point_certificate_refolds_what_it_cannot_settle():
+    """Q16.16 conv2d and dense on sums past the exact bound (PAST_BOUND_SUMS)
+    over signed input, two products each: every row bitwise equal to the
+    oracles, saturations and signs of zero included, with the refold
+    deciding midpoints, a saturation and zero signs. The images are the
+    input, its negation and its big terms zeroed; conv2d runs two windows
+    per image, the input and its negation."""
+    weights = np.array([w for w, _ in PAST_BOUND_SUMS.values()])
+    biases = np.array([b for _, b in PAST_BOUND_SUMS.values()])
+    terms = weights.shape[1]
+    small = np.where(np.abs(PAST_BOUND_INPUT) > 2, 0.0, PAST_BOUND_INPUT)
+    images = np.stack([PAST_BOUND_INPUT, -PAST_BOUND_INPUT, small])
+    flat = Tensor(images.shape, Q16_16, images.ravel())
+    dkern = Kernel(Tensor(weights.shape, Q16_16, weights.ravel()), Tensor(biases.shape, Q16_16, biases))
+    x = Tensor((3, 1, 2, terms), Q16_16, np.stack([images, -images], axis=1).ravel())
+    kern = Kernel(dkern.weights.reshaped((len(biases), 1, 1, terms)), dkern.bias)
+    assert exact_bound(x, kern) >= 2**20 and exact_bound(flat, dkern) >= 2**20
+    with pytest.MonkeyPatch.context() as mp:
+        sums = counting_products(mp)
+        folded = counting_refolds(mp)
+        got = T.conv2d(x, kern, 1)
+        conv_folded = folded[0]
+        got_dense = T.dense(flat, dkern)
+    assert sums == [4]
+    assert conv_folded > 0 and folded[0] - conv_folded > 0
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want) > 0
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
+    assert got_dense.saturations == sum(o.saturations for o in want) > 0
+    # the first image's sums, as the comments of PAST_BOUND_SUMS give them
+    first = dict(zip(PAST_BOUND_SUMS, got_dense.array[0]))
+    assert first["midpoint"] == 4 * RES and first["order-dependent"] == 2 * RES
+    exact = math.fsum([2.0**-15] + list(weights[1] * PAST_BOUND_INPUT))
+    assert np.rint(exact / RES) == 3
+    assert first["max-midpoint"] == Q16_16.max_value and first["min-midpoint"] == Q16_16.min_value
+    assert np.signbit(first["negative-zero"]) and np.signbit(first["minus-zero-bias"])
+    assert first["cancelled-zero"] == 0 and not np.signbit(first["cancelled-zero"])
+    assert got.array[0, :, 0, 0].tobytes() == got_dense.array[0].tobytes()
 
 
 # float32 values whose products (1, 2**-12, 2**-24, 2**-27, 2**-39, 2**-54,
@@ -609,45 +721,59 @@ def test_quantized_lenet_fc2_takes_the_product():
 
 
 @pytest.mark.parametrize(
-    "fixed, build, layer, whole",
+    "case, build, layer, whole",
     [
-        (False, build_lenet, "conv1", 4),
-        (False, build_lenet, "fc1", 4),
-        (False, build_cifar_net, "conv1", 4),
-        (False, build_cifar_net, "conv2", 1),
-        (True, build_lenet, "conv1", 4),
-        (True, build_lenet, "fc1", 4),
-        (True, build_cifar_net, "conv1", 4),
-        (True, build_cifar_net, "conv2", 1),
+        ("f32", build_lenet, "conv1", 4),
+        ("f32", build_lenet, "fc1", 4),
+        ("f32", build_cifar_net, "conv1", 4),
+        ("f32", build_cifar_net, "conv2", 1),
+        ("q16", build_lenet, "conv1", 4),
+        ("q16", build_lenet, "fc1", 4),
+        ("q16", build_cifar_net, "conv1", 4),
+        ("q16", build_cifar_net, "conv2", 1),
+        ("q16-past", build_lenet, "conv1", 4),
+        ("q16-past", build_lenet, "fc1", 4),
+        ("q16-past-signed", build_lenet, "fc1", 4),
+        ("q16-past-signed", build_cifar_net, "conv1", 4),
+        ("q16-past", build_cifar_net, "conv2", 1),
     ],
-    ids=["conv1", "fc1", "cifar-conv1", "cifar-conv2", "q16-conv1", "q16-fc1", "q16-cifar-conv1", "q16-cifar-conv2"],
+    ids=[
+        "conv1", "fc1", "cifar-conv1", "cifar-conv2",
+        "q16-conv1", "q16-fc1", "q16-cifar-conv1", "q16-cifar-conv2",
+        "q16-past-conv1", "q16-past-fc1", "q16-past-signed-fc1", "q16-past-signed-cifar-conv1",
+        "q16-past-cifar-conv2",
+    ],
 )
-def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
+def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
     """A batch of `whole` full blocks or tiles and a partial one peaks at
     its output plus one block's or tile's scratch: no kernel holds a whole
     batch's float64 accumulator, which for each of these batches would
-    exceed the bound. Every block or tile is one matrix product: Q16.16
-    inputs in [0, 1) are certified, and float32 inputs >= 0 sum their
-    terms and their magnitudes in one product. A conv block holds whole
-    images where one image's columns fit the budget, else output rows of
-    one image."""
+    exceed the bound. Q16.16 inputs in [0, 1) are certified, one matrix
+    product per block or tile. float32 inputs >= 0, and Q16.16 inputs up
+    to 30000 on weights scaled by 64 (past the bound), sum their terms and
+    their magnitudes in one product, signed Q16.16 ones in two. A conv
+    block holds whole images where one image's columns fit the budget,
+    else output rows of one image."""
     model = seed_weights(build(), 2)
-    if fixed:
+    if case != "f32":
         model = quantize_model(model, Q16_16)
     spec = model.get_layer(layer)
+    kern = spec.params
+    if case.startswith("q16-past"):
+        kern = Kernel(Tensor(kern.weights.shape, Q16_16, kern.weights.data * 64), kern.bias)
     in_shape = {l.name: i for l, i, _ in iter_layer_shapes(model)}[layer]
     out_shape = layer_output_shapes(model)[layer]
-    depth = spec.params.weights.size // out_shape[0]
+    depth = kern.weights.size // out_shape[0]
     window = math.prod(out_shape[1:])
-    # per output position, float64 values: fixed point, the K-major column
-    # (conv) and the product per output element; float32, the column (conv)
-    # or input row (dense), and per output element the products of the
-    # weights and of their magnitudes and two more for rounding, beside the
-    # float64 weights and their magnitudes
-    if fixed:
+    # per output position, float64 values: certified fixed point, the
+    # K-major column (conv) and the product per output element; otherwise
+    # the column (conv) or input row (dense), and per output element the
+    # products of the weights and of their magnitudes and two more for
+    # rounding, beside the float64 weights and their magnitudes
+    if case == "q16":
         per_column, held = (depth if spec.kind == "conv" else 0) + out_shape[0], 0
     else:
-        per_column, held = depth + 4 * out_shape[0], 2 * (spec.params.weights.size + spec.params.bias.size)
+        per_column, held = depth + 4 * out_shape[0], 2 * (kern.weights.size + kern.bias.size)
     per_image = per_column * window
     columns = (T.SCRATCH_BYTES // 8 - held) // per_column
     if columns >= window:
@@ -657,10 +783,15 @@ def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
         n = whole + 1
         blocks = n * -(-out_shape[1] // (columns // out_shape[2]))
     values = np.random.default_rng(0).random(n * math.prod(in_shape))
-    if fixed:
-        x = Tensor((n,) + in_shape, Q16_16, np.rint(values * 2**16) / 2**16)
-    else:
+    if case == "f32":
         x = Tensor((n,) + in_shape, FLOAT32, values.astype(np.float32))
+    else:
+        if case != "q16":
+            values = (values * 2 - 1 if case.endswith("signed") else values) * 30000
+        x = Tensor((n,) + in_shape, Q16_16, np.rint(values * 2**16) / 2**16)
+        assert (exact_bound(x, kern) >= 2**20) == (case != "q16")
+    if case.endswith("signed"):
+        blocks *= 2
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
     assert 8 * n * per_image > T.SCRATCH_BYTES + slack
 
@@ -669,9 +800,9 @@ def test_kernel_scratch_stays_within_budget(fixed, build, layer, whole):
         tracemalloc.start()
         try:
             if spec.kind == "conv":
-                got = T.conv2d(x, spec.params, 1)
+                got = T.conv2d(x, kern, 1)
             else:
-                got = T.dense(x, spec.params)
+                got = T.dense(x, kern)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -853,9 +984,9 @@ def test_forward_batch_memory_stays_within_four_budgets(name):
 )
 def test_first_stage_parts_at_the_real_budget(name, parts, monkeypatch):
     """conv1's parts in a 300-image pass. cifar stacks 40 images, not its
-    largest chunk 41, so conv1 never runs a 1-image part, whose multiply
-    row NumPy would buffer; Q16.16 lenet keeps batches of 64, as their last
-    first-stage part of 27 images already fills a row (tensor.row_images 8)."""
+    largest chunk 41, so conv1 never runs a 1-image part; Q16.16 lenet
+    keeps batches of 64, as their last first-stage part of 27 images is
+    no shorter than conv1's models._row_images (8)."""
     build, make_images, _ = MODELS[name]
     model = build()
     real, conv1 = T.conv2d, []
