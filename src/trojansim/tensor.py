@@ -18,38 +18,47 @@ tests compare against):
     sequence, the fold, defines every sum. conv2d and dense compute sums as
     BLAS matrix products, which add the terms in an order of their own,
     and keep a product's result only where a certificate proves that it
-    has the fold's bits (next two points); every other sum is folded.
+    has the fold's bits (below); every other sum is folded.
   * A certificate per output element, for float32 and for fixed-point
-    batches that the batch certificate below does not cover. The fold r
-    and the product s each add n terms, the bias and n - 1 products, by
-    n - 1 rounded additions in some order. Let A = |b| + sum |w| |x|,
-    gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, secs. 3.1 and 4.2). A float32 x
-    float32 product is exact in float64, so either sum ends within
-    gamma_(n-1) * A of the exact one. A fixed-point product is rounded in
-    float64 (a Q16.16 one has up to 62 significant bits), so either ends
-    within gamma_n * A; its nonzero products are multiples of 2^-2f, so
-    none underflows. Either way |r - s| <= 2 gamma_n * A. A comes from a
-    second product, |w| times |x|; on input >= 0 one product of [w; |w|]
-    gives s and A together, and the computed A is within gamma_n * A of
-    the true one. E = (n + 4) * 2^-51 * A is twice what that bound and the
-    roundings of E and of s -+ E need (for n < 2^30), so fl(s - E) <= r <=
-    fl(s + E). Rounding to the output is monotone: float64 to float32,
-    overflow to infinity included, and for fixed point v -> rint(v * 2^f),
-    compared before saturation, so that both ends also decide it. Where
-    the two ends round to the same nonzero value, r rounds to it (fixed
-    point keeps s - E, which the finish rounds and saturates as r). A sum
-    with A = 0 adds only signed zeros: the fold ends on -0.0 only when the
-    bias and every term are -0.0, and s, which adds the bias last, is +0.0
-    when the bias is +0.0, and so are s -+ E, so that zero stands. The
-    other elements are folded: those near a rounding midpoint, every other
-    zero (of a cancelling sum, or of a -0.0 bias), whose sign only the
-    fold decides, and float32 sums with a NaN or infinite term, for which
-    A and E are infinite and s - E or s + E is NaN, or the two differ.
-    Their terms are gathered from the input, in slices that fit the
-    block's scratch, and summed by np.add.accumulate, which is defined as
-    the running sum. This is Ziv's strategy for correctly rounded
-    functions: a fast path, a rounding test, an exact fallback.
+    batches that the batch certificate below does not cover. The fold r and
+    the product s each add n terms, the bias and n - 1 products, in some
+    order. Let A = |b| + sum |w| |x|, u = 2^-53, gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, secs. 3.1 and
+    4.2). float32 x float32 products are exact in float64; fixed-point ones
+    round (a Q16.16 one has up to 62 significant bits) and, as multiples of
+    2^-2f, never underflow. Either way |r - s| <= 2 gamma_n * A, and any
+    E >= (n + 4) * 2^-51 * A is twice what that and the roundings of s -+ E
+    need (n < 2^25): fl(s - E) <= r <= fl(s + E).
+  * E without a second product, by Cauchy-Schwarz: A <= |b| + ||w||_2
+    ||x||_2, w the output channel's weights and x the element's window or
+    row. E = k |b| + (k ||w||) ||x|| with k = (n + 5) * 2^-51 (exact): the
+    channel factors once per kernel (Kernel.bound_factors), each norm
+    ||x|| once per block, and E as one product of the factors by (||x||,
+    1). Squares of float32 values are exact in float64, fixed-point ones
+    within u; a squared sum adds nonnegative terms, so in any order it
+    ends at least (1 - gamma_(n-1)) times the exact one; each square
+    root, product and the sum (fused or not) rounds once. So E >= k (|b|
+    + ||w|| ||x||)(1 - gamma_(2n+3)) >= (n + 4) * 2^-51 * A, as (n + 5)
+    gamma_(2n+3) <= 1 for n < 2^25. No step underflows (nonzero squares
+    are at least 2^-298 or 2^-2f) or overflows (float32 squares < 2^256).
+  * The rounding test. Rounding to the output is monotone (float64 to
+    float32, overflow to infinity included; fixed point v -> rint(v *
+    2^f), compared before saturation), so where the two ends round to
+    the same nonzero value, r rounds to it; fixed point keeps s - E for
+    the finish to round and saturate as r. Two fixed-point ends past the
+    same saturation limit settle the element too: r saturates there
+    alike. E = 0 only where the bias and every weight or every input are
+    signed zeros, and so every term: the fold ends on -0.0 only when the
+    bias and every term are -0.0, and s, which adds the bias last, is
+    +0.0 when the bias is +0.0, as are s -+ E, so that zero stands. The
+    other elements are folded: those near a rounding midpoint, every
+    other zero (of a cancelling sum, of zero terms with nonzero norms, or
+    of a -0.0 bias), whose sign only the fold decides, and float32 sums
+    with a NaN or infinite term, which makes |b|, ||w|| or ||x|| NaN or
+    infinite and E NaN or +inf (0 * inf is NaN), so that s -+ E are NaN
+    or infinities of both signs, never equal. The fold gathers their terms
+    from the input and sums them by np.add.accumulate, the running sum:
+    Ziv's strategy, a fast path, a rounding test and an exact fallback.
   * Fixed point: a certificate per batch (_any_order_is_exact). With f
     fractional bits every value is a multiple of 2^-f, so every product and
     every sum of products and bias is a multiple of 2^-2f. If max|b| +
@@ -63,23 +72,19 @@ tests compare against):
     depends on the order: the fold ends on -0.0 only when the bias and
     every product are -0.0, while the product adds the bias last, so a
     zero sum of a -0.0 bias is refolded; with any other bias both give
-    +0.0. A certified batch takes one product of w, not [w; |w|].
+    +0.0.
   * Both certificates assume a conventional dgemm (OpenBLAS, MKL,
     Accelerate or reference BLAS), which sums plain products; none of
     them uses Strassen-like schemes, whose intermediate differences the
     bounds do not cover.
-  * The products run in blocks whose float64 scratch fits SCRATCH_BYTES
-    beside the float64 weights (per element, [w; |w|] and [b; |b|]).
-    conv2d multiplies the weights, one row per output channel, by K-major
-    window columns (C*kh*kw rows, one column per output position of the
-    block): a block is whole images while one image's columns fit, else
-    output rows of one image. A block under the per-element certificate
-    holds, per output element, the two products and two more values for
-    rounding, which its folded elements reuse; on input with a negative
-    value it makes its columns absolute in place after the terms'
-    product. dense multiplies tiles of the batch the same way; a
-    certified fixed-point tile is written straight into the output. The
-    blocks' and tiles' saturations are summed.
+  * Every block or tile is one product of the weights, one row per
+    output channel, by K-major window columns (conv2d: C*kh*kw rows, one
+    column per output position; whole images while one image's columns
+    fit, else output rows of one image) or by a tile of the batch (dense).
+    Its float64 scratch fits SCRATCH_BYTES beside the float64 weights and
+    bias: per output element the product and, under the per-element
+    certificate, E and two values for rounding (reused by the refold),
+    and per column its norm and a one. Saturations are summed.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -89,6 +94,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -249,6 +255,14 @@ class Kernel:
     def dtype(self) -> DType:
         return self.weights.dtype
 
+    @cached_property
+    def bound_factors(self) -> np.ndarray:
+        """The factors of the bound E of the module docstring: one float64
+        row (k ||w_c||_2, k |b_c|) per output channel c."""
+        w_rows = self.weights.array.reshape(self.weights.shape[0], -1).astype(np.float64)
+        factors = np.stack([np.sqrt(np.einsum("ij,ij->i", w_rows, w_rows)), np.abs(self.bias.array)], axis=1)
+        return factors * ((w_rows.shape[1] + 6) * 2.0 ** -51)
+
 
 def _storage(dtype: DType) -> type:
     """NumPy type a tensor of this dtype stores its data in."""
@@ -298,31 +312,36 @@ def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarra
         out += bias
 
 
-def _with_magnitudes(w_rows: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weight rows and bias as float64 [w; |w|] and [b; |b|]: one product
-    sums the terms and, on input >= 0, their magnitudes."""
-    out_ch = w_rows.shape[0]
-    w = np.empty((2 * out_ch, w_rows.shape[1]))
-    w[:out_ch] = w_rows
-    np.abs(w[:out_ch], out=w[out_ch:])
-    b = np.empty(2 * out_ch)
-    b[:out_ch] = bias
-    np.abs(b[:out_ch], out=b[out_ch:])
-    return w, b
+def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The kernel's weights, one row per output channel, and bias as
+    float64, and its bound_factors; None for a fixed-point batch x that
+    _any_order_is_exact certifies."""
+    w_rows = kernel.weights.array.reshape(kernel.weights.shape[0], -1).astype(np.float64, copy=False)
+    bias = kernel.bias.array.astype(np.float64, copy=False)
+    if kernel.dtype != FLOAT32 and _any_order_is_exact(kernel.dtype, x, w_rows, bias):
+        return w_rows, bias, None
+    return w_rows, bias, kernel.bound_factors
+
+
+def _bound(e: np.ndarray, factors: np.ndarray, terms: np.ndarray, norms: np.ndarray) -> None:
+    """E of the module docstring into e (channel, element) from terms
+    (term, element, float64): the 2-norms go into row 0 of norms, whose
+    row 1 is ones, and one product of the factors by norms gives E."""
+    np.sqrt(np.einsum("ij,ij->j", terms, terms, out=norms[0]), out=norms[0])
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which flags
+        np.matmul(factors, norms, out=e)
 
 
 def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
                    flat: np.ndarray, scratch: np.ndarray | None) -> None:
     """Fold the elements at C-order indices `flat` of dst, a (channel,
-    *element axes) view, in the pinned order: bias[c] first, then w_rows[c,
-    t] times term t of the element's input, for t = 0, 1, ...; source
-    holds the inputs as (*term axes, *element axes), in any layout. The
-    float64 sums are stored into dst. The elements go in slices: a slice's
-    bias, weights and products fill two thirds of scratch (float64, free
-    to overwrite), or of a buffer of at most a quarter of SCRATCH_BYTES
-    when scratch is None or too short for one element, and its inputs,
-    gathered from source, take the last third's size in a buffer of their
-    own."""
+    *element axes) view, in the pinned order: bias[c], then w_rows[c, t]
+    times term t of the element's input for t = 0, 1, ...; source holds
+    the inputs as (*term axes, *element axes), in any layout. The float64
+    sums go into dst. A slice of elements takes its bias, weights and
+    products in two thirds of scratch (float64, free to overwrite), or of
+    a buffer of at most a quarter of SCRATCH_BYTES if scratch is None or
+    too short, and its gathered inputs the last third's size."""
     if not flat.size:
         return
     depth = w_rows.shape[1]
@@ -333,38 +352,34 @@ def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias
     for start in range(0, flat.size, per):
         c, *at = np.unravel_index(flat[start:start + per], dst.shape)
         f = c.size
-        terms = scratch[:(depth + 1) * f].reshape(depth + 1, f)
-        ws = w_rows.take(c, 0, scratch[(depth + 1) * f:(2 * depth + 1) * f].reshape(f, depth), "clip").T
-        xs = source[(Ellipsis, *at)].reshape(depth, f)
-        bias.take(c, 0, terms[0], "clip")
-        np.multiply(ws, xs, out=terms[1:])
-        # accumulate is defined as the running sum, row after row
-        np.add.accumulate(terms, axis=0, out=terms)
-        dst[(c, *at)] = terms[depth]
+        terms = scratch[:(depth + 1) * f].reshape(f, depth + 1)
+        ws = w_rows.take(c, 0, scratch[(depth + 1) * f:(2 * depth + 1) * f].reshape(f, depth), "clip")
+        terms[:, 0] = bias[c]
+        np.multiply(ws, source[(Ellipsis, *at)].reshape(depth, f).T, out=terms[:, 1:])
+        # accumulate is defined as the running sum, term after term
+        np.add.accumulate(terms, axis=1, out=terms)
+        dst[(c, *at)] = terms[:, depth]
 
 
 def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
                 sums: np.ndarray, out: np.ndarray, scratch: np.ndarray | None) -> int:
-    """Round a block's BLAS sums into out, returning the saturations. out
-    is a (channel, *element axes) view and source the block's input as
-    _fold_elements takes it; element (c, *e) sums bias[c] (float64) and
-    w_rows[c] (float64) times the element's input. A certified fixed-point
-    block's sums are one row per channel, exact: the zeros of a -0.0 bias
-    are refolded for their sign, then all are rounded and saturated.
-    Otherwise sums holds the sums and then the error bounds' magnitude sums
-    (2 * channels rows), and the per-element certificate of the module
-    docstring runs: each element whose rounded value it proves keeps s - E
-    (float32: rounded; fixed point: rounded and saturated by the finish,
-    as the fold would be), the rest are folded, with scratch as
-    _fold_elements's buffer."""
+    """Round a block's BLAS sums into out, a (channel, *element axes)
+    view, returning the saturations; source is the block's input as
+    _fold_elements takes it. Certified fixed-point sums (one row per
+    channel) are exact: the zeros of a -0.0 bias are refolded for their
+    sign, then all are rounded and saturated. Otherwise the rows are the
+    sums s, then their bounds E (from _bound), and the per-element
+    certificate of the module docstring runs: an element it settles keeps
+    s - E (float32: rounded; fixed point: rounded and saturated by the
+    finish), the rest are folded, with scratch as the fold's buffer."""
     out_ch = w_rows.shape[0]
-    minus = (np.signbit(bias) & (bias == 0)).reshape((-1,) + (1,) * (out.ndim - 1))
+    minus = np.signbit(bias) & (bias == 0)
     if sums.shape[0] == out_ch:
         if minus.any():
-            _fold_elements(sums, w_rows, source, bias, np.flatnonzero((sums == 0) & minus), None)
+            zeros = (sums == 0) & minus.reshape((-1,) + (1,) * (out.ndim - 1))
+            _fold_elements(sums, w_rows, source, bias, np.flatnonzero(zeros), None)
         return _finish(sums, dtype, out)
     s, e = sums[:out_ch], sums[out_ch:]
-    e *= (w_rows.shape[1] + 5) * 2.0 ** -51
     hi = np.empty(out.shape, dtype=out.dtype)
     with np.errstate(invalid="ignore", over="ignore"):
         # computed in float64; a float32 out and hi round on output
@@ -372,15 +387,20 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
         np.add(s, e, out=hi)
     lo = out
     if dtype != FLOAT32:
-        # compare rint(v * 2^f) before the clip; out keeps s - E for _finish
-        lo = np.rint(np.multiply(out, 2.0 ** dtype.frac_bits, out=s), out=s)
-        np.rint(np.multiply(hi, 2.0 ** dtype.frac_bits, out=hi), out=hi)
-    flagged = hi != lo
+        # rint(v * 2^f) before the clip, out keeping s - E for _finish; an end
+        # past the range counts as one unit past it, so two ends past the same
+        # limit settle the element and its saturation
+        scale = 2.0 ** dtype.frac_bits
+        limits = np.rint(dtype.min_value * scale) - 1, np.rint(dtype.max_value * scale) + 1
+        lo = np.clip(np.rint(np.multiply(out, scale, out=s), out=s), *limits, out=s)
+        np.clip(np.rint(np.multiply(hi, scale, out=hi), out=hi), *limits, out=hi)
+    flagged = np.flatnonzero((hi != lo) | (lo == 0))
     del hi
-    # a zero whose terms and bias are all zeros (e == 0) is the fold's +0.0
-    # unless the bias is -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
-    flagged |= (lo == 0) & ((e != 0) | minus)
-    _fold_elements(out, w_rows, source, bias, np.flatnonzero(flagged), scratch)
+    if flagged.size:
+        # a zero of all-zero terms and bias (e == 0) stands unless the bias is
+        # -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
+        stands = (lo.flat[flagged] == 0) & (e.flat[flagged] == 0) & ~minus[flagged // (lo.size // out_ch)]
+        _fold_elements(out, w_rows, source, bias, flagged[~stands], scratch)
     return 0 if dtype == FLOAT32 else _finish(out, dtype, out)
 
 
@@ -398,33 +418,25 @@ def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tup
 
 def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
     """conv2d of the batch x into out on BLAS, returning the saturations:
-    blocks of images, or of output rows of one image, whose K-major window
-    columns, products and rounding scratch fit SCRATCH_BYTES, rounded by
-    _round_sums. A block of a batch that _any_order_is_exact certified is
-    one product of the weights; any other block is one of [w; |w|], or for
-    input with negative or non-finite values two: one of the terms, then
-    one of their magnitudes, for which the columns are made absolute in
-    place (a refold reads the terms from x)."""
+    blocks of images, or of output rows of one image, one product each,
+    rounded by _round_sums, with their columns' E unless
+    _any_order_is_exact certifies the batch."""
     n = x.shape[0]
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[2:]
-    w_rows = kernel.weights.array.reshape(out_ch, -1)
-    bias = kernel.bias.array
+    w_rows, bias, factors = _operands(kernel, x)
     depth = w_rows.shape[1]
-    if kernel.dtype != FLOAT32 and _any_order_is_exact(kernel.dtype, x, w_rows, bias):
-        w, b, signed = w_rows, bias, False
-        held, per_column = 0, depth + out_ch
+    if factors is None:
+        held, per_column, acc_rows = 0, depth + out_ch, out_ch
     else:
-        w, b = _with_magnitudes(w_rows, bias)
-        w_rows, bias = w[:out_ch], b[:out_ch]
-        signed = x.size > 0 and not x.min() >= 0
-        held, per_column = w.size + b.size, depth + 4 * out_ch
+        held, per_column, acc_rows = w_rows.size + 3 * out_ch, depth + 2 + 4 * out_ch, 2 * out_ch
     # windows[ci, u, v, i, r, c] is term (ci, u, v) of output (r, c) of image i
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
     images, rows = _product_block(n, oh, ow, held, per_column)
     columns = images * rows * ow
     cols_buf = np.empty(depth * columns)
-    acc_buf = np.empty(w.shape[0] * columns)
+    acc_buf = np.empty(acc_rows * columns)
+    norms = None if factors is None else np.ones((2, columns))
     saturations = 0
     for start in range(0, n, images):
         for top in range(0, oh, rows):
@@ -433,54 +445,41 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
             cols = cols_buf[:depth * m * r * ow].reshape(block.shape)
             np.copyto(cols, block)
             cols = cols.reshape(depth, -1)
-            acc = acc_buf[:w.shape[0] * cols.shape[1]].reshape(w.shape[0], -1)
-            if signed:
-                _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
-                _sum_products(w[out_ch:], np.abs(cols, out=cols), b[out_ch:, None], acc[out_ch:])
-            else:
-                _sum_products(w, cols, b[:, None], acc)
+            acc = acc_buf[:acc_rows * cols.shape[1]].reshape(acc_rows, -1)
+            _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
+            if factors is not None:
+                _bound(acc[out_ch:], factors, cols, norms[:, :cols.shape[1]])
             dst = out[start:start + m, :, top:top + r].transpose(1, 0, 2, 3)
-            sums = acc.reshape(-1, m, r, ow)
-            saturations += _round_sums(kernel.dtype, w_rows, block, bias, sums, dst, acc_buf)
+            saturations += _round_sums(kernel.dtype, w_rows, block, bias, acc.reshape(-1, m, r, ow), dst, acc_buf)
     return saturations
 
 
 def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
     """dense of the batch x into out on BLAS, returning the saturations:
-    tiles of images, rounded by _round_sums. A tile of a batch that
-    _any_order_is_exact certified is one product, its own accumulator,
-    and its length bounds the finish's masks. Any other tile is one
-    product of [w; |w|] (two for input with negative or non-finite values,
-    the second on the tile's input copy made absolute in place), and its
-    input copy, products and rounding scratch fit SCRATCH_BYTES."""
+    tiles of images, one product each, rounded by _round_sums. A tile of
+    a batch that _any_order_is_exact certifies is its own accumulator;
+    any other takes a float64 copy of its rows and their E."""
     m, n = kernel.weights.shape
-    w_rows, bias = kernel.weights.array, kernel.bias.array
+    w_rows, bias, factors = _operands(kernel, x)
     saturations = 0
-    if kernel.dtype != FLOAT32 and _any_order_is_exact(kernel.dtype, x, w_rows, bias):
+    if factors is None:
         tile = _tile_length(x.shape[0], 0, m)
         for start in range(0, x.shape[0], tile):
             acc, xs = out[start:start + tile], x[start:start + tile]
             _sum_products(xs, w_rows.T, bias, acc)
             saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, None)
         return saturations
-    w, b = _with_magnitudes(w_rows, bias)
-    signed = x.size > 0 and not x.min() >= 0
-    tile = _tile_length(x.shape[0], w.size + b.size, n + 4 * m)
-    x_buf = np.empty(tile * n)
-    acc_buf = np.empty(tile * 2 * m)
+    tile = _tile_length(x.shape[0], w_rows.size + 3 * m, n + 2 + 4 * m)
+    x_buf, acc_buf, norms = np.empty(tile * n), np.empty(tile * 2 * m), np.ones((2, tile))
     for start in range(0, x.shape[0], tile):
         t = min(tile, x.shape[0] - start)
         xs = x_buf[:t * n].reshape(t, n)
         np.copyto(xs, x[start:start + t])
         acc = acc_buf[:t * 2 * m].reshape(t, 2 * m)
-        if signed:
-            _sum_products(xs, w[:m].T, b[:m], acc[:, :m])
-            _sum_products(np.abs(xs, out=xs), w[m:].T, b[m:], acc[:, m:])
-        else:
-            _sum_products(xs, w.T, b, acc)
-        saturations += _round_sums(
-            kernel.dtype, w[:m], x[start:start + t].T, b[:m], acc.T, out[start:start + t].T, acc_buf
-        )
+        _sum_products(xs, w_rows.T, bias, acc[:, :m])
+        _bound(acc[:, m:].T, factors, xs.T, norms[:, :t])
+        dst = out[start:start + t].T
+        saturations += _round_sums(kernel.dtype, w_rows, x[start:start + t].T, bias, acc.T, dst, acc_buf)
     return saturations
 
 

@@ -23,6 +23,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,10 +122,8 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
-    # float32: one block, one product of the terms and their magnitudes on
-    # input >= 0, else one of each
-    products = [1 if x.data.min() >= 0 else 2]
-    assert fixed or sums == products
+    # one block, one product of the weights
+    assert sums == [1]
 
     got = T.maxpool2d(x, k, stride)
     want = [maxpool2d_naive(img, k, stride) for img in rows(x)]
@@ -145,7 +144,7 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
-    assert fixed or sums == products
+    assert sums == [1]
 
     wide = Tensor((n, cin * h * w), FLOAT32, ((rng.random(n * cin * h * w) * 2 - 1) * 1e5).astype(np.float32))
     got = T.quantize(wide, Q16_16)
@@ -157,18 +156,20 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
 
 def product_geometry(x, kern):
     """How conv2d (4-D weights) or dense lays out its matrix products on
-    x, as (held, per, products): the float64 values held beside the blocks
-    or tiles (the weights and bias as [w; |w|] and [b; |b|]; none for a
-    Q16.16 batch under the exact bound), the float64 values per column of
-    a conv block (its K-major column) or per image of a dense tile (its
-    input copy) plus, per output element, the products and two more for
-    rounding under the per-element certificate, and the products per block
-    or tile (two for signed input under that certificate)."""
+    x, one per block or tile, as (held, per): the float64 values held
+    beside the blocks or tiles (none for a Q16.16 batch under the exact
+    bound; else the weights and bias as float64 and the bound's two
+    factors per channel), and the float64 values per column of a conv
+    block (its K-major column) or per image of a dense tile (nothing
+    under the exact bound, else its input copy) plus, per output element,
+    the product (and under the per-element certificate its bound and two
+    more values for rounding, plus the column's or image's input norm and
+    a one beside it)."""
     out_ch = kern.weights.shape[0]
     depth = kern.weights.size // out_ch
     if x.dtype != FLOAT32 and exact_bound(x, kern) < 2**20:
-        return 0, (depth if len(kern.weights.shape) == 4 else 0) + out_ch, 1
-    return 2 * (kern.weights.size + out_ch), depth + 4 * out_ch, 1 if x.data.min() >= 0 else 2
+        return 0, (depth if len(kern.weights.shape) == 4 else 0) + out_ch
+    return kern.weights.size + 3 * out_ch, depth + 2 + 4 * out_ch
 
 
 def scratch_budget(held, per, count):
@@ -229,7 +230,7 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, c
         Tensor((cout, cin, k, k), dtype, batch_values(rng, (cout, cin, k, k), dtype)),
         Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
     )
-    held, per, products = product_geometry(x, kern)
+    held, per = product_geometry(x, kern)
     if by_rows:
         height = min(tile, oh)
         budget = scratch_budget(held, per, height * ow)
@@ -239,7 +240,7 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, c
         block = (min(n, tile), oh)
     assert product_block(budget, n, oh, ow, held, per) == block
     got, sums = tiled(T.conv2d, budget, x, kern, stride)
-    assert sums == -(-n // block[0]) * -(-oh // block[1]) * products
+    assert sums == -(-n // block[0]) * -(-oh // block[1])
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
@@ -249,11 +250,11 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, c
         Tensor((cout, cin * h * w), dtype, batch_values(rng, (cout, cin * h * w), dtype)),
         kern.bias,
     )
-    held, per, products = product_geometry(flat, dkern)
+    held, per = product_geometry(flat, dkern)
     budget = scratch_budget(held, per, tile)
     assert tile_length(budget, n, held, per) == min(n, tile)
     got, sums = tiled(T.dense, budget, flat, dkern)
-    assert sums == -(-n // tile) * products
+    assert sums == -(-n // tile)
     want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
@@ -276,11 +277,11 @@ def test_row_blocks_match_oracles_row_by_row(case):
         Tensor((5,), dtype, batch_values(rng, (5,), dtype)),
     )
     assert not fixed or (exact_bound(x, kern) >= 2**20) == (case == "q16-past-bound")
-    held, per, products = product_geometry(x, kern)
+    held, per = product_geometry(x, kern)
     budget = scratch_budget(held, per, 34 * oh * oh)
     assert product_block(budget, n, oh, oh, held, per) == (34, oh)
     got, sums = tiled(T.conv2d, budget, x, kern, 1)
-    assert sums == 2 * products
+    assert sums == 2
     want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want)
@@ -306,20 +307,20 @@ def test_tiled_saturations_sum_over_tiles(hot):
         assert (exact_bound(x, kern) >= 2**20) == (weight == 2.0)
         want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
         assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
-        held, per, products = product_geometry(x, kern)
+        held, per = product_geometry(x, kern)
         for images, height in ((2, 2), (1, 1)):
             budget = scratch_budget(held, per, images * height * 2)
             assert product_block(budget, n, 2, 2, held, per) == (images, height)
             got, sums = tiled(T.conv2d, budget, x, kern, 1)
-            assert sums == -(-n // images) * (2 // height) * products
+            assert sums == -(-n // images) * (2 // height)
             assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
             assert got.saturations == sum(o.saturations for o in want)
 
         dkern = Kernel(Tensor((3, 32), Q16_16, np.full(96, weight)), kern.bias)
         assert (exact_bound(flat, dkern) >= 2**20) == (weight == 2.0)
-        held, per, products = product_geometry(flat, dkern)
+        held, per = product_geometry(flat, dkern)
         got, sums = tiled(T.dense, scratch_budget(held, per, 2), flat, dkern)
-        assert sums == -(-n // 2) * products
+        assert sums == -(-n // 2)
         want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
         assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
         assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
@@ -384,8 +385,8 @@ def test_certified_fixed_point_sums_take_blas(cin, stride):
 def test_product_blocks_of_output_rows_match_oracles(case, stride):
     """A budget that holds 3 output rows of window columns, less than one
     image: conv2d multiplies blocks of rows of one image, 3 + 3 + 3
-    (stride 1, 9 rows) or 3 + 2 (stride 2, 5 rows), one product each (two
-    for signed float32 input), rows bitwise equal to the oracles."""
+    (stride 1, 9 rows) or 3 + 2 (stride 2, 5 rows), one product each,
+    rows bitwise equal to the oracles."""
     rng = np.random.default_rng(stride)
     fixed = case == "q16"
     dtype = Q16_16 if fixed else FLOAT32
@@ -398,14 +399,13 @@ def test_product_blocks_of_output_rows_match_oracles(case, stride):
     x = Tensor((n, cin, 11, 7), dtype, values(n * cin * 77, 0.0 if case == "f32-nonneg" else -1.0))
     kern = Kernel(Tensor((cout, cin, k, k), dtype, values(cout * cin * k * k, -1.0)), Tensor((cout,), dtype, values(cout, -1.0)))
     oh, ow = (11 - k) // stride + 1, (7 - k) // stride + 1
-    depth = cin * k * k
-    per_column, held = (depth + cout, 0) if fixed else (depth + 4 * cout, 2 * (kern.weights.size + cout))
     assert not fixed or exact_bound(x, kern) < 2**20
+    held, per_column = product_geometry(x, kern)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", 8 * (held + per_column * (3 * ow + 1)))
         sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
-    assert sums == [n * -(-oh // 3) * (2 if case == "f32-signed" else 1)]
+    assert sums == [n * -(-oh // 3)]
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
 
@@ -433,8 +433,8 @@ def test_minus_zero_bias_is_folded(bias):
 
 def test_fixed_point_sums_past_the_bound_take_the_certificate():
     """The scale-300 saturating values over 27-term sums: the bound reaches
-    2**20, so conv2d and dense take the per-element certificate, two
-    products each on this signed input, and still match the oracles."""
+    2**20, so conv2d and dense take the per-element certificate, one
+    product each on this signed input, and still match the oracles."""
     rng = np.random.default_rng(5)
     n, cin, h, k, cout = 3, 3, 5, 3, 4
     x = Tensor((n, cin, h, h), Q16_16, batch_values(rng, (n, cin, h, h), Q16_16))
@@ -449,7 +449,7 @@ def test_fixed_point_sums_past_the_bound_take_the_certificate():
         sums = counting_products(mp)
         got = T.conv2d(x, kern, 1)
         got_dense = T.dense(flat, dkern)
-    assert sums == [4]
+    assert sums == [2]
     want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert got.saturations == sum(o.saturations for o in want) > 0
@@ -487,7 +487,7 @@ PAST_BOUND_SUMS = {
 
 def test_fixed_point_certificate_refolds_what_it_cannot_settle():
     """Q16.16 conv2d and dense on sums past the exact bound (PAST_BOUND_SUMS)
-    over signed input, two products each: every row bitwise equal to the
+    over signed input, one product each: every row bitwise equal to the
     oracles, saturations and signs of zero included, with the refold
     deciding midpoints, a saturation and zero signs. The images are the
     input, its negation and its big terms zeroed; conv2d runs two windows
@@ -508,7 +508,7 @@ def test_fixed_point_certificate_refolds_what_it_cannot_settle():
         got = T.conv2d(x, kern, 1)
         conv_folded = folded[0]
         got_dense = T.dense(flat, dkern)
-    assert sums == [4]
+    assert sums == [2]
     assert conv_folded > 0 and folded[0] - conv_folded > 0
     want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
@@ -525,6 +525,159 @@ def test_fixed_point_certificate_refolds_what_it_cannot_settle():
     assert np.signbit(first["negative-zero"]) and np.signbit(first["minus-zero-bias"])
     assert first["cancelled-zero"] == 0 and not np.signbit(first["cancelled-zero"])
     assert got.array[0, :, 0, 0].tobytes() == got_dense.array[0].tobytes()
+
+
+def capturing_refolds(mp):
+    """Patch tensor._fold_elements to record, per call, a mask of the
+    elements it folds in its destination moved to the output's (image,
+    channel, ...) layout, in the returned list."""
+    masks = []
+    real = T._fold_elements
+
+    def fold(dst, w_rows, source, bias, flat, scratch):
+        mask = np.zeros(dst.shape, dtype=bool)
+        mask.reshape(-1)[flat] = True
+        masks.append(np.moveaxis(mask, 0, 1))
+        return real(dst, w_rows, source, bias, flat, scratch)
+
+    mp.setattr(T, "_fold_elements", fold)
+    return masks
+
+
+def bound_values(rng, size, fixed, special):
+    """float32 values of every class the bound must cover: signed normals
+    from 2**-30 to 2**30, subnormals, signed zeros, values near the float32
+    max and, if special, infinities and NaNs; or Q16.16 values over the
+    whole range, multiples of a few units, and signed zeros."""
+    kind = rng.integers(0, 5 if special else 4, size)
+    sign = rng.choice([-1.0, 1.0], size)
+    if fixed:
+        return np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [rng.integers(-(2**31), 2**31, size) * RES, rng.integers(-8, 9, size) * RES, sign * 0.0],
+            rng.integers(-(2**20), 2**20, size) * RES,
+        )
+    v = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [
+            sign * rng.uniform(1, 2, size) * 2.0 ** rng.integers(-30, 31, size),
+            sign * rng.integers(1, 2**10, size) * 2.0**-149,
+            sign * 0.0,
+            sign * rng.uniform(0.5, 1, size) * 2.0**127,
+        ],
+        rng.choice(SPECIAL_VALUES, size).astype(np.float64),
+    )
+    return v.astype(np.float32)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fixed=st.booleans(),
+    special=st.booleans(),
+    n=st.integers(1, 2),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 5),
+    k=st.integers(1, 3),
+)
+def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout, h, k):
+    """Every element's bound E, as _operands and _bound compute it, is at
+    least (n + 4) 2**-51 A, n its terms (the bias and the products) and A
+    the math.fsum of |b| and the |w x|, for conv2d and dense on signed,
+    subnormal, zero and near-max float32 values and on Q16.16 values past
+    the exact bound. An element with a NaN or infinite term is always
+    refolded, and every row is bitwise equal to the oracles but for the
+    payload of a NaN: a sum of two NaNs of different payloads keeps the
+    one that the add's code path picks, which the scalar oracle and
+    NumPy's loops do not agree on."""
+    rng = np.random.default_rng(seed)
+    special = special and not fixed
+    dtype = Q16_16 if fixed else FLOAT32
+    k = min(k, h)
+    x = bound_values(rng, n * cin * h * h, fixed, special)
+    weights = bound_values(rng, cout * cin * k * k, fixed, special)
+    dense_weights = bound_values(rng, cout * cin * h * h, fixed, special)
+    bias = bound_values(rng, cout, fixed, special)
+    if fixed:
+        # 64 * 30000 takes both kernels past the exact bound 2**20
+        x[0], weights[0], dense_weights[0] = -30000.0, 64.0, 64.0
+    x = Tensor((n, cin, h, h), dtype, x)
+    flat = x.reshaped((n, cin * h * h))
+    kern = Kernel(Tensor((cout, cin, k, k), dtype, weights), Tensor((cout,), dtype, bias))
+    dkern = Kernel(Tensor((cout, cin * h * h), dtype, dense_weights), kern.bias)
+    oh = h - k + 1
+    # per kernel: its input, the oracle of one image, and every element's
+    # input window or row, keyed by (image, output position)
+    cases = [
+        (x, kern, lambda img: conv2d_naive(img, kern.weights, kern.bias, 1),
+         {(i, r, q): x.array[i, :, r:r + k, q:q + k].ravel() for i in range(n) for r in range(oh) for q in range(oh)}),
+        (flat, dkern, lambda row: dense_naive(row, dkern.weights, dkern.bias),
+         {(i,): flat.array[i] for i in range(n)}),
+    ]
+    for inp, kernel, oracle, windows in cases:
+        op = T.conv2d if len(kernel.weights.shape) == 4 else T.dense
+        with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
+            masks = capturing_refolds(mp)
+            got = op(inp, kernel)
+            wants = [oracle(row) for row in rows(inp)]
+        assert got.saturations == sum(o.saturations for o in wants)
+        want = np.stack([o.array for o in wants])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got.array), nan)
+        assert got.array[~nan].tobytes() == want[~nan].tobytes()
+        folded = np.zeros(got.shape, dtype=bool)
+        for mask in masks:
+            assert mask.shape == got.shape  # one block or tile holds them all
+            folded |= mask
+        w_rows, b, factors = T._operands(kernel, inp.array)
+        assert factors is not None
+        terms = np.array(list(windows.values()), dtype=np.float64).T
+        bounds = np.empty((cout, len(windows)))
+        T._bound(bounds, factors, terms, np.ones((2, len(windows))))
+        for c in range(cout):
+            for (pos, window), e in zip(windows.items(), bounds[c]):
+                idx = (pos[0], c) + pos[1:]
+                products = [float(wt) * float(xt) for wt, xt in zip(w_rows[c], window)]
+                if not all(math.isfinite(v) for v in products + [b[c]]):
+                    assert folded[idx], idx
+                    continue
+                exact = math.fsum([abs(b[c])] + [abs(v) for v in products])
+                assert Fraction(float(e)) >= Fraction(w_rows.shape[1] + 5, 2**51) * Fraction(exact), idx
+
+
+# lenet layers in Q16.16 with weights scaled by 64 on inputs up to +-30000:
+# nearly every sum saturates, by far more than E
+SATURATING_LAYERS = {"conv1": (1, 28, 28), "conv2": (6, 12, 12), "fc1": (256,)}
+
+
+@pytest.mark.parametrize("layer", list(SATURATING_LAYERS))
+def test_saturated_ends_settle_without_a_refold(layer):
+    """Q16.16 sums past the exact bound whose two ends, rint((s -+ E) 2**16),
+    both lie past the same saturation limit are settled, saturation
+    included: none of the refolded elements saturates in the oracles,
+    while most elements do, and every row and the saturation count are
+    bitwise those of the oracles."""
+    model = quantize_model(seed_weights(build_lenet(), 2), Q16_16)
+    kern = model.get_layer(layer).params
+    kern = Kernel(Tensor(kern.weights.shape, Q16_16, kern.weights.data * 64), kern.bias)
+    shape = SATURATING_LAYERS[layer]
+    rng = np.random.default_rng(3)
+    x = Tensor((2,) + shape, Q16_16, np.rint((rng.random(2 * math.prod(shape)) * 2 - 1) * 30000 * 2**16) / 2**16)
+    assert exact_bound(x, kern) >= 2**20
+    op = (lambda t: T.conv2d(t, kern, 1)) if len(shape) == 3 else (lambda t: T.dense(t, kern))
+    with pytest.MonkeyPatch.context() as mp:
+        masks = capturing_refolds(mp)
+        got = op(x)
+    if len(shape) == 3:
+        want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+    else:
+        want = [dense_naive(row, kern.weights, kern.bias) for row in rows(x)]
+    assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert got.saturations == sum(o.saturations for o in want) > got.size // 2
+    assert len(masks) <= 1 and all(mask.shape == got.shape for mask in masks)
+    saturated = np.stack([np.abs(o.array) >= Q16_16.max_value for o in want])
+    assert not any((mask & saturated).any() for mask in masks)
 
 
 # float32 values whose products (1, 2**-12, 2**-24, 2**-27, 2**-39, 2**-54,
@@ -748,12 +901,12 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
     """A batch of `whole` full blocks or tiles and a partial one peaks at
     its output plus one block's or tile's scratch: no kernel holds a whole
     batch's float64 accumulator, which for each of these batches would
-    exceed the bound. Q16.16 inputs in [0, 1) are certified, one matrix
-    product per block or tile. float32 inputs >= 0, and Q16.16 inputs up
-    to 30000 on weights scaled by 64 (past the bound), sum their terms and
-    their magnitudes in one product, signed Q16.16 ones in two. A conv
-    block holds whole images where one image's columns fit the budget,
-    else output rows of one image."""
+    exceed the bound. Every block or tile is one matrix product: of Q16.16
+    inputs in [0, 1), which are certified, of float32 inputs >= 0, and of
+    Q16.16 inputs up to 30000, or signed, on weights scaled by 64 (past
+    the bound), which take the per-element certificate. A conv block holds
+    whole images where one image's columns fit the budget, else output
+    rows of one image."""
     model = seed_weights(build(), 2)
     if case != "f32":
         model = quantize_model(model, Q16_16)
@@ -767,13 +920,13 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
     window = math.prod(out_shape[1:])
     # per output position, float64 values: certified fixed point, the
     # K-major column (conv) and the product per output element; otherwise
-    # the column (conv) or input row (dense), and per output element the
-    # products of the weights and of their magnitudes and two more for
-    # rounding, beside the float64 weights and their magnitudes
+    # the column (conv) or input row (dense), its norm and a one, and per output
+    # element the product, its bound and two more for rounding, beside the
+    # float64 weights and bias and the bound's two factors per channel
     if case == "q16":
         per_column, held = (depth if spec.kind == "conv" else 0) + out_shape[0], 0
     else:
-        per_column, held = depth + 4 * out_shape[0], 2 * (kern.weights.size + kern.bias.size)
+        per_column, held = depth + 2 + 4 * out_shape[0], kern.weights.size + 3 * out_shape[0]
     per_image = per_column * window
     columns = (T.SCRATCH_BYTES // 8 - held) // per_column
     if columns >= window:
@@ -790,8 +943,6 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
             values = (values * 2 - 1 if case.endswith("signed") else values) * 30000
         x = Tensor((n,) + in_shape, Q16_16, np.rint(values * 2**16) / 2**16)
         assert (exact_bound(x, kern) >= 2**20) == (case != "q16")
-    if case.endswith("signed"):
-        blocks *= 2
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
     assert 8 * n * per_image > T.SCRATCH_BYTES + slack
 
