@@ -8,7 +8,16 @@ kernels, models, data handling, statistical profiling, the attack state
 machine, two countermeasures, and a batch CLI.
 """
 
-from .data import Dataset, SplitPlan, parse_cifar10, parse_idx, split, synthesize
+from .data import (
+    Dataset,
+    SplitPlan,
+    parse_cifar10,
+    parse_idx,
+    split,
+    split_indices,
+    synthesize,
+    synthesize_split,
+)
 from .defense import (
     DefenseReport,
     DesignerView,
@@ -109,6 +118,8 @@ __all__ = [
     "run_compromised",
     "seed_weights",
     "split",
+    "split_indices",
     "step",
     "synthesize",
+    "synthesize_split",
 ]

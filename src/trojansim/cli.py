@@ -18,7 +18,7 @@ import numpy as np
 
 from . import defense as defense_mod
 from . import models, weightfile
-from .data import Dataset, SplitPlan, parse_cifar10, parse_idx, split, synthesize
+from .data import Dataset, SplitPlan, parse_cifar10, parse_idx, split, synthesize, synthesize_split
 from .errors import (
     ConfigError,
     DataError,
@@ -200,22 +200,32 @@ def build_model(cfg: dict) -> models.ModelSpec:
 
 def build_datasets(cfg: dict, model: models.ModelSpec) -> tuple[Dataset, Dataset]:
     """(validation, stream) per the config's dataset section."""
+    return _split_dataset(cfg, model, stream=True)
+
+
+def build_validation(cfg: dict, model: models.ModelSpec) -> Dataset:
+    """The validation set of build_datasets; a synthetic dataset draws only
+    its images."""
+    return _split_dataset(cfg, model, stream=False)[0]
+
+
+def _split_dataset(cfg: dict, model: models.ModelSpec, stream: bool) -> tuple[Dataset, Dataset | None]:
     ds = cfg["dataset"]
-    if ds["kind"] == "mnist":
-        base = parse_idx(ds["imagesPath"], ds["labelsPath"])
-    elif ds["kind"] == "cifar10":
-        base = parse_cifar10(ds["binPath"])
-    else:
-        base = synthesize(ds["count"], model.input_shape, ds["seed"], ds["mode"])
-    if base.image_shape is not None and base.image_shape != model.input_shape:
-        raise DataError(
-            f"dataset images are {base.image_shape}, model expects {model.input_shape}"
-        )
     plan = SplitPlan(
         validation_count=ds["split"]["validationCount"],
         stream_count=ds["split"]["streamCount"],
         seed=ds["split"]["seed"],
     )
+    if ds["kind"] == "synthetic":
+        return synthesize_split(ds["count"], model.input_shape, ds["seed"], ds["mode"], plan, stream)
+    if ds["kind"] == "mnist":
+        base = parse_idx(ds["imagesPath"], ds["labelsPath"])
+    else:
+        base = parse_cifar10(ds["binPath"])
+    if base.image_shape is not None and base.image_shape != model.input_shape:
+        raise DataError(
+            f"dataset images are {base.image_shape}, model expects {model.input_shape}"
+        )
     return split(base, plan)
 
 
@@ -270,7 +280,7 @@ def _report(cfg: dict, **fields) -> dict:
 
 def cmd_profile(cfg: dict) -> None:
     model = build_model(cfg)
-    validation, _ = build_datasets(cfg, model)
+    validation = build_validation(cfg, model)
     stats = profile_layer(model, validation, cfg["watchLayer"])
     out = Path(cfg["outputDir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -289,7 +299,7 @@ def _forge_phase(cfg: dict, model, validation):
 
 def cmd_forge(cfg: dict) -> None:
     model = build_model(cfg)
-    validation, _ = build_datasets(cfg, model)
+    validation = build_validation(cfg, model)
     stats, bands = _forge_phase(cfg, model, validation)
     layer_length = stats.count // len(validation) if len(validation) else 0
     est = cfg["estimator"]

@@ -197,31 +197,50 @@ def write_cifar10(dataset: Dataset, bin_path: str | Path) -> None:
     Path(bin_path).write_bytes(bytes(blob))
 
 
-def synthesize(count: int, shape: tuple[int, ...], seed: int, mode: str = "uniform") -> Dataset:
+def synthesize(
+    count: int, shape: tuple[int, ...], seed: int, mode: str = "uniform", indices=None
+) -> Dataset:
     """Generate a deterministic synthetic dataset.
 
     uniform: pixels i.i.d. in [0,1), image-like. gaussianActivationProbe:
     pixels i.i.d. standard normal (unclipped), for driving wide activation
     excursions in Monte-Carlo probes. Labels are assigned round-robin.
+
+    indices, ascending, picks the images of the count-image set to draw
+    (default all). Image i takes the same draws and label i % 10 whichever
+    images are drawn with it: the draws of the others are jumped over.
     """
-    if count < 0:
-        raise ConfigError("count must be >= 0")
-    if mode not in ("uniform", "gaussianActivationProbe"):
-        raise ConfigError(f"unknown synthesis mode {mode!r}")
+    _check_synthesis(count, mode)
+    if indices is None:
+        indices = range(count)
+    elif any(not 0 <= a < b for a, b in zip(indices, [*indices[1:], count])):
+        raise ConfigError(f"synthesis indices must ascend within [0, {count})")
     rng = Xoshiro256StarStar(seed)
     n = math.prod(shape)
     per_image = n if mode == "uniform" else 2 * ((n + 1) // 2)
     items = []
-    # a block's worth of images per bulk draw; successive draws continue the
-    # state, so each image gets the same bits as a draw of its own
-    for draws in rng.next_double_rows(count, per_image):
-        for row in draws:
-            if mode == "uniform":
-                vals = row.astype(np.float32)
-            else:
-                vals = np.array(_box_muller(row, n), dtype=np.float32)
-            items.append((Tensor(shape, FLOAT32, vals), len(items) % NUM_CLASSES))
-    return Dataset(name=f"synthetic-{mode}-{seed}", items=tuple(items))
+    # a block's worth of images per bulk draw; image i's draws start
+    # i * per_image draws after the seed's state whichever images are drawn,
+    # so each image gets the same bits as a draw of its own
+    rows = (row for draws in rng.next_double_rows(indices, per_image) for row in draws)
+    for i, row in zip(indices, rows):
+        if mode == "uniform":
+            vals = row.astype(np.float32)
+        else:
+            vals = np.array(_box_muller(row, n), dtype=np.float32)
+        items.append((Tensor(shape, FLOAT32, vals), i % NUM_CLASSES))
+    return Dataset(name=_synthetic_name(mode, seed), items=tuple(items))
+
+
+def _check_synthesis(count: int, mode: str) -> None:
+    if count < 0:
+        raise ConfigError("count must be >= 0")
+    if mode not in ("uniform", "gaussianActivationProbe"):
+        raise ConfigError(f"unknown synthesis mode {mode!r}")
+
+
+def _synthetic_name(mode: str, seed: int) -> str:
+    return f"synthetic-{mode}-{seed}"
 
 
 def _box_muller(draws: np.ndarray, n: int) -> list[float]:
@@ -239,25 +258,55 @@ def _box_muller(draws: np.ndarray, n: int) -> list[float]:
     return out
 
 
+def split_indices(count: int, plan: SplitPlan, name: str = "dataset") -> tuple[list[int], list[int]]:
+    """The ascending validation and stream indices that split picks from a
+    count-item dataset called name (the name is for the error message).
+
+    A seeded Fisher-Yates shuffle: step i (count - 1 down to 1) swaps i with
+    j = u % (i + 1), u being the generator's next word; the words come from
+    one bulk draw and only the swaps are a Python loop.
+    """
+    need = plan.validation_count + plan.stream_count
+    if need > count:
+        raise DataError(
+            f"split needs {need} items ({plan.validation_count} validation + "
+            f"{plan.stream_count} stream) but dataset {name!r} has {count}"
+        )
+    words = Xoshiro256StarStar(plan.seed).next_u64s(max(count - 1, 0))
+    swaps = words % np.arange(count, 1, -1, dtype=np.uint64)
+    perm = list(range(count))
+    for i, j in zip(range(count - 1, 0, -1), swaps.tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return sorted(perm[: plan.validation_count]), sorted(perm[plan.validation_count : need])
+
+
+def _subsets(name: str, items, val_idx: list[int], stream_idx: list[int]) -> tuple[Dataset, Dataset]:
+    validation = Dataset(name=f"{name}/validation", items=tuple(items[i] for i in val_idx))
+    stream = Dataset(name=f"{name}/stream", items=tuple(items[i] for i in stream_idx))
+    return validation, stream
+
+
 def split(dataset: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
     """Carve disjoint validation and stream subsets, order-preserving.
 
-    A seeded Fisher-Yates shuffle picks the index sets; within each subset
-    the original dataset order is kept.
+    split_indices picks the index sets; within each subset the original
+    dataset order is kept.
     """
-    need = plan.validation_count + plan.stream_count
-    if need > len(dataset):
-        raise DataError(
-            f"split needs {need} items ({plan.validation_count} validation + "
-            f"{plan.stream_count} stream) but dataset {dataset.name!r} has {len(dataset)}"
-        )
-    rng = Xoshiro256StarStar(plan.seed)
-    perm = list(range(len(dataset)))
-    for i in range(len(perm) - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    val_idx = sorted(perm[: plan.validation_count])
-    stream_idx = sorted(perm[plan.validation_count : need])
-    validation = Dataset(name=f"{dataset.name}/validation", items=tuple(dataset.items[i] for i in val_idx))
-    stream = Dataset(name=f"{dataset.name}/stream", items=tuple(dataset.items[i] for i in stream_idx))
-    return validation, stream
+    val_idx, stream_idx = split_indices(len(dataset), plan, dataset.name)
+    return _subsets(dataset.name, dataset.items, val_idx, stream_idx)
+
+
+def synthesize_split(
+    count: int, shape: tuple[int, ...], seed: int, mode: str, plan: SplitPlan, stream: bool = True
+) -> tuple[Dataset, Dataset | None]:
+    """split(synthesize(count, shape, seed, mode), plan), drawing only the
+    images it keeps: the validation set's, and the stream's unless stream is
+    false, when the stream comes back as None."""
+    _check_synthesis(count, mode)
+    val_idx, stream_idx = split_indices(count, plan, _synthetic_name(mode, seed))
+    if not stream:
+        stream_idx = []
+    drawn = sorted(val_idx + stream_idx)
+    images = synthesize(count, shape, seed, mode, drawn)
+    validation, kept = _subsets(images.name, dict(zip(drawn, images.items)), val_idx, stream_idx)
+    return validation, kept if stream else None

@@ -15,24 +15,36 @@ across platforms and Python versions:
 All arithmetic is modulo 2**64. `next_u64` is the reference: one output and
 one transition per call, on Python ints.
 
-Bulk draws (`next_doubles`) give the same bits from parallel lanes. The
-transition only shifts, rotates and XORs, so it is linear over GF(2): the
-state d draws ahead is a fixed 256x256 bit matrix applied to the 256 state
-bits. A bulk draw is cut into blocks of at most BLOCK_DRAWS draws (the
-kernels' scratch budget of output words), and each block into lanes of
-LANE_LENGTH successive draws, so a full block has 512 lanes. Lane i starts
-i * LANE_LENGTH draws after the block, and the starts are made by doubling:
-lanes [2^k, 2^(k+1)) are lanes [0, 2^k) jumped by LANE_LENGTH * 2^k draws.
-Each of those jumps is stored as 4-bit lookup tables, 64 nibbles x 16 values
-of a whole state each (32 KiB), so jumping a set of lanes is one gather and
-one XOR reduction. The table for LANE_LENGTH draws comes from stepping the
-256 one-bit states; each larger one squares the one before (jumps its
-one-bit images once more). The tables are built once, on the first bulk draw
-that needs them. All lanes then take their steps together, vectorised over
-np.uint64 arrays, recording step j of every lane in row j of a (LANE_LENGTH,
-lanes) buffer; one transposed copy lays the words out lane after lane, in
-the order the scalar walk would give them, and the ** scrambler runs on them
-in place.
+Bulk draws give the same bits from parallel lanes, from any offset. The
+transition only shifts, rotates and XORs, so it is linear over GF(2)
+(Blackman and Vigna, "Scrambled Linear Pseudorandom Number Generators",
+2021): the state d draws ahead is a fixed 256x256 bit matrix applied to the
+256 state bits. The jump by 2^k draws is stored as 4-bit lookup tables, 64
+nibbles x 16 values of a whole state each (32 KiB), so jumping a set of
+states is one gather and one XOR reduction. The table for one draw comes
+from stepping the 256 one-bit states once; each larger one squares the one
+before (jumps its one-bit images once more). The tables are built once, on
+the first draw that needs them.
+
+A bulk draw is a list of runs, run r being counts[r] successive draws from
+draw offsets[r]: next_doubles and next_u64s are one run from offset 0,
+next_double_rows one run per stretch of consecutive rows of an index set.
+The runs are cut into lanes of successive draws, their length the shortest
+power of two, at most LANE_LENGTH, with which one block of BLOCK_LANES
+lanes holds the whole draw (so a draw of a block or more, BLOCK_DRAWS, the
+kernels' scratch budget of output words, takes LANE_LENGTH, and a short
+draw takes few steps). The lanes are cut into blocks of at most
+BLOCK_LANES; a run that does not fit ends its block at a lane edge and
+goes on in the next. A block's run starts are jumped from the state where
+the block before ended, one table per bit of their offsets over all of them
+together, so a run that goes on from the block before needs no jump and a
+contiguous draw walks block after block. Inside a run, lanes start by
+doubling: lanes [2^k, 2^(k+1)) are lanes [0, 2^k) jumped by (lane length)
+* 2^k draws. All lanes of a block then take their steps together,
+vectorised over np.uint64 arrays, recording step j of every lane in row j
+of a (lane length, lanes) buffer; one transposed copy per run lays the
+words out lane after lane, in the order the scalar walk would give them,
+and the ** scrambler runs on them in place.
 """
 
 from __future__ import annotations
@@ -51,11 +63,14 @@ _SPLITMIX_MIX2 = 0x94D049BB133111EB
 
 _DOUBLE_SCALE = 2.0 ** -53
 
-# successive draws per lane of a bulk draw: the jump distance
+# successive draws per lane of a bulk draw at most, a power of two
 LANE_LENGTH = 256
-# draws per block of a bulk draw, SCRATCH_BYTES of recorded words (512 lanes);
-# the lanes of one block walk together
+# draws per block of a bulk draw, SCRATCH_BYTES of recorded words; the
+# BLOCK_LANES lanes of one block walk together
 BLOCK_DRAWS = SCRATCH_BYTES // 8
+BLOCK_LANES = BLOCK_DRAWS // LANE_LENGTH
+# states per gather of a jump, a quarter of SCRATCH_BYTES of table entries
+_ADVANCE_SLICE = 256
 # draws per slice of the in-place scrambler, so that its temporaries stay
 # slice-sized
 _SCRAMBLE_SLICE = 4096
@@ -102,19 +117,17 @@ def _stepper(state: np.ndarray):
 
 @functools.cache
 def _doubling_table(k: int) -> np.ndarray:
-    """(1024, 4) uint64, read-only: the jump by LANE_LENGTH * 2**k draws as
-    4-bit lookup tables. Entry 16*g + v is the state that many steps after
-    the state whose bits 4g..4g+3 (bit 64*w + b being bit b of word w) are
-    the bits of v and whose other bits are clear. Built on the first bulk
-    draw that needs it: k = 0 by stepping the 256 one-bit states, every
-    later k by jumping the one-bit images of k - 1 once more (squaring)."""
+    """(1024, 4) uint64, read-only: the jump by 2**k draws as 4-bit lookup
+    tables. Entry 16*g + v is the state that many steps after the state
+    whose bits 4g..4g+3 (bit 64*w + b being bit b of word w) are the bits of
+    v and whose other bits are clear. Built on the first draw that needs
+    it: k = 0 by stepping the 256 one-bit states once, every later k by
+    jumping the one-bit images of k - 1 once more (squaring)."""
     if k == 0:
         bits = np.arange(256)
         basis = np.zeros((4, 256), dtype=np.uint64)
         basis[bits // 64, bits] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
-        step = _stepper(basis)
-        for _ in range(LANE_LENGTH):
-            step()
+        _stepper(basis)()
         rows = basis.T
     else:
         prev = _doubling_table(k - 1)
@@ -132,34 +145,102 @@ def _doubling_table(k: int) -> np.ndarray:
 
 def _advance(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The (m, 4) uint64 states one table's jump after the given (m, 4) ones:
-    one gather of a table entry per nibble, XORed together."""
-    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T  # octet i holds bits 8i..8i+7
-    index = np.empty((64, states.shape[0]), dtype=np.intp)
-    np.bitwise_and(octets, 15, out=index[0::2])
-    np.right_shift(octets, 4, out=index[1::2])
-    index += np.arange(0, 1024, 16)[:, None]
-    return np.bitwise_xor.reduce(table[index], axis=0)
+    one gather of a table entry per nibble, XORed together, _ADVANCE_SLICE
+    states at a time."""
+    out = np.empty(states.shape, dtype=np.uint64)
+    for at in range(0, len(states), _ADVANCE_SLICE):
+        part = np.ascontiguousarray(states[at:at + _ADVANCE_SLICE], dtype="<u8")
+        octets = part.view(np.uint8).T  # octet i holds bits 8i..8i+7
+        index = np.empty((64, len(part)), dtype=np.intp)
+        np.bitwise_and(octets, 15, out=index[0::2])
+        np.right_shift(octets, 4, out=index[1::2])
+        index += np.arange(0, 1024, 16)[:, None]
+        np.bitwise_xor.reduce(table[index], axis=0, out=out[at:at + _ADVANCE_SLICE])
+    return out
 
 
-def _walk_block(start: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out (at most BLOCK_DRAWS doubles) with the draws from state
-    start, and return the state after them."""
-    k = out.size
-    lanes = -(-k // LANE_LENGTH)
-    last = k - (lanes - 1) * LANE_LENGTH  # draws of the last lane
-    # lane starts by doubling: lanes [2^j, 2^(j+1)) are lanes [0, 2^j)
-    # jumped by LANE_LENGTH * 2^j draws
+def _jump(state: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(len(offsets), 4) uint64: the states offsets[i] draws after the (4,)
+    state, by one _advance per bit over every offset that has the bit."""
+    starts = np.tile(state, (len(offsets), 1))
+    for bit in range(int(offsets.max(initial=0)).bit_length()):
+        has = np.flatnonzero((offsets >> bit) & 1)
+        if has.size:
+            starts[has] = _advance(_doubling_table(bit), starts[has])
+    return starts
+
+
+def _lane_length(draws: int) -> int:
+    """The shortest power of two, at most LANE_LENGTH, whose BLOCK_LANES
+    lanes hold the given number of draws."""
+    return min(LANE_LENGTH, 1 << (-(-draws // BLOCK_LANES) - 1).bit_length())
+
+
+def _blocks(offsets: np.ndarray, counts: np.ndarray, length: int):
+    """The runs (offsets[r], counts[r]) cut into blocks of at most
+    BLOCK_LANES lanes of the given length: yield each block as its runs'
+    (offsets, counts). A run that does not fit ends the block at a lane edge
+    and goes on in the next one; empty runs are dropped."""
+    if not counts.all():
+        offsets, counts = offsets[counts > 0], counts[counts > 0]
+    lanes = -(-counts // length)
+    ends = np.cumsum(lanes)  # the lane after each run
+    for lo in range(0, int(ends[-1]) if ends.size else 0, BLOCK_LANES):
+        hi = lo + BLOCK_LANES
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = min(int(np.searchsorted(ends, hi)) + 1, len(ends))
+        o, c = offsets[first:last].copy(), counts[first:last].copy()
+        # the lanes of the first run before lo and of the last run from hi on
+        skip = (lo - int(ends[first] - lanes[first])) * length
+        o[0] += skip
+        c[0] -= skip
+        if ends[last - 1] > hi:
+            c[-1] = (hi - max(lo, int(ends[last - 1] - lanes[last - 1]))) * length
+        yield o, c
+
+
+def _draw(state: np.ndarray, offsets, counts, out: np.ndarray) -> np.ndarray:
+    """Fill out with the draws of runs from the (4,) state, run after run:
+    run r is counts[r] draws from draw offsets[r], the runs ascending and
+    disjoint. out is uint64 (the output words) or float64 (doubles).
+    Return the state after the last draw.
+
+    Each block's run starts are jumped together from the state after the
+    block before, so a block that goes on with the same run starts where
+    that one ended, without a jump."""
+    length = _lane_length(out.size)
+    at = done = 0  # words written, draws past state
+    for block_offsets, block_counts in _blocks(offsets, counts, length):
+        starts = _jump(state, block_offsets - done)
+        k = int(block_counts.sum())
+        state = _walk_block(starts, block_counts, out[at:at + k], length)
+        at += k
+        done = int(block_offsets[-1] + block_counts[-1])
+    return state
+
+
+def _walk_block(starts: np.ndarray, counts: np.ndarray, out: np.ndarray, length: int) -> np.ndarray:
+    """Fill out with the draws of runs of at most BLOCK_LANES lanes of the
+    given length (a power of two) in all: run r gives counts[r] >= 1 draws
+    from the state starts[r], after the draws of run r - 1. Return the state
+    after the last run."""
+    lanes_of = -(-counts // length)
+    first = np.cumsum(lanes_of) - lanes_of  # each run's first lane
+    lanes = int(lanes_of.sum())
     state = np.empty((4, lanes), dtype=np.uint64)
-    starts = state.T  # lane i's start in row i
-    starts[0] = start
-    have = 1
-    while have < lanes:
-        m = min(have, lanes - have)
-        starts[have:have + m] = _advance(_doubling_table(have.bit_length() - 1), starts[:m])
-        have += m
-    # step j of every lane into row j; draw i * LANE_LENGTH + j is row j of
-    # lane i, the last lane's rows ending at its last draw
-    steps = min(LANE_LENGTH, k)
+    lane_starts = state.T  # lane i's start in row i
+    lane_starts[first] = starts
+    # lane starts by doubling inside each run: lanes [2^j, 2^(j+1)) of a run
+    # are its lanes [0, 2^j) jumped by length * 2^j draws
+    for j in range(int(lanes_of.max() - 1).bit_length()):
+        have = 1 << j
+        m = np.clip(lanes_of - have, 0, have)  # lanes each run gains
+        src = np.repeat(first - np.cumsum(m) + m, m) + np.arange(m.sum())
+        lane_starts[src + have] = _advance(_doubling_table(length.bit_length() - 1 + j), lane_starts[src])
+    # step j of every lane into row j; draw i * length + j of a run is row j
+    # of its lane i, the last lane's rows ending at its last draw
+    steps = min(length, int(counts.max()))
+    last = int(counts[-1]) - (int(lanes_of[-1]) - 1) * length  # draws of the last lane
     record = np.empty((steps, lanes), dtype=np.uint64)
     step = _stepper(state)
     end = None
@@ -169,12 +250,17 @@ def _walk_block(start: np.ndarray, out: np.ndarray) -> np.ndarray:
         if j + 1 == last:
             end = state[:, -1].copy()
     u = out.view(np.uint64)
-    full, rest = divmod(k, LANE_LENGTH)
-    if full:
-        u[:full * LANE_LENGTH].reshape(full, LANE_LENGTH)[...] = record[:, :full].T
-    u[full * LANE_LENGTH:] = record[:rest, -1]
+    at = 0
+    for lane, count in zip(first, counts):
+        full, rest = divmod(count, length)
+        if full:
+            u[at:at + full * length].reshape(full, length)[...] = record[:, lane:lane + full].T
+        if rest:
+            u[at + full * length:at + count] = record[:rest, lane + full]
+        at += count
     del record
     # the ** scrambler in place, a slice at a time
+    k = out.size
     tmp = np.empty(min(k, _SCRAMBLE_SLICE), dtype=np.uint64)
     for at in range(0, k, _SCRAMBLE_SLICE):
         x = u[at:at + _SCRAMBLE_SLICE]
@@ -184,9 +270,18 @@ def _walk_block(start: np.ndarray, out: np.ndarray) -> np.ndarray:
         x >>= _U57
         x |= r
         x *= _U9
-        x >>= _U11
-        np.multiply(x, np.float64(_DOUBLE_SCALE), out=out[at:at + _SCRAMBLE_SLICE])
+        if out.dtype == np.float64:
+            x >>= _U11
+            np.multiply(x, np.float64(_DOUBLE_SCALE), out=out[at:at + _SCRAMBLE_SLICE])
     return end
+
+
+def _row_runs(rows: np.ndarray, done: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs (offsets, counts) of draws of the ascending rows of width
+    draws, one per stretch of consecutive rows, counted from row done."""
+    heads = np.r_[0, np.flatnonzero(np.diff(rows) != 1) + 1]
+    lengths = np.diff(heads, append=len(rows))
+    return (rows[heads] - done) * width, lengths * width
 
 
 class Xoshiro256StarStar:
@@ -211,6 +306,20 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def _next(self, offsets: np.ndarray, counts: np.ndarray, dtype) -> np.ndarray:
+        """The draws of runs (see _draw), offsets counted from the current
+        state, as output words (uint64) or doubles (float64), leaving the
+        state after the last draw."""
+        out = np.empty(int(counts.sum()), dtype=dtype)
+        state = _draw(np.array(self._s, dtype=np.uint64), offsets, counts, out)
+        self._s = [int(w) for w in state]
+        return out
+
+    def next_u64s(self, n: int) -> np.ndarray:
+        """n successive next_u64() values as np.uint64, leaving the state
+        where n next_u64() calls would."""
+        return self._next(np.zeros(1, np.int64), np.full(1, n, np.int64), np.uint64)
+
     def next_doubles(self, n: int) -> np.ndarray:
         """n successive next_double() values as float64, leaving the state
         where n next_double() calls would.
@@ -219,21 +328,25 @@ class Xoshiro256StarStar:
         microseconds per lane step, so few large calls are much cheaper than
         many small ones.
         """
-        out = np.empty(n, dtype=np.float64)
-        state = np.array(self._s, dtype=np.uint64)
-        for start in range(0, n, BLOCK_DRAWS):
-            state = _walk_block(state, out[start:start + BLOCK_DRAWS])
-        self._s = [int(w) for w in state]
-        return out
+        return self._next(np.zeros(1, np.int64), np.full(1, n, np.int64), np.float64)
 
-    def next_double_rows(self, rows: int, width: int):
-        """Yield the next rows * width doubles as (g, width) arrays of whole
-        rows, each from one next_doubles call of at most BLOCK_DRAWS draws
-        (or of one row, if a row is wider). Consume it before drawing again."""
-        per_call = max(1, BLOCK_DRAWS // width) if width else max(1, rows)
-        for first in range(0, rows, per_call):
-            g = min(per_call, rows - first)
-            yield self.next_doubles(g * width).reshape(g, width)
+    def next_double_rows(self, rows, width: int):
+        """Yield the doubles of rows of width draws, row i being the width
+        draws from draw i * width on, as (g, width) arrays of whole rows,
+        each from one bulk draw of at most BLOCK_DRAWS draws (or of one row,
+        if a row is wider). rows is a count (rows 0 ... rows - 1) or the
+        ascending indices of the rows to draw; the rows between them are
+        jumped over. The state ends after the last row drawn. Consume it
+        before drawing again."""
+        if isinstance(rows, int):
+            rows = range(rows)
+        per_call = max(1, BLOCK_DRAWS // width) if width else max(1, len(rows))
+        done = 0  # rows past the state at the call
+        for first in range(0, len(rows), per_call):
+            group = np.asarray(rows[first:first + per_call], dtype=np.int64)
+            offsets, counts = _row_runs(group, done, width)
+            yield self._next(offsets, counts, np.float64).reshape(len(group), width)
+            done = int(group[-1]) + 1
 
     def next_double(self) -> float:
         """Uniform in [0, 1), using the top 53 bits of one output."""

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from trojansim import tensor as T
 from trojansim.data import Dataset, synthesize
 from trojansim.defense import stream_hit_rate
-from trojansim.errors import DimensionError
+from trojansim.errors import ConfigError, DimensionError
 from trojansim.models import (
     LayerSpec,
     ModelSpec,
@@ -1245,8 +1245,11 @@ def test_next_double_rows_draw_at_most_a_block_per_call():
     assert list(rng.next_double_rows(0, 5)) == []
 
 
-# draws that start 2^k and 2^k + 1 lanes (the last of them one draw long),
-# for k = 0 ... 9: every doubling of the lane starts, a full block and one
+# draws of LANE_LENGTH * 2^k and one more, for k = 0 ... 9: lanes are the
+# shortest power of two with which one block's lanes hold the draw, so the
+# first fill every lane of a block (256 lanes for k = 0) and the second
+# start one lane more, the last of them one draw long, at every lane length
+# up to LANE_LENGTH: every doubling of the lane starts, a full block and one
 # draw past it; and three whole blocks
 DOUBLING_EDGES = {
     **{f"{2**k}-lanes": 2**k * M for k in range(10)},
@@ -1284,6 +1287,139 @@ def test_next_doubles_block_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= out.nbytes + T.SCRATCH_BYTES + 64 * 1024
+
+
+def scalar_doubles_of(words):
+    return (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+# run starts at lane, block and doubling edges of the jumps: 2^k draws for
+# every jump table below a block's lanes and every doubling of the lanes,
+# and a draw either side
+JUMP_OFFSETS = sorted({0, 1, 2, 3, 2 * B - 3, *(2**k + d for k in range(2, 18) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, M + 1, 4 * M + 1])
+def test_draws_at_an_offset_equal_the_scalar_walk(seed, n):
+    """A run of n draws from any offset, through one-draw rows, has the
+    scalar walk's bits, and leaves its state."""
+    words = scalar_words(seed)
+    for offset in JUMP_OFFSETS:
+        rng = Xoshiro256StarStar(seed)
+        got = np.concatenate(list(rng.next_double_rows(range(offset, offset + n), 1)))
+        assert got.ravel().tobytes() == scalar_doubles_of(words[offset:offset + n]).tobytes(), offset
+        assert [rng.next_u64() for _ in range(4)] == list(words[offset + n:offset + n + 4]), offset
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.sampled_from([0, 2**64 - 1]),
+    width=st.sampled_from([1, 3, 26, M - 1, M, M + 1, 784, B + 1]),
+    data=st.data(),
+)
+def test_rows_at_any_indices_equal_the_scalar_walk(seed, width, data):
+    """Any ascending set of rows, each block's runs jumped together and the
+    lanes of a run doubled, has the scalar walk's bits and leaves its
+    state; rows between them are jumped over."""
+    words = scalar_words(seed)
+    total = (len(words) - 4) // width
+    picks = data.draw(st.lists(st.integers(0, total - 1), max_size=min(total, 700), unique=True))
+    rows = sorted(picks)
+    rng = Xoshiro256StarStar(seed)
+    got = list(rng.next_double_rows(rows, width))
+    assert sum(len(a) for a in got) == len(rows)
+    want = [scalar_doubles_of(words[r * width:(r + 1) * width]) for r in rows]
+    assert all(a.shape[1:] == (width,) for a in got)
+    assert np.concatenate([*got, np.empty((0, width))]).tobytes() == np.concatenate([*want, []]).tobytes()
+    end = (rows[-1] + 1) * width if rows else 0
+    assert rng.next_u64() == words[end]
+
+
+# rows of one bulk draw whose runs need more lanes than a block: one row,
+# then consecutive rows to the end of the draw, the long run needing the
+# block's last lanes and one more; and 400 one-lane rows, 2000 consecutive
+# rows across the block edge, then 1000 one-lane rows over two more blocks
+CUT_RUNS = {
+    "26-tail": (26, [0, *range(2, B // 26 + 1)]),
+    "257-tail": (M + 1, [0, *range(2, B // (M + 1) + 1)]),
+    "784-tail": (784, [0, *range(2, B // 784 + 1)]),
+    "26-middle": (26, [*range(0, 800, 2), *range(801, 2801), *range(2802, 4802, 2)]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("case", list(CUT_RUNS))
+def test_a_run_cut_at_a_block_edge_goes_on_in_the_next_block(seed, case):
+    """A run cut at a lane edge goes on in the next block, from where the
+    block before ended, beside the runs jumped to there."""
+    width, rows = CUT_RUNS[case]
+    words = scalar_words(seed)
+    rng = Xoshiro256StarStar(seed)
+    (got,) = rng.next_double_rows(rows, width)
+    want = [scalar_doubles_of(words[r * width:(r + 1) * width]) for r in rows]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert rng.next_u64() == words[(rows[-1] + 1) * width]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_next_u64s_equal_next_u64_calls(seed):
+    words = scalar_words(seed)
+    for n in (0, 1, M + 1, B + 1):
+        rng = Xoshiro256StarStar(seed)
+        got = rng.next_u64s(n)
+        assert got.dtype == np.uint64 and got.tolist() == list(words[:n])
+        assert rng.next_u64() == words[n]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize(
+    "shape, mode",
+    [((1, 28, 28), "uniform"), ((1, 5, 5), "gaussianActivationProbe")],
+)
+def test_synthesized_subsets_equal_the_whole_set(seed, shape, mode):
+    """An image drawn with any others is the image of the whole set: the
+    first and last image, neighbours across a bulk draw, and every other
+    image (runs cut at block edges). (1, 5, 5) probes take 26 draws."""
+    n = int(np.prod(shape))
+    per_image = n if mode == "uniform" else 2 * ((n + 1) // 2)
+    group = B // per_image  # images per bulk draw
+    count = 2 * group + 3
+    whole = synthesize(count, shape, seed, mode)
+    subsets = [[0], [count - 1], [0, count - 1], [group - 1, group],
+               list(range(1, count, 2)), list(range(0, count - 2, 3)) + [count - 1], []]
+    for indices in subsets:
+        part = synthesize(count, shape, seed, mode, indices)
+        assert part.name == whole.name
+        assert part.labels() == [i % 10 for i in indices]
+        for (img, _), i in zip(part.items, indices):
+            assert img.data.tobytes() == whole.items[i][0].data.tobytes(), (indices[:3], i)
+
+
+def test_synthesize_refuses_unordered_indices():
+    for indices in ([1, 1], [2, 1], [-1], [5]):
+        with pytest.raises(ConfigError):
+            synthesize(5, (1, 2, 2), 0, "uniform", indices)
+
+
+@pytest.mark.parametrize("width, step", [(784, 2), (26, 2), (784, 11)])
+def test_jumped_draw_memory(width, step):
+    """A jumped draw of image rows, every other image or one in eleven,
+    holds its output, one SCRATCH_BYTES record of the lanes' words and
+    little else: the jumps gather in slices and the runs stay arrays."""
+    rows = range(0, 3 * (B // width), step)
+    rng = Xoshiro256StarStar(5)
+    list(rng.next_double_rows(rows, width))
+    rng = Xoshiro256StarStar(5)
+    draws = rng.next_double_rows(rows, width)
+    tracemalloc.start()
+    try:
+        out = next(draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == min(len(rows), B // width)
     assert peak <= out.nbytes + T.SCRATCH_BYTES + 64 * 1024
 
 

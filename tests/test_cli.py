@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trojansim import cli
+from trojansim import data as data_mod
 from trojansim.data import SplitPlan, split, synthesize, write_cifar10, write_idx
 from trojansim.errors import ParseError
 from trojansim.models import build_lenet, forward, model_params, quantize_model, seed_weights
@@ -615,3 +617,187 @@ def test_attack_clean_labels_are_the_dropped_images_labels(tmp_path):
     rows = [r.split(",") for r in (out / "labels.csv").read_text().splitlines()[1:]]
     assert [int(s) for _, _, s in rows] == [int(c in dropped) for c in range(len(clean))]
     assert all(int(label) != clean[c] for c, (_, label, _) in enumerate(rows) if c in dropped)
+
+
+# --- validation-only datasets ---------------------------------------------
+
+
+README_DATASET = {"kind": "synthetic", "seed": 11, "count": 1100,
+                  "split": {"validationCount": 100, "streamCount": 1000, "seed": 3}}
+CIFAR_DATASET = {"kind": "synthetic", "seed": 21, "count": 110,
+                 "split": {"validationCount": 50, "streamCount": 60, "seed": 5}}
+
+
+@pytest.mark.parametrize(
+    "model_name, dataset",
+    [
+        ("lenet", README_DATASET),
+        ("cifar", CIFAR_DATASET),
+        ("lenet", dict(README_DATASET, count=40, split={"validationCount": 0, "streamCount": 40, "seed": 3})),
+        ("lenet", dict(README_DATASET, count=40, split={"validationCount": 25, "streamCount": 0, "seed": 3})),
+        ("lenet", dict(README_DATASET, count=300, split={"validationCount": 30, "streamCount": 200, "seed": 3})),
+        ("lenet", dict(README_DATASET, count=60, mode="gaussianActivationProbe",
+                       split={"validationCount": 20, "streamCount": 30, "seed": 1})),
+    ],
+    ids=["readme", "cifar-altered", "no-validation", "no-stream", "unused-tail", "probe-mode"],
+)
+def test_validation_only_datasets_equal_the_split_of_the_whole_set(tmp_path, model_name, dataset):
+    cfg = cli.resolve_config(base_config(tmp_path, modelName=model_name, dataset=dataset), None, None)
+    model = cli.build_model(cfg)
+    ds = cfg["dataset"]
+    plan = SplitPlan(ds["split"]["validationCount"], ds["split"]["streamCount"], ds["split"]["seed"])
+    want = split(synthesize(ds["count"], model.input_shape, ds["seed"], ds["mode"]), plan)
+    validation, stream = cli.build_datasets(cfg, model)
+    for got in ((cli.build_validation(cfg, model),), (validation, stream)):
+        for a, b in zip(got, want):
+            assert a.name == b.name and a.labels() == b.labels()
+            assert [img.data.tobytes() for img in a.images()] == [img.data.tobytes() for img in b.images()]
+
+
+@pytest.fixture
+def dataset_rows(monkeypatch):
+    """{seed: rows drawn}: the rows of every bulk draw of the data module's
+    generators (the dataset's images and the split's words), by seed."""
+    drawn = {}
+
+    class Counting(data_mod.Xoshiro256StarStar):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed = seed
+
+        def next_double_rows(self, rows, width):
+            for block in super().next_double_rows(rows, width):
+                drawn[self.seed] = drawn.get(self.seed, 0) + len(block)
+                yield block
+
+    monkeypatch.setattr(data_mod, "Xoshiro256StarStar", Counting)
+    return drawn
+
+
+ALTERED = {"kind": "alteredValidation", "scale": {"seed": 99, "range": [0.9, 1.1]}}
+
+
+PHASES = ("profile", "forge", "attack", "defend")
+
+
+@pytest.mark.parametrize("phase, images", [("profile", 30), ("forge", 30), ("attack", 110), ("defend", 110)])
+def test_each_phase_draws_only_the_dataset_images_it_uses(tmp_path, dataset_rows, phase, images):
+    """profile and forge draw the 30 validation images of the 110, attack
+    and the altered-validation defend all of them."""
+    cfg = base_config(tmp_path / "out", defense=ALTERED, estimator={"probeCount": 20, "probeSeed": 7177})
+    for earlier in PHASES[: PHASES.index(phase)]:
+        assert run(earlier, write_config(tmp_path, cfg)) == 0
+    dataset_rows.clear()
+    assert run(phase, write_config(tmp_path, cfg)) == 0
+    assert dataset_rows[11] == images
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_a_short_dataset_exits_3_in_every_phase(tmp_path, capsys, dataset_rows, phase):
+    dataset = {"kind": "synthetic", "seed": 11, "count": 109,
+               "split": {"validationCount": 30, "streamCount": 80, "seed": 3}}
+    cfg = base_config(tmp_path / "out", dataset=dataset, defense=ALTERED)
+    assert run(phase, write_config(tmp_path, cfg)) == 3
+    assert capsys.readouterr().err == (
+        "error: split needs 110 items (30 validation + 80 stream) "
+        "but dataset 'synthetic-uniform-11' has 109\n"
+    )
+    assert 11 not in dataset_rows
+
+
+# --- config fuzz ----------------------------------------------------------
+
+
+# a value of every JSON type (NaN and infinities as Python's json writes
+# them), and the valid choices of the fields that take a fixed set of
+# strings, which _FIELDS leaves to the code that uses them
+FUZZ_VALUES = [None, True, False, 0, 1, 2, -1, 2**64, 0.5, -2.5, 1e308, float("inf"), float("-inf"),
+               float("nan"), "", "x", "fc1", "lenet", [], [1], [0.5, 2.0], [3, "6"], {}, {"seed": 1}]
+FUZZ_CHOICES = {
+    "watchLayer": ["fc1", "fc2", "relu1", "flatten"],
+    "dataset.kind": ["synthetic", "mnist", "cifar10"],
+    "dataset.mode": ["uniform", "gaussianActivationProbe"],
+    "trojan.selection": ["roundRobin", "fixedIndex"],
+    "defense.kind": ["alteredValidation", "distributed"],
+    "defense.scale.mode": ["perImage", "perPixel"],
+}
+FUZZ_PATHS = sorted({*cli._FIELDS, *FUZZ_CHOICES})
+# counts size what a phase allocates, and nothing bounds them yet: a count
+# of 2**64 would draw images until memory runs out, so counts stay small
+FUZZ_COUNTS = {path for path, kind in cli._FIELDS.items() if kind is cli._NATURAL}
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A config that runs every phase in milliseconds: a small MLP on 4x4
+    images, and small datasets."""
+    root = tmp_path_factory.mktemp("config-fuzz")
+    arch = {"name": "mlp", "inputShape": [1, 4, 4], "layers": [
+        {"name": "flatten", "kind": "flatten", "hyperparams": {}},
+        {"name": "fc1", "kind": "dense", "hyperparams": {"units": 6}},
+        {"name": "relu1", "kind": "relu", "hyperparams": {}},
+        {"name": "fc2", "kind": "dense", "hyperparams": {"units": 10}},
+    ]}
+    (root / "mlp.json").write_text(json.dumps(arch), encoding="utf-8")
+    cfg = {
+        "modelName": str(root / "mlp.json"),
+        "weights": {"seed": 2},
+        "dataset": {"kind": "synthetic", "seed": 11, "count": 24, "mode": "uniform",
+                    "split": {"validationCount": 10, "streamCount": 12, "seed": 3}},
+        "watchLayer": "fc1",
+        "kLo": 3.0,
+        "kHi": 4.0,
+        "trojan": {"maliciousCount": 2, "maliciousSeed": 1, "selection": "roundRobin", "fixedIndex": 0},
+        "estimator": {"probeCount": 16, "probeSeed": 5},
+        "defense": {"kind": "alteredValidation", "k": 2, "cuts": [1],
+                    "scale": {"seed": 9, "mode": "perImage", "range": [0.9, 1.1]}},
+        "outputDir": str(root / "out"),
+    }
+    return root, cfg
+
+
+def fuzz_phases(config_path):
+    """(exit code, stderr) of every phase in pipeline order."""
+    results = []
+    for phase in ("profile", "forge", "attack", "defend", "report"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            results.append((cli.main([phase, "--config", config_path]), err.getvalue()))
+    return results
+
+
+def test_fuzz_base_config_runs_every_phase(fuzz_base):
+    root, cfg = fuzz_base
+    path = root / "base.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert fuzz_phases(str(path)) == [(0, "")] * 5
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_configs_exit_without_traceback(fuzz_base, data):
+    root, base = fuzz_base
+    cfg = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(FUZZ_PATHS))
+        *sections, key = path.split(".")
+        fields = cfg
+        for name in sections:
+            fields = fields.get(name) if isinstance(fields, dict) else None
+        if not isinstance(fields, dict):
+            continue
+        op = data.draw(st.sampled_from(["set", "drop", "extra"]))
+        if op == "drop":
+            fields.pop(key, None)
+        elif op == "extra":
+            fields[f"{key}Extra"] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+        else:
+            values = [*FUZZ_CHOICES.get(path, ()), *FUZZ_VALUES]
+            if path in FUZZ_COUNTS:
+                values = [v for v in values if not (type(v) is int and v > 1000)]
+            fields[key] = copy.deepcopy(data.draw(st.sampled_from(values)))
+    path = root / "fuzz.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for code, err in fuzz_phases(str(path)):
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err

@@ -9,11 +9,14 @@ from trojansim.data import (
     parse_cifar10,
     parse_idx,
     split,
+    split_indices,
     synthesize,
+    synthesize_split,
     write_cifar10,
     write_idx,
 )
 from trojansim.errors import ConfigError, DataError, ParseError
+from trojansim.rng import Xoshiro256StarStar
 
 
 def idx_pair(tmp_path, pixel_bytes, labels, rows=2, cols=2,
@@ -193,6 +196,58 @@ def test_split_empty_validation_and_insufficient():
     assert len(val) == 0 and len(stream) == 30
     with pytest.raises(DataError, match="35"):
         split(base, SplitPlan(5, 30, seed=0))
+
+
+def scalar_split_indices(count, plan):
+    """The Fisher-Yates split drawn one next_u64 call per step."""
+    rng = Xoshiro256StarStar(plan.seed)
+    perm = list(range(count))
+    for i in range(count - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    need = plan.validation_count + plan.stream_count
+    return sorted(perm[: plan.validation_count]), sorted(perm[plan.validation_count : need])
+
+
+@pytest.mark.parametrize(
+    "count, plan",
+    [
+        (0, SplitPlan(0, 0, seed=0)),
+        (1, SplitPlan(1, 0, seed=4)),
+        (2, SplitPlan(1, 1, seed=2**64 - 1)),
+        (1100, SplitPlan(100, 1000, seed=3)),
+        (1600, SplitPlan(100, 1500, seed=0)),
+        (400, SplitPlan(37, 120, seed=2**64 - 1)),
+    ],
+)
+def test_split_indices_equal_the_scalar_shuffle(count, plan):
+    assert split_indices(count, plan) == scalar_split_indices(count, plan)
+
+
+def test_split_indices_refuse_a_short_dataset_by_name():
+    with pytest.raises(DataError, match=r"^split needs 11 items \(5 validation \+ 6 stream\) but dataset 'd' has 10$"):
+        split_indices(10, SplitPlan(5, 6, seed=0), "d")
+
+
+@pytest.mark.parametrize("count, v, s", [(40, 10, 25), (40, 0, 40), (40, 12, 0), (40, 0, 0), (0, 0, 0)])
+@pytest.mark.parametrize("mode", ["uniform", "gaussianActivationProbe"])
+def test_synthesize_split_equals_split_of_the_whole_set(count, v, s, mode):
+    plan = SplitPlan(v, s, seed=5)
+    want = split(synthesize(count, (1, 3, 3), 8, mode), plan)
+    for keep_stream in (True, False):
+        got = synthesize_split(count, (1, 3, 3), 8, mode, plan, keep_stream)
+        if not keep_stream:
+            assert got[1] is None
+        for a, b in zip(got, want if keep_stream else want[:1]):
+            assert a.name == b.name and a.labels() == b.labels()
+            assert [img.data.tobytes() for img in a.images()] == [img.data.tobytes() for img in b.images()]
+
+
+def test_synthesize_split_checks_the_mode_before_the_counts():
+    with pytest.raises(ConfigError):
+        synthesize_split(3, (1, 2, 2), 0, "laplacian", SplitPlan(5, 5, seed=0))
+    with pytest.raises(DataError, match="'synthetic-uniform-0' has 3"):
+        synthesize_split(3, (1, 2, 2), 0, "uniform", SplitPlan(2, 2, seed=0), stream=False)
 
 
 def test_dataset_invariants():
