@@ -306,10 +306,11 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
-    def _next(self, offsets: np.ndarray, counts: np.ndarray, dtype) -> np.ndarray:
+    def _next(self, offsets, counts, dtype) -> np.ndarray:
         """The draws of runs (see _draw), offsets counted from the current
         state, as output words (uint64) or doubles (float64), leaving the
         state after the last draw."""
+        offsets, counts = np.asarray(offsets, dtype=np.int64), np.asarray(counts, dtype=np.int64)
         out = np.empty(int(counts.sum()), dtype=dtype)
         state = _draw(np.array(self._s, dtype=np.uint64), offsets, counts, out)
         self._s = [int(w) for w in state]
@@ -318,7 +319,7 @@ class Xoshiro256StarStar:
     def next_u64s(self, n: int) -> np.ndarray:
         """n successive next_u64() values as np.uint64, leaving the state
         where n next_u64() calls would."""
-        return self._next(np.zeros(1, np.int64), np.full(1, n, np.int64), np.uint64)
+        return self._next([0], [n], np.uint64)
 
     def next_doubles(self, n: int) -> np.ndarray:
         """n successive next_double() values as float64, leaving the state
@@ -328,7 +329,7 @@ class Xoshiro256StarStar:
         microseconds per lane step, so few large calls are much cheaper than
         many small ones.
         """
-        return self._next(np.zeros(1, np.int64), np.full(1, n, np.int64), np.float64)
+        return self._next([0], [n], np.float64)
 
     def next_double_rows(self, rows, width: int):
         """Yield the doubles of rows of width draws, row i being the width
