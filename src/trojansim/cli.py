@@ -70,7 +70,8 @@ def _finite(value) -> bool:
 # JSON true and false are bools, and type(True) is not int
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _STRING = (lambda v: isinstance(v, str), "a string")
-_NATURAL = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+# counts stay below 2**63, so that a count drawn as a NumPy int64 fits
+_NATURAL = (lambda v: type(v) is int and 0 <= v < 2**63, f"an integer in [0, {2**63 - 1}]")
 _SEED = (lambda v: type(v) is int and 0 <= v < 2**64, f"an integer in [0, {2**64 - 1}]")
 _FINITE = (_finite, "a finite number")
 _FINITE_PAIR = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)), "two finite numbers")

@@ -221,78 +221,28 @@ def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     return ForwardTrace(final_label=int(label), taps=taps)
 
 
-def _row_images(window: int) -> int:
-    """Images whose conv outputs of `window` elements together fill half
-    NumPy's ufunc buffer (4096 elements). No kernel depends on that length;
-    the count stays because it caps every stage's chunk (forward_stages),
-    and so the batch forward_batch stacks, which bounds a pass's memory:
-    without the cap, the tracemalloc peak of a 1500-image LeNet pass rose
-    from 1.9 to 8.1 MiB (float32) and from 2.6 to 8.1 MiB (Q16.16).
-    Replacing it needs a measurement of its own."""
-    return -(-(np.getbufsize() // 2) // window)
-
-
-def forward_stages(model: ModelSpec) -> list[tuple[tuple[LayerSpec, ...], int]]:
-    """forward_batch's stages: the layer walk cut after each maxpool, where
-    the per-image activation shrinks, each with its own chunk of images.
-
-    A stage's chunk is tensor.SCRATCH_BYTES over the widest per-image
-    activation the stage holds, its input included, as stored (float32, or
-    float64 for fixed point). It is capped at the largest _row_images of
-    the model's convs; a model without conv has no cap.
-    """
+def forward_chunk(model: ModelSpec) -> int:
+    """Images forward_batch runs through the layer walk at a time:
+    tensor.SCRATCH_BYTES over the model's widest per-image activation, its
+    input included, as stored (float32, or float64 for fixed point). The
+    kernels block themselves by the same budget."""
     itemsize = np.dtype(T._storage(model_numeric_dtype(model) or FLOAT32)).itemsize
-    walk = list(iter_layer_shapes(model))
-    cap = max((_row_images(out[1] * out[2]) for layer, _, out in walk if layer.kind == "conv"), default=None)
-    stages: list[tuple[tuple[LayerSpec, ...], int]] = []
-    layers: list[LayerSpec] = []
-    for layer, in_shape, out in walk:
-        if not layers:
-            widest = math.prod(in_shape)
-        layers.append(layer)
-        widest = max(widest, math.prod(out))
-        if layer.kind == "maxpool" or layer is walk[-1][0]:
-            chunk = max(1, T.SCRATCH_BYTES // (itemsize * widest))
-            stages.append((tuple(layers), chunk if cap is None else min(chunk, cap)))
-            layers = []
-    return stages
-
-
-def _run_stage(layers: tuple[LayerSpec, ...], x: Tensor, chunk: int, taps: dict, start: int) -> Tensor:
-    """Run the batch x, whose first image is image start of the pass, through
-    a stage's layers in parts of chunk images, storing the kept taps at the
-    parts' images, and return the stage's output for the whole batch."""
-    n = x.shape[0]
-    per_image = x.size // n
-    out = None
-    for s in range(0, n, chunk):
-        m = min(chunk, n - s)
-        part = x if m == n else Tensor._built((m,) + x.shape[1:], x.dtype, x.data[s * per_image:(s + m) * per_image])
-        for name, part in _layer_outputs(layers, part):
-            if name in taps:
-                taps[name][start + s:start + s + m] = part.array
-        if m == n:
-            return part
-        if out is None:
-            out = np.empty((n,) + part.shape[1:], dtype=part.data.dtype)
-        out[s:s + m] = part.array
-    return Tensor._built(out.shape, part.dtype, out.reshape(-1))
+    widest = max(math.prod(shape) for shape in [model.input_shape, *layer_output_shapes(model).values()])
+    return max(1, T.SCRATCH_BYTES // (itemsize * widest))
 
 
 def forward_batch(
     model: ModelSpec, images: Sequence[Tensor], keep: Sequence[str]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run many images through the model, stage by stage.
+    """Run many images through the model, forward_chunk(model) at a time.
 
     Returns (labels, taps): labels[i] is forward(model, images[i]).final_label
     and taps[name][i] is its tap data for each layer named in keep, shaped
     like the layer's output and stored as forward stores it (float32, or
     float64 for fixed point). Every value is bitwise equal to the per-image
-    forward. The images are stacked in batches of the largest stage chunk
-    of forward_stages, rounded down to a multiple of the first stage's
-    chunk where the last first-stage part would hold fewer images than
-    its convs' _row_images; each stage runs a batch in parts of its own
-    chunk and writes the parts' outputs into one array for the next stage.
+    forward. Each chunk of images is stacked, walked through every layer
+    once, and its kept taps and labels are written before the next chunk is
+    stacked, so a pass holds one chunk's activations whatever its length.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -301,21 +251,13 @@ def forward_batch(
     store = T._storage(model_numeric_dtype(model) or FLOAT32)
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
-    stages = forward_stages(model)
-    batch = max(chunk for _, chunk in stages)
-    # leave a last first-stage part shorter than its convs' _row_images to
-    # the next batch (cifar stacks 40 images, not 41, so conv1 never runs a
-    # 1-image part)
-    first_layers, first = stages[0]
-    rest = batch % first
-    rows = [_row_images(math.prod(shapes[layer.name][1:])) for layer in first_layers if layer.kind == "conv"]
-    if rest < max(rows, default=0):
-        batch -= rest
-    for start in range(0, n, batch):
-        x = _stack_inputs(model, images[start:start + batch], start)
-        for layers, chunk in stages:
-            x = _run_stage(layers, x, chunk, taps, start)
-        labels[start:start + x.shape[0]] = np.argmax(x.array, axis=1)
+    chunk = forward_chunk(model)
+    for start in range(0, n, chunk):
+        stop = start + chunk
+        for name, x in _layer_outputs(model.layers, _stack_inputs(model, images[start:stop], start)):
+            if name in taps:
+                taps[name][start:stop] = x.array
+        labels[start:stop] = np.argmax(x.array, axis=1)
     return labels, taps
 
 

@@ -108,8 +108,8 @@ FLOAT32 = "float32"
 # check's scaled and rounded temporaries stay slice-sized, not tensor-sized.
 CHECK_SLICE = 8192
 
-# Float64 scratch budget of one conv2d or dense call; models.forward_stages
-# bounds each stage chunk's activations by the same budget.
+# Float64 scratch budget of one conv2d or dense call; models.forward_chunk
+# sizes forward_batch's chunk of images by the same budget.
 SCRATCH_BYTES = 1 << 20
 
 

@@ -41,7 +41,7 @@ from trojansim.models import (
     build_lenet,
     forward,
     forward_batch,
-    forward_stages,
+    forward_chunk,
     iter_layer_shapes,
     layer_output_shapes,
     model_numeric_dtype,
@@ -1006,27 +1006,27 @@ def build_mlp():
     )
 
 
-# model, image maker, and a SCRATCH_BYTES for forward_batch that
-# cuts small stage chunks (cifar 5/20/41, lenet 2/8/32 in both dtypes, mlp
-# 8) while every conv's float64 weights still fit, so that the conv blocks
+# model, image maker, and a SCRATCH_BYTES for forward_batch that cuts a
+# small chunk of at least 5 images (cifar 5, lenet 9 in both dtypes, mlp 8)
+# while every conv's float64 weights still fit, so that the conv blocks
 # stay wide enough to run quickly
 MODELS = {
     "mlp-f32": (lambda: cancelling_model(build_mlp(), 4), cancelling_images, 1 << 14),
-    "lenet-f32": (lambda: cancelling_model(build_lenet(), 2), cancelling_images, 1 << 15),
-    "lenet-q16": (lambda: quantize_model(seed_weights(build_lenet(), 2), Q16_16), saturating_images, 1 << 16),
+    "lenet-f32": (lambda: cancelling_model(build_lenet(), 2), cancelling_images, 1 << 17),
+    "lenet-q16": (lambda: quantize_model(seed_weights(build_lenet(), 2), Q16_16), saturating_images, 1 << 18),
     "cifar-f32": (lambda: cancelling_model(build_cifar_net(), 3), cancelling_images, 1 << 19),
 }
 
-# forward_batch's image counts per test id, from a model's stage chunks:
-# none, one, each stage's chunk -1, exact and +1, and past two full batches
-# of the largest chunk, in which forward_batch stacks its images
+# forward_batch's image counts per test id, from a model's chunk: none,
+# one, the chunk -1, exact and +1 (a short last chunk of one image), and
+# past two full chunks
 COUNTS = {
-    "zero": lambda chunks: [0],
-    "one": lambda chunks: [1],
-    "chunk-1": lambda chunks: sorted({chunk - 1 for chunk in chunks}),
-    "chunk": lambda chunks: sorted(set(chunks)),
-    "chunk+1": lambda chunks: sorted({chunk + 1 for chunk in chunks}),
-    "two-batches": lambda chunks: [2 * max(chunks) + 1],
+    "zero": lambda chunk: 0,
+    "one": lambda chunk: 1,
+    "chunk-1": lambda chunk: chunk - 1,
+    "chunk": lambda chunk: chunk,
+    "chunk+1": lambda chunk: chunk + 1,
+    "two-batches": lambda chunk: 2 * chunk + 1,
 }
 
 
@@ -1051,15 +1051,15 @@ def counting_saturations(mp):
 
 @pytest.fixture(scope="module", params=sorted(MODELS))
 def model_case(request):
-    """The model, its stage chunks under its patched budget, and enough
-    images for the largest count of COUNTS with their per-image forward
-    traces and saturation counts (forward at the real budget)."""
+    """The model, its chunk under its patched budget, and enough images for
+    the largest count of COUNTS with their per-image forward traces and
+    saturation counts (forward at the real budget)."""
     build, make_images, budget = MODELS[request.param]
     model = build()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", budget)
-        chunks = [chunk for _, chunk in forward_stages(model)]
-    images = make_images(model.input_shape, 2 * max(chunks) + 1, seed=len(chunks))
+        chunk = forward_chunk(model)
+    images = make_images(model.input_shape, 2 * chunk + 1, seed=3)
     traces, saturations = [], []
     with pytest.MonkeyPatch.context() as mp:
         total = counting_saturations(mp)
@@ -1067,54 +1067,49 @@ def model_case(request):
             total[0] = 0
             traces.append(forward(model, img))
             saturations.append(total[0])
-    return model, budget, chunks, images, traces, saturations
+    return model, budget, chunk, images, traces, saturations
 
 
 @pytest.mark.parametrize("counts_id", list(COUNTS))
 def test_forward_batch_matches_forward_on_every_tap(model_case, counts_id, monkeypatch):
-    """forward_batch at the counts of COUNTS, so that every stage meets a
-    short, a full and a spilling part, and the pass more than two batches."""
-    model, budget, chunks, images, traces, saturations = model_case
-    counts = COUNTS[counts_id](chunks)
+    """forward_batch at the counts of COUNTS, so that the pass meets a
+    short, a full and a spilling chunk, and more than two chunks."""
+    model, budget, chunk, images, traces, saturations = model_case
+    n = COUNTS[counts_id](chunk)
     monkeypatch.setattr(T, "SCRATCH_BYTES", budget)
     total = counting_saturations(monkeypatch)
     shapes = layer_output_shapes(model)
-    for n in counts:
-        total[0] = 0
-        labels, taps = forward_batch(model, images[:n], list(shapes))
-        assert labels.shape == (n,)
-        assert labels.tolist() == [t.final_label for t in traces[:n]]
-        assert total[0] == sum(saturations[:n]), n
-        if n and model_numeric_dtype(model) == Q16_16:
-            assert total[0] > 0  # the images force saturation
-        for name, shape in shapes.items():
-            assert taps[name].shape == (n,) + shape, name
-            for i, trace in enumerate(traces[:n]):
-                tap = trace.taps[name]
-                assert taps[name].dtype == tap.data.dtype, name
-                assert taps[name][i].tobytes() == tap.data.tobytes(), (name, i, n)
+    labels, taps = forward_batch(model, images[:n], list(shapes))
+    assert labels.shape == (n,)
+    assert labels.tolist() == [t.final_label for t in traces[:n]]
+    assert total[0] == sum(saturations[:n]), n
+    if n and model_numeric_dtype(model) == Q16_16:
+        assert total[0] > 0  # the images force saturation
+    for name, shape in shapes.items():
+        assert taps[name].shape == (n,) + shape, name
+        for i, trace in enumerate(traces[:n]):
+            tap = trace.taps[name]
+            assert taps[name].dtype == tap.data.dtype, name
+            assert taps[name][i].tobytes() == tap.data.tobytes(), (name, i, n)
 
 
 @pytest.mark.parametrize(
-    "name, chunks",
-    [("mlp-f32", [512]), ("lenet-f32", [64, 64, 64]), ("lenet-q16", [37, 64, 64]), ("cifar-f32", [10, 41, 41])],
+    "name, chunk",
+    [("mlp-f32", 512), ("lenet-f32", 75), ("lenet-q16", 37), ("cifar-f32", 10)],
     ids=["mlp-f32", "lenet-f32", "lenet-q16", "cifar-f32"],
 )
-def test_stage_chunks_at_the_real_budget(name, chunks):
-    """Each stage's chunk is the budget over its widest activation, capped
-    at the images the fullest conv row needs (lenet conv2 64, cifar conv2
-    41); the conv-free mlp has one stage and no cap."""
-    model = MODELS[name][0]()
-    assert [chunk for _, chunk in forward_stages(model)] == chunks
-    assert [layers[-1].kind for layers, _ in forward_stages(model)][:-1] == ["maxpool"] * (len(chunks) - 1)
+def test_stage_chunks_at_the_real_budget(name, chunk):
+    """The chunk is the budget over the widest per-image activation as
+    stored: conv1's output for the convnets (lenet 6·24·24 float32 or
+    float64 values, cifar 32·28·28 float32), fc1's 512 float32 for mlp."""
+    assert forward_chunk(MODELS[name][0]()) == chunk
 
 
-@pytest.mark.parametrize("name", ["cifar-f32", "lenet-q16"])
+@pytest.mark.parametrize("name", ["cifar-f32", "lenet-f32", "lenet-q16"])
 def test_forward_batch_memory_stays_within_four_budgets(name):
-    """300 images, far more than any stage's chunk: the pass holds one
-    stacked batch of the largest chunk, its stage output array, one part's
-    activations and one kernel's scratch, never the whole input's
-    activations."""
+    """300 images, far more than the chunk: the pass holds one chunk's
+    stacked input and activations and one kernel's scratch, never the whole
+    input's activations."""
     build, make_images, _ = MODELS[name]
     model = build()
     images = make_images(model.input_shape, 300, seed=1)
@@ -1130,14 +1125,12 @@ def test_forward_batch_memory_stays_within_four_budgets(name):
 
 @pytest.mark.parametrize(
     "name, parts",
-    [("cifar-f32", [10] * 30), ("lenet-q16", [37, 27] * 4 + [37, 7])],
+    [("cifar-f32", [10] * 30), ("lenet-q16", [37] * 8 + [4])],
     ids=["cifar-f32", "lenet-q16"],
 )
 def test_first_stage_parts_at_the_real_budget(name, parts, monkeypatch):
-    """conv1's parts in a 300-image pass. cifar stacks 40 images, not its
-    largest chunk 41, so conv1 never runs a 1-image part; Q16.16 lenet
-    keeps batches of 64, as their last first-stage part of 27 images is
-    no shorter than conv1's models._row_images (8)."""
+    """conv1's parts in a 300-image pass: whole chunks, then what is left
+    (cifar's chunk of 10 divides 300, Q16.16 lenet's 37 leaves 4)."""
     build, make_images, _ = MODELS[name]
     model = build()
     real, conv1 = T.conv2d, []
@@ -1173,7 +1166,7 @@ def test_forward_batch_rejects_mismatched_image_shape():
 
 def test_batched_stream_hit_rate_matches_per_image_check_trigger():
     model = seed_weights(build_lenet(), 2)
-    chunk = max(chunk for _, chunk in forward_stages(model))
+    chunk = forward_chunk(model)
     data = synthesize(2 * chunk + 3, model.input_shape, seed=5)
     per_image = collect_observations(model, data, "fc1").reshape(len(data), -1)
     # bands between the median and the extreme of the per-image max (min), so

@@ -722,8 +722,8 @@ FUZZ_CHOICES = {
     "defense.scale.mode": ["perImage", "perPixel"],
 }
 FUZZ_PATHS = sorted({*cli._FIELDS, *FUZZ_CHOICES})
-# counts size what a phase allocates, and nothing bounds them yet: a count
-# of 2**64 would draw images until memory runs out, so counts stay small
+# counts size what a phase allocates: one past int64 exits 2, but one that
+# fits would draw images until memory runs out, so those stay small
 FUZZ_COUNTS = {path for path, kind in cli._FIELDS.items() if kind is cli._NATURAL}
 
 
@@ -794,10 +794,26 @@ def test_fuzzed_configs_exit_without_traceback(fuzz_base, data):
         else:
             values = [*FUZZ_CHOICES.get(path, ()), *FUZZ_VALUES]
             if path in FUZZ_COUNTS:
-                values = [v for v in values if not (type(v) is int and v > 1000)]
+                values = [v for v in values if not (type(v) is int and 1000 < v < 2**63)]
             fields[key] = copy.deepcopy(data.draw(st.sampled_from(values)))
     path = root / "fuzz.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     for code, err in fuzz_phases(str(path)):
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64])
+@pytest.mark.parametrize("path", sorted(FUZZ_COUNTS))
+def test_counts_past_int64_exit_2_in_every_phase(fuzz_base, path, value):
+    root, base = fuzz_base
+    cfg = json.loads(json.dumps(base))
+    *sections, key = path.split(".")
+    fields = cfg
+    for name in sections:
+        fields = fields[name]
+    fields[key] = value
+    config = root / "count.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    err = f"error: config field {path} must be an integer in [0, {2**63 - 1}], got {value}\n"
+    assert fuzz_phases(str(config)) == [(2, err)] * 5

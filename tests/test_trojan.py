@@ -11,7 +11,7 @@ from trojansim.models import (
     build_lenet,
     forward,
     forward_batch,
-    forward_stages,
+    forward_chunk,
     quantize_model,
     seed_weights,
 )
@@ -331,21 +331,16 @@ def pool_stream(pool, picks):
     return Dataset("stream", tuple((pool[p], 0) for p in picks))
 
 
-def largest_chunk(model):
-    """The batch forward_batch stacks its images in."""
-    return max(chunk for _, chunk in forward_stages(model))
-
-
 def test_chunk_edges_final_trigger_and_in_band_malicious_image():
     model = seed_weights(build_lenet(), 4)
-    chunk = largest_chunk(model)
+    chunk = forward_chunk(model)
     pool, flat = lenet_pool(model, "fc1", 40)
     cold = flat[2:].ravel()
     bands = (isolated_band("fc1", flat[0], int(np.argmax(flat[0])), cold),)
-    # hot on the last cycle of forward_batch's batch 0 (substituted at the
-    # start of batch 1, where a hot legitimate image is dropped unevaluated),
-    # on the last cycle of batch 1, and on the final cycle of a stream longer
-    # than two batches
+    # hot on the last cycle of forward_batch's chunk 0 (substituted at the
+    # start of chunk 1, where a hot legitimate image is dropped unevaluated),
+    # on the last cycle of chunk 1, and on the final cycle of a stream longer
+    # than two chunks
     n = 2 * chunk + 4
     picks = [2 + c % 4 for c in range(n)]
     for c in (chunk - 1, chunk, 2 * chunk - 1, n - 1):
@@ -391,7 +386,7 @@ def test_run_compromised_matches_step_fuzz(quantized):
     watch = "fc1"
     if quantized:
         model, watch = quantize_model(model, Q16_16), "conv1"
-    chunk = largest_chunk(model)
+    chunk = forward_chunk(model)
     pool, flat = lenet_pool(model, watch, 42)
     cold = flat[2:].ravel()
     bands = tuple(
@@ -452,7 +447,7 @@ def test_stream_is_forwarded_in_one_call(monkeypatch):
 
     monkeypatch.setattr(trojan, "forward_batch", counting)
     model = seed_weights(build_lenet(), 2)
-    n = 2 * largest_chunk(model) + 3
+    n = 2 * forward_chunk(model) + 3
     stream = synthesize(n, model.input_shape, seed=5)
     mal = synthesize(1, model.input_shape, seed=6).items[0][0]
     config = TrojanConfig("fc1", (SigmaBand("fc1", 1e6, 2e6, "upper", 3.0, 4.0),), (mal,))
