@@ -268,23 +268,27 @@ def seed_weights(model: ModelSpec, seed: int) -> ModelSpec:
     with values uniform in [-s, s] where s = 1/sqrt(fan_in) evaluated in
     float32. The same seed always reproduces the same bits.
     """
-    rng = Xoshiro256StarStar(seed)
-    new_layers = []
-    for layer, in_shape, _ in iter_layer_shapes(model):
-        if layer.kind not in PARAMETERIZED_KINDS:
+    shapes = [
+        _weight_shape(layer, in_shape) if layer.kind in PARAMETERIZED_KINDS else None
+        for layer, in_shape, _ in iter_layer_shapes(model)
+    ]
+    # one bulk draw for every layer: the same values as a draw per layer
+    draws = Xoshiro256StarStar(seed).next_doubles(sum(math.prod(w) + w[0] for w in shapes if w is not None))
+    new_layers, start = [], 0
+    for layer, w_shape in zip(model.layers, shapes):
+        if w_shape is None:
             new_layers.append(layer)
             continue
-        w_shape = _weight_shape(layer, in_shape)
-        fan_in = math.prod(w_shape[1:])
-        s = float(np.float32(1.0 / math.sqrt(fan_in)))
+        s = float(np.float32(1.0 / math.sqrt(math.prod(w_shape[1:]))))
         n_w = math.prod(w_shape)
+        end = start + n_w + w_shape[0]
         lo, hi = -s, s
         # the same float64 sequence as rng.uniform(lo, hi), one draw after another
-        vals = (lo + (hi - lo) * rng.next_doubles(n_w + w_shape[0])).astype(np.float32)
-        w_vals, b_vals = vals[:n_w], vals[n_w:]
+        vals = (lo + (hi - lo) * draws[start:end]).astype(np.float32)
+        start = end
         kernel = Kernel(
-            weights=Tensor(w_shape, FLOAT32, w_vals),
-            bias=Tensor((w_shape[0],), FLOAT32, b_vals),
+            weights=Tensor(w_shape, FLOAT32, vals[:n_w]),
+            bias=Tensor((w_shape[0],), FLOAT32, vals[n_w:]),
         )
         new_layers.append(replace(layer, params=kernel))
     return ModelSpec(model.name, model.input_shape, tuple(new_layers))

@@ -59,6 +59,11 @@ tests compare against):
     or infinities of both signs, never equal. The fold gathers their terms
     from the input and sums them by np.add.accumulate, the running sum:
     Ziv's strategy, a fast path, a rounding test and an exact fallback.
+  * NaN. A NaN output comes only from the fold, as its E is NaN, and the
+    fold makes every NaN sum the canonical quiet NaN (positive, zero
+    payload; float32 0x7FC00000): which payload IEEE arithmetic keeps
+    where NaNs of different payloads or an inf - inf meet depends on the
+    code path, so no other NaN leaves conv2d or dense.
   * Fixed point: a certificate per batch (_any_order_is_exact). With f
     fractional bits every value is a multiple of 2^-f, so every product and
     every sum of products and bias is a multiple of 2^-2f. If max|b| +
@@ -73,6 +78,16 @@ tests compare against):
     every product are -0.0, while the product adds the bias last, so a
     zero sum of a -0.0 bias is refolded; with any other bias both give
     +0.0.
+  * No saturation below half the range. The same bound B caps every sum
+    s of a certified batch: |s| <= B. If B < 2^(int_bits-2) (Q16.16:
+    2^14), half the format's range, then, rint being monotone,
+    |rint(s 2^f)| <= rint(B 2^f) < 2^(int_bits-1+f), inside the raw range
+    [-2^(int_bits-1+f), 2^(int_bits-1+f) - 1]: no sum saturates, and the
+    finish only scales, rounds and scales back. Half the range is one bit
+    of margin for the rounding of B itself, as in the exactness test.
+    Every other fixed-point finish (uncertified batches, quantize) takes
+    the min and max of the rounded values and counts and clips only if
+    one of them lies outside the range.
   * Both certificates assume a conventional dgemm (OpenBLAS, MKL,
     Accelerate or reference BLAS), which sums plain products; none of
     them uses Strassen-like schemes, whose intermediate differences the
@@ -263,26 +278,38 @@ class Kernel:
         factors = np.stack([np.sqrt(np.einsum("ij,ij->i", w_rows, w_rows)), np.abs(self.bias.array)], axis=1)
         return factors * ((w_rows.shape[1] + 6) * 2.0 ** -51)
 
+    @cached_property
+    def max_row_magnitude(self) -> float:
+        """max_c sum_t |w_c,t| over the output channels c, the weights'
+        part of the fixed-point certificate's bound (_any_order_is_exact)."""
+        return float(np.abs(self.weights.data.reshape(self.weights.shape[0], -1)).sum(axis=1).max())
+
 
 def _storage(dtype: DType) -> type:
     """NumPy type a tensor of this dtype stores its data in."""
     return np.float32 if dtype == FLOAT32 else np.float64
 
 
-def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray) -> int:
+def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray, bound: float = math.inf) -> int:
     """Round a float64 fixed-point accumulator into out (acc's shape),
     returning how many elements saturated.
 
     acc is scaled and rounded in place: callers hand over scratch they own
-    and do not read afterwards. out may be acc itself.
+    and do not read afterwards. out may be acc itself. bound caps |acc|:
+    below half the format's range nothing can saturate (module docstring),
+    else the rounded values are counted and clipped only if their min or
+    max lies past the range.
     """
     scale = 2.0 ** fmt.frac_bits
-    lo = np.rint(fmt.min_value * scale)
-    hi = np.rint(fmt.max_value * scale)
     np.multiply(acc, scale, out=acc)
     np.rint(acc, out=acc)
-    saturated = int(np.count_nonzero(acc < lo)) + int(np.count_nonzero(acc > hi))
-    np.clip(acc, lo, hi, out=acc)
+    saturated = 0
+    if bound >= 2.0 ** (fmt.int_bits - 2):
+        lo = np.rint(fmt.min_value * scale)
+        hi = np.rint(fmt.max_value * scale)
+        if acc.min() < lo or acc.max() > hi:
+            saturated = int(np.count_nonzero(acc < lo)) + int(np.count_nonzero(acc > hi))
+            np.clip(acc, lo, hi, out=acc)
     np.multiply(acc, fmt.resolution, out=out)
     return saturated
 
@@ -294,13 +321,15 @@ def _tile_length(n: int, fixed: int, per_image: int) -> int:
     return max(1, min(n, (SCRATCH_BYTES // 8 - fixed) // per_image))
 
 
-def _any_order_is_exact(fmt: FixedFormat, x: np.ndarray, w_rows: np.ndarray, bias: np.ndarray) -> bool:
-    """The fixed-point certificate of the module docstring: every output
-    element's sum of bias and w_rows[c] x window products, for any window
-    of x, is exact in float64 in any order. Fixed-point data are finite by
+def _any_order_is_exact(x: np.ndarray, kernel: Kernel) -> float | None:
+    """The fixed-point certificate of the module docstring: B = max|b| +
+    max_c sum_t |w_c,t| * max|x| if it proves every output element's sum
+    of bias and w_c x window products, for any window of x, exact in
+    float64 in any order; else None. Fixed-point data are finite by
     construction."""
-    bound = max(bias.max(), -bias.min()) + np.abs(w_rows).sum(axis=1).max() * max(x.max(), -x.min())
-    return bool(bound < 2.0 ** (52 - 2 * fmt.frac_bits))
+    bias = kernel.bias.data
+    bound = max(bias.max(), -bias.min()) + kernel.max_row_magnitude * max(x.max(), -x.min())
+    return float(bound) if bound < 2.0 ** (52 - 2 * kernel.dtype.frac_bits) else None
 
 
 def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
@@ -312,15 +341,17 @@ def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarra
         out += bias
 
 
-def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
     """The kernel's weights, one row per output channel, and bias as
-    float64, and its bound_factors; None for a fixed-point batch x that
-    _any_order_is_exact certifies."""
+    float64, its bound_factors and a cap on every sum's magnitude for the
+    finish: for a fixed-point batch x that _any_order_is_exact certifies,
+    None and its bound B; otherwise the factors and infinity."""
     w_rows = kernel.weights.array.reshape(kernel.weights.shape[0], -1).astype(np.float64, copy=False)
     bias = kernel.bias.array.astype(np.float64, copy=False)
-    if kernel.dtype != FLOAT32 and _any_order_is_exact(kernel.dtype, x, w_rows, bias):
-        return w_rows, bias, None
-    return w_rows, bias, kernel.bound_factors
+    bound = None if kernel.dtype == FLOAT32 else _any_order_is_exact(x, kernel)
+    if bound is None:
+        return w_rows, bias, kernel.bound_factors, math.inf
+    return w_rows, bias, None, bound
 
 
 def _bound(e: np.ndarray, factors: np.ndarray, terms: np.ndarray, norms: np.ndarray) -> None:
@@ -338,10 +369,11 @@ def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias
     *element axes) view, in the pinned order: bias[c], then w_rows[c, t]
     times term t of the element's input for t = 0, 1, ...; source holds
     the inputs as (*term axes, *element axes), in any layout. The float64
-    sums go into dst. A slice of elements takes its bias, weights and
-    products in two thirds of scratch (float64, free to overwrite), or of
-    a buffer of at most a quarter of SCRATCH_BYTES if scratch is None or
-    too short, and its gathered inputs the last third's size."""
+    sums go into dst, a NaN one as the canonical quiet NaN. A slice of
+    elements takes its bias, weights and products in two thirds of
+    scratch (float64, free to overwrite), or of a buffer of at most a
+    quarter of SCRATCH_BYTES if scratch is None or too short, and its
+    gathered inputs the last third's size."""
     if not flat.size:
         return
     depth = w_rows.shape[1]
@@ -358,16 +390,20 @@ def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias
         np.multiply(ws, source[(Ellipsis, *at)].reshape(depth, f).T, out=terms[:, 1:])
         # accumulate is defined as the running sum, term after term
         np.add.accumulate(terms, axis=1, out=terms)
-        dst[(c, *at)] = terms[:, depth]
+        sums = terms[:, depth]
+        # which payload a NaN sum keeps depends on NumPy's loop
+        sums[np.isnan(sums)] = np.nan
+        dst[(c, *at)] = sums
 
 
 def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
-                sums: np.ndarray, out: np.ndarray, scratch: np.ndarray | None) -> int:
+                sums: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, bound: float) -> int:
     """Round a block's BLAS sums into out, a (channel, *element axes)
     view, returning the saturations; source is the block's input as
     _fold_elements takes it. Certified fixed-point sums (one row per
     channel) are exact: the zeros of a -0.0 bias are refolded for their
-    sign, then all are rounded and saturated. Otherwise the rows are the
+    sign, then all are rounded, and saturated unless their cap `bound`
+    (from _operands) proves that none can be. Otherwise the rows are the
     sums s, then their bounds E (from _bound), and the per-element
     certificate of the module docstring runs: an element it settles keeps
     s - E (float32: rounded; fixed point: rounded and saturated by the
@@ -378,7 +414,7 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
         if minus.any():
             zeros = (sums == 0) & minus.reshape((-1,) + (1,) * (out.ndim - 1))
             _fold_elements(sums, w_rows, source, bias, np.flatnonzero(zeros), None)
-        return _finish(sums, dtype, out)
+        return _finish(sums, dtype, out, bound)
     s, e = sums[:out_ch], sums[out_ch:]
     hi = np.empty(out.shape, dtype=out.dtype)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -424,7 +460,7 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
     n = x.shape[0]
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[2:]
-    w_rows, bias, factors = _operands(kernel, x)
+    w_rows, bias, factors, bound = _operands(kernel, x)
     depth = w_rows.shape[1]
     if factors is None:
         held, per_column, acc_rows = 0, depth + out_ch, out_ch
@@ -450,7 +486,7 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
             if factors is not None:
                 _bound(acc[out_ch:], factors, cols, norms[:, :cols.shape[1]])
             dst = out[start:start + m, :, top:top + r].transpose(1, 0, 2, 3)
-            saturations += _round_sums(kernel.dtype, w_rows, block, bias, acc.reshape(-1, m, r, ow), dst, acc_buf)
+            saturations += _round_sums(kernel.dtype, w_rows, block, bias, acc.reshape(-1, m, r, ow), dst, acc_buf, bound)
     return saturations
 
 
@@ -460,14 +496,14 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
     a batch that _any_order_is_exact certifies is its own accumulator;
     any other takes a float64 copy of its rows and their E."""
     m, n = kernel.weights.shape
-    w_rows, bias, factors = _operands(kernel, x)
+    w_rows, bias, factors, bound = _operands(kernel, x)
     saturations = 0
     if factors is None:
         tile = _tile_length(x.shape[0], 0, m)
         for start in range(0, x.shape[0], tile):
             acc, xs = out[start:start + tile], x[start:start + tile]
             _sum_products(xs, w_rows.T, bias, acc)
-            saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, None)
+            saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, None, bound)
         return saturations
     tile = _tile_length(x.shape[0], w_rows.size + 3 * m, n + 2 + 4 * m)
     x_buf, acc_buf, norms = np.empty(tile * n), np.empty(tile * 2 * m), np.ones((2, tile))
@@ -479,7 +515,7 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
         _sum_products(xs, w_rows.T, bias, acc[:, :m])
         _bound(acc[:, m:].T, factors, xs.T, norms[:, :t])
         dst = out[start:start + t].T
-        saturations += _round_sums(kernel.dtype, w_rows, x[start:start + t].T, bias, acc.T, dst, acc_buf)
+        saturations += _round_sums(kernel.dtype, w_rows, x[start:start + t].T, bias, acc.T, dst, acc_buf, bound)
     return saturations
 
 
@@ -568,6 +604,9 @@ def relu(input: Tensor) -> Tensor:
 
 def quantize(input: Tensor, fmt: FixedFormat) -> Tensor:
     """Round to the nearest representable fixed-point value (half to even),
-    saturating out-of-range values and counting them on the result."""
+    saturating out-of-range values, infinities included, and counting them
+    on the result. NaN has no fixed-point value."""
     acc = input.data.astype(np.float64)
-    return Tensor(input.shape, fmt, acc, _finish(acc, fmt, acc))
+    if np.isnan(acc).any():
+        raise ValueError(f"values not representable in {fmt}")
+    return Tensor._built(input.shape, fmt, acc, _finish(acc, fmt, acc))

@@ -15,9 +15,11 @@ from trojansim.tensor import FLOAT32, FixedFormat, Tensor
 
 def _finish_scalar(acc: float, dtype):
     if dtype == FLOAT32:
-        return np.float32(acc), 0
+        # every NaN sum is the canonical quiet NaN, whatever its terms' payloads
+        return np.float32(math.nan if math.isnan(acc) else acc), 0
     scale = float(1 << dtype.frac_bits)
-    raw = round(acc * scale)  # Python round = half to even, like np.rint
+    # Python round = half to even, like np.rint; an infinity saturates below
+    raw = round(acc * scale) if math.isfinite(acc) else acc
     lo = -(1 << (dtype.int_bits + dtype.frac_bits - 1))
     hi = (1 << (dtype.int_bits + dtype.frac_bits - 1)) - 1
     sat = 0

@@ -587,10 +587,8 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
     the math.fsum of |b| and the |w x|, for conv2d and dense on signed,
     subnormal, zero and near-max float32 values and on Q16.16 values past
     the exact bound. An element with a NaN or infinite term is always
-    refolded, and every row is bitwise equal to the oracles but for the
-    payload of a NaN: a sum of two NaNs of different payloads keeps the
-    one that the add's code path picks, which the scalar oracle and
-    NumPy's loops do not agree on."""
+    refolded, and every row is bitwise equal to the oracles, every NaN
+    the canonical quiet NaN whatever the payloads of its terms."""
     rng = np.random.default_rng(seed)
     special = special and not fixed
     dtype = Q16_16 if fixed else FLOAT32
@@ -622,15 +620,12 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
             got = op(inp, kernel)
             wants = [oracle(row) for row in rows(inp)]
         assert got.saturations == sum(o.saturations for o in wants)
-        want = np.stack([o.array for o in wants])
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got.array), nan)
-        assert got.array[~nan].tobytes() == want[~nan].tobytes()
+        assert got.array.tobytes() == np.stack([o.array for o in wants]).tobytes()
         folded = np.zeros(got.shape, dtype=bool)
         for mask in masks:
             assert mask.shape == got.shape  # one block or tile holds them all
             folded |= mask
-        w_rows, b, factors = T._operands(kernel, inp.array)
+        w_rows, b, factors, _ = T._operands(kernel, inp.array)
         assert factors is not None
         terms = np.array(list(windows.values()), dtype=np.float64).T
         bounds = np.empty((cout, len(windows)))
@@ -678,6 +673,72 @@ def test_saturated_ends_settle_without_a_refold(layer):
     assert len(masks) <= 1 and all(mask.shape == got.shape for mask in masks)
     saturated = np.stack([np.abs(o.array) >= Q16_16.max_value for o in want])
     assert not any((mask & saturated).any() for mask in masks)
+
+
+# ranges [low, high) of the fixed-point certificate's bound B (exact_bound)
+# and the B each case aims at: below half the Q16.16 range, 2**14, where
+# the finish skips the saturation count; certified, past half the range,
+# with sums that saturate; and past the exact bound 2**20
+BOUND_RANGES = {
+    "below-half-range": (0, 2**14, 2**13),
+    "certified-saturating": (2**14, 2**20, 2**17),
+    "past-exact-bound": (2**20, math.inf, 2**22),
+}
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from(list(BOUND_RANGES)),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(1, 3),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 5),
+    k=st.integers(1, 3),
+)
+def test_fixed_point_finish_in_every_range_of_the_bound(seed, span, sign, n, cin, cout, h, k):
+    """Q16.16 conv2d and dense with B in each of BOUND_RANGES: inputs up to
+    X and weights up to W in magnitude, the first image all sign * X and
+    the first channel's weights all W, so that its sums there come within
+    2 max|b| of B, saturating past the format's range. _operands certifies the first two
+    ranges and caps the sums by B, every row is bitwise equal to the
+    oracles, and the saturation counts are theirs."""
+    rng = np.random.default_rng(seed)
+    low, high, target = BOUND_RANGES[span]
+    k = min(k, h)
+    depth = cin * h * h
+
+    def q16(v):
+        return np.rint(np.asarray(v) * 2**16) / 2**16
+
+    x_max = q16(math.sqrt(target / depth))
+    x = q16(rng.uniform(-x_max, x_max, (n, cin, h, h)))
+    x[0] = sign * x_max
+    bias = Tensor((cout,), Q16_16, q16(rng.uniform(-1, 1, cout)))
+
+    def kernel(shape):
+        w_max = q16(target / (math.prod(shape) * x_max))
+        w = q16(rng.uniform(-w_max, w_max, (cout,) + shape))
+        w[0] = w_max
+        return Kernel(Tensor(w.shape, Q16_16, w.ravel()), bias)
+
+    x = Tensor(x.shape, Q16_16, x.ravel())
+    flat = x.reshaped((n, depth))
+    kern, dkern = kernel((cin, k, k)), kernel((depth,))
+    cases = [
+        (T.conv2d(x, kern), [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)], x, kern),
+        (T.dense(flat, dkern), [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)], flat, dkern),
+    ]
+    for got, want, inp, kernel in cases:
+        bound = exact_bound(inp, kernel)
+        assert low <= bound < high
+        _, _, factors, cap = T._operands(kernel, inp.array)
+        assert (factors is None) == (bound < 2**20)
+        assert cap == (bound if factors is None else math.inf)
+        assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
+        assert got.saturations == sum(o.saturations for o in want)
+        assert (got.saturations > 0) == (span != "below-half-range")
 
 
 # float32 values whose products (1, 2**-12, 2**-24, 2**-27, 2**-39, 2**-54,
@@ -761,6 +822,48 @@ def test_float32_refolds_what_the_certificate_cannot_settle(seed, special, n, ci
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
     assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got_dense), want_dense))
     assert conv_folded >= got.size // got.shape[1] and folded[0] - conv_folded >= n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 5),
+    w=st.integers(1, 5),
+    k=st.integers(1, 3),
+    stride=st.integers(1, 2),
+)
+def test_nan_outputs_are_the_canonical_quiet_nan(seed, n, cin, cout, h, w, k, stride):
+    """float32 conv2d and dense with a fifth of their inputs, weights and
+    biases replaced by SPECIAL_VALUES, so that NaNs of different payloads
+    and signs, and infinities of both signs, meet in one sum, and a NaN
+    first input: every NaN output is the canonical quiet NaN, and every
+    row is bitwise equal to the oracles."""
+    rng = np.random.default_rng(seed)
+    k = min(k, h, w)
+    x = midpoint_values(rng, (n, cin, h, w), 0.2)
+    x[0, 0, 0, 0] = rng.choice(SPECIAL_VALUES[2:])
+    x = Tensor(x.shape, FLOAT32, x.ravel())
+    flat = x.reshaped((n, cin * h * w))
+
+    def kernel(shape):
+        weights = midpoint_values(rng, (cout,) + shape, 0.2)
+        bias = midpoint_values(rng, (cout,), 0.2)
+        return Kernel(Tensor(weights.shape, FLOAT32, weights.ravel()), Tensor((cout,), FLOAT32, bias))
+
+    kern, dkern = kernel((cin, k, k)), kernel((cin * h * w,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cases = [
+            (T.conv2d(x, kern, stride), [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]),
+            (T.dense(flat, dkern), [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]),
+        ]
+    for got, want in cases:
+        nan = np.isnan(got.data)
+        assert nan.any()
+        assert (got.data[nan].view(np.uint32) == 0x7FC00000).all()
+        assert all(T.bitwise_equal(g, o) for g, o in zip(rows(got), want))
 
 
 def test_order_dependent_float32_sum_is_refolded():
@@ -1496,6 +1599,34 @@ RECORDED_DIGESTS = {
 def test_seeded_outputs_match_recorded_digests(case):
     digest, want = RECORDED_DIGESTS[case]
     assert digest() == want
+
+
+@pytest.mark.parametrize("seed", [0, 2, 2**64 - 1])
+@pytest.mark.parametrize("build", [build_lenet, build_cifar_net, build_mlp], ids=["lenet", "cifar", "mlp"])
+def test_seeded_parameters_equal_per_layer_draws(build, seed):
+    """seed_weights' parameters, which it draws in one bulk call, equal
+    one next_doubles call per conv or dense layer, in layer order, weights
+    then bias, scaled to [-s, s], s = float32(1 / sqrt(fan_in))."""
+    model = build()
+    rng = Xoshiro256StarStar(seed)
+    want = {}
+    for layer, in_shape, _ in iter_layer_shapes(model):
+        if layer.kind == "conv":
+            k = layer.hyperparams["kernelSize"]
+            shape = (layer.hyperparams["outChannels"], in_shape[0], k, k)
+        elif layer.kind == "dense":
+            shape = (layer.hyperparams["units"], in_shape[0])
+        else:
+            continue
+        s = float(np.float32(1.0 / math.sqrt(math.prod(shape[1:]))))
+        size = math.prod(shape)
+        vals = (-s + 2 * s * rng.next_doubles(size + shape[0])).astype(np.float32)
+        want[f"{layer.name}.weight"], want[f"{layer.name}.bias"] = vals[:size].reshape(shape), vals[size:]
+    got = model_params(seed_weights(model, seed))
+    assert list(got) == list(want)
+    for name, t in got.items():
+        assert t.shape == want[name].shape and t.data.dtype == np.float32
+        assert t.data.tobytes() == want[name].tobytes(), name
 
 
 def scalar_synthesize(count, shape, seed, mode):

@@ -233,6 +233,19 @@ def test_quantize_saturates_and_counts():
     assert q.data[1] == q8.min_value
 
 
+def test_quantize_refuses_nan_and_saturates_infinities():
+    """NaN has no fixed-point value, whatever its payload or sign, and
+    +-inf saturate to the format's limits, each counted once."""
+    for nan in np.array([0x7FC00000, 0xFFC0ABCD, 0x7FD23456], dtype=np.uint32).view(np.float32):
+        with pytest.raises(ValueError, match=r"^values not representable in Q16\.16$"):
+            T.quantize(Tensor.from_array(np.array([1.0, nan, np.inf], dtype=np.float32)), Q16_16)
+    q = T.quantize(Tensor.from_array(np.array([np.inf, -np.inf, 1.5, np.inf], dtype=np.float32)), Q16_16)
+    assert q.saturations == 3
+    assert q.data.tolist() == [Q16_16.max_value, Q16_16.min_value, 1.5, Q16_16.max_value]
+    want, sats = quantize_naive([np.inf, -np.inf, 1.5, np.inf], Q16_16)
+    assert q.data.tobytes() == want.tobytes() and sats == 3
+
+
 def test_quantize_is_idempotent():
     rng = np.random.default_rng(41)
     t = rand_tensor(rng, (50,), scale=100.0)
