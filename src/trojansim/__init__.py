@@ -45,6 +45,7 @@ from .models import (
     build_lenet,
     forward,
     forward_batch,
+    quantize_model,
     seed_weights,
 )
 from .profiling import (
@@ -62,10 +63,8 @@ from .trojan import (
     TriggerEvent,
     TrojanConfig,
     TrojanState,
-    check_trigger,
     evaluate_attack,
     run_compromised,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +101,6 @@ __all__ = [
     "alter_validation",
     "build_cifar_net",
     "build_lenet",
-    "check_trigger",
     "estimate_trigger_rate",
     "evaluate_altered_defense",
     "evaluate_attack",
@@ -115,11 +113,11 @@ __all__ = [
     "parse_cifar10",
     "parse_idx",
     "profile_layer",
+    "quantize_model",
     "run_compromised",
     "seed_weights",
     "split",
     "split_indices",
-    "step",
     "synthesize",
     "synthesize_split",
 ]

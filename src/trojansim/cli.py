@@ -126,16 +126,27 @@ def _check_fields(cfg: dict) -> None:
             raise ConfigError(f"config field {path} must be {noun}, got {fields[key]!r}")
 
 
-def load_config(path: str | Path) -> dict:
+def _read_json_object(path: str | Path, error: type[Exception], what: str) -> dict:
+    """The JSON object in the UTF-8 file at path. A file that is missing,
+    unreadable, not UTF-8, not JSON or not an object raises error, naming
+    it as what."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}")
+        raise error(f"{what} not found: {path}")
+    except OSError as e:  # a directory, or no permission to read
+        raise error(f"{what} {path} cannot be read: {e.strerror}")
+    # bad UTF-8, bad JSON and an integer past Python's digit limit are
+    # ValueErrors; deep nesting exhausts the decoder's recursion
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what} {path} is not valid JSON: {e}")
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise error(f"{what} {path} must be a JSON object")
     return raw
+
+
+def load_config(path: str | Path) -> dict:
+    return _read_json_object(path, ConfigError, "config file")
 
 
 def resolve_config(raw: dict, out_override: str | None, seed_override: int | None) -> dict:
@@ -182,12 +193,7 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
 def build_model(cfg: dict) -> models.ModelSpec:
     name = cfg["modelName"]
     if name.endswith(".json"):
-        try:
-            spec = models.model_from_json(json.loads(Path(name).read_text(encoding="utf-8")))
-        except FileNotFoundError:
-            raise ConfigError(f"modelName file not found: {name}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"modelName file {name} is not valid JSON: {e}")
+        spec = models.model_from_json(_read_json_object(name, ConfigError, "model JSON file"))
     else:
         spec = models.build_model(name)
     weights = cfg["weights"]
@@ -419,7 +425,7 @@ def cmd_report(cfg: dict) -> None:
         path = out / filename
         if path.exists():
             found = True
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = _read_json_object(path, DataError, "phase output")
             payload.pop("config", None)
             payload.pop("formatVersion", None)
             phases[phase] = payload

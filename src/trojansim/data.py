@@ -143,28 +143,6 @@ def parse_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     return Dataset(name="mnist", items=items)
 
 
-def write_idx(dataset: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
-    """Write a single-channel dataset back to the IDX pair format.
-
-    Pixels are mapped to bytes by round(v*255), so datasets that came from
-    IDX files round-trip exactly.
-    """
-    shape = dataset.image_shape
-    if shape is None:
-        shape = (1, 0, 0)
-    if len(shape) != 3 or shape[0] != 1:
-        raise ConfigError(f"IDX writer needs (1, H, W) images, got {shape}")
-    _, rows, cols = shape
-    img_blob = bytearray(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
-    lab_blob = bytearray(struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)))
-    for img, label in dataset.items:
-        raw = np.clip(np.rint(img.data.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
-        img_blob += raw.tobytes()
-        lab_blob.append(label)
-    Path(images_path).write_bytes(bytes(img_blob))
-    Path(labels_path).write_bytes(bytes(lab_blob))
-
-
 def parse_cifar10(bin_path: str | Path) -> Dataset:
     """Parse a CIFAR-10 binary batch: 3073-byte records, RGB planes."""
     buf = Path(bin_path).read_bytes()
@@ -183,18 +161,6 @@ def parse_cifar10(bin_path: str | Path) -> Dataset:
         raw = np.frombuffer(buf, dtype=np.uint8, count=CIFAR_RECORD_LEN - 1, offset=start + 1)
         items.append((Tensor((3, 32, 32), FLOAT32, _scale_pixels(raw)), label))
     return Dataset(name="cifar10", items=tuple(items))
-
-
-def write_cifar10(dataset: Dataset, bin_path: str | Path) -> None:
-    """Write a (3, 32, 32) dataset to the CIFAR-10 binary record format."""
-    shape = dataset.image_shape
-    if shape is not None and shape != (3, 32, 32):
-        raise ConfigError(f"CIFAR-10 writer needs (3, 32, 32) images, got {shape}")
-    blob = bytearray()
-    for img, label in dataset.items:
-        blob.append(label)
-        blob += np.clip(np.rint(img.data.astype(np.float64) * 255.0), 0, 255).astype(np.uint8).tobytes()
-    Path(bin_path).write_bytes(bytes(blob))
 
 
 def synthesize(

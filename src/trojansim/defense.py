@@ -24,7 +24,6 @@ from .models import (
     PARAMETERIZED_KINDS,
     LayerSpec,
     ModelSpec,
-    _layer_outputs,
     forward_batch,
     iter_layer_shapes,
     layers_to_json,
@@ -270,24 +269,6 @@ def partition(
             )
         )
     return views
-
-
-def run_view(view: DesignerView, x: Tensor) -> Tensor:
-    """Execute one group's slice; the designer's whole computational world."""
-    if x.shape != view.input_dims:
-        raise ConfigError(
-            f"group {view.group_index} expects input dims {view.input_dims}, got {x.shape}"
-        )
-    taps = dict(_layer_outputs(view.layers, x.reshaped((1,) + x.shape)))
-    out = taps[view.layers[-1].name]
-    return out.reshaped(out.shape[1:])
-
-
-def run_partitioned(views: list[DesignerView], image: Tensor) -> Tensor:
-    out = image
-    for view in views:
-        out = run_view(view, out)
-    return out
 
 
 def evaluate_distributed_defense(views: list[DesignerView], full_model: ModelSpec) -> DefenseReport:

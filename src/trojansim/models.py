@@ -379,15 +379,6 @@ def layers_to_json(layers: Sequence[LayerSpec]) -> list[dict]:
     ]
 
 
-def model_to_json(model: ModelSpec) -> dict:
-    """Architecture record; parameters travel separately in weight files."""
-    return {
-        "name": model.name,
-        "inputShape": list(model.input_shape),
-        "layers": layers_to_json(model.layers),
-    }
-
-
 def _positive_ints(values) -> bool:
     return all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in values)
 

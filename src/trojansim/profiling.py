@@ -376,15 +376,3 @@ def export_histogram(stats: LayerStats, path: str | Path) -> None:
             lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{c}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-
-def load_histogram_csv(path: str | Path) -> list[tuple[float, float, int]]:
-    """Read back an exported histogram (for round-trip checks and reports)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "bin_lo,bin_hi,count":
-        raise ConfigError(f"{path} is not a histogram CSV")
-    out = []
-    for ln in lines[1:]:
-        lo_s, hi_s, c_s = ln.split(",")
-        out.append((float(lo_s), float(hi_s), int(c_s)))
-    return out

@@ -216,10 +216,6 @@ class Tensor:
         flat = np.ascontiguousarray(arr, dtype=_storage(dtype)).reshape(-1).copy()
         return cls(tuple(shape), dtype, flat, saturations)
 
-    @classmethod
-    def zeros(cls, shape: Sequence[int], dtype: DType = FLOAT32) -> "Tensor":
-        return cls(tuple(shape), dtype, np.zeros(math.prod(shape), dtype=_storage(dtype)))
-
     @property
     def array(self) -> np.ndarray:
         """Read-only view of the data in this tensor's shape."""
@@ -233,17 +229,6 @@ class Tensor:
         if math.prod(shape) != self.size:
             raise DimensionError(f"cannot reshape {self.shape} to {tuple(shape)}")
         return Tensor._built(tuple(shape), self.dtype, self.data, self.saturations)
-
-
-def bitwise_equal(a: Tensor, b: Tensor) -> bool:
-    """Same shape, dtype and bytes: -0.0 and +0.0 differ, as do NaNs of
-    different payloads."""
-    return (
-        a.shape == b.shape
-        and a.dtype == b.dtype
-        and a.data.dtype == b.data.dtype
-        and a.data.tobytes() == b.data.tobytes()
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,10 +256,18 @@ class Kernel:
         return self.weights.dtype
 
     @cached_property
+    def weight_rows(self) -> np.ndarray:
+        """The weights as float64, one read-only row per output channel: the
+        weight operand of every conv2d and dense product and fold."""
+        w_rows = self.weights.array.reshape(self.weights.shape[0], -1).astype(np.float64, copy=False)
+        w_rows.flags.writeable = False
+        return w_rows
+
+    @cached_property
     def bound_factors(self) -> np.ndarray:
         """The factors of the bound E of the module docstring: one float64
         row (k ||w_c||_2, k |b_c|) per output channel c."""
-        w_rows = self.weights.array.reshape(self.weights.shape[0], -1).astype(np.float64)
+        w_rows = self.weight_rows
         factors = np.stack([np.sqrt(np.einsum("ij,ij->i", w_rows, w_rows)), np.abs(self.bias.array)], axis=1)
         return factors * ((w_rows.shape[1] + 6) * 2.0 ** -51)
 
@@ -342,11 +335,11 @@ def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarra
 
 
 def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
-    """The kernel's weights, one row per output channel, and bias as
-    float64, its bound_factors and a cap on every sum's magnitude for the
-    finish: for a fixed-point batch x that _any_order_is_exact certifies,
-    None and its bound B; otherwise the factors and infinity."""
-    w_rows = kernel.weights.array.reshape(kernel.weights.shape[0], -1).astype(np.float64, copy=False)
+    """The kernel's weight_rows, its bias as float64, its bound_factors and
+    a cap on every sum's magnitude for the finish: for a fixed-point batch x
+    that _any_order_is_exact certifies, None and its bound B; otherwise the
+    factors and infinity."""
+    w_rows = kernel.weight_rows
     bias = kernel.bias.array.astype(np.float64, copy=False)
     bound = None if kernel.dtype == FLOAT32 else _any_order_is_exact(x, kernel)
     if bound is None:

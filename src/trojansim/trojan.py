@@ -7,10 +7,9 @@ Armed:    substitute the selected malicious image for this cycle's input
           (the legitimate image is dropped), skip trigger evaluation, and
           reset to Dormant.
 
-`step` advances the machine by one cycle and is the per-cycle reference.
-`run_compromised` gives the same labels and state for a whole stream from
-one batched pass: a dormant cycle is exactly a clean forward, so the pass
-serves every dormant cycle and the machine walks only the cycles with a hit.
+`run_compromised` drives a whole stream from one batched pass: a dormant
+cycle is exactly a clean forward, so the pass serves every dormant cycle and
+the machine walks only the cycles with a hit.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, DimensionError
-from .models import ForwardTrace, ModelSpec, forward, forward_batch
+from .errors import ConfigError, DataError
+from .models import ModelSpec, forward, forward_batch
 from .profiling import SigmaBand, in_bands
 from .tensor import Tensor
 
@@ -93,13 +92,6 @@ class TrojanState:
     fired_count: int = 0
     log: tuple[TriggerEvent, ...] = ()
 
-    def __post_init__(self):
-        if self.mode not in (DORMANT, ARMED):
-            raise ConfigError(f"invalid mode {self.mode!r}")
-        fired = sum(1 for e in self.log if e.kind == "Triggered")
-        if fired != self.fired_count:
-            raise ConfigError(f"firedCount {self.fired_count} != Triggered events in log ({fired})")
-
 
 @dataclass(frozen=True)
 class AttackReport:
@@ -121,53 +113,6 @@ class AttackReport:
         }
 
 
-def check_trigger(layer_output: Tensor, bands) -> tuple[int, float] | None:
-    """First element (lowest index) inside any band, bounds inclusive."""
-    idx = np.flatnonzero(in_bands(layer_output.data, bands))
-    if idx.size == 0:
-        return None
-    i = int(idx[0])
-    return i, float(layer_output.data[i])
-
-
-def step(
-    state: TrojanState,
-    model: ModelSpec,
-    config: TrojanConfig,
-    cycle: int,
-    legitimate_input: Tensor,
-) -> tuple[Tensor, TrojanState, list[TriggerEvent], ForwardTrace]:
-    """Advance the payload machine by one image cycle.
-
-    Returns the input that actually entered the pipeline, the new state, the
-    events logged this cycle, and the forward trace of the effective input
-    (so callers never run the pipeline twice per cycle).
-    """
-    if legitimate_input.shape != model.input_shape:
-        raise DimensionError(
-            f"cycle {cycle}: input shape {legitimate_input.shape} != model {model.input_shape}"
-        )
-    events: list[TriggerEvent] = []
-    if state.mode == ARMED:
-        ordinal = sum(1 for e in state.log if e.kind == "Substituted")
-        used_idx, effective = config.select_image(ordinal)
-        trace = forward(model, effective)
-        # trigger evaluation is suppressed for the substituted image
-        events.append(TriggerEvent(cycle, "Substituted", used_malicious_index=used_idx))
-        new_state = TrojanState(DORMANT, state.fired_count, state.log + tuple(events))
-        return effective, new_state, events, trace
-
-    effective = legitimate_input
-    trace = forward(model, effective)
-    hit = check_trigger(trace.taps[config.watch_layer], config.bands)
-    if hit is None:
-        return effective, state, events, trace
-    hit_index, hit_value = hit
-    events.append(TriggerEvent(cycle, "Triggered", hit_value=hit_value, hit_index=hit_index))
-    new_state = TrojanState(ARMED, state.fired_count + 1, state.log + tuple(events))
-    return effective, new_state, events, trace
-
-
 def run_compromised(
     model: ModelSpec,
     config: TrojanConfig,
@@ -175,10 +120,11 @@ def run_compromised(
 ) -> tuple[list[int], AttackReport, TrojanState]:
     """Drive the full stream through the compromised pipeline, in order.
 
-    Returns what driving step cycle by cycle returns, without the per-cycle
-    loop: a dormant cycle is exactly a clean forward, so one batched pass
-    over the stream yields every clean label and each cycle's first
-    watch-tap element inside a band. The Dormant/Armed machine then walks
+    Returns the labels, the report and the final state of the per-cycle
+    machine, without a per-cycle loop: a dormant cycle is exactly a clean
+    forward, so one batched pass over the stream yields every clean label
+    and each cycle's first watch-tap element inside a band, and a state
+    consistent by construction. The Dormant/Armed machine then walks
     only the cycles with a hit; a hit on a substituted cycle is never
     evaluated. Each malicious image is forwarded once, on first use. The
     report is scored against the batched pass's labels.
@@ -262,10 +208,3 @@ def write_labels_csv(labels: list[int], state: TrojanState, path: str | Path) ->
         for c, label in enumerate(labels):
             w.writerow([c, label, 1 if c in substituted else 0])
 
-
-def read_labels_csv(path: str | Path) -> list[tuple[int, int, int]]:
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["cycle", "label", "substituted"]:
-        raise DataError(f"{path} is not a labels CSV")
-    return [(int(c), int(l), int(s)) for c, l, s in rows[1:]]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import ByteCursor
 from .errors import ConfigError, ParseError
-from .tensor import FLOAT32, Q16_16, FixedFormat, Tensor
+from .tensor import FLOAT32, Q16_16, Tensor
 
 MAGIC = b"DLAW"
 VERSION = 1

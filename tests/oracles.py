@@ -4,13 +4,36 @@ Everything here is deliberately dumb: scalar Python loops, one multiply-add
 at a time, accumulating in float64 (Python floats) in the declared order and
 rounding to the output type once at the end. The production kernels must
 match these bitwise.
+
+Beside the kernels: the per-cycle payload machine (`step`), which
+`run_compromised` must reproduce from its one batched pass; the partitioned
+run (`run_view`, `run_partitioned`), which must reproduce the whole model's
+output; and writers of the IDX and CIFAR-10 formats that the parsers read.
 """
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
+from trojansim.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
+from trojansim.defense import DesignerView
+from trojansim.errors import ConfigError, DimensionError
+from trojansim.models import ForwardTrace, ModelSpec, _layer_outputs, forward
 from trojansim.tensor import FLOAT32, FixedFormat, Tensor
+from trojansim.trojan import ARMED, DORMANT, TriggerEvent, TrojanConfig, TrojanState
+
+
+def bitwise_equal(a: Tensor, b: Tensor) -> bool:
+    """Same shape, dtype and bytes: -0.0 and +0.0 differ, as do NaNs of
+    different payloads."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.data.dtype == b.data.dtype
+        and a.data.tobytes() == b.data.tobytes()
+    )
 
 
 def _finish_scalar(acc: float, dtype):
@@ -119,3 +142,93 @@ def check_trigger_naive(values, bands):
             if b.lo <= v <= b.hi:
                 return i, float(v)
     return None
+
+
+def step(
+    state: TrojanState,
+    model: ModelSpec,
+    config: TrojanConfig,
+    cycle: int,
+    legitimate_input: Tensor,
+) -> tuple[Tensor, TrojanState, list[TriggerEvent], ForwardTrace]:
+    """Advance the payload machine by one image cycle.
+
+    Returns the input that actually entered the pipeline, the new state, the
+    events logged this cycle, and the forward trace of the effective input
+    (so callers never run the pipeline twice per cycle).
+    """
+    if legitimate_input.shape != model.input_shape:
+        raise DimensionError(
+            f"cycle {cycle}: input shape {legitimate_input.shape} != model {model.input_shape}"
+        )
+    events: list[TriggerEvent] = []
+    if state.mode == ARMED:
+        ordinal = sum(1 for e in state.log if e.kind == "Substituted")
+        used_idx, effective = config.select_image(ordinal)
+        trace = forward(model, effective)
+        # trigger evaluation is suppressed for the substituted image
+        events.append(TriggerEvent(cycle, "Substituted", used_malicious_index=used_idx))
+        new_state = TrojanState(DORMANT, state.fired_count, state.log + tuple(events))
+        return effective, new_state, events, trace
+
+    effective = legitimate_input
+    trace = forward(model, effective)
+    hit = check_trigger_naive(trace.taps[config.watch_layer].data, config.bands)
+    if hit is None:
+        return effective, state, events, trace
+    hit_index, hit_value = hit
+    events.append(TriggerEvent(cycle, "Triggered", hit_value=hit_value, hit_index=hit_index))
+    new_state = TrojanState(ARMED, state.fired_count + 1, state.log + tuple(events))
+    return effective, new_state, events, trace
+
+
+def run_view(view: DesignerView, x: Tensor) -> Tensor:
+    """Execute one group's slice; the designer's whole computational world."""
+    if x.shape != view.input_dims:
+        raise ConfigError(
+            f"group {view.group_index} expects input dims {view.input_dims}, got {x.shape}"
+        )
+    taps = dict(_layer_outputs(view.layers, x.reshaped((1,) + x.shape)))
+    out = taps[view.layers[-1].name]
+    return out.reshaped(out.shape[1:])
+
+
+def run_partitioned(views: list[DesignerView], image: Tensor) -> Tensor:
+    out = image
+    for view in views:
+        out = run_view(view, out)
+    return out
+
+
+def write_idx(dataset: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
+    """Write a single-channel dataset back to the IDX pair format.
+
+    Pixels are mapped to bytes by round(v*255), so datasets that came from
+    IDX files round-trip exactly.
+    """
+    shape = dataset.image_shape
+    if shape is None:
+        shape = (1, 0, 0)
+    if len(shape) != 3 or shape[0] != 1:
+        raise ConfigError(f"IDX writer needs (1, H, W) images, got {shape}")
+    _, rows, cols = shape
+    img_blob = bytearray(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
+    lab_blob = bytearray(struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)))
+    for img, label in dataset.items:
+        raw = np.clip(np.rint(img.data.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+        img_blob += raw.tobytes()
+        lab_blob.append(label)
+    Path(images_path).write_bytes(bytes(img_blob))
+    Path(labels_path).write_bytes(bytes(lab_blob))
+
+
+def write_cifar10(dataset: Dataset, bin_path: str | Path) -> None:
+    """Write a (3, 32, 32) dataset to the CIFAR-10 binary record format."""
+    shape = dataset.image_shape
+    if shape is not None and shape != (3, 32, 32):
+        raise ConfigError(f"CIFAR-10 writer needs (3, 32, 32) images, got {shape}")
+    blob = bytearray()
+    for img, label in dataset.items:
+        blob.append(label)
+        blob += np.clip(np.rint(img.data.astype(np.float64) * 255.0), 0, 255).astype(np.uint8).tobytes()
+    Path(bin_path).write_bytes(bytes(blob))

@@ -36,7 +36,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import conv2d_naive, dense_naive, maxpool2d_naive, on_image
+from oracles import (
+    bitwise_equal,
+    conv2d_naive,
+    dense_naive,
+    maxpool2d_naive,
+    on_image,
+    run_partitioned,
+    step,
+    write_cifar10,
+    write_idx,
+)
 from trojansim.data import (
     Dataset,
     SplitPlan,
@@ -44,8 +54,6 @@ from trojansim.data import (
     parse_idx,
     split,
     synthesize,
-    write_cifar10,
-    write_idx,
 )
 from trojansim.defense import (
     PER_IMAGE,
@@ -53,7 +61,6 @@ from trojansim.defense import (
     evaluate_altered_defense,
     evaluate_distributed_defense,
     partition,
-    run_partitioned,
     stream_hit_rate,
 )
 from trojansim.errors import ParseError
@@ -80,12 +87,11 @@ from trojansim.tensor import (
     Q16_16,
     Kernel,
     Tensor,
-    bitwise_equal,
     conv2d,
     dense,
     maxpool2d,
 )
-from trojansim.trojan import TrojanConfig, TrojanState, run_compromised, step, substituted_cycles
+from trojansim.trojan import TrojanConfig, TrojanState, run_compromised, substituted_cycles
 from trojansim.weightfile import read_entries, write_entries
 
 # frozen experiment coordinates shared by the stream-level claims

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import write_cifar10, write_idx
 from trojansim import cli
 from trojansim import data as data_mod
-from trojansim.data import SplitPlan, split, synthesize, write_cifar10, write_idx
+from trojansim.data import SplitPlan, split, synthesize
 from trojansim.errors import ParseError
 from trojansim.models import build_lenet, forward, model_params, quantize_model, seed_weights
 from trojansim.profiling import SigmaBand, collect_observations, count_band_collisions
@@ -304,6 +305,47 @@ def test_report_with_no_phase_outputs(tmp_path):
     assert run("report", config_path) == 3
 
 
+# file contents; None makes the path a directory
+DAMAGES = {"malformed": b'{"stats": \n', "array": b"[1,2]\n", "non-utf8": b"\xff", "directory": None}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("target, command, code", [
+    ("config", "profile", 2),
+    ("model", "profile", 2),
+    ("phase", "report", 3),
+])
+def test_damaged_json_file_exits_without_traceback(tmp_path, capsys, target, command, code, damage):
+    out = tmp_path / "out"
+    damaged = tmp_path / "damaged.json"
+    if DAMAGES[damage] is None:
+        damaged.mkdir()
+    else:
+        damaged.write_bytes(DAMAGES[damage])
+    config_path = str(damaged)
+    if target == "model":
+        config_path = write_config(tmp_path, base_config(out, modelName=str(damaged)))
+    elif target == "phase":
+        out.mkdir()
+        damaged.replace(out / "stats.json")
+        config_path = write_config(tmp_path, base_config(out))
+    assert run(command, config_path) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    named = {"config": "config file", "model": "model JSON file", "phase": "phase output"}[target]
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+
+def test_report_keeps_a_missing_phase_output_null(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stats.json").write_text('{"formatVersion": 1, "config": {}, "stats": {}}\n', encoding="utf-8")
+    assert run("report", write_config(tmp_path, base_config(out))) == 0
+    phases = load(out, "summary.json")["phases"]
+    assert phases["profile"] == {"stats": {}}
+    assert all(phases[p] is None for p in phases if p != "profile")
+
+
 def test_unknown_subcommand_is_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["demolish", "--config", "x.json"])
@@ -413,9 +455,9 @@ def test_bad_model_json_exits_2_without_traceback(tmp_path, capsys, arch):
 @pytest.mark.parametrize(
     "swap",
     [
-        lambda e: {"fc1.weight": Tensor.zeros((120, 255))},
-        lambda e: {"fc1.bias": Tensor.zeros((119,))},
-        lambda e: {"fc1.bias": Tensor.zeros((120, 1))},
+        lambda e: {"fc1.weight": Tensor.from_array(np.zeros((120, 255)))},
+        lambda e: {"fc1.bias": Tensor.from_array(np.zeros((119,)))},
+        lambda e: {"fc1.bias": Tensor.from_array(np.zeros((120, 1)))},
         lambda e: {"fc1.bias": quantize(e["fc1.bias"], Q16_16)},
         lambda e: {k: quantize(e[k], Q16_16) for k in ("fc2.weight", "fc2.bias")},
     ],
@@ -434,7 +476,7 @@ def test_weight_file_layout_errors_exit_3_without_traceback(tmp_path, capsys, sw
 
 def test_non_utf8_entry_name_exits_3_with_its_offset(tmp_path, capsys):
     path = tmp_path / "malicious.dlaw"
-    write_entries({"m0": Tensor.zeros((1, 28, 28))}, path)
+    write_entries({"m0": Tensor.from_array(np.zeros((1, 28, 28)))}, path)
     blob = bytearray(path.read_bytes())
     blob[14] ^= 0x80  # the name's first byte: "m" becomes a bare UTF-8 lead byte
     path.write_bytes(bytes(blob))
@@ -466,7 +508,7 @@ def test_damaged_entry_name_exits_3_without_traceback(tmp_path, capsys):
 
 def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, capsys):
     wrong = tmp_path / "wrong.dlaw"
-    write_entries({"m0": Tensor.zeros((3, 32, 32))}, wrong)
+    write_entries({"m0": Tensor.from_array(np.zeros((3, 32, 32)))}, wrong)
     cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(wrong)})
     assert run("attack", write_config(tmp_path, cfg)) == 3
     err = capsys.readouterr().err
@@ -474,14 +516,14 @@ def test_malicious_image_of_wrong_shape_exits_3_without_traceback(tmp_path, caps
     assert "'m0' is (3, 32, 32), model expects (1, 28, 28)" in err
 
     right = tmp_path / "right.dlaw"
-    write_entries({"m0": Tensor.zeros((1, 28, 28))}, right)
+    write_entries({"m0": Tensor.from_array(np.zeros((1, 28, 28)))}, right)
     cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(right)})
     assert run("attack", write_config(tmp_path, cfg, "right.json")) == 0
 
 
 def test_malicious_image_of_foreign_dtype_exits_3_without_traceback(tmp_path, capsys):
     fixed = tmp_path / "fixed.dlaw"
-    write_entries({"m0": Tensor.zeros((1, 28, 28), Q16_16)}, fixed)
+    write_entries({"m0": Tensor.from_array(np.zeros((1, 28, 28)), Q16_16)}, fixed)
     cfg = base_config(tmp_path / "out", trojan={"maliciousImagesPath": str(fixed)})
     assert run("attack", write_config(tmp_path, cfg)) == 3
     err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import write_cifar10, write_idx
 from trojansim.data import (
     Dataset,
     SplitPlan,
@@ -12,8 +13,6 @@ from trojansim.data import (
     split_indices,
     synthesize,
     synthesize_split,
-    write_cifar10,
-    write_idx,
 )
 from trojansim.errors import ConfigError, DataError, ParseError
 from trojansim.rng import Xoshiro256StarStar

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import run_partitioned, run_view
 from trojansim.data import Dataset, synthesize, split
 from trojansim.data import SplitPlan
 from trojansim.defense import (
@@ -15,8 +16,6 @@ from trojansim.defense import (
     evaluate_altered_defense,
     evaluate_distributed_defense,
     partition,
-    run_partitioned,
-    run_view,
     save_view,
     scale_factors,
     stream_hit_rate,
@@ -110,9 +109,9 @@ def test_scale_factors_shapes_and_range():
 @pytest.mark.parametrize("mode", [PER_IMAGE, PER_PIXEL])
 def test_scale_factors_equal_scalar_uniform_calls_across_a_block_edge(mode):
     if mode == PER_IMAGE:
-        img, count = Tensor.zeros((1, 1, 1)), BLOCK_DRAWS + 1
+        img, count = Tensor.from_array(np.zeros((1, 1, 1))), BLOCK_DRAWS + 1
     else:
-        img, count = Tensor.zeros((1, 28, 28)), BLOCK_DRAWS // 784 + 1
+        img, count = Tensor.from_array(np.zeros((1, 28, 28))), BLOCK_DRAWS // 784 + 1
     data = Dataset("d", ((img, 0),) * count)
     factors = scale_factors(ScalePlan(21, mode, 0.5, 2.0), data)
     rng = Xoshiro256StarStar(21)

