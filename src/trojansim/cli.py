@@ -201,6 +201,8 @@ def build_model(cfg: dict) -> models.ModelSpec:
         path = weights["path"]
         if not Path(path).exists():
             raise ConfigError(f"config field weights.path: file not found: {path}")
+        if Path(path).is_dir():
+            raise ConfigError(f"config field weights.path: is a directory: {path}")
         return models.apply_weights(spec, weightfile.read_entries(path))
     return models.seed_weights(spec, weights["seed"])
 
@@ -278,6 +280,17 @@ def _write_json(payload: dict, path: Path) -> None:
     )
 
 
+def _output_dir(path: Path) -> Path:
+    """path, the config's outputDir or a directory under it, made with its
+    parents if missing; one that cannot be made (a file in the way, no
+    permission) is a ConfigError naming the field."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"config field outputDir: cannot make directory {path}: {e.strerror}")
+    return path
+
+
 def _report(cfg: dict, **fields) -> dict:
     return {"formatVersion": FORMAT_VERSION, "config": cfg, **fields}
 
@@ -289,8 +302,7 @@ def cmd_profile(cfg: dict) -> None:
     model = build_model(cfg)
     validation = build_validation(cfg, model)
     stats = profile_layer(model, validation, cfg["watchLayer"])
-    out = Path(cfg["outputDir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(Path(cfg["outputDir"]))
     _write_json(_report(cfg, stats=stats.to_json()), out / "stats.json")
     export_histogram(stats, out / "histogram.csv")
 
@@ -314,8 +326,7 @@ def cmd_forge(cfg: dict) -> None:
     estimate = estimate_trigger_rate(
         (model, probe, cfg["watchLayer"]), bands, layer_length, mode="monteCarlo"
     )
-    out = Path(cfg["outputDir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(Path(cfg["outputDir"]))
     _write_json(_report(cfg, bands=[b.to_json() for b in bands]), out / "bands.json")
     _write_json(_report(cfg, estimate=estimate.to_json()), out / "estimate.json")
 
@@ -334,8 +345,7 @@ def cmd_attack(cfg: dict) -> None:
     for c, label in zip(dropped, relabelled.tolist()):
         clean[c] = label
 
-    out = Path(cfg["outputDir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(Path(cfg["outputDir"]))
     weightfile.write_entries(malicious_blob, out / "malicious.dlaw")
     trojan_json = {
         "watchLayer": trojan_cfg.watch_layer,
@@ -392,8 +402,7 @@ def cmd_defend(cfg: dict) -> None:
             cuts=d.get("cuts"),
         )
         report = defense_mod.evaluate_distributed_defense(views, model)
-        views_dir = out / "views"
-        views_dir.mkdir(parents=True, exist_ok=True)
+        views_dir = _output_dir(out / "views")
         for view in views:
             defense_mod.save_view(view, views_dir)
         extra = {"groupCount": len(views)}
@@ -401,7 +410,7 @@ def cmd_defend(cfg: dict) -> None:
         raise ConfigError(
             "config field defense.kind must be alteredValidation or distributed"
         )
-    out.mkdir(parents=True, exist_ok=True)
+    _output_dir(out)
     _write_json(
         _report(cfg, defenseReport=report.to_json(), **extra), out / "defense_report.json"
     )
@@ -433,7 +442,6 @@ def cmd_report(cfg: dict) -> None:
             phases[phase] = None
     if not found:
         raise DataError(f"no phase outputs found under {out}")
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(_report(cfg, phases=phases), out / "summary.json")
 
 

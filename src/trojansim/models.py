@@ -171,24 +171,47 @@ def model_numeric_dtype(model: ModelSpec):
     return None
 
 
-def _layer_outputs(layers: tuple[LayerSpec, ...], x: Tensor) -> Iterator[tuple[str, Tensor]]:
+def _pass_buffers(layers: Sequence[LayerSpec]) -> list[int | None]:
+    """Which of forward_batch's two buffers each layer writes its output
+    into: conv, maxpool and dense the one that does not hold their input,
+    relu its input's (the first if the input is in neither), and flatten
+    none, as it stays a view of its input. An output is thus overwritten
+    two layers on or by the next relu."""
+    held, plan = None, []
+    for layer in layers:
+        if layer.kind != "flatten" and (layer.kind != "relu" or held is None):
+            held = 1 if held == 0 else 0
+        plan.append(None if layer.kind == "flatten" else held)
+    return plan
+
+
+def _layer_outputs(
+    layers: Sequence[LayerSpec], x: Tensor, outs: Sequence[np.ndarray | None] | None = None
+) -> Iterator[tuple[str, Tensor]]:
     """Yield (layer name, output) down a layer slice for a batch x, whose
     leading image axis flatten keeps. The kernels are looked up on the
-    tensor module at each call, so wrappers installed there see every op."""
-    for layer in layers:
+    tensor module at each call, so wrappers installed there see every op.
+
+    outs, if given, holds per layer an array whose first len(x) images the
+    layer's output is written into, or None for a new one (flatten always
+    returns a view). forward_batch's outs share two buffers, so an output
+    must be read before the walk resumes."""
+    for layer, out in zip(layers, outs or [None] * len(layers)):
         if layer.kind in PARAMETERIZED_KINDS and layer.params is None:
             raise ConfigError(f"layer {layer.name!r} has no parameters loaded")
+        if out is not None:
+            out = out[:x.shape[0]]
         if layer.kind == "conv":
-            x = T.conv2d(x, layer.params, layer.hyperparams.get("stride", 1))
+            x = T.conv2d(x, layer.params, layer.hyperparams.get("stride", 1), out=out)
         elif layer.kind == "maxpool":
             hp = layer.hyperparams
-            x = T.maxpool2d(x, hp["window"], hp.get("stride", hp["window"]))
+            x = T.maxpool2d(x, hp["window"], hp.get("stride", hp["window"]), out=out)
         elif layer.kind == "relu":
-            x = T.relu(x)
+            x = T.relu(x, out=out)
         elif layer.kind == "flatten":
             x = x.reshaped((x.shape[0], x.size // x.shape[0]))
         else:
-            x = T.dense(x, layer.params)
+            x = T.dense(x, layer.params, out=out)
         yield layer.name, x
 
 
@@ -243,6 +266,10 @@ def forward_batch(
     forward. Each chunk of images is stacked, walked through every layer
     once, and its kept taps and labels are written before the next chunk is
     stacked, so a pass holds one chunk's activations whatever its length.
+    Every chunk's layers write into the same two buffers, allocated once
+    per pass, each as long as the chunk's widest output that _pass_buffers
+    puts in it: conv1's in the first and pool1's in the second for both
+    convnets.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -252,9 +279,17 @@ def forward_batch(
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = forward_chunk(model)
+    rows = min(n, chunk)
+    plan = list(zip(_pass_buffers(model.layers), shapes.values()))
+    buffers = [
+        np.empty(rows * max((math.prod(shape) for held, shape in plan if held == b), default=0), dtype=store)
+        for b in (0, 1)
+    ]
+    outs = [None if held is None else buffers[held][:rows * math.prod(shape)].reshape((rows,) + shape)
+            for held, shape in plan]
     for start in range(0, n, chunk):
         stop = start + chunk
-        for name, x in _layer_outputs(model.layers, _stack_inputs(model, images[start:stop], start)):
+        for name, x in _layer_outputs(model.layers, _stack_inputs(model, images[start:stop], start), outs):
             if name in taps:
                 taps[name][start:stop] = x.array
         labels[start:stop] = np.argmax(x.array, axis=1)

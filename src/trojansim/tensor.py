@@ -99,7 +99,15 @@ tests compare against):
     Its float64 scratch fits SCRATCH_BYTES beside the float64 weights and
     bias: per output element the product and, under the per-element
     certificate, E and two values for rounding (reused by the refold),
-    and per column its norm and a one. Saturations are summed.
+    and per column its norm and a one. The columns (or the tile's rows),
+    the products with their E and the rounding test's upper ends are
+    three arrays per thread, kept from call to call and grown on demand,
+    so that a pass of many blocks touches no fresh pages once they have
+    grown. Saturations are summed.
+  * conv2d, maxpool2d, dense and relu write into a caller's `out` array
+    (C-contiguous, of the result's shape and storage dtype) where one is
+    given, else into a new one; relu's may hold its input, the others'
+    may not overlap theirs. The result is bitwise the same either way.
 
 This makes outputs bitwise reproducible across runs and bitwise comparable
 with an independent scalar-loop implementation of the same contract.
@@ -108,6 +116,7 @@ with an independent scalar-loop implementation of the same contract.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -126,6 +135,9 @@ CHECK_SLICE = 8192
 # Float64 scratch budget of one conv2d or dense call; models.forward_chunk
 # sizes forward_batch's chunk of images by the same budget.
 SCRATCH_BYTES = 1 << 20
+
+# this thread's float64 scratch arrays of conv2d and dense, by name
+_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True)
@@ -307,6 +319,34 @@ def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray, bound: float = m
     return saturated
 
 
+def _scratch(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+    """size elements of dtype at the start of this thread's float64
+    scratch array `name`, which is kept across calls and grown on demand:
+    its contents are whatever the last call left there."""
+    words = -(-size * np.dtype(dtype).itemsize // 8)
+    arrays = vars(_SCRATCH)
+    if name not in arrays or arrays[name].size < words:
+        arrays.pop(name, None)  # freed before its successor is made
+        arrays[name] = np.empty(words)
+    return arrays[name][:words].view(dtype)[:size]
+
+
+def _output(out: np.ndarray | None, shape: tuple[int, ...], dtype: DType, input: np.ndarray | None) -> np.ndarray:
+    """A kernel's output array: a new one when out is None, else out, which
+    must be writeable and C-contiguous, of the result's shape and storage
+    dtype, and must not overlap `input` (None: it may)."""
+    store = _storage(dtype)
+    if out is None:
+        return np.empty(shape, dtype=store)
+    if out.shape != shape:
+        raise DimensionError(f"out is {out.shape}, the result is {shape}")
+    if out.dtype != store or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous {np.dtype(store)} array")
+    if input is not None and np.may_share_memory(out, input):
+        raise ValueError("out overlaps the input")
+    return out
+
+
 def _tile_length(n: int, fixed: int, per_image: int) -> int:
     """Images per dense tile: as many as keep
     `fixed` float64 values plus `per_image` per image within SCRATCH_BYTES;
@@ -409,7 +449,7 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
             _fold_elements(sums, w_rows, source, bias, np.flatnonzero(zeros), None)
         return _finish(sums, dtype, out, bound)
     s, e = sums[:out_ch], sums[out_ch:]
-    hi = np.empty(out.shape, dtype=out.dtype)
+    hi = _scratch("hi", out.size, out.dtype).reshape(out.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         # computed in float64; a float32 out and hi round on output
         np.subtract(s, e, out=out)
@@ -463,8 +503,8 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
     images, rows = _product_block(n, oh, ow, held, per_column)
     columns = images * rows * ow
-    cols_buf = np.empty(depth * columns)
-    acc_buf = np.empty(acc_rows * columns)
+    cols_buf = _scratch("terms", depth * columns)
+    acc_buf = _scratch("acc", acc_rows * columns)
     norms = None if factors is None else np.ones((2, columns))
     saturations = 0
     for start in range(0, n, images):
@@ -499,7 +539,7 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
             saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, None, bound)
         return saturations
     tile = _tile_length(x.shape[0], w_rows.size + 3 * m, n + 2 + 4 * m)
-    x_buf, acc_buf, norms = np.empty(tile * n), np.empty(tile * 2 * m), np.ones((2, tile))
+    x_buf, acc_buf, norms = _scratch("terms", tile * n), _scratch("acc", tile * 2 * m), np.ones((2, tile))
     for start in range(0, x.shape[0], tile):
         t = min(tile, x.shape[0] - start)
         xs = x_buf[:t * n].reshape(t, n)
@@ -517,9 +557,9 @@ def _check_same_dtype(a: DType, b: DType, what: str) -> None:
         raise ValueError(f"{what}: dtype mismatch ({a} vs {b})")
 
 
-def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
+def conv2d(input: Tensor, kernel: Kernel, stride: int = 1, out: np.ndarray | None = None) -> Tensor:
     """Valid (unpadded) 2-D convolution of every image of an (N, C, H, W)
-    batch."""
+    batch, into out if given (module docstring)."""
     if len(input.shape) != 4:
         raise DimensionError(f"conv2d input must be (N, C, H, W), got {input.shape}")
     if len(kernel.weights.shape) != 4:
@@ -541,14 +581,14 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1) -> Tensor:
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     x = input.array
-    out = np.empty((n, out_ch, oh, ow), dtype=_storage(input.dtype))
+    out = _output(out, (n, out_ch, oh, ow), input.dtype, x)
     saturations = _conv2d_products(x, kernel, stride, out)
     return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
-def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
+def maxpool2d(input: Tensor, window: int, stride: int, out: np.ndarray | None = None) -> Tensor:
     """Max pooling over square windows of every image of an (N, C, H, W)
-    batch."""
+    batch, into out if given (module docstring)."""
     if len(input.shape) != 4:
         raise DimensionError(f"maxpool2d input must be (N, C, H, W), got {input.shape}")
     if window < 1 or stride < 1:
@@ -559,21 +599,21 @@ def maxpool2d(input: Tensor, window: int, stride: int) -> Tensor:
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
     x = input.array
-    acc = None
+    out = _output(out, input.shape[:2] + (oh, ow), input.dtype, x)
     for u in range(window):
         for v in range(window):
             win = x[..., u:u + stride * oh:stride, v:v + stride * ow:stride]
-            if acc is None:
-                acc = win.copy()
+            if u == v == 0:
+                np.copyto(out, win)
             else:
-                np.maximum(acc, win, out=acc)
+                np.maximum(out, win, out=out)
     # max never rounds or leaves the representable set, so dtype carries over
-    return Tensor._built(tuple(acc.shape), input.dtype, acc.reshape(-1))
+    return Tensor._built(out.shape, input.dtype, out.reshape(-1))
 
 
-def dense(input: Tensor, kernel: Kernel) -> Tensor:
+def dense(input: Tensor, kernel: Kernel, out: np.ndarray | None = None) -> Tensor:
     """Fully connected layer: out[i] = sum_j W[i][j] * in[j] + bias[i], on
-    every row of an (N, in) batch."""
+    every row of an (N, in) batch, into out if given (module docstring)."""
     if len(input.shape) != 2:
         raise DimensionError(f"dense input must be (N, in), got {input.shape}")
     if len(kernel.weights.shape) != 2:
@@ -585,14 +625,17 @@ def dense(input: Tensor, kernel: Kernel) -> Tensor:
         )
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
     x = input.array
-    out = np.empty((x.shape[0], m), dtype=_storage(input.dtype))
+    out = _output(out, (x.shape[0], m), input.dtype, x)
     saturations = _dense_products(x, kernel, out)
     return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
-def relu(input: Tensor) -> Tensor:
-    """Elementwise max(0, x); exact in every dtype and any shape."""
-    return Tensor._built(input.shape, input.dtype, np.maximum(input.data, np.zeros((), dtype=input.data.dtype)))
+def relu(input: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Elementwise max(0, x); exact in every dtype and any shape. out, if
+    given, may be the input's own buffer (module docstring)."""
+    out = _output(out, input.shape, input.dtype, None).reshape(-1)
+    np.maximum(input.data, np.zeros((), dtype=input.data.dtype), out=out)
+    return Tensor._built(input.shape, input.dtype, out)
 
 
 def quantize(input: Tensor, fmt: FixedFormat) -> Tensor:

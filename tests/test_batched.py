@@ -19,11 +19,18 @@ refold show which path ran, and the product blocks and tiles are sized
 through the kernels' own SCRATCH_BYTES arithmetic.
 """
 
+import concurrent.futures
 import functools
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1230,6 +1237,79 @@ def test_forward_batch_memory_stays_within_four_budgets(name):
         tracemalloc.stop()
     assert labels.shape == (300,)
     assert peak <= 4 * T.SCRATCH_BYTES
+
+
+# a second 300-image pass in a fresh interpreter, after one pass to warm up:
+# the benchmark's weights (seed 2) and uniform images; prints the minor
+# page faults of the second pass per image
+FAULTS_PER_IMAGE = """
+import resource, sys
+from trojansim import models, tensor
+from trojansim.data import synthesize
+model = models.seed_weights(models.build_model(sys.argv[1]), 2)
+if sys.argv[2] == "q16":
+    model = models.quantize_model(model, tensor.Q16_16)
+images = synthesize(300, model.input_shape, 1, "uniform").images()
+models.forward_batch(model, images, ())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+models.forward_batch(model, images, ())
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 300)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+@pytest.mark.parametrize("name, dtype", [("cifar", "f32"), ("lenet", "f32"), ("lenet", "q16")],
+                         ids=["cifar-f32", "lenet-f32", "lenet-q16"])
+def test_a_pass_takes_no_fresh_pages_per_chunk(name, dtype):
+    """glibc maps every block of 128 KiB or more afresh and unmaps it when
+    freed under these settings, and gives back the heap's free top at
+    once, so every activation or kernel scratch a chunk made anew would
+    touch fresh pages: a chunk's output of conv1 alone is 1 MB, 250 faults.
+    A pass reuses its two activation buffers and the kernels their
+    per-thread scratch, and takes a few faults per image (the stacked
+    input of each chunk and small temporaries), where making them per
+    chunk took 18 to 85. One BLAS thread, as in the benchmark: a threaded
+    OpenBLAS product maps its own job array afresh on every call."""
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="0", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(T.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", FAULTS_PER_IMAGE, name, dtype],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 5
+
+
+def test_concurrent_passes_match_sequential_ones():
+    """Two threads run forward_batch at once, each pass many times over,
+    float32 cifar and Q16.16 lenet with every layer kept: each thread's
+    kernels use scratch of their own, so every label and tap keeps the
+    bits of the same pass run alone."""
+    cifar = seed_weights(build_cifar_net(), 2)
+    q16 = MODELS["lenet-q16"][0]()
+    jobs = [
+        (cifar, synthesize(25, cifar.input_shape, 4, "uniform").images()),
+        (q16, saturating_images(q16.input_shape, 80, seed=4)),
+    ]
+    alone = [forward_batch(model, images, list(layer_output_shapes(model))) for model, images in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def passes(model, images):
+        start.wait(timeout=60)
+        return [forward_batch(model, images, list(layer_output_shapes(model))) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads' Python steps interleave too
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
+            running = [pool.submit(passes, *job) for job in jobs]
+            together = [r.result(timeout=300) for r in running]
+    finally:
+        sys.setswitchinterval(interval)
+    for (labels, taps), runs in zip(alone, together):
+        for got_labels, got_taps in runs:
+            assert got_labels.tolist() == labels.tolist()
+            assert got_taps.keys() == taps.keys()
+            for name, tap in taps.items():
+                assert got_taps[name].tobytes() == tap.tobytes(), name
 
 
 @pytest.mark.parametrize(

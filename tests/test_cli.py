@@ -625,6 +625,55 @@ def test_bad_defense_section_exits_2_without_traceback(tmp_path, capsys, defense
     assert err.startswith("error: config field") and "defense" in err and err.count("\n") == 1
 
 
+# every phase that builds the model or writes the output directory, with
+# the defense it runs
+WRITING_PHASES = [("profile", None), ("forge", None), ("attack", None),
+                  ("defend", "alteredValidation"), ("defend", "distributed")]
+
+
+@pytest.mark.parametrize("blocked", ["outputDir", "views", "weights.path"])
+@pytest.mark.parametrize("phase, defense", WRITING_PHASES,
+                         ids=["profile", "forge", "attack", "defend-altered", "defend-distributed"])
+def test_unusable_config_paths_exit_2_naming_the_field(fuzz_base, tmp_path, phase, defense, blocked):
+    """An outputDir under a regular file, a file where the distributed
+    defense writes views/, and a weights.path that is a directory are bad
+    configs: one error line that names the field, exit 2. A file named
+    views blocks only the distributed defense."""
+    _, cfg = fuzz_base
+    cfg = json.loads(json.dumps(cfg))
+    if defense == "distributed":
+        cfg["defense"] = {"kind": "distributed", "k": 2}
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    if blocked == "outputDir":
+        cfg["outputDir"] = str(tmp_path / "afile" / "sub")
+    elif blocked == "views":
+        out.mkdir()
+        (out / "views").write_text("", encoding="utf-8")
+        cfg["outputDir"] = str(out)
+    else:
+        (tmp_path / "cfgdir").mkdir()
+        cfg["weights"] = {"path": str(tmp_path / "cfgdir")}
+        cfg["outputDir"] = str(out)
+    code, err = fuzz_phases(write_config(tmp_path, cfg))[PHASES.index(phase)]
+    if blocked == "views" and defense != "distributed":
+        assert (code, err) == (0, "")
+        return
+    field = "weights.path" if blocked == "weights.path" else "outputDir"
+    assert code == 2, err
+    assert err.startswith(f"error: config field {field}: ") and err.count("\n") == 1, err
+
+
+def test_report_under_a_regular_file_finds_no_phase_outputs(fuzz_base, tmp_path):
+    """report writes only where phase outputs are: an outputDir under a
+    regular file holds none, a data error (exit 3)."""
+    _, cfg = fuzz_base
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    cfg = dict(cfg, outputDir=str(tmp_path / "afile" / "sub"))
+    code, err = fuzz_phases(write_config(tmp_path, cfg))[-1]
+    assert code == 3 and err.startswith("error: no phase outputs found under ") and err.count("\n") == 1
+
+
 def test_attack_clean_labels_are_the_dropped_images_labels(tmp_path):
     # a small MLP whose seeded labels vary across the stream, so that a
     # substituted cycle's malicious label can differ from its clean label

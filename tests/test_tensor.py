@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,79 @@ def test_fixed_dense_saturation_counted():
 def test_relu():
     t = Tensor.from_array(np.array([-1.0, 0.0, 2.5], dtype=np.float32))
     assert np.array_equal(T.relu(t).data, np.array([0.0, 0.0, 2.5], dtype=np.float32))
+
+
+def kernel_calls(dtype):
+    """{name: (input, call(input, out))} of every kernel that takes out, on
+    a batch whose first image is all zeros and kernels whose first bias is
+    zero, so that some sums are zeros, which are refolded; the Q16.16
+    operands are past the exactness bound, and many sums saturate."""
+    rng = np.random.default_rng(61)
+    scale = 1.0 if dtype == FLOAT32 else 3000.0
+
+    def batch(shape):
+        t = rand_tensor(rng, shape, dtype, scale)
+        return Tensor(shape, dtype, np.where(np.arange(t.size) < t.size // shape[0], 0, t.data).astype(t.data.dtype))
+
+    def kernel(w_shape):
+        k = rand_kernel(rng, w_shape, dtype, scale)
+        return Kernel(k.weights, Tensor(k.bias.shape, dtype, np.where(np.arange(w_shape[0]) == 0, 0, k.bias.data)))
+
+    conv, fc = kernel((4, 2, 3, 3)), kernel((5, 30))
+    images, rows = batch((3, 2, 9, 9)), batch((4, 30))
+    return {
+        "conv2d": (images, lambda x, out: T.conv2d(x, conv, 2, out=out)),
+        "dense": (rows, lambda x, out: T.dense(x, fc, out=out)),
+        "maxpool2d": (images, lambda x, out: T.maxpool2d(x, 2, 2, out=out)),
+        "relu": (images, lambda x, out: T.relu(x, out=out)),
+    }
+
+
+@pytest.mark.parametrize("dtype", [FLOAT32, Q16_16], ids=["f32", "q16"])
+@pytest.mark.parametrize("name", ["conv2d", "dense", "maxpool2d", "relu"])
+def test_kernel_writes_into_out_what_it_returns_without(name, dtype):
+    """A kernel given out fills it, whatever it held, with the bits and
+    saturations of its result without out; relu may be given its input's
+    own buffer."""
+    x, call = kernel_calls(dtype)[name]
+    want = call(x, None)
+    if dtype == Q16_16 and name in ("conv2d", "dense"):
+        assert want.saturations > 0
+    runs = [(x, np.full(want.shape, np.nan, dtype=want.data.dtype))]
+    if name == "relu":
+        own = x.array.copy()
+        runs.append((Tensor._built(x.shape, x.dtype, own.reshape(-1)), own))
+    for source, out in runs:
+        got = call(source, out)
+        assert np.shares_memory(got.data, out)
+        assert got.shape == want.shape and got.saturations == want.saturations
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("name", ["conv2d", "dense", "maxpool2d", "relu"])
+def test_kernel_refuses_an_unfit_out_before_writing(name):
+    """out of another shape (DimensionError), of another dtype, not
+    C-contiguous, read-only or, for all but relu, overlapping the input
+    (ValueError) is refused and left as it was."""
+    x, call = kernel_calls(FLOAT32)[name]
+    shape = call(x, None).shape
+    wrong = {
+        "shape": np.zeros((shape[0] + 1,) + shape[1:], dtype=np.float32),
+        "dtype": np.zeros(shape, dtype=np.float64),
+        "strided": np.zeros(shape[:-1] + (2 * shape[-1],), dtype=np.float32)[..., ::2],
+        "read-only": np.zeros(shape, dtype=np.float32),
+    }
+    wrong["read-only"].flags.writeable = False
+    if name != "relu":
+        whole = np.zeros(x.size + math.prod(shape), dtype=np.float32)
+        whole[:x.size] = x.data
+        x = Tensor._built(x.shape, x.dtype, whole[:x.size])
+        wrong["overlap"] = whole[x.size // 2:x.size // 2 + math.prod(shape)].reshape(shape)
+    for why, out in wrong.items():
+        before = out.tobytes()
+        with pytest.raises(DimensionError if why == "shape" else ValueError):
+            call(x, out)
+        assert out.tobytes() == before, why
 
 
 def test_ops_are_deterministic():
