@@ -190,6 +190,16 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     }
 
 
+def _input_file(path: str, field: str, error: type[Exception]) -> str:
+    """path, the input file that config field `field` names; error, naming
+    the field, if nothing is there or it is a directory."""
+    if not Path(path).exists():
+        raise error(f"config field {field}: file not found: {path}")
+    if Path(path).is_dir():
+        raise error(f"config field {field}: is a directory: {path}")
+    return path
+
+
 def build_model(cfg: dict) -> models.ModelSpec:
     name = cfg["modelName"]
     if name.endswith(".json"):
@@ -198,11 +208,7 @@ def build_model(cfg: dict) -> models.ModelSpec:
         spec = models.build_model(name)
     weights = cfg["weights"]
     if "path" in weights:
-        path = weights["path"]
-        if not Path(path).exists():
-            raise ConfigError(f"config field weights.path: file not found: {path}")
-        if Path(path).is_dir():
-            raise ConfigError(f"config field weights.path: is a directory: {path}")
+        path = _input_file(weights["path"], "weights.path", ConfigError)
         return models.apply_weights(spec, weightfile.read_entries(path))
     return models.seed_weights(spec, weights["seed"])
 
@@ -228,9 +234,10 @@ def _split_dataset(cfg: dict, model: models.ModelSpec, stream: bool) -> tuple[Da
     if ds["kind"] == "synthetic":
         return synthesize_split(ds["count"], model.input_shape, ds["seed"], ds["mode"], plan, stream)
     if ds["kind"] == "mnist":
-        base = parse_idx(ds["imagesPath"], ds["labelsPath"])
+        base = parse_idx(_input_file(ds["imagesPath"], "dataset.imagesPath", DataError),
+                         _input_file(ds["labelsPath"], "dataset.labelsPath", DataError))
     else:
-        base = parse_cifar10(ds["binPath"])
+        base = parse_cifar10(_input_file(ds["binPath"], "dataset.binPath", DataError))
     if base.image_shape is not None and base.image_shape != model.input_shape:
         raise DataError(
             f"dataset images are {base.image_shape}, model expects {model.input_shape}"
@@ -242,7 +249,8 @@ def build_trojan_config(cfg: dict, model: models.ModelSpec, bands) -> tuple[Troj
     """TrojanConfig plus the malicious-image tensors keyed for a weight file."""
     t = cfg["trojan"]
     if "maliciousImagesPath" in t:
-        entries = weightfile.read_entries(t["maliciousImagesPath"])
+        entries = weightfile.read_entries(
+            _input_file(t["maliciousImagesPath"], "trojan.maliciousImagesPath", DataError))
         images = tuple(entries[k] for k in entries)
         if not images:
             raise ConfigError("trojan.maliciousImagesPath holds no tensors")

@@ -32,12 +32,17 @@ tests compare against):
   * E without a second product, by Cauchy-Schwarz: A <= |b| + ||w||_2
     ||x||_2, w the output channel's weights and x the element's window or
     row. E = k |b| + (k ||w||) ||x|| with k = (n + 5) * 2^-51 (exact): the
-    channel factors once per kernel (Kernel.bound_factors), each norm
-    ||x|| once per block, and E as one product of the factors by (||x||,
-    1). Squares of float32 values are exact in float64, fixed-point ones
-    within u; a squared sum adds nonnegative terms, so in any order it
-    ends at least (1 - gamma_(n-1)) times the exact one; each square
-    root, product and the sum (fused or not) rounds once. So E >= k (|b|
+    channel factors once per kernel (Kernel.bound_factors), the norms
+    ||x|| before the block loop (conv2d, for a group of images at once)
+    or once per tile (dense), and E as one product of the factors by
+    (||x||, 1). Squares of float32 values are exact in float64,
+    fixed-point ones within u; a squared sum adds nonnegative terms, so
+    in any order and grouping it ends at least (1 - gamma_(n-1)) times
+    the exact one. conv2d groups a window's squares by channels, then
+    columns, then rows, adding shifted slices of the channel sums, so
+    overlapping windows share partial sums; a difference of prefix sums
+    would add terms of both signs, which this bound does not cover. Each
+    square root, product and the sum (fused or not) rounds once. So E >= k (|b|
     + ||w|| ||x||)(1 - gamma_(2n+3)) >= (n + 4) * 2^-51 * A, as (n + 5)
     gamma_(2n+3) <= 1 for n < 2^25. No step underflows (nonzero squares
     are at least 2^-298 or 2^-2f) or overflows (float32 squares < 2^256).
@@ -57,7 +62,8 @@ tests compare against):
     with a NaN or infinite term, which makes |b|, ||w|| or ||x|| NaN or
     infinite and E NaN or +inf (0 * inf is NaN), so that s -+ E are NaN
     or infinities of both signs, never equal. The fold gathers their terms
-    from the input and sums them by np.add.accumulate, the running sum:
+    from the input (conv2d: from the block's float64 columns, the same
+    values) and sums them by np.add.accumulate, the running sum:
     Ziv's strategy, a fast path, a rounding test and an exact fallback.
   * NaN. A NaN output comes only from the fold, as its E is NaN, and the
     fold makes every NaN sum the canonical quiet NaN (positive, zero
@@ -98,12 +104,14 @@ tests compare against):
     fit, else output rows of one image) or by a tile of the batch (dense).
     Its float64 scratch fits SCRATCH_BYTES beside the float64 weights and
     bias: per output element the product and, under the per-element
-    certificate, E and two values for rounding (reused by the refold),
-    and per column its norm and a one. The columns (or the tile's rows),
-    the products with their E and the rounding test's upper ends are
-    three arrays per thread, kept from call to call and grown on demand,
-    so that a pass of many blocks touches no fresh pages once they have
-    grown. Saturations are summed.
+    certificate, E and two values for rounding, and per column its norm
+    and a one. The columns (or the tile's rows), the products with their
+    E and the rounding test's upper ends are three arrays per thread;
+    conv2d's window norms of a group of images and the refold have one
+    more each, of at most a quarter of SCRATCH_BYTES (or one block's
+    images, or one element, where that is more). All are kept from call
+    to call and grown on demand, so that a pass of many blocks touches no
+    fresh pages once they have grown. Saturations are summed.
   * conv2d, maxpool2d, dense and relu write into a caller's `out` array
     (C-contiguous, of the result's shape and storage dtype) where one is
     given, else into a new one; relu's may hold its input, the others'
@@ -387,33 +395,61 @@ def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return w_rows, bias, None, bound
 
 
-def _bound(e: np.ndarray, factors: np.ndarray, terms: np.ndarray, norms: np.ndarray) -> None:
-    """E of the module docstring into e (channel, element) from terms
-    (term, element, float64): the 2-norms go into row 0 of norms, whose
-    row 1 is ones, and one product of the factors by norms gives E."""
-    np.sqrt(np.einsum("ij,ij->j", terms, terms, out=norms[0]), out=norms[0])
+def _bound(e: np.ndarray, factors: np.ndarray, norms: np.ndarray, terms: np.ndarray | None = None) -> None:
+    """E of the module docstring into e (channel, element): one product of
+    the factors by norms, whose row 0 holds each element's input 2-norm and
+    row 1 ones. Given terms (term, element, float64), row 0 is first
+    filled with their 2-norms (dense)."""
+    if terms is not None:
+        np.sqrt(np.einsum("ij,ij->j", terms, terms, out=norms[0]), out=norms[0])
     with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which flags
         np.matmul(factors, norms, out=e)
 
 
+def _window_norms(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The 2-norm of every kh x kw window, at the stride, of the batch x
+    (N, C, H, W), as an (N, oh, ow) float64 view of this thread's norm
+    scratch of 2 N H W values (module docstring). The squares are summed
+    over channels into one run of N H W sums in C order; adding kw
+    shifted slices of it sums every window's columns, then adding kh of
+    those, shifted by multiples of W, sums its rows, and the square roots
+    follow. Sums at starts whose window would wrap past a row's or an
+    image's end are made too, but never read."""
+    n, _, h, w = x.shape
+    size = n * h * w
+    buf = _scratch("norms", 2 * size)
+    squares = np.einsum("nchw,nchw->nhw", x, x, dtype=np.float64, out=buf[:size].reshape(n, h, w)).reshape(-1)
+    across = buf[size:2 * size - kw + 1]
+    np.copyto(across, squares[:across.size])
+    for v in range(1, kw):
+        np.add(across, squares[v:v + across.size], out=across)
+    # the norms take the place of the squares, which are read no more
+    norms = buf[:across.size - (kh - 1) * w]
+    np.copyto(norms, across[:norms.size])
+    for u in range(1, kh):
+        np.add(norms, across[u * w:u * w + norms.size], out=norms)
+    np.sqrt(norms, out=norms)
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    return buf[:size].reshape(n, h, w)[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride]
+
+
 def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
-                   flat: np.ndarray, scratch: np.ndarray | None) -> None:
+                   flat: np.ndarray) -> None:
     """Fold the elements at C-order indices `flat` of dst, a (channel,
     *element axes) view, in the pinned order: bias[c], then w_rows[c, t]
     times term t of the element's input for t = 0, 1, ...; source holds
     the inputs as (*term axes, *element axes), in any layout. The float64
-    sums go into dst, a NaN one as the canonical quiet NaN. A slice of
-    elements takes its bias, weights and products in two thirds of
-    scratch (float64, free to overwrite), or of a buffer of at most a
-    quarter of SCRATCH_BYTES if scratch is None or too short, and its
-    gathered inputs the last third's size."""
+    sums go into dst, a NaN one as the canonical quiet NaN. The fold's
+    scratch is this thread's, as many elements as there are, up to a
+    quarter of SCRATCH_BYTES (at least one): a slice of elements takes
+    its bias, weights and products in two thirds of it, and its gathered
+    inputs the last third's size."""
     if not flat.size:
         return
     depth = w_rows.shape[1]
     width = 3 * depth + 1
-    if scratch is None or scratch.size < width:
-        scratch = np.empty(width * max(1, min(flat.size, SCRATCH_BYTES // 32 // width)))
-    per = scratch.size // width
+    per = max(1, min(flat.size, SCRATCH_BYTES // 32 // width))
+    scratch = _scratch("fold", width * per)
     for start in range(0, flat.size, per):
         c, *at = np.unravel_index(flat[start:start + per], dst.shape)
         f = c.size
@@ -430,7 +466,7 @@ def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias
 
 
 def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
-                sums: np.ndarray, out: np.ndarray, scratch: np.ndarray | None, bound: float) -> int:
+                sums: np.ndarray, out: np.ndarray, bound: float) -> int:
     """Round a block's BLAS sums into out, a (channel, *element axes)
     view, returning the saturations; source is the block's input as
     _fold_elements takes it. Certified fixed-point sums (one row per
@@ -440,13 +476,13 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
     sums s, then their bounds E (from _bound), and the per-element
     certificate of the module docstring runs: an element it settles keeps
     s - E (float32: rounded; fixed point: rounded and saturated by the
-    finish), the rest are folded, with scratch as the fold's buffer."""
+    finish), the rest are folded."""
     out_ch = w_rows.shape[0]
     minus = np.signbit(bias) & (bias == 0)
     if sums.shape[0] == out_ch:
         if minus.any():
             zeros = (sums == 0) & minus.reshape((-1,) + (1,) * (out.ndim - 1))
-            _fold_elements(sums, w_rows, source, bias, np.flatnonzero(zeros), None)
+            _fold_elements(sums, w_rows, source, bias, np.flatnonzero(zeros))
         return _finish(sums, dtype, out, bound)
     s, e = sums[:out_ch], sums[out_ch:]
     hi = _scratch("hi", out.size, out.dtype).reshape(out.shape)
@@ -469,7 +505,7 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
         # a zero of all-zero terms and bias (e == 0) stands unless the bias is
         # -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
         stands = (lo.flat[flagged] == 0) & (e.flat[flagged] == 0) & ~minus[flagged // (lo.size // out_ch)]
-        _fold_elements(out, w_rows, source, bias, flagged[~stands], scratch)
+        _fold_elements(out, w_rows, source, bias, flagged[~stands])
     return 0 if dtype == FLOAT32 else _finish(out, dtype, out)
 
 
@@ -489,8 +525,12 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
     """conv2d of the batch x into out on BLAS, returning the saturations:
     blocks of images, or of output rows of one image, one product each,
     rounded by _round_sums, with their columns' E unless
-    _any_order_is_exact certifies the batch."""
-    n = x.shape[0]
+    _any_order_is_exact certifies the batch. The window norms of E are
+    taken for a group of whole blocks' images at a time (_window_norms),
+    as many as fit a quarter of SCRATCH_BYTES, at least one block's; a
+    block copies its slice of them, (image, output row, column), into row
+    0 of its (||x||, 1). Its refold gathers terms from its columns."""
+    n, _, h, w = x.shape
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[2:]
     w_rows, bias, factors, bound = _operands(kernel, x)
@@ -505,9 +545,13 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
     columns = images * rows * ow
     cols_buf = _scratch("terms", depth * columns)
     acc_buf = _scratch("acc", acc_rows * columns)
-    norms = None if factors is None else np.ones((2, columns))
+    if factors is not None:
+        norms = np.ones((2, columns))
+        group = images * max(1, SCRATCH_BYTES // 32 // (images * 2 * h * w))
     saturations = 0
     for start in range(0, n, images):
+        if factors is not None and start % group == 0:
+            group_norms = _window_norms(x[start:start + group], kh, kw, stride)
         for top in range(0, oh, rows):
             block = windows[:, :, :, start:start + images, top:top + rows]
             m, r = block.shape[3:5]
@@ -517,9 +561,12 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
             acc = acc_buf[:acc_rows * cols.shape[1]].reshape(acc_rows, -1)
             _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
             if factors is not None:
-                _bound(acc[out_ch:], factors, cols, norms[:, :cols.shape[1]])
+                first = start % group
+                np.copyto(norms[0, :cols.shape[1]].reshape(m, r, ow), group_norms[first:first + m, top:top + r])
+                _bound(acc[out_ch:], factors, norms[:, :cols.shape[1]])
             dst = out[start:start + m, :, top:top + r].transpose(1, 0, 2, 3)
-            saturations += _round_sums(kernel.dtype, w_rows, block, bias, acc.reshape(-1, m, r, ow), dst, acc_buf, bound)
+            saturations += _round_sums(kernel.dtype, w_rows, cols.reshape(-1, m, r, ow), bias, acc.reshape(-1, m, r, ow),
+                                       dst, bound)
     return saturations
 
 
@@ -536,7 +583,7 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
         for start in range(0, x.shape[0], tile):
             acc, xs = out[start:start + tile], x[start:start + tile]
             _sum_products(xs, w_rows.T, bias, acc)
-            saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, None, bound)
+            saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, bound)
         return saturations
     tile = _tile_length(x.shape[0], w_rows.size + 3 * m, n + 2 + 4 * m)
     x_buf, acc_buf, norms = _scratch("terms", tile * n), _scratch("acc", tile * 2 * m), np.ones((2, tile))
@@ -546,9 +593,9 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
         np.copyto(xs, x[start:start + t])
         acc = acc_buf[:t * 2 * m].reshape(t, 2 * m)
         _sum_products(xs, w_rows.T, bias, acc[:, :m])
-        _bound(acc[:, m:].T, factors, xs.T, norms[:, :t])
+        _bound(acc[:, m:].T, factors, norms[:, :t], xs.T)
         dst = out[start:start + t].T
-        saturations += _round_sums(kernel.dtype, w_rows, x[start:start + t].T, bias, acc.T, dst, acc_buf, bound)
+        saturations += _round_sums(kernel.dtype, w_rows, x[start:start + t].T, bias, acc.T, dst, bound)
     return saturations
 
 

@@ -547,11 +547,11 @@ def capturing_refolds(mp):
     masks = []
     real = T._fold_elements
 
-    def fold(dst, w_rows, source, bias, flat, scratch):
+    def fold(dst, w_rows, source, bias, flat):
         mask = np.zeros(dst.shape, dtype=bool)
         mask.reshape(-1)[flat] = True
         masks.append(np.moveaxis(mask, 0, 1))
-        return real(dst, w_rows, source, bias, flat, scratch)
+        return real(dst, w_rows, source, bias, flat)
 
     mp.setattr(T, "_fold_elements", fold)
     return masks
@@ -592,45 +592,58 @@ def bound_values(rng, size, fixed, special):
     cin=st.integers(1, 3),
     cout=st.integers(1, 3),
     h=st.integers(1, 5),
-    k=st.integers(1, 3),
+    w=st.integers(1, 5),
+    kh=st.integers(1, 3),
+    kw=st.integers(1, 3),
+    stride=st.integers(1, 2),
 )
-def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout, h, k):
-    """Every element's bound E, as _operands and _bound compute it, is at
-    least (n + 4) 2**-51 A, n its terms (the bias and the products) and A
-    the math.fsum of |b| and the |w x|, for conv2d and dense on signed,
-    subnormal, zero and near-max float32 values and on Q16.16 values past
-    the exact bound. An element with a NaN or infinite term is always
-    refolded, and every row is bitwise equal to the oracles, every NaN
-    the canonical quiet NaN whatever the payloads of its terms."""
+def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout, h, w, kh, kw, stride):
+    """Every element's bound E, as conv2d computes it (_window_norms, on
+    square and rectangular kernels, at strides 1 and 2) and as dense does
+    (_bound on the rows), is at least (n + 4) 2**-51 A, n its terms (the
+    bias and the products) and A the math.fsum of |b| and the |w x|, on
+    signed, subnormal, zero and near-max float32 values and on Q16.16
+    values past the exact bound. An element with a NaN or infinite term
+    is always refolded, and every row is bitwise equal to the oracles,
+    every NaN the canonical quiet NaN whatever the payloads of its
+    terms."""
     rng = np.random.default_rng(seed)
     special = special and not fixed
     dtype = Q16_16 if fixed else FLOAT32
-    k = min(k, h)
-    x = bound_values(rng, n * cin * h * h, fixed, special)
-    weights = bound_values(rng, cout * cin * k * k, fixed, special)
-    dense_weights = bound_values(rng, cout * cin * h * h, fixed, special)
+    kh, kw = min(kh, h), min(kw, w)
+    x = bound_values(rng, n * cin * h * w, fixed, special)
+    weights = bound_values(rng, cout * cin * kh * kw, fixed, special)
+    dense_weights = bound_values(rng, cout * cin * h * w, fixed, special)
     bias = bound_values(rng, cout, fixed, special)
     if fixed:
         # 64 * 30000 takes both kernels past the exact bound 2**20
         x[0], weights[0], dense_weights[0] = -30000.0, 64.0, 64.0
-    x = Tensor((n, cin, h, h), dtype, x)
-    flat = x.reshaped((n, cin * h * h))
-    kern = Kernel(Tensor((cout, cin, k, k), dtype, weights), Tensor((cout,), dtype, bias))
-    dkern = Kernel(Tensor((cout, cin * h * h), dtype, dense_weights), kern.bias)
-    oh = h - k + 1
-    # per kernel: its input, the oracle of one image, and every element's
-    # input window or row, keyed by (image, output position)
+    x = Tensor((n, cin, h, w), dtype, x)
+    flat = x.reshaped((n, cin * h * w))
+    kern = Kernel(Tensor((cout, cin, kh, kw), dtype, weights), Tensor((cout,), dtype, bias))
+    dkern = Kernel(Tensor((cout, cin * h * w), dtype, dense_weights), kern.bias)
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+
+    def conv_norms(inp):
+        norms = T._window_norms(inp.array, kh, kw, stride).ravel()
+        return np.stack([norms, np.ones_like(norms)]), None
+
+    # per kernel: its input, the oracle of one image, every element's input
+    # window or row, keyed by (image, output position), and the bound's
+    # norms and terms as the kernel passes them to _bound
     cases = [
-        (x, kern, lambda img: conv2d_naive(img, kern.weights, kern.bias, 1),
-         {(i, r, q): x.array[i, :, r:r + k, q:q + k].ravel() for i in range(n) for r in range(oh) for q in range(oh)}),
+        (x, kern, lambda img: conv2d_naive(img, kern.weights, kern.bias, stride),
+         {(i, r, q): x.array[i, :, r * stride:r * stride + kh, q * stride:q * stride + kw].ravel()
+          for i in range(n) for r in range(oh) for q in range(ow)},
+         conv_norms),
         (flat, dkern, lambda row: dense_naive(row, dkern.weights, dkern.bias),
-         {(i,): flat.array[i] for i in range(n)}),
+         {(i,): flat.array[i] for i in range(n)},
+         lambda inp: (np.ones((2, n)), inp.array.astype(np.float64).T)),
     ]
-    for inp, kernel, oracle, windows in cases:
-        op = T.conv2d if len(kernel.weights.shape) == 4 else T.dense
+    for inp, kernel, oracle, windows, operands in cases:
         with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
             masks = capturing_refolds(mp)
-            got = op(inp, kernel)
+            got = T.conv2d(inp, kernel, stride) if kernel is kern else T.dense(inp, kernel)
             wants = [oracle(row) for row in rows(inp)]
         assert got.saturations == sum(o.saturations for o in wants)
         assert got.array.tobytes() == np.stack([o.array for o in wants]).tobytes()
@@ -640,9 +653,8 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
             folded |= mask
         w_rows, b, factors, _ = T._operands(kernel, inp.array)
         assert factors is not None
-        terms = np.array(list(windows.values()), dtype=np.float64).T
         bounds = np.empty((cout, len(windows)))
-        T._bound(bounds, factors, terms, np.ones((2, len(windows))))
+        T._bound(bounds, factors, *operands(inp))
         for c in range(cout):
             for (pos, window), e in zip(windows.items(), bounds[c]):
                 idx = (pos[0], c) + pos[1:]
@@ -652,6 +664,53 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
                     continue
                 exact = math.fsum([abs(b[c])] + [abs(v) for v in products])
                 assert Fraction(float(e)) >= Fraction(w_rows.shape[1] + 5, 2**51) * Fraction(exact), idx
+
+
+@pytest.mark.parametrize(
+    "n, cin, cout, h, w, kh, kw, stride, images, products, groups",
+    [
+        (6, 2, 8, 6, 6, 3, 2, 1, 2, 3, 1),
+        (7, 2, 8, 6, 6, 3, 2, 1, 2, 4, 2),
+        (2, 2, 8, 9, 7, 2, 3, 2, None, 8, 2),
+        (3, 3, 4, 8, 8, 3, 3, 2, 3, 1, 1),
+    ],
+    ids=["one-group-of-image-blocks", "two-groups-of-image-blocks", "row-blocks-at-stride-2", "one-block"],
+)
+def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride, images, products, groups):
+    """conv2d takes the window norms of a group of blocks' images at once
+    and each block reads its own: the norms of its blocks' _bound calls,
+    in call order, are bitwise the _window_norms of the whole batch, with
+    blocks of `images` images (or of one output row of one image, for
+    None), groups of several blocks or one, a short last group, and rows
+    at stride 2. Every row is bitwise equal to the oracles."""
+    rng = np.random.default_rng(8)
+    x = Tensor((n, cin, h, w), FLOAT32, batch_values(rng, (n, cin, h, w), FLOAT32))
+    kern = Kernel(
+        Tensor((cout, cin, kh, kw), FLOAT32, batch_values(rng, (cout, cin, kh, kw), FLOAT32)),
+        Tensor((cout,), FLOAT32, batch_values(rng, (cout,), FLOAT32)),
+    )
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    held, per = product_geometry(x, kern)
+    budget = scratch_budget(held, per, ow if images is None else images * oh * ow)
+    norms, calls = [], [0]
+    real_bound, real_norms = T._bound, T._window_norms
+
+    def bound(e, factors, block_norms, terms=None):
+        norms.append(block_norms[0].copy())
+        return real_bound(e, factors, block_norms, terms)
+
+    def window_norms(*args):
+        calls[0] += 1
+        return real_norms(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_bound", bound)
+        mp.setattr(T, "_window_norms", window_norms)
+        got, sums = tiled(T.conv2d, budget, x, kern, stride)
+    assert (sums, calls[0]) == (products, groups)
+    assert np.concatenate(norms).tobytes() == T._window_norms(x.array, kh, kw, stride).ravel().tobytes()
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
 
 
 # lenet layers in Q16.16 with weights scaled by 64 on inputs up to +-30000:
@@ -784,9 +843,9 @@ def counting_refolds(mp):
     folded = [0]
     real = T._fold_elements
 
-    def counted(dst, w_rows, cols, bias, flat, scratch):
+    def counted(dst, w_rows, cols, bias, flat):
         folded[0] += flat.size
-        return real(dst, w_rows, cols, bias, flat, scratch)
+        return real(dst, w_rows, cols, bias, flat)
 
     mp.setattr(T, "_fold_elements", counted)
     return folded
@@ -902,8 +961,9 @@ def test_fold_elements_sums_left_to_right(per):
     """_fold_elements adds bias first, then term by term, as a scalar loop
     does, on terms where NumPy's pairwise sum gives other bits: 1 plus
     forty 2**-53-sized terms each round away when added to 1 one at a time,
-    while pairwise partial sums of them do not. Scratch for one or three
-    elements per slice, or none, so the fold allocates its own."""
+    while pairwise partial sums of them do not. A budget whose fold scratch
+    holds one or three elements per slice, or the real one, whose holds
+    them all."""
     rng = np.random.default_rng(11)
     depth, columns = 40, 5
     w_rows = np.full((2, depth), 2.0**-27)
@@ -911,8 +971,10 @@ def test_fold_elements_sums_left_to_right(per):
     bias = np.array([1.0, -1.0])
     dst = np.zeros((2, columns))
     flat = np.arange(0, dst.size, 2)
-    scratch = None if per is None else np.empty(per * (3 * depth + 1))
-    T._fold_elements(dst, w_rows, cols, bias, flat, scratch)
+    with pytest.MonkeyPatch.context() as mp:
+        if per is not None:
+            mp.setattr(T, "SCRATCH_BYTES", 32 * per * (3 * depth + 1))
+        T._fold_elements(dst, w_rows, cols, bias, flat)
     differs = 0
     for f in flat:
         c, j = divmod(int(f), columns)
@@ -924,6 +986,38 @@ def test_fold_elements_sums_left_to_right(per):
     assert differs > 0
     untouched = np.setdiff1d(np.arange(dst.size), flat)
     assert not dst.reshape(-1)[untouched].any()
+
+
+def test_cifar_conv2_block_refolds_in_one_slice():
+    """cifar's conv2 (depth 800) on the pool1 outputs of synthesized
+    images runs one block per image, and each block refolds all its
+    flagged elements in one slice of the fold's scratch: more than the two
+    elements of 3 * 800 + 1 values that the block's own product scratch
+    held. A slice is one np.unravel_index call."""
+    model = seed_weights(build_cifar_net(), 2)
+    images = synthesize(4, model.input_shape, 7, "uniform").images()
+    _, taps = forward_batch(model, images, ("pool1",))
+    x = Tensor(taps["pool1"].shape, FLOAT32, taps["pool1"].ravel())
+    kern = model.get_layer("conv2").params
+    folds = []
+    real_fold, real_unravel = T._fold_elements, np.unravel_index
+
+    def fold(dst, w_rows, source, bias, flat):
+        folds.append([flat.size, 0])
+        return real_fold(dst, w_rows, source, bias, flat)
+
+    def unravel(*args, **kwargs):
+        folds[-1][1] += 1
+        return real_unravel(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_fold_elements", fold)
+        mp.setattr(np, "unravel_index", unravel)
+        sums = counting_products(mp)
+        T.conv2d(x, kern, 1)
+    assert sums == [4]
+    assert len(folds) == 4 and max(size for size, _ in folds) > 2
+    assert all(slices == (size > 0) for size, slices in folds)
 
 
 @pytest.mark.parametrize("bias", [0.0, -0.0], ids=["plus-zero", "minus-zero"])

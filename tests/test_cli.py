@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -595,6 +596,38 @@ def test_truncated_or_bit_flipped_inputs_exit_without_traceback(binary_inputs, d
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert all(int(o) <= len(blob) for o in re.findall(r"at byte offset (\d+)", err.getvalue()))
+
+
+# each binary input's config field and the exit code of a path there that
+# names no file: the weights are part of the config, the others data
+INPUT_FIELDS = {
+    "img.idx": ("dataset.imagesPath", 3),
+    "lab.idx": ("dataset.labelsPath", 3),
+    "c.bin": ("dataset.binPath", 3),
+    "w.dlaw": ("weights.path", 2),
+    "m.dlaw": ("trojan.maliciousImagesPath", 3),
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("name", sorted(INPUT_FIELDS))
+def test_unusable_input_paths_exit_naming_the_field(binary_inputs, tmp_path, name, kind):
+    """A binary input's field naming no file or a directory ends the phase
+    that reads it in one error line that names the field, without a
+    traceback, with the field's exit code."""
+    _, phase, config_path = binary_inputs[name]
+    field, code = INPUT_FIELDS[name]
+    bad = tmp_path / name
+    if kind == "directory":
+        bad.mkdir()
+    cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    section, key = field.split(".")
+    cfg[section][key] = str(bad)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got = cli.main([phase, "--config", write_config(tmp_path, cfg)])
+    problem = "file not found" if kind == "missing" else "is a directory"
+    assert (got, err.getvalue()) == (code, f"error: config field {field}: {problem}: {bad}\n")
 
 
 @pytest.mark.parametrize(
