@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .rng import Xoshiro256StarStar
+from .rng import BLOCK_DRAWS, Xoshiro256StarStar
 from .tensor import FLOAT32, Tensor
 
 NUM_CLASSES = 10
@@ -168,9 +168,11 @@ def synthesize(
 ) -> Dataset:
     """Generate a deterministic synthetic dataset.
 
-    uniform: pixels i.i.d. in [0,1), image-like. gaussianActivationProbe:
-    pixels i.i.d. standard normal (unclipped), for driving wide activation
-    excursions in Monte-Carlo probes. Labels are assigned round-robin.
+    uniform: pixels i.i.d. in [0,1), image-like, drawn in one bulk draw
+    into one read-only float32 array whose rows are the images.
+    gaussianActivationProbe: pixels i.i.d. standard normal (unclipped), for
+    driving wide activation excursions in Monte-Carlo probes. Labels are
+    assigned round-robin.
 
     indices, ascending, picks the images of the count-image set to draw
     (default all). Image i takes the same draws and label i % 10 whichever
@@ -183,18 +185,24 @@ def synthesize(
         raise ConfigError(f"synthesis indices must ascend within [0, {count})")
     rng = Xoshiro256StarStar(seed)
     n = math.prod(shape)
-    per_image = n if mode == "uniform" else 2 * ((n + 1) // 2)
+    # image i's draws start i * per_image draws after the seed's state
+    # whichever images are drawn, so each image gets the same bits as a
+    # draw of its own
+    if mode == "uniform":
+        pixels = rng.next_double_rows(indices, n, np.float32)
+        pixels.flags.writeable = False
+        items = tuple((Tensor._built(shape, FLOAT32, row), i % NUM_CLASSES) for i, row in zip(indices, pixels))
+        return Dataset(name=_synthetic_name(mode, seed), items=items)
+    # Box-Muller takes a block's worth of images' doubles per bulk draw
+    per_image = 2 * ((n + 1) // 2)
+    per_call = max(1, BLOCK_DRAWS // per_image)
     items = []
-    # a block's worth of images per bulk draw; image i's draws start
-    # i * per_image draws after the seed's state whichever images are drawn,
-    # so each image gets the same bits as a draw of its own
-    rows = (row for draws in rng.next_double_rows(indices, per_image) for row in draws)
-    for i, row in zip(indices, rows):
-        if mode == "uniform":
-            vals = row.astype(np.float32)
-        else:
-            vals = np.array(_box_muller(row, n), dtype=np.float32)
-        items.append((Tensor(shape, FLOAT32, vals), i % NUM_CLASSES))
+    done = 0  # images past the state
+    for at in range(0, len(indices), per_call):
+        group = np.asarray(indices[at:at + per_call], dtype=np.int64)
+        for i, row in zip(group.tolist(), rng.next_double_rows(group - done, per_image)):
+            items.append((Tensor(shape, FLOAT32, np.array(_box_muller(row, n), dtype=np.float32)), i % NUM_CLASSES))
+        done = int(group[-1]) + 1
     return Dataset(name=_synthetic_name(mode, seed), items=tuple(items))
 
 

@@ -39,7 +39,7 @@ from .profiling import (
     profile_layer,
     wilson_half_width,
 )
-from .rng import Xoshiro256StarStar
+from .rng import BLOCK_DRAWS, Xoshiro256StarStar
 from .tensor import FLOAT32, Tensor
 
 PER_IMAGE = "perImage"
@@ -74,15 +74,14 @@ def scale_factors(plan: ScalePlan, dataset: Dataset) -> list[np.ndarray]:
     perImage yields one factor per image; perPixel yields one per pixel.
     Draw order is image-major, so the two modes share a seed discipline.
     """
-    rng = Xoshiro256StarStar(plan.seed)
     lo, hi = plan.r_min, plan.r_max
     # a dataset has one image shape, so every image takes the same draws
     width = 1 if plan.mode == PER_IMAGE else math.prod(dataset.image_shape or (1,))
-    out = []
-    for draws in rng.next_double_rows(len(dataset), width):
-        # the same float64 sequence as rng.uniform(lo, hi), one draw after another
-        out.extend(lo + (hi - lo) * draws)
-    return out
+    factors = Xoshiro256StarStar(plan.seed).next_double_rows(len(dataset), width)
+    # the same float64 sequence as rng.uniform(lo, hi), one draw after another
+    factors *= hi - lo
+    factors += lo
+    return list(factors)
 
 
 def alter_validation(dataset: Dataset, plan: ScalePlan) -> Dataset:
@@ -92,11 +91,19 @@ def alter_validation(dataset: Dataset, plan: ScalePlan) -> Dataset:
     bitwise identical to the input.
     """
     factors = scale_factors(plan, dataset)
-    items = []
-    for (img, label), r in zip(dataset.items, factors):
-        scaled = (img.data.astype(np.float64) * r).astype(np.float32)
-        items.append((Tensor(img.shape, FLOAT32, scaled), label))
-    return Dataset(name=f"{dataset.name}/altered", items=tuple(items))
+    n = dataset.items[0][0].size if dataset.items else 0
+    scaled = np.empty((len(dataset), n), dtype=np.float32)
+    # each image times its factors in float64, rounded once to float32, a
+    # slice of BLOCK_DRAWS pixels' worth of images at a time
+    per_slice = max(1, BLOCK_DRAWS // max(n, 1))
+    images = dataset.images()
+    for at in range(0, len(images), per_slice):
+        part = slice(at, at + per_slice)
+        np.multiply(np.stack([img.data for img in images[part]]), np.stack(factors[part]), out=scaled[part],
+                    dtype=np.float64, casting="unsafe")
+    scaled.flags.writeable = False
+    items = tuple((Tensor._built(img.shape, FLOAT32, row), label) for (img, label), row in zip(dataset.items, scaled))
+    return Dataset(name=f"{dataset.name}/altered", items=items)
 
 
 @dataclass(frozen=True, eq=False)

@@ -348,12 +348,14 @@ def estimate_trigger_rate(
             f"layer {layer_name!r} yields {obs.size // len(probe)} elements per image, "
             f"caller declared {layer_length}"
         )
-    mean, stddev = _pooled_moments(np.sort(obs))
+    if mode == "monteCarlo":
+        # the images' hits before their observations are sorted in place
+        hits = int(np.count_nonzero(in_bands(obs.reshape(len(probe), layer_length), bands).any(axis=1)))
+    obs.sort()
+    mean, stddev = _pooled_moments(obs)
     _, p_image = analytic_rate(mean, stddev, bands, layer_length)
     if mode == "analytic":
         return TriggerRateEstimate(p_image, 0.0, 0, 0.0)
-    per_image = obs.reshape(len(probe), layer_length)
-    hits = int(np.count_nonzero(in_bands(per_image, bands).any(axis=1)))
     n = len(probe)
     return TriggerRateEstimate(p_image, hits / n, n, wilson_half_width(hits, n))
 

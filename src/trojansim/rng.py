@@ -29,27 +29,35 @@ the first draw that needs them.
 A bulk draw is a list of runs, run r being counts[r] successive draws from
 draw offsets[r]: next_doubles and next_u64s are one run from offset 0,
 next_double_rows one run per stretch of consecutive rows of an index set.
-The runs are cut into lanes of successive draws, their length the shortest
-power of two, at most LANE_LENGTH, with which one block of BLOCK_LANES
-lanes holds the whole draw (so a draw of a block or more, BLOCK_DRAWS, the
-kernels' scratch budget of output words, takes LANE_LENGTH, and a short
-draw takes few steps). The lanes are cut into blocks of at most
-BLOCK_LANES; a run that does not fit ends its block at a lane edge and
-goes on in the next. A block's run starts are jumped from the state where
-the block before ended, one table per bit of their offsets over all of them
-together, so a run that goes on from the block before needs no jump and a
-contiguous draw walks block after block. Inside a run, lanes start by
-doubling: lanes [2^k, 2^(k+1)) are lanes [0, 2^k) jumped by (lane length)
-* 2^k draws. All lanes of a block then take their steps together,
-vectorised over np.uint64 arrays, recording step j of every lane in row j
-of a (lane length, lanes) buffer; one transposed copy per run lays the
-words out lane after lane, in the order the scalar walk would give them,
-and the ** scrambler runs on them in place.
+The runs are cut into lanes of successive draws. The lanes span the whole
+draw: their length is the shortest power of two with which
+min(BLOCK_LANES, 4 sqrt(draws)) lanes hold it, which balances the cost of
+starting a lane (a jump) against that of a step of all lanes, so a draw of
+2000 LeNet images walks 1532 lanes of 1024 draws and a split's 1099 words
+69 lanes of 16. A draw whose runs need more than BLOCK_LANES lanes is cut
+into blocks of BLOCK_LANES; a run that does not fit ends its block at a
+lane edge and goes on in the next. A block's run starts are jumped from
+the state where the block before ended, one table per bit of their offsets
+over all of them together, so a run that goes on from the block before
+needs no jump. Inside a run, lanes start by doubling: lanes [2^k, 2^(k+1))
+are lanes [0, 2^k) jumped by (lane length) * 2^k draws.
+
+All lanes of a block then take their steps together, vectorised over
+np.uint64 arrays, in segments: step j of every lane goes into row j of a
+(steps, lanes) record, the record, the lanes' state and the scrambler's
+temporaries within SCRATCH_BYTES. After each segment the ** scrambler runs
+on the record in place, and for doubles the top 53 bits of each word
+become the exact double; one transposed copy per run then puts the
+segment's words or doubles straight into their places in the caller's
+output, in the order the scalar walk gives them. A float32 output takes
+each double rounded once, bitwise the double's astype(np.float32), so no
+float64 copy of it is made.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -63,17 +71,17 @@ _SPLITMIX_MIX2 = 0x94D049BB133111EB
 
 _DOUBLE_SCALE = 2.0 ** -53
 
-# successive draws per lane of a bulk draw at most, a power of two
-LANE_LENGTH = 256
-# draws per block of a bulk draw, SCRATCH_BYTES of recorded words; the
-# BLOCK_LANES lanes of one block walk together
+# SCRATCH_BYTES in words: a walk's record of lane steps, its lanes' state
+# and the scrambler's temporaries fit in it
 BLOCK_DRAWS = SCRATCH_BYTES // 8
-BLOCK_LANES = BLOCK_DRAWS // LANE_LENGTH
+# lanes of a bulk draw at most; a draw with more runs than that walks them
+# in blocks of BLOCK_LANES lanes
+BLOCK_LANES = 2048
 # states per gather of a jump, a quarter of SCRATCH_BYTES of table entries
-_ADVANCE_SLICE = 256
+_ADVANCE_SLICE = 128
 # draws per slice of the in-place scrambler, so that its temporaries stay
 # slice-sized
-_SCRAMBLE_SLICE = 4096
+_SCRAMBLE_SLICE = 8192
 
 # every operand of the vectorised walk is np.uint64: NumPy 1.x turns a uint64
 # combined with a Python int into float64
@@ -171,9 +179,15 @@ def _jump(state: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _lane_length(draws: int) -> int:
-    """The shortest power of two, at most LANE_LENGTH, whose BLOCK_LANES
-    lanes hold the given number of draws."""
-    return min(LANE_LENGTH, 1 << (-(-draws // BLOCK_LANES) - 1).bit_length())
+    """The shortest power of two with which min(BLOCK_LANES, 4 sqrt(draws))
+    lanes hold the given number of draws.
+
+    A lane start costs about a microsecond (its jump) and a step of all
+    lanes about five, whatever their number, so sqrt(5 draws), about
+    2 sqrt(draws) lanes, cost least; rounding the length up to a power of
+    two leaves between 2 and 4 sqrt(draws) lanes."""
+    lanes = max(1, min(BLOCK_LANES, 4 * math.isqrt(draws)))
+    return 1 << (-(-draws // lanes) - 1).bit_length()
 
 
 def _blocks(offsets: np.ndarray, counts: np.ndarray, length: int):
@@ -202,8 +216,9 @@ def _blocks(offsets: np.ndarray, counts: np.ndarray, length: int):
 def _draw(state: np.ndarray, offsets, counts, out: np.ndarray) -> np.ndarray:
     """Fill out with the draws of runs from the (4,) state, run after run:
     run r is counts[r] draws from draw offsets[r], the runs ascending and
-    disjoint. out is uint64 (the output words) or float64 (doubles).
-    Return the state after the last draw.
+    disjoint. out is uint64 (the output words), float64 (doubles) or
+    float32 (the doubles rounded once). Return the state after the last
+    draw.
 
     Each block's run starts are jumped together from the state after the
     block before, so a block that goes on with the same run starts where
@@ -237,51 +252,84 @@ def _walk_block(starts: np.ndarray, counts: np.ndarray, out: np.ndarray, length:
         m = np.clip(lanes_of - have, 0, have)  # lanes each run gains
         src = np.repeat(first - np.cumsum(m) + m, m) + np.arange(m.sum())
         lane_starts[src + have] = _advance(_doubling_table(length.bit_length() - 1 + j), lane_starts[src])
-    # step j of every lane into row j; draw i * length + j of a run is row j
-    # of its lane i, the last lane's rows ending at its last draw
+    # step j of every lane into row j of a segment's record; draw
+    # i * length + j of a run is step j of its lane i, the last lane's steps
+    # ending at its last draw
     steps = min(length, int(counts.max()))
     last = int(counts[-1]) - (int(lanes_of[-1]) - 1) * length  # draws of the last lane
-    record = np.empty((steps, lanes), dtype=np.uint64)
+    span = _segment_steps(lanes)
+    record = np.empty((min(span, steps), lanes), dtype=np.uint64)
     step = _stepper(state)
     end = None
-    for j in range(steps):
-        record[j] = state[1]
-        step()
-        if j + 1 == last:
-            end = state[:, -1].copy()
-    u = out.view(np.uint64)
-    at = 0
-    for lane, count in zip(first, counts):
-        full, rest = divmod(count, length)
-        if full:
-            u[at:at + full * length].reshape(full, length)[...] = record[:, lane:lane + full].T
-        if rest:
-            u[at + full * length:at + count] = record[:rest, lane + full]
-        at += count
-    del record
-    # the ** scrambler in place, a slice at a time
-    k = out.size
-    tmp = np.empty(min(k, _SCRAMBLE_SLICE), dtype=np.uint64)
-    for at in range(0, k, _SCRAMBLE_SLICE):
-        x = u[at:at + _SCRAMBLE_SLICE]
+    for at in range(0, steps, span):
+        segment = record[:min(span, steps - at)]
+        for j, row in enumerate(segment, at + 1):
+            np.copyto(row, state[1])
+            step()
+            if j == last:
+                end = state[:, -1].copy()
+        _scramble(segment.reshape(-1), out.dtype != np.uint64)
+        _lay_out(segment, at, first, counts, length, out)
+    return end
+
+
+def _segment_steps(lanes: int) -> int:
+    """The steps of the given number of lanes per segment of a walk: the
+    segment's record, the lanes' state (four words and a shift temporary
+    each) and the scrambler's two slice-sized temporaries fit
+    SCRATCH_BYTES."""
+    return max(1, (BLOCK_DRAWS - 2 * _SCRAMBLE_SLICE) // lanes - 5)
+
+
+def _scramble(words: np.ndarray, doubles: bool) -> None:
+    """The ** scrambler on the flat uint64 words in place, _SCRAMBLE_SLICE
+    at a time so that its temporary stays slice-sized; with doubles, each
+    scrambled word's top 53 bits times 2**-53 in place of the word, as a
+    float64 (exact)."""
+    tmp = np.empty(min(words.size, _SCRAMBLE_SLICE), dtype=np.uint64)
+    for at in range(0, words.size, _SCRAMBLE_SLICE):
+        x = words[at:at + _SCRAMBLE_SLICE]
         r = tmp[:x.size]
         x *= _U5
         np.left_shift(x, _U7, out=r)
         x >>= _U57
         x |= r
         x *= _U9
-        if out.dtype == np.float64:
+        if doubles:
             x >>= _U11
-            np.multiply(x, np.float64(_DOUBLE_SCALE), out=out[at:at + _SCRAMBLE_SLICE])
-    return end
+            # below 2**53, so exact as an int64 and as a double
+            np.multiply(x.view(np.int64), _DOUBLE_SCALE, out=x.view(np.float64))
 
 
-def _row_runs(rows: np.ndarray, done: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _lay_out(
+    segment: np.ndarray, step: int, first: np.ndarray, counts: np.ndarray, length: int, out: np.ndarray
+) -> None:
+    """Copy a segment's scrambled words (uint64 out) or doubles (float out,
+    each rounded once into its type), steps step ... of every lane, to
+    their places in out, run after run: step j of lane i of a run is the
+    run's draw i * length + j."""
+    steps = len(segment)
+    if out.dtype != np.uint64:
+        segment = segment.view(np.float64)
+    at = 0
+    for lane, count in zip(first.tolist(), counts.tolist()):
+        full, rest = divmod(count, length)
+        if full:
+            np.copyto(out[at:at + full * length].reshape(full, length)[:, step:step + steps],
+                      segment[:, lane:lane + full].T, casting="same_kind")
+        if rest > step:
+            k = min(steps, rest - step)
+            np.copyto(out[at + full * length + step:at + full * length + step + k], segment[:k, lane + full],
+                      casting="same_kind")
+        at += count
+
+
+def _row_runs(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The runs (offsets, counts) of draws of the ascending rows of width
-    draws, one per stretch of consecutive rows, counted from row done."""
+    draws, one per stretch of consecutive rows."""
     heads = np.r_[0, np.flatnonzero(np.diff(rows) != 1) + 1]
     lengths = np.diff(heads, append=len(rows))
-    return (rows[heads] - done) * width, lengths * width
+    return rows[heads] * width, lengths * width
 
 
 class Xoshiro256StarStar:
@@ -308,8 +356,8 @@ class Xoshiro256StarStar:
 
     def _next(self, offsets, counts, dtype) -> np.ndarray:
         """The draws of runs (see _draw), offsets counted from the current
-        state, as output words (uint64) or doubles (float64), leaving the
-        state after the last draw."""
+        state, as output words (uint64), doubles (float64) or doubles
+        rounded to float32, leaving the state after the last draw."""
         offsets, counts = np.asarray(offsets, dtype=np.int64), np.asarray(counts, dtype=np.int64)
         out = np.empty(int(counts.sum()), dtype=dtype)
         state = _draw(np.array(self._s, dtype=np.uint64), offsets, counts, out)
@@ -325,29 +373,24 @@ class Xoshiro256StarStar:
         """n successive next_double() values as float64, leaving the state
         where n next_double() calls would.
 
-        Drawn in lanes (see the module docstring); a call costs a few
-        microseconds per lane step, so few large calls are much cheaper than
-        many small ones.
+        Drawn in lanes (see the module docstring); a call costs up to about
+        two milliseconds to start its lanes and a few microseconds per lane
+        step, so few large calls are much cheaper than many small ones.
         """
         return self._next([0], [n], np.float64)
 
-    def next_double_rows(self, rows, width: int):
-        """Yield the doubles of rows of width draws, row i being the width
-        draws from draw i * width on, as (g, width) arrays of whole rows,
-        each from one bulk draw of at most BLOCK_DRAWS draws (or of one row,
-        if a row is wider). rows is a count (rows 0 ... rows - 1) or the
-        ascending indices of the rows to draw; the rows between them are
-        jumped over. The state ends after the last row drawn. Consume it
-        before drawing again."""
-        if isinstance(rows, int):
-            rows = range(rows)
-        per_call = max(1, BLOCK_DRAWS // width) if width else max(1, len(rows))
-        done = 0  # rows past the state at the call
-        for first in range(0, len(rows), per_call):
-            group = np.asarray(rows[first:first + per_call], dtype=np.int64)
-            offsets, counts = _row_runs(group, done, width)
-            yield self._next(offsets, counts, np.float64).reshape(len(group), width)
-            done = int(group[-1]) + 1
+    def next_double_rows(self, rows, width: int, dtype=np.float64) -> np.ndarray:
+        """The doubles of rows of width draws, row i being the width draws
+        from draw i * width on, as one (len(rows), width) array of dtype
+        float64, or float32 (each double rounded once). rows is a count
+        (rows 0 ... rows - 1) or the ascending indices of the rows to draw;
+        the rows between them are jumped over. The state ends after the
+        last row drawn."""
+        rows = np.arange(rows) if isinstance(rows, int) else np.asarray(rows, dtype=np.int64)
+        if not rows.size:
+            return np.empty((0, width), dtype=dtype)
+        offsets, counts = _row_runs(rows, width)
+        return self._next(offsets, counts, dtype).reshape(len(rows), width)
 
     def next_double(self) -> float:
         """Uniform in [0, 1), using the top 53 bits of one output."""

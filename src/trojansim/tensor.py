@@ -225,7 +225,13 @@ class Tensor:
         tensors): the layout is checked, the fixed-point value scan of
         direct construction is skipped."""
         t = object.__new__(cls)
-        vars(t).update(shape=shape, dtype=dtype, data=data, saturations=saturations)
+        # field by field, as the dataclass's __init__ sets them, so that the
+        # instance keeps the class's shared-key dict (vars(t).update makes
+        # it a dict of its own, 80 bytes more per tensor)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "dtype", dtype)
+        object.__setattr__(t, "data", data)
+        object.__setattr__(t, "saturations", saturations)
         t._check_layout()
         return t
 

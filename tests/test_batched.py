@@ -36,8 +36,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trojansim import tensor as T
-from trojansim.data import Dataset, synthesize
+from trojansim import rng as R, tensor as T
+from trojansim.data import Dataset, SplitPlan, synthesize, synthesize_split
 from trojansim.defense import stream_hit_rate
 from trojansim.errors import ConfigError, DimensionError
 from trojansim.models import (
@@ -57,7 +57,7 @@ from trojansim.models import (
     seed_weights,
 )
 from trojansim.profiling import SigmaBand, collect_observations
-from trojansim.rng import BLOCK_DRAWS, LANE_LENGTH, Xoshiro256StarStar
+from trojansim.rng import BLOCK_DRAWS, BLOCK_LANES, Xoshiro256StarStar
 from trojansim.tensor import FLOAT32, Q16_16, Kernel, Tensor
 
 from oracles import (
@@ -1156,6 +1156,7 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
     assert 8 * n * per_image > T.SCRATCH_BYTES + slack
 
+    vars(T._SCRATCH).clear()  # this thread's kernel scratch grows anew, whatever ran before
     with pytest.MonkeyPatch.context() as mp:
         sums = counting_products(mp)
         tracemalloc.start()
@@ -1323,6 +1324,7 @@ def test_forward_batch_memory_stays_within_four_budgets(name):
     build, make_images, _ = MODELS[name]
     model = build()
     images = make_images(model.input_shape, 300, seed=1)
+    vars(T._SCRATCH).clear()  # this thread's kernel scratch grows anew, whatever ran before
     tracemalloc.start()
     try:
         labels, _ = forward_batch(model, images, ())
@@ -1469,7 +1471,8 @@ def test_batched_stream_hit_rate_matches_per_image_check_trigger():
     assert stream_hit_rate(model, cases[1], empty, "fc1") == (0, 0)
 
 
-M, B = LANE_LENGTH, BLOCK_DRAWS
+# M: a lane length (a draw of 3 * B takes lanes of M); B: a record's words
+M, B = 256, BLOCK_DRAWS
 
 
 def scalar_doubles(rng, n):
@@ -1514,19 +1517,18 @@ def test_next_doubles_equals_scalar_walk_property(seed, n):
     assert bulk.next_u64() == scalar.next_u64()
 
 
-def test_next_double_rows_draw_at_most_a_block_per_call():
+def test_next_double_rows_return_one_array_of_every_row():
     rng = Xoshiro256StarStar(3)
-    assert [a.shape for a in rng.next_double_rows(3 * (B // 1000) + 4, 1000)] == [(B // 1000, 1000)] * 3 + [(4, 1000)]
-    assert [a.shape for a in rng.next_double_rows(2, B + 1)] == [(1, B + 1)] * 2
-    assert list(rng.next_double_rows(0, 5)) == []
+    assert rng.next_double_rows(3 * (B // 1000) + 4, 1000).shape == (3 * (B // 1000) + 4, 1000)
+    assert rng.next_double_rows(2, B + 1).shape == (2, B + 1)
+    assert rng.next_double_rows(0, 5).shape == (0, 5)
+    for dtype in (np.float64, np.float32):
+        assert rng.next_double_rows([1, 4], 3, dtype).dtype == dtype
 
 
-# draws of LANE_LENGTH * 2^k and one more, for k = 0 ... 9: lanes are the
-# shortest power of two with which one block's lanes hold the draw, so the
-# first fill every lane of a block (256 lanes for k = 0) and the second
-# start one lane more, the last of them one draw long, at every lane length
-# up to LANE_LENGTH: every doubling of the lane starts, a full block and one
-# draw past it; and three whole blocks
+# draws of 256 * 2^k and one more, for k = 0 ... 9, and three records'
+# words: lanes of every length from 4 to 256, 33 to 1536 of them, every
+# second draw's last lane one draw long
 DOUBLING_EDGES = {
     **{f"{2**k}-lanes": 2**k * M for k in range(10)},
     **{f"{2**k}-lanes+1": 2**k * M + 1 for k in range(10)},
@@ -1584,8 +1586,8 @@ def test_draws_at_an_offset_equal_the_scalar_walk(seed, n):
     words = scalar_words(seed)
     for offset in JUMP_OFFSETS:
         rng = Xoshiro256StarStar(seed)
-        got = np.concatenate(list(rng.next_double_rows(range(offset, offset + n), 1)))
-        assert got.ravel().tobytes() == scalar_doubles_of(words[offset:offset + n]).tobytes(), offset
+        got = rng.next_double_rows(range(offset, offset + n), 1)
+        assert got.tobytes() == scalar_doubles_of(words[offset:offset + n]).tobytes(), offset
         assert [rng.next_u64() for _ in range(4)] == list(words[offset + n:offset + n + 4]), offset
 
 
@@ -1604,24 +1606,42 @@ def test_rows_at_any_indices_equal_the_scalar_walk(seed, width, data):
     picks = data.draw(st.lists(st.integers(0, total - 1), max_size=min(total, 700), unique=True))
     rows = sorted(picks)
     rng = Xoshiro256StarStar(seed)
-    got = list(rng.next_double_rows(rows, width))
-    assert sum(len(a) for a in got) == len(rows)
+    got = rng.next_double_rows(rows, width)
+    assert got.shape == (len(rows), width)
     want = [scalar_doubles_of(words[r * width:(r + 1) * width]) for r in rows]
-    assert all(a.shape[1:] == (width,) for a in got)
-    assert np.concatenate([*got, np.empty((0, width))]).tobytes() == np.concatenate([*want, []]).tobytes()
+    assert got.tobytes() == np.concatenate([*want, []]).tobytes()
     end = (rows[-1] + 1) * width if rows else 0
     assert rng.next_u64() == words[end]
 
 
-# rows of one bulk draw whose runs need more lanes than a block: one row,
-# then consecutive rows to the end of the draw, the long run needing the
-# block's last lanes and one more; and 400 one-lane rows, 2000 consecutive
-# rows across the block edge, then 1000 one-lane rows over two more blocks
+def run_lanes(rows, width):
+    """The lanes each run of a next_double_rows(rows, width) draw takes."""
+    _, counts = R._row_runs(np.asarray(rows, dtype=np.int64), width)
+    return -(-counts // R._lane_length(int(counts.sum())))
+
+
+def tail_rows(width, singles, lanes=BLOCK_LANES + 1):
+    """singles one-row runs (every other row), then the fewest consecutive
+    rows with which the draw needs the given number of lanes: with
+    BLOCK_LANES + 1, the long run takes the block's last lane and one lane
+    of the next block."""
+    head = list(range(0, 2 * singles, 2))
+    for m in range(1, 4 * BLOCK_LANES):
+        rows = head + list(range(2 * singles, 2 * singles + m))
+        if run_lanes(rows, width).sum() == lanes:
+            return rows
+    raise AssertionError(f"no tail of {width}-draw rows after {singles} single rows")
+
+
+# rows of one bulk draw whose runs need more lanes than a block: single
+# rows, then consecutive rows to the end of the draw, the long run needing
+# the block's last lane and one more; and 1800 one-lane rows, 2000
+# consecutive rows across the block edge, then 1500 one-lane rows
 CUT_RUNS = {
-    "26-tail": (26, [0, *range(2, B // 26 + 1)]),
-    "257-tail": (M + 1, [0, *range(2, B // (M + 1) + 1)]),
-    "784-tail": (784, [0, *range(2, B // 784 + 1)]),
-    "26-middle": (26, [*range(0, 800, 2), *range(801, 2801), *range(2802, 4802, 2)]),
+    "26-tail": lambda: (26, tail_rows(26, 1500)),
+    "257-tail": lambda: (M + 1, tail_rows(M + 1, 7)),
+    "784-tail": lambda: (784, tail_rows(784, 10)),
+    "26-middle": lambda: (26, [*range(0, 3600, 2), *range(3601, 5601), *range(5602, 8602, 2)]),
 }
 
 
@@ -1630,12 +1650,73 @@ CUT_RUNS = {
 def test_a_run_cut_at_a_block_edge_goes_on_in_the_next_block(seed, case):
     """A run cut at a lane edge goes on in the next block, from where the
     block before ended, beside the runs jumped to there."""
-    width, rows = CUT_RUNS[case]
+    width, rows = CUT_RUNS[case]()
+    lanes = np.cumsum(run_lanes(rows, width))
+    cut = np.searchsorted(lanes, BLOCK_LANES)  # the run across the block edge
+    assert lanes[-1] > BLOCK_LANES and lanes[cut] > BLOCK_LANES and lanes[cut] - lanes[cut - 1] > 1
     words = scalar_words(seed)
     rng = Xoshiro256StarStar(seed)
-    (got,) = rng.next_double_rows(rows, width)
+    got = rng.next_double_rows(rows, width).ravel()
     want = [scalar_doubles_of(words[r * width:(r + 1) * width]) for r in rows]
     assert got.tobytes() == np.concatenate(want).tobytes()
+    assert rng.next_u64() == words[(rows[-1] + 1) * width]
+
+
+# contiguous draws at lane and segment edges: (draws, lane length, lanes,
+# draws of the last lane). Around BLOCK_LANES lanes of 128 draws, the cap,
+# and with the last of 1024 lanes of 128 ending at the last step of the
+# walk's first segment, and one draw later at the first of its second
+SEGMENT = R._segment_steps(1024)
+LANE_EDGES = {
+    "cap-1": (128 * BLOCK_LANES - 1, 256, BLOCK_LANES // 2, 255),
+    "cap": (128 * BLOCK_LANES, 128, BLOCK_LANES, 128),
+    "cap+1": (128 * BLOCK_LANES + 1, 256, BLOCK_LANES // 2 + 1, 1),
+    "segment-end": (1023 * 128 + SEGMENT, 128, 1024, SEGMENT),
+    "segment-end+1": (1023 * 128 + SEGMENT + 1, 128, 1024, SEGMENT + 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("case", list(LANE_EDGES))
+def test_draws_at_lane_and_segment_edges_equal_the_scalar_walk(case, seed, dtype):
+    """Doubles, and doubles rounded once to float32, of a contiguous draw
+    whose lanes fill the cap or its last lane ends at a segment edge, have
+    the scalar walk's bits and leave its state."""
+    n, length, lanes, last = LANE_EDGES[case]
+    assert R._lane_length(n) == length and -(-n // length) == lanes and n - (lanes - 1) * length == last
+    assert length > SEGMENT  # the walk takes more than one segment
+    words = scalar_words(seed)
+    rng = Xoshiro256StarStar(seed)
+    got = rng.next_double_rows(1, n, dtype)
+    assert got.dtype == dtype
+    assert got.tobytes() == scalar_doubles_of(words[:n]).astype(dtype).tobytes()
+    assert [rng.next_u64() for _ in range(4)] == list(words[n:n + 4])
+
+
+# rows whose runs fill every lane of a block, the last run ending in its
+# last lane; and 3 * BLOCK_LANES one-draw runs, three blocks
+ROW_EDGES = {
+    "last-lane": lambda: (26, tail_rows(26, 1500, BLOCK_LANES)),
+    "more-runs-than-lanes": lambda: (1, list(range(0, 6 * BLOCK_LANES, 2))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("case", list(ROW_EDGES))
+def test_rows_at_block_edges_equal_the_scalar_walk(case, seed, dtype):
+    """Rows whose runs end in a block's last lane, or take three blocks of
+    lanes, have the scalar walk's bits in float64 and float32 and leave
+    its state."""
+    width, rows = ROW_EDGES[case]()
+    lanes = run_lanes(rows, width)
+    assert lanes.sum() == (BLOCK_LANES if case == "last-lane" else 3 * BLOCK_LANES)
+    words = scalar_words(seed)
+    rng = Xoshiro256StarStar(seed)
+    got = rng.next_double_rows(rows, width, dtype)
+    want = np.concatenate([scalar_doubles_of(words[r * width:(r + 1) * width]) for r in rows])
+    assert got.shape == (len(rows), width) and got.tobytes() == want.astype(dtype).tobytes()
     assert rng.next_u64() == words[(rows[-1] + 1) * width]
 
 
@@ -1673,6 +1754,34 @@ def test_synthesized_subsets_equal_the_whole_set(seed, shape, mode):
             assert img.data.tobytes() == whole.items[i][0].data.tobytes(), (indices[:3], i)
 
 
+# a Tensor, its row view and its (image, label) pair take under 400 bytes
+IMAGE_SLACK = 512
+
+# (datasets, images drawn): 2000 contiguous LeNet images, and a split's 800
+# scattered ones of 2000
+SYNTHESIZED = {
+    "2000-images": (lambda: [synthesize(2000, (1, 28, 28), 5)], 2000),
+    "800-of-2000": (lambda: synthesize_split(2000, (1, 28, 28), 5, "uniform", SplitPlan(300, 500, 3)), 800),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTHESIZED))
+def test_synthesized_dataset_memory(case):
+    """A uniform dataset is one float32 array of its pixels, drawn in one
+    walk through one SCRATCH_BYTES record, and an object or two per image:
+    no float64 copy of the dataset is ever made."""
+    draw, images = SYNTHESIZED[case]
+    draw()
+    tracemalloc.start()
+    try:
+        datasets = draw()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, datasets)) == images
+    assert peak <= images * 784 * 4 + T.SCRATCH_BYTES + images * IMAGE_SLACK
+
+
 def test_synthesize_refuses_unordered_indices():
     for indices in ([1, 1], [2, 1], [-1], [5]):
         with pytest.raises(ConfigError):
@@ -1685,17 +1794,15 @@ def test_jumped_draw_memory(width, step):
     holds its output, one SCRATCH_BYTES record of the lanes' words and
     little else: the jumps gather in slices and the runs stay arrays."""
     rows = range(0, 3 * (B // width), step)
+    Xoshiro256StarStar(5).next_double_rows(rows, width)
     rng = Xoshiro256StarStar(5)
-    list(rng.next_double_rows(rows, width))
-    rng = Xoshiro256StarStar(5)
-    draws = rng.next_double_rows(rows, width)
     tracemalloc.start()
     try:
-        out = next(draws)
+        out = rng.next_double_rows(rows, width)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(out) == min(len(rows), B // width)
+    assert len(out) == len(rows)
     assert peak <= out.nbytes + T.SCRATCH_BYTES + 64 * 1024
 
 

@@ -789,10 +789,10 @@ def dataset_rows(monkeypatch):
             super().__init__(seed)
             self.seed = seed
 
-        def next_double_rows(self, rows, width):
-            for block in super().next_double_rows(rows, width):
-                drawn[self.seed] = drawn.get(self.seed, 0) + len(block)
-                yield block
+        def next_double_rows(self, rows, width, dtype=np.float64):
+            out = super().next_double_rows(rows, width, dtype)
+            drawn[self.seed] = drawn.get(self.seed, 0) + len(out)
+            return out
 
     monkeypatch.setattr(data_mod, "Xoshiro256StarStar", Counting)
     return drawn

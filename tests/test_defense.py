@@ -148,6 +148,22 @@ def test_per_pixel_scaling_matches_declared_factors():
         assert np.array_equal(scaled.data, expect)
 
 
+@pytest.mark.parametrize("mode", [PER_IMAGE, PER_PIXEL])
+def test_altered_images_equal_the_per_image_products(mode):
+    """Each altered image is (A as float64 * r) rounded once to float32,
+    as one image at a time computes it, across the slices the images are
+    multiplied in."""
+    per_slice = BLOCK_DRAWS // 784
+    data = synthesize(2 * per_slice + 3, (1, 28, 28), 13)
+    plan = ScalePlan(5, mode, 0.9, 1.1)
+    altered = alter_validation(data, plan)
+    assert altered.name == "synthetic-uniform-13/altered" and altered.labels() == data.labels()
+    for (img, _), (scaled, _), r in zip(data.items, altered.items, scale_factors(plan, data)):
+        want = (img.data.astype(np.float64) * r).astype(np.float32)
+        assert scaled.shape == img.shape and scaled.data.tobytes() == want.tobytes()
+        assert not scaled.data.flags.writeable
+
+
 def test_forward_is_homogeneous_under_power_of_two_scaling():
     m = bias_free_stack()
     img = tiny_dataset(1, shape=(1, 6, 6), seed=12).items[0][0]
