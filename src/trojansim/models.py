@@ -189,18 +189,16 @@ def _layer_outputs(
     layers: Sequence[LayerSpec], x: Tensor, outs: Sequence[np.ndarray | None] | None = None
 ) -> Iterator[tuple[str, Tensor]]:
     """Yield (layer name, output) down a layer slice for a batch x, whose
-    leading image axis flatten keeps. The kernels are looked up on the
+    last axis, the image axis, flatten keeps. The kernels are looked up on the
     tensor module at each call, so wrappers installed there see every op.
 
-    outs, if given, holds per layer an array whose first len(x) images the
-    layer's output is written into, or None for a new one (flatten always
-    returns a view). forward_batch's outs share two buffers, so an output
-    must be read before the walk resumes."""
+    outs, if given, holds per layer the array the layer's output is
+    written into, or None for a new one (flatten always returns a view).
+    forward_batch's outs share two buffers, so an output must be read
+    before the walk resumes."""
     for layer, out in zip(layers, outs or [None] * len(layers)):
         if layer.kind in PARAMETERIZED_KINDS and layer.params is None:
             raise ConfigError(f"layer {layer.name!r} has no parameters loaded")
-        if out is not None:
-            out = out[:x.shape[0]]
         if layer.kind == "conv":
             x = T.conv2d(x, layer.params, layer.hyperparams.get("stride", 1), out=out)
         elif layer.kind == "maxpool":
@@ -209,7 +207,7 @@ def _layer_outputs(
         elif layer.kind == "relu":
             x = T.relu(x, out=out)
         elif layer.kind == "flatten":
-            x = x.reshaped((x.shape[0], x.size // x.shape[0]))
+            x = x.reshaped((x.size // x.shape[-1], x.shape[-1]))
         else:
             x = T.dense(x, layer.params, out=out)
         yield layer.name, x
@@ -217,9 +215,10 @@ def _layer_outputs(
 
 def _stack_inputs(model: ModelSpec, images: Sequence[Tensor], first: int = 0) -> Tensor:
     """The input gate of forward and forward_batch: every image must have the
-    model's input shape and the first image's dtype; they are stacked into
-    one batch, and float32 images are quantized into a fixed-point model's
-    format on entry. first is the index of images[0], for error messages."""
+    model's input shape and the first image's dtype; they are stacked along
+    a new last axis into one (C, H, W, N) batch, and float32 images are
+    quantized into a fixed-point model's format on entry. first is the
+    index of images[0], for error messages."""
     dtype = images[0].dtype
     for i, img in enumerate(images, first):
         if img.shape != model.input_shape:
@@ -228,7 +227,8 @@ def _stack_inputs(model: ModelSpec, images: Sequence[Tensor], first: int = 0) ->
             )
         if img.dtype != dtype:
             raise ValueError(f"image {i} is {img.dtype}, image {first} is {dtype}")
-    x = Tensor._built((len(images),) + model.input_shape, dtype, np.concatenate([img.data for img in images]))
+    stacked = np.stack([img.array for img in images], axis=-1)
+    x = Tensor._built(stacked.shape, dtype, stacked.reshape(-1))
     mode = model_numeric_dtype(model)
     if isinstance(mode, FixedFormat) and dtype == FLOAT32:
         x = T.quantize(x, mode)
@@ -239,8 +239,8 @@ def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
     """Run one image through the model as a batch of one, tapping every
     layer output."""
     outs = dict(_layer_outputs(model.layers, _stack_inputs(model, [image])))
-    taps = {name: out.reshaped(out.shape[1:]) for name, out in outs.items()}
-    label = np.argmax(outs[model.layers[-1].name].array, axis=1)[0]
+    taps = {name: out.reshaped(out.shape[:-1]) for name, out in outs.items()}
+    label = np.argmax(outs[model.layers[-1].name].data)
     return ForwardTrace(final_label=int(label), taps=taps)
 
 
@@ -263,13 +263,15 @@ def forward_batch(
     and taps[name][i] is its tap data for each layer named in keep, shaped
     like the layer's output and stored as forward stores it (float32, or
     float64 for fixed point). Every value is bitwise equal to the per-image
-    forward. Each chunk of images is stacked, walked through every layer
-    once, and its kept taps and labels are written before the next chunk is
-    stacked, so a pass holds one chunk's activations whatever its length.
-    Every chunk's layers write into the same two buffers, allocated once
-    per pass, each as long as the chunk's widest output that _pass_buffers
-    puts in it: conv1's in the first and pool1's in the second for both
-    convnets.
+    forward. Each chunk of images is stacked, image axis last, walked
+    through every layer once, and its kept taps, image by image, and labels
+    are written before the next chunk is stacked, so a pass holds one
+    chunk's activations whatever its length. Every chunk's layers write
+    into the same two buffers, allocated once per pass, each as long as the
+    chunk's widest output that _pass_buffers puts in it (conv1's in the
+    first and pool1's in the second for both convnets) and viewed in each
+    chunk's own shapes, so a short last chunk's outputs are whole arrays
+    too.
     """
     shapes = layer_output_shapes(model)
     for name in keep:
@@ -279,20 +281,20 @@ def forward_batch(
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = forward_chunk(model)
-    rows = min(n, chunk)
     plan = list(zip(_pass_buffers(model.layers), shapes.values()))
     buffers = [
-        np.empty(rows * max((math.prod(shape) for held, shape in plan if held == b), default=0), dtype=store)
+        np.empty(min(n, chunk) * max((math.prod(shape) for held, shape in plan if held == b), default=0), dtype=store)
         for b in (0, 1)
     ]
-    outs = [None if held is None else buffers[held][:rows * math.prod(shape)].reshape((rows,) + shape)
-            for held, shape in plan]
     for start in range(0, n, chunk):
-        stop = start + chunk
-        for name, x in _layer_outputs(model.layers, _stack_inputs(model, images[start:stop], start), outs):
+        x = _stack_inputs(model, images[start:start + chunk], start)
+        m = x.shape[-1]
+        outs = [None if held is None else buffers[held][:math.prod(shape) * m].reshape(shape + (m,))
+                for held, shape in plan]
+        for name, x in _layer_outputs(model.layers, x, outs):
             if name in taps:
-                taps[name][start:stop] = x.array
-        labels[start:stop] = np.argmax(x.array, axis=1)
+                taps[name][start:start + m] = np.moveaxis(x.array, -1, 0)
+        labels[start:start + m] = np.argmax(x.array, axis=0)
     return labels, taps
 
 

@@ -10,15 +10,17 @@ tests compare against):
   * Fixed-point results are rounded half-to-even to the format's resolution
     and saturated to its representable range; saturation events are counted
     on the result tensor, never silently wrapped.
-  * conv2d and maxpool2d take only a batch (N, C, H, W) and dense only a
-    batch (N, in), of any length N; relu and quantize take any shape. Each
-    image of a batch goes through exactly the sequence above, so row i of a
-    result is bitwise equal to the op applied to a batch of image i alone,
-    and a result's saturation count is the sum over its rows. That
+  * Batches keep the image axis last: conv2d and maxpool2d take only a batch
+    (C, H, W, N) and give (O, oh, ow, N) and (C, oh, ow, N), dense takes
+    only a batch (in, N) and gives (out, N), of any length N; relu and
+    quantize take any shape. Each image of a batch goes through exactly the
+    sequence above, so column i of a result (the values at index i of its
+    last axis) is bitwise equal to the op applied to a batch of image i
+    alone, and a result's saturation count is the sum over its columns. That
     sequence, the fold, defines every sum. conv2d and dense compute sums as
-    BLAS matrix products, which add the terms in an order of their own,
-    and keep a product's result only where a certificate proves that it
-    has the fold's bits (below); every other sum is folded.
+    BLAS matrix products, which add the terms in an order of their own, and
+    keep a product's result only where a certificate proves that it has the
+    fold's bits (below); every other sum is folded.
   * A certificate per output element, for float32 and for fixed-point
     batches that the batch certificate below does not cover. The fold r and
     the product s each add n terms, the bias and n - 1 products, in some
@@ -33,13 +35,13 @@ tests compare against):
     ||x||_2, w the output channel's weights and x the element's window or
     row. E = k |b| + (k ||w||) ||x|| with k = (n + 5) * 2^-51 (exact): the
     channel factors once per kernel (Kernel.bound_factors), the norms
-    ||x|| before the block loop (conv2d, for a group of images at once)
+    ||x|| before a group of blocks (conv2d, for their output rows at once)
     or once per tile (dense), and E as one product of the factors by
     (||x||, 1). Squares of float32 values are exact in float64,
     fixed-point ones within u; a squared sum adds nonnegative terms, so
     in any order and grouping it ends at least (1 - gamma_(n-1)) times
     the exact one. conv2d groups a window's squares by channels, then
-    columns, then rows, adding shifted slices of the channel sums, so
+    rows, then columns, adding shifted slices of the channel sums, so
     overlapping windows share partial sums; a difference of prefix sums
     would add terms of both signs, which this bound does not cover. Each
     square root, product and the sum (fused or not) rounds once. So E >= k (|b|
@@ -98,20 +100,23 @@ tests compare against):
     Accelerate or reference BLAS), which sums plain products; none of
     them uses Strassen-like schemes, whose intermediate differences the
     bounds do not cover.
-  * Every block or tile is one product of the weights, one row per
-    output channel, by K-major window columns (conv2d: C*kh*kw rows, one
-    column per output position; whole images while one image's columns
-    fit, else output rows of one image) or by a tile of the batch (dense).
+  * Every block or tile is one product of the weights, one row per output
+    channel, by K-major window columns (conv2d: C*kh*kw rows, one column per
+    (output row, output column, image), in that C order; output rows of all
+    the batch's images while one row of them fits, else one output row of a
+    run of its images) or by a tile of the batch's columns (dense). With the
+    image axis last, a block's copy from the input moves runs of ow*N values
+    (stride 1, every image) and its products land in out as they lie there.
     Its float64 scratch fits SCRATCH_BYTES beside the float64 weights and
     bias: per output element the product and, under the per-element
-    certificate, E and two values for rounding, and per column its norm
-    and a one. The columns (or the tile's rows), the products with their
+    certificate, E and two values for rounding, and per column its norm and
+    a one. The window columns (or the tile's copy), the products with their
     E and the rounding test's upper ends are three arrays per thread;
-    conv2d's window norms of a group of images and the refold have one
-    more each, of at most a quarter of SCRATCH_BYTES (or one block's
-    images, or one element, where that is more). All are kept from call
-    to call and grown on demand, so that a pass of many blocks touches no
-    fresh pages once they have grown. Saturations are summed.
+    conv2d's window norms of a group of blocks' rows and the refold have one
+    more each, of at most a quarter of SCRATCH_BYTES (or one block's rows,
+    or one element, where that is more). All are kept from call to call and
+    grown on demand, so that a pass of many blocks touches no fresh pages
+    once they have grown. Saturations are summed.
   * conv2d, maxpool2d, dense and relu write into a caller's `out` array
     (C-contiguous, of the result's shape and storage dtype) where one is
     given, else into a new one; relu's may hold its input, the others'
@@ -414,29 +419,32 @@ def _bound(e: np.ndarray, factors: np.ndarray, norms: np.ndarray, terms: np.ndar
 
 def _window_norms(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """The 2-norm of every kh x kw window, at the stride, of the batch x
-    (N, C, H, W), as an (N, oh, ow) float64 view of this thread's norm
-    scratch of 2 N H W values (module docstring). The squares are summed
-    over channels into one run of N H W sums in C order; adding kw
-    shifted slices of it sums every window's columns, then adding kh of
-    those, shifted by multiples of W, sums its rows, and the square roots
-    follow. Sums at starts whose window would wrap past a row's or an
-    image's end are made too, but never read."""
-    n, _, h, w = x.shape
-    size = n * h * w
-    buf = _scratch("norms", 2 * size)
-    squares = np.einsum("nchw,nchw->nhw", x, x, dtype=np.float64, out=buf[:size].reshape(n, h, w)).reshape(-1)
-    across = buf[size:2 * size - kw + 1]
-    np.copyto(across, squares[:across.size])
-    for v in range(1, kw):
-        np.add(across, squares[v:v + across.size], out=across)
-    # the norms take the place of the squares, which are read no more
-    norms = buf[:across.size - (kh - 1) * w]
-    np.copyto(norms, across[:norms.size])
-    for u in range(1, kh):
-        np.add(norms, across[u * w:u * w + norms.size], out=norms)
-    np.sqrt(norms, out=norms)
+    (C, H, W, N), as an (oh, ow, N) float64 view of this thread's norm
+    scratch of (H + oh) W N values (module docstring). The squares are
+    summed over channels into H rows of W N sums; adding kh of those rows,
+    shifted by one input row at a time, gives every output row's window
+    rows summed, then adding kw slices of that run shifted by multiples of
+    N sums the windows' columns into the squares' place, and the square
+    roots follow. Sums at starts whose window would wrap past a row's end
+    are made too, but never read."""
+    _, h, w, n = x.shape
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    return buf[:size].reshape(n, h, w)[:, :stride * (oh - 1) + 1:stride, :stride * (ow - 1) + 1:stride]
+    size, down = h * w * n, oh * w * n
+    buf = _scratch("norms", size + down)
+    squares = np.einsum("chwn,chwn->hwn", x, x, dtype=np.float64, out=buf[:size].reshape(h, w, n)).reshape(h, -1)
+    rows = buf[size:size + down].reshape(oh, -1)
+    last = stride * (oh - 1) + 1
+    np.copyto(rows, squares[:last:stride])
+    for u in range(1, kh):
+        np.add(rows, squares[u:u + last:stride], out=rows)
+    rows = rows.reshape(-1)
+    # the norms take the place of the squares, which are read no more
+    norms = buf[:down - (kw - 1) * n]
+    np.copyto(norms, rows[:norms.size])
+    for v in range(1, kw):
+        np.add(norms, rows[v * n:v * n + norms.size], out=norms)
+    np.sqrt(norms, out=norms)
+    return buf[:down].reshape(oh, w, n)[:, :stride * (ow - 1) + 1:stride]
 
 
 def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
@@ -517,91 +525,99 @@ def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.n
 
 def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tuple[int, int]:
     """Images and output rows per conv2d product block: as many columns (one
-    per output position) as keep `fixed` float64 values plus `per_column`
-    per column within SCRATCH_BYTES. Whole images while one fits, else the
-    rows of one image split evenly into blocks; at least one row."""
+    per output position of an image) as keep `fixed` float64 values plus
+    `per_column` per column within SCRATCH_BYTES. Rows of all n images
+    while one row of them fits, the rows split evenly into blocks; else one
+    row of the images split evenly into blocks of at least one image."""
     columns = (SCRATCH_BYTES // 8 - fixed) // per_column
-    if columns >= oh * ow:
-        return max(1, min(n, columns // (oh * ow))), oh
-    blocks = -(-oh // max(1, columns // ow))
-    return 1, -(-oh // blocks)
+    if columns >= ow * n:
+        blocks = -(-oh // (columns // (ow * n)))
+        return n, -(-oh // blocks)
+    blocks = -(-n // max(1, columns // ow))
+    return -(-n // blocks), 1
 
 
 def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
     """conv2d of the batch x into out on BLAS, returning the saturations:
-    blocks of images, or of output rows of one image, one product each,
-    rounded by _round_sums, with their columns' E unless
-    _any_order_is_exact certifies the batch. The window norms of E are
-    taken for a group of whole blocks' images at a time (_window_norms),
-    as many as fit a quarter of SCRATCH_BYTES, at least one block's; a
-    block copies its slice of them, (image, output row, column), into row
-    0 of its (||x||, 1). Its refold gathers terms from its columns."""
-    n, _, h, w = x.shape
+    blocks of output rows of a run of images (_product_block), one product
+    each, rounded by _round_sums straight into out, with their columns' E
+    unless _any_order_is_exact certifies the batch. The window norms of E
+    are taken for a group of whole blocks' rows at a time (_window_norms,
+    on the input rows they read), as many as fit a quarter of
+    SCRATCH_BYTES, at least one block's; a block copies its slice of them,
+    (output row, column, image), into row 0 of its (||x||, 1). Its refold
+    gathers terms from its columns."""
+    _, h, w, n = x.shape
     out_ch, _, kh, kw = kernel.weights.shape
-    oh, ow = out.shape[2:]
+    oh, ow = out.shape[1:3]
     w_rows, bias, factors, bound = _operands(kernel, x)
     depth = w_rows.shape[1]
     if factors is None:
         held, per_column, acc_rows = 0, depth + out_ch, out_ch
     else:
         held, per_column, acc_rows = w_rows.size + 3 * out_ch, depth + 2 + 4 * out_ch, 2 * out_ch
-    # windows[ci, u, v, i, r, c] is term (ci, u, v) of output (r, c) of image i
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    # windows[ci, u, v, r, c, i] is term (ci, u, v) of output (r, c) of image i
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
     images, rows = _product_block(n, oh, ow, held, per_column)
-    columns = images * rows * ow
+    columns = rows * ow * images
     cols_buf = _scratch("terms", depth * columns)
     acc_buf = _scratch("acc", acc_rows * columns)
     if factors is not None:
         norms = np.ones((2, columns))
-        group = images * max(1, SCRATCH_BYTES // 32 // (images * 2 * h * w))
+        # output rows R whose (rows read + R) W images norm values fit
+        fit = (SCRATCH_BYTES // 32 // (w * images) - kh + stride) // (stride + 1)
+        group = rows * max(1, fit // rows)
     saturations = 0
     for start in range(0, n, images):
-        if factors is not None and start % group == 0:
-            group_norms = _window_norms(x[start:start + group], kh, kw, stride)
         for top in range(0, oh, rows):
-            block = windows[:, :, :, start:start + images, top:top + rows]
-            m, r = block.shape[3:5]
-            cols = cols_buf[:depth * m * r * ow].reshape(block.shape)
+            # runs of ow m contiguous values at stride 1 when m is every image
+            block = windows[:, :, :, top:top + rows, :, start:start + images]
+            r, m = block.shape[3], block.shape[5]
+            cols = cols_buf[:depth * r * ow * m].reshape(block.shape)
             np.copyto(cols, block)
             cols = cols.reshape(depth, -1)
             acc = acc_buf[:acc_rows * cols.shape[1]].reshape(acc_rows, -1)
             _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
             if factors is not None:
-                first = start % group
-                np.copyto(norms[0, :cols.shape[1]].reshape(m, r, ow), group_norms[first:first + m, top:top + r])
+                first = top % group
+                if first == 0:
+                    span = min(group, oh - top)
+                    slab = x[:, top * stride:(top + span - 1) * stride + kh, :, start:start + m]
+                    group_norms = _window_norms(slab, kh, kw, stride)
+                np.copyto(norms[0, :cols.shape[1]].reshape(r, ow, m), group_norms[first:first + r])
                 _bound(acc[out_ch:], factors, norms[:, :cols.shape[1]])
-            dst = out[start:start + m, :, top:top + r].transpose(1, 0, 2, 3)
-            saturations += _round_sums(kernel.dtype, w_rows, cols.reshape(-1, m, r, ow), bias, acc.reshape(-1, m, r, ow),
-                                       dst, bound)
+            saturations += _round_sums(kernel.dtype, w_rows, cols.reshape(-1, r, ow, m), bias,
+                                       acc.reshape(-1, r, ow, m), out[:, top:top + r, :, start:start + m], bound)
     return saturations
 
 
 def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
     """dense of the batch x into out on BLAS, returning the saturations:
-    tiles of images, one product each, rounded by _round_sums. A tile of
-    a batch that _any_order_is_exact certifies is its own accumulator;
-    any other takes a float64 copy of its rows and their E."""
+    tiles of images (columns), one product each, rounded by _round_sums. A
+    tile of a batch that _any_order_is_exact certifies is rounded in its
+    columns of out; any other takes a float64 copy of its columns and
+    their E."""
     m, n = kernel.weights.shape
+    images = x.shape[1]
     w_rows, bias, factors, bound = _operands(kernel, x)
     saturations = 0
     if factors is None:
-        tile = _tile_length(x.shape[0], 0, m)
-        for start in range(0, x.shape[0], tile):
-            acc, xs = out[start:start + tile], x[start:start + tile]
-            _sum_products(xs, w_rows.T, bias, acc)
-            saturations += _round_sums(kernel.dtype, w_rows, xs.T, bias, acc.T, acc.T, bound)
+        tile = _tile_length(images, 0, m)
+        for start in range(0, images, tile):
+            acc, xs = out[:, start:start + tile], x[:, start:start + tile]
+            _sum_products(w_rows, xs, bias[:, None], acc)
+            saturations += _round_sums(kernel.dtype, w_rows, xs, bias, acc, acc, bound)
         return saturations
-    tile = _tile_length(x.shape[0], w_rows.size + 3 * m, n + 2 + 4 * m)
-    x_buf, acc_buf, norms = _scratch("terms", tile * n), _scratch("acc", tile * 2 * m), np.ones((2, tile))
-    for start in range(0, x.shape[0], tile):
-        t = min(tile, x.shape[0] - start)
-        xs = x_buf[:t * n].reshape(t, n)
-        np.copyto(xs, x[start:start + t])
-        acc = acc_buf[:t * 2 * m].reshape(t, 2 * m)
-        _sum_products(xs, w_rows.T, bias, acc[:, :m])
-        _bound(acc[:, m:].T, factors, norms[:, :t], xs.T)
-        dst = out[start:start + t].T
-        saturations += _round_sums(kernel.dtype, w_rows, x[start:start + t].T, bias, acc.T, dst, bound)
+    tile = _tile_length(images, w_rows.size + 3 * m, n + 2 + 4 * m)
+    x_buf, acc_buf, norms = _scratch("terms", n * tile), _scratch("acc", 2 * m * tile), np.ones((2, tile))
+    for start in range(0, images, tile):
+        t = min(tile, images - start)
+        xs = x_buf[:n * t].reshape(n, t)
+        np.copyto(xs, x[:, start:start + t])
+        acc = acc_buf[:2 * m * t].reshape(2 * m, t)
+        _sum_products(w_rows, xs, bias[:, None], acc[:m])
+        _bound(acc[m:], factors, norms[:, :t], xs)
+        saturations += _round_sums(kernel.dtype, w_rows, xs, bias, acc, out[:, start:start + t], bound)
     return saturations
 
 
@@ -611,15 +627,15 @@ def _check_same_dtype(a: DType, b: DType, what: str) -> None:
 
 
 def conv2d(input: Tensor, kernel: Kernel, stride: int = 1, out: np.ndarray | None = None) -> Tensor:
-    """Valid (unpadded) 2-D convolution of every image of an (N, C, H, W)
-    batch, into out if given (module docstring)."""
+    """Valid (unpadded) 2-D convolution of every image of a (C, H, W, N)
+    batch, giving (O, oh, ow, N), into out if given (module docstring)."""
     if len(input.shape) != 4:
-        raise DimensionError(f"conv2d input must be (N, C, H, W), got {input.shape}")
+        raise DimensionError(f"conv2d input must be (C, H, W, N), got {input.shape}")
     if len(kernel.weights.shape) != 4:
         raise DimensionError(f"conv2d kernel must be 4-D, got {kernel.weights.shape}")
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    n, c, h, w = input.shape
+    c, h, w, n = input.shape
     out_ch, in_ch, kh, kw = kernel.weights.shape
     if in_ch != c:
         raise DimensionError(
@@ -634,28 +650,29 @@ def conv2d(input: Tensor, kernel: Kernel, stride: int = 1, out: np.ndarray | Non
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     x = input.array
-    out = _output(out, (n, out_ch, oh, ow), input.dtype, x)
+    out = _output(out, (out_ch, oh, ow, n), input.dtype, x)
     saturations = _conv2d_products(x, kernel, stride, out)
     return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 
 
 def maxpool2d(input: Tensor, window: int, stride: int, out: np.ndarray | None = None) -> Tensor:
-    """Max pooling over square windows of every image of an (N, C, H, W)
-    batch, into out if given (module docstring)."""
+    """Max pooling over square windows of every image of a (C, H, W, N)
+    batch, giving (C, oh, ow, N), into out if given (module docstring)."""
     if len(input.shape) != 4:
-        raise DimensionError(f"maxpool2d input must be (N, C, H, W), got {input.shape}")
+        raise DimensionError(f"maxpool2d input must be (C, H, W, N), got {input.shape}")
     if window < 1 or stride < 1:
         raise ValueError(f"window and stride must be positive, got {window}, {stride}")
-    h, w = input.shape[-2:]
+    c, h, w, n = input.shape
     if window > h or window > w:
         raise DimensionError(f"window {window} larger than input {input.shape}")
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
     x = input.array
-    out = _output(out, input.shape[:2] + (oh, ow), input.dtype, x)
+    out = _output(out, (c, oh, ow, n), input.dtype, x)
     for u in range(window):
         for v in range(window):
-            win = x[..., u:u + stride * oh:stride, v:v + stride * ow:stride]
+            # runs of N values: one position of every image
+            win = x[:, u:u + stride * oh:stride, v:v + stride * ow:stride]
             if u == v == 0:
                 np.copyto(out, win)
             else:
@@ -666,19 +683,20 @@ def maxpool2d(input: Tensor, window: int, stride: int, out: np.ndarray | None = 
 
 def dense(input: Tensor, kernel: Kernel, out: np.ndarray | None = None) -> Tensor:
     """Fully connected layer: out[i] = sum_j W[i][j] * in[j] + bias[i], on
-    every row of an (N, in) batch, into out if given (module docstring)."""
+    every column of an (in, N) batch, giving (out, N), into out if given
+    (module docstring)."""
     if len(input.shape) != 2:
-        raise DimensionError(f"dense input must be (N, in), got {input.shape}")
+        raise DimensionError(f"dense input must be (in, N), got {input.shape}")
     if len(kernel.weights.shape) != 2:
         raise DimensionError(f"dense kernel must be 2-D, got {kernel.weights.shape}")
     m, n = kernel.weights.shape
-    if input.shape[1] != n:
+    if input.shape[0] != n:
         raise DimensionError(
-            f"input length {input.shape[1]} does not match kernel columns {kernel.weights.shape}"
+            f"input length {input.shape[0]} does not match kernel columns {kernel.weights.shape}"
         )
     _check_same_dtype(input.dtype, kernel.dtype, "dense")
     x = input.array
-    out = _output(out, (x.shape[0], m), input.dtype, x)
+    out = _output(out, (m, x.shape[1]), input.dtype, x)
     saturations = _dense_products(x, kernel, out)
     return Tensor._built(out.shape, input.dtype, out.reshape(-1), saturations)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .models import ModelSpec, forward, forward_batch
+from .models import ModelSpec, forward_batch
 from .profiling import SigmaBand, in_bands
 from .tensor import Tensor
 
@@ -126,8 +126,9 @@ def run_compromised(
     and each cycle's first watch-tap element inside a band, and a state
     consistent by construction. The Dormant/Armed machine then walks
     only the cycles with a hit; a hit on a substituted cycle is never
-    evaluated. Each malicious image is forwarded once, on first use. The
-    report is scored against the batched pass's labels.
+    evaluated. The malicious images the walk used are then labelled by one
+    batched pass (one per input dtype, as a fixed-point model takes float32
+    images too). The report is scored against the stream pass's labels.
     """
     if config.watch_layer not in model.layer_names():
         raise ConfigError(
@@ -141,18 +142,21 @@ def run_compromised(
     rows = np.flatnonzero(mask.any(axis=1))
     log: list[TriggerEvent] = []
     substitutions = 0
-    malicious_labels: dict[int, int] = {}
     for cycle, col in zip(rows.tolist(), mask[rows].argmax(axis=1).tolist()):
         if log and log[-1].cycle == cycle:
             continue  # substituted cycle: trigger evaluation is suppressed
         log.append(TriggerEvent(cycle, "Triggered", hit_value=float(tap[cycle, col]), hit_index=col))
         if cycle + 1 == n:
             break  # no next cycle to poison: the machine stays armed
-        used_idx, image = config.select_image(substitutions)
-        if used_idx not in malicious_labels:
-            malicious_labels[used_idx] = forward(model, image).final_label
+        used_idx, _ = config.select_image(substitutions)
         log.append(TriggerEvent(cycle + 1, "Substituted", used_malicious_index=used_idx))
         substitutions += 1
+    used = sorted({e.used_malicious_index for e in log if e.kind == "Substituted"})
+    malicious_labels: dict[int, int] = {}
+    for dtype in {config.malicious_images[i].dtype for i in used}:
+        same = [i for i in used if config.malicious_images[i].dtype == dtype]
+        found = forward_batch(model, [config.malicious_images[i] for i in same], ())[0]
+        malicious_labels.update(zip(same, found.tolist()))
     clean_labels = clean.tolist()
     labels = list(clean_labels)
     for e in log:

@@ -56,11 +56,19 @@ def _finish_scalar(acc: float, dtype):
 
 def on_image(kernel_op, x: Tensor, *args) -> Tensor:
     """A production kernel, which takes only batches, applied to a batch of
-    the one image x; the batch axis is taken off the result again, which
-    keeps its saturation count, so it compares with an oracle's result."""
-    out = kernel_op(x.reshaped((1,) + x.shape), *args)
-    assert out.shape[0] == 1
-    return out.reshaped(out.shape[1:])
+    the one image x; the image axis, the last, is taken off the result
+    again, which keeps its saturation count, so it compares with an
+    oracle's result."""
+    out = kernel_op(x.reshaped(x.shape + (1,)), *args)
+    assert out.shape[-1] == 1
+    return out.reshaped(out.shape[:-1])
+
+
+def columns(t: Tensor) -> list[Tensor]:
+    """The images of a batch, whose image axis is the last, as tensors of
+    their own: column i is image i."""
+    per_image = t.array.reshape(-1, t.shape[-1])
+    return [Tensor(t.shape[:-1], t.dtype, per_image[:, i].copy()) for i in range(t.shape[-1])]
 
 
 def conv2d_naive(x: Tensor, weights: Tensor, bias: Tensor, stride: int) -> Tensor:
@@ -188,9 +196,9 @@ def run_view(view: DesignerView, x: Tensor) -> Tensor:
         raise ConfigError(
             f"group {view.group_index} expects input dims {view.input_dims}, got {x.shape}"
         )
-    taps = dict(_layer_outputs(view.layers, x.reshaped((1,) + x.shape)))
+    taps = dict(_layer_outputs(view.layers, x.reshaped(x.shape + (1,))))
     out = taps[view.layers[-1].name]
-    return out.reshaped(out.shape[1:])
+    return out.reshaped(out.shape[:-1])
 
 
 def run_partitioned(views: list[DesignerView], image: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 """The batched paths against their per-image and scalar references: kernels
-with a leading batch axis, forward_batch, batched stream_hit_rate, and bulk
-xoshiro draws against the scalar next_u64 walk.
+on batches whose image axis is the last (column i of a result is image i),
+forward_batch, batched stream_hit_rate, and bulk xoshiro draws against the
+scalar next_u64 walk.
 
 Float32 inputs are drawn from magnitudes 1 and 2**-30, so products of 1,
 2**-30 and 2**-60 meet in one sum: big terms cancel exactly and what is left
@@ -63,6 +64,7 @@ from trojansim.tensor import FLOAT32, Q16_16, Kernel, Tensor
 from oracles import (
     bitwise_equal,
     check_trigger_naive,
+    columns,
     conv2d_naive,
     dense_naive,
     maxpool2d_naive,
@@ -100,13 +102,6 @@ def counting_products(mp):
     return calls
 
 
-def rows(t):
-    """The images of a batched tensor as tensors of their own."""
-    n = t.shape[0]
-    per = t.size // n
-    return [Tensor(t.shape[1:], t.dtype, t.data[i * per:(i + 1) * per]) for i in range(n)]
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -123,7 +118,7 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     rng = np.random.default_rng(seed)
     dtype = Q16_16 if fixed else FLOAT32
     k = min(k, h, w)
-    x = Tensor((n, cin, h, w), dtype, batch_values(rng, (n, cin, h, w), dtype))
+    x = Tensor((cin, h, w, n), dtype, batch_values(rng, (cin, h, w, n), dtype))
     kern = Kernel(
         Tensor((cout, cin, k, k), dtype, batch_values(rng, (cout, cin, k, k), dtype)),
         Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
@@ -132,21 +127,21 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     with pytest.MonkeyPatch.context() as mp:
         sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
-    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want)
     # one block, one product of the weights
     assert sums == [1]
 
     got = T.maxpool2d(x, k, stride)
-    want = [maxpool2d_naive(img, k, stride) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [maxpool2d_naive(img, k, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
     got = T.relu(x)
     assert got.shape == x.shape and got.data.dtype == x.data.dtype
     assert np.array_equal(got.data, np.maximum(x.data, 0))
 
-    flat = x.reshaped((n, cin * h * w))
+    flat = x.reshaped((cin * h * w, n))
     dkern = Kernel(
         Tensor((cout, cin * h * w), dtype, batch_values(rng, (cout, cin * h * w), dtype)),
         kern.bias,
@@ -154,16 +149,16 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
     with pytest.MonkeyPatch.context() as mp:
         sums = counting_products(mp)
         got = T.dense(flat, dkern)
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want)
     assert sums == [1]
 
-    wide = Tensor((n, cin * h * w), FLOAT32, ((rng.random(n * cin * h * w) * 2 - 1) * 1e5).astype(np.float32))
+    wide = Tensor((cin * h * w, n), FLOAT32, ((rng.random(n * cin * h * w) * 2 - 1) * 1e5).astype(np.float32))
     got = T.quantize(wide, Q16_16)
-    want = [quantize_naive(row.data, Q16_16) for row in rows(wide)]
+    want = [quantize_naive(row.data, Q16_16) for row in columns(wide)]
     assert got.shape == wide.shape
-    assert np.array_equal(got.data, np.concatenate([q for q, _ in want]))
+    assert all(np.array_equal(g.data, q) for g, (q, _) in zip(columns(got), want))
     assert got.saturations == sum(s for _, s in want)
 
 
@@ -201,7 +196,7 @@ def tiled(kernel, budget, *args):
 
 
 def product_block(budget, n, oh, ow, held, per):
-    """The (images, output rows) conv2d product blocks under budget."""
+    """The (images, output rows) of conv2d's product blocks under budget."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", budget)
         return T._product_block(n, oh, ow, held, per)
@@ -229,16 +224,17 @@ def tile_length(budget, n, held, per):
     stride=st.integers(1, 2),
 )
 def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, cin, cout, h, w, k, stride):
-    # conv2d: either product blocks of `tile` images (partial when tile does
-    # not divide n), or blocks of output rows of one image, at most `tile`
-    # of them, split evenly (uneven when they do not divide the rows);
+    # conv2d: either product blocks of output rows of all n images, at most
+    # `tile` of them, split evenly (uneven when they do not divide the
+    # rows), or blocks of one output row of fewer than n images, at most
+    # `tile` of them, split evenly (partial when they do not divide n);
     # dense: tiles of `tile` images. Q16.16 sums take the exact product
     # under the bound and the per-element certificate past it
     rng = np.random.default_rng(seed)
     dtype = Q16_16 if fixed else FLOAT32
     k = min(k, h, w)
     oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
-    x = Tensor((n, cin, h, w), dtype, batch_values(rng, (n, cin, h, w), dtype))
+    x = Tensor((cin, h, w, n), dtype, batch_values(rng, (cin, h, w, n), dtype))
     kern = Kernel(
         Tensor((cout, cin, k, k), dtype, batch_values(rng, (cout, cin, k, k), dtype)),
         Tensor((cout,), dtype, batch_values(rng, (cout,), dtype)),
@@ -246,19 +242,20 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, c
     held, per = product_geometry(x, kern)
     if by_rows:
         height = min(tile, oh)
-        budget = scratch_budget(held, per, height * ow)
-        block = (1, -(-oh // -(-oh // height)))
+        budget = scratch_budget(held, per, height * ow * n)
+        block = (n, -(-oh // -(-oh // height)))
     else:
-        budget = scratch_budget(held, per, tile * oh * ow)
-        block = (min(n, tile), oh)
+        images = min(tile, n - 1)
+        budget = scratch_budget(held, per, images * ow)
+        block = (-(-n // -(-n // images)), 1)
     assert product_block(budget, n, oh, ow, held, per) == block
     got, sums = tiled(T.conv2d, budget, x, kern, stride)
     assert sums == -(-n // block[0]) * -(-oh // block[1])
-    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want)
 
-    flat = x.reshaped((n, cin * h * w))
+    flat = x.reshaped((cin * h * w, n))
     dkern = Kernel(
         Tensor((cout, cin * h * w), dtype, batch_values(rng, (cout, cin * h * w), dtype)),
         kern.bias,
@@ -268,35 +265,35 @@ def test_tiled_kernels_match_oracles_row_by_row(seed, fixed, by_rows, tile, n, c
     assert tile_length(budget, n, held, per) == min(n, tile)
     got, sums = tiled(T.dense, budget, flat, dkern)
     assert sums == -(-n // tile)
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want)
 
 
 @pytest.mark.parametrize("case", ["f32", "q16", "q16-past-bound"])
 def test_row_blocks_match_oracles_row_by_row(case):
-    # a budget for product blocks of 34 images of 11x11 outputs: 37 images
-    # make one full block and a partial one of 3. Q16.16 at scale 300 over
-    # 2x2 windows of 2 channels stays under the exact bound, and of 8
-    # channels passes it
+    # a budget for product blocks of 6 output rows of 37 images of 11x11
+    # outputs: the 11 rows make one full block and a partial one of 5.
+    # Q16.16 at scale 300 over 2x2 windows of 2 channels stays under the
+    # exact bound, and of 8 channels passes it
     fixed = case != "f32"
     cin = 8 if case == "q16-past-bound" else 2
     rng = np.random.default_rng(7 + fixed)
     dtype = Q16_16 if fixed else FLOAT32
     n, oh = 37, 11
-    x = Tensor((n, cin, 12, 12), dtype, batch_values(rng, (n, cin, 12, 12), dtype))
+    x = Tensor((cin, 12, 12, n), dtype, batch_values(rng, (cin, 12, 12, n), dtype))
     kern = Kernel(
         Tensor((5, cin, 2, 2), dtype, batch_values(rng, (5, cin, 2, 2), dtype)),
         Tensor((5,), dtype, batch_values(rng, (5,), dtype)),
     )
     assert not fixed or (exact_bound(x, kern) >= 2**20) == (case == "q16-past-bound")
     held, per = product_geometry(x, kern)
-    budget = scratch_budget(held, per, 34 * oh * oh)
-    assert product_block(budget, n, oh, oh, held, per) == (34, oh)
+    budget = scratch_budget(held, per, 6 * oh * n)
+    assert product_block(budget, n, oh, oh, held, per) == (n, 6)
     got, sums = tiled(T.conv2d, budget, x, kern, 1)
     assert sums == 2
-    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want)
     if fixed:
         assert got.saturations > 0
@@ -304,29 +301,29 @@ def test_row_blocks_match_oracles_row_by_row(case):
 
 @pytest.mark.parametrize("hot", [(0,), (0, 3), (2, 4)])
 def test_tiled_saturations_sum_over_tiles(hot):
-    # seven Q16.16 images in conv product blocks of two images and of one
-    # output row of one image, and in dense tiles of two images; weights of
-    # ones keep the sums under the exact bound, of twos take them past it.
-    # Only the hot rows saturate, so a count that drops any block's or
-    # tile's saturations reads low
+    # seven Q16.16 images in conv product blocks of one output row of all
+    # seven images and of one output row of two images, and in dense tiles
+    # of two images; weights of ones keep the sums under the exact bound, of
+    # twos take them past it. Only the hot images saturate, so a count that
+    # drops any block's or tile's saturations reads low
     rng = np.random.default_rng(0)
     n = 7
-    scale = np.where(np.isin(np.arange(n), hot), 30000.0, 1.0)[:, None]
-    raw = rng.random((n, 2 * 4 * 4)) * scale
-    x = Tensor((n, 2, 4, 4), Q16_16, quantize_naive(raw.ravel(), Q16_16)[0])
-    flat = x.reshaped((n, 32))
+    scale = np.where(np.isin(np.arange(n), hot), 30000.0, 1.0)
+    raw = rng.random((2 * 4 * 4, n)) * scale
+    x = Tensor((2, 4, 4, n), Q16_16, quantize_naive(raw.ravel(), Q16_16)[0])
+    flat = x.reshaped((32, n))
     for weight in (1.0, 2.0):
         kern = Kernel(Tensor((3, 2, 3, 3), Q16_16, np.full(54, weight)), Tensor((3,), Q16_16, np.zeros(3)))
         assert (exact_bound(x, kern) >= 2**20) == (weight == 2.0)
-        want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+        want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
         assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
         held, per = product_geometry(x, kern)
-        for images, height in ((2, 2), (1, 1)):
+        for images, height in ((7, 1), (2, 1)):
             budget = scratch_budget(held, per, images * height * 2)
             assert product_block(budget, n, 2, 2, held, per) == (images, height)
             got, sums = tiled(T.conv2d, budget, x, kern, 1)
             assert sums == -(-n // images) * (2 // height)
-            assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+            assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
             assert got.saturations == sum(o.saturations for o in want)
 
         dkern = Kernel(Tensor((3, 32), Q16_16, np.full(96, weight)), kern.bias)
@@ -334,9 +331,9 @@ def test_tiled_saturations_sum_over_tiles(hot):
         held, per = product_geometry(flat, dkern)
         got, sums = tiled(T.dense, scratch_budget(held, per, 2), flat, dkern)
         assert sums == -(-n // 2)
-        want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
+        want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
         assert [o.saturations > 0 for o in want] == [i in hot for i in range(n)]
-        assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+        assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
         assert got.saturations == sum(o.saturations for o in want)
 
 
@@ -357,30 +354,30 @@ def exact_bound(x, kern):
 @pytest.mark.parametrize("cin, stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
 def test_certified_fixed_point_sums_take_blas(cin, stride):
     """Q16.16 batches whose bound stays under 2**20 are one matrix product
-    per block of images (conv) or tile (dense), bitwise equal to the fold's
-    oracles, saturations included; a budget for two images per block or
-    tile leaves a partial last one. Zero weights and inputs carry both
-    signs."""
+    per block of output rows of images (conv) or tile (dense), bitwise
+    equal to the fold's oracles, saturations included; a budget for one
+    row of two images per block or two images per tile leaves a partial
+    last one. Zero weights and inputs carry both signs."""
     rng = np.random.default_rng(cin * 10 + stride)
     n, h, k, cout = 5, 9, 3, 4
-    x = Tensor((n, cin, h, h), Q16_16, fixed_values(rng, n * cin * h * h, 190.0))
+    x = Tensor((cin, h, h, n), Q16_16, fixed_values(rng, n * cin * h * h, 190.0))
     kern = Kernel(
         Tensor((cout, cin, k, k), Q16_16, fixed_values(rng, cout * cin * k * k, 190.0)),
         Tensor((cout,), Q16_16, fixed_values(rng, cout, 190.0, signed_zeros=False)),
     )
     assert exact_bound(x, kern) < 2**20
-    window = ((h - k) // stride + 1) ** 2
+    oh = (h - k) // stride + 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "SCRATCH_BYTES", 8 * 2 * (cin * k * k + cout) * window)
+        mp.setattr(T, "SCRATCH_BYTES", 8 * 2 * (cin * k * k + cout) * oh)
         sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
-    assert sums == [3]
-    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert sums == [3 * oh]
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want) > 0
 
     m = 20
-    flat = Tensor((n, m), Q16_16, fixed_values(rng, n * m, 220.0))
+    flat = Tensor((m, n), Q16_16, fixed_values(rng, n * m, 220.0))
     dkern = Kernel(Tensor((cout, m), Q16_16, fixed_values(rng, cout * m, 220.0)), kern.bias)
     assert exact_bound(flat, dkern) < 2**20
     with pytest.MonkeyPatch.context() as mp:
@@ -388,18 +385,18 @@ def test_certified_fixed_point_sums_take_blas(cin, stride):
         sums = counting_products(mp)
         got = T.dense(flat, dkern)
     assert sums == [3]
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want) > 0
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("case", ["f32-nonneg", "f32-signed", "q16"])
 def test_product_blocks_of_output_rows_match_oracles(case, stride):
-    """A budget that holds 3 output rows of window columns, less than one
-    image: conv2d multiplies blocks of rows of one image, 3 + 3 + 3
-    (stride 1, 9 rows) or 3 + 2 (stride 2, 5 rows), one product each,
-    rows bitwise equal to the oracles."""
+    """A budget that holds 3 output rows of window columns of every image,
+    less than one image's rows: conv2d multiplies blocks of rows of all
+    images, 3 + 3 + 3 (stride 1, 9 rows) or 3 + 2 (stride 2, 5 rows), one
+    product each, images bitwise equal to the oracles."""
     rng = np.random.default_rng(stride)
     fixed = case == "q16"
     dtype = Q16_16 if fixed else FLOAT32
@@ -409,18 +406,48 @@ def test_product_blocks_of_output_rows_match_oracles(case, stride):
         v = rng.uniform(low, 1.0, size=shape)
         return np.rint(v * 2**16) / 2**16 if fixed else v.astype(np.float32)
 
-    x = Tensor((n, cin, 11, 7), dtype, values(n * cin * 77, 0.0 if case == "f32-nonneg" else -1.0))
+    x = Tensor((cin, 11, 7, n), dtype, values(n * cin * 77, 0.0 if case == "f32-nonneg" else -1.0))
     kern = Kernel(Tensor((cout, cin, k, k), dtype, values(cout * cin * k * k, -1.0)), Tensor((cout,), dtype, values(cout, -1.0)))
     oh, ow = (11 - k) // stride + 1, (7 - k) // stride + 1
     assert not fixed or exact_bound(x, kern) < 2**20
     held, per_column = product_geometry(x, kern)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "SCRATCH_BYTES", 8 * (held + per_column * (3 * ow + 1)))
+        mp.setattr(T, "SCRATCH_BYTES", 8 * (held + per_column * (3 * ow * n + 1)))
         sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
-    assert sums == [n * -(-oh // 3)]
-    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    assert sums == [-(-oh // 3)]
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("case", ["f32-nonneg", "f32-signed", "q16"])
+def test_product_blocks_of_one_row_of_some_images_match_oracles(case, stride):
+    """A budget that holds one output row of window columns of 3 of the 7
+    images, less than a row of all of them: conv2d multiplies blocks of one
+    output row of 3 + 3 + 1 images, one product each, for each of the 9
+    (stride 1) or 5 (stride 2) rows, images bitwise equal to the
+    oracles."""
+    rng = np.random.default_rng(10 + stride)
+    fixed = case == "q16"
+    dtype = Q16_16 if fixed else FLOAT32
+    n, cin, cout, k = 7, 2, 4, 3
+
+    def values(shape, low):
+        v = rng.uniform(low, 1.0, size=shape)
+        return np.rint(v * 2**16) / 2**16 if fixed else v.astype(np.float32)
+
+    x = Tensor((cin, 11, 7, n), dtype, values(n * cin * 77, 0.0 if case == "f32-nonneg" else -1.0))
+    kern = Kernel(Tensor((cout, cin, k, k), dtype, values(cout * cin * k * k, -1.0)), Tensor((cout,), dtype, values(cout, -1.0)))
+    oh, ow = (11 - k) // stride + 1, (7 - k) // stride + 1
+    assert not fixed or exact_bound(x, kern) < 2**20
+    held, per_column = product_geometry(x, kern)
+    budget = 8 * (held + per_column * (3 * ow + 1))
+    assert product_block(budget, n, oh, ow, held, per_column) == (3, 1)
+    got, sums = tiled(T.conv2d, budget, x, kern, stride)
+    assert sums == 3 * oh
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
 
 @pytest.mark.parametrize("bias", [-0.0, 0.0], ids=["minus-zero", "plus-zero"])
@@ -431,16 +458,16 @@ def test_minus_zero_bias_is_folded(bias):
     -0.0 one is refolded, and both match the oracles' sign."""
     kern = Kernel(Tensor((1, 1, 1, 2), Q16_16, np.array([-0.5, -0.25])), Tensor((1,), Q16_16, np.array([bias])))
     dkern = Kernel(kern.weights.reshaped((1, 2)), kern.bias)
-    x = Tensor((1, 1, 1, 2), Q16_16, np.zeros(2))
+    x = Tensor((1, 1, 2, 1), Q16_16, np.zeros(2))
     with pytest.MonkeyPatch.context() as mp:
         sums = counting_products(mp)
         got = T.conv2d(x, kern, 1)
-        got_dense = T.dense(x.reshaped((1, 2)), dkern)
+        got_dense = T.dense(x.reshaped((2, 1)), dkern)
     assert sums == [2]
-    want = conv2d_naive(rows(x)[0], kern.weights, kern.bias, 1)
-    assert bitwise_equal(rows(got)[0], want)
-    want = dense_naive(rows(x.reshaped((1, 2)))[0], dkern.weights, dkern.bias)
-    assert bitwise_equal(rows(got_dense)[0], want)
+    want = conv2d_naive(columns(x)[0], kern.weights, kern.bias, 1)
+    assert bitwise_equal(columns(got)[0], want)
+    want = dense_naive(columns(x.reshaped((2, 1)))[0], dkern.weights, dkern.bias)
+    assert bitwise_equal(columns(got_dense)[0], want)
     assert np.signbit(got.data[0]) == np.signbit(got_dense.data[0]) == np.signbit(bias)
 
 
@@ -450,12 +477,12 @@ def test_fixed_point_sums_past_the_bound_take_the_certificate():
     product each on this signed input, and still match the oracles."""
     rng = np.random.default_rng(5)
     n, cin, h, k, cout = 3, 3, 5, 3, 4
-    x = Tensor((n, cin, h, h), Q16_16, batch_values(rng, (n, cin, h, h), Q16_16))
+    x = Tensor((cin, h, h, n), Q16_16, batch_values(rng, (cin, h, h, n), Q16_16))
     kern = Kernel(
         Tensor((cout, cin, k, k), Q16_16, batch_values(rng, (cout, cin, k, k), Q16_16)),
         Tensor((cout,), Q16_16, batch_values(rng, (cout,), Q16_16)),
     )
-    flat = Tensor((n, cin * k * k), Q16_16, batch_values(rng, (n, cin * k * k), Q16_16))
+    flat = Tensor((cin * k * k, n), Q16_16, batch_values(rng, (cin * k * k, n), Q16_16))
     dkern = Kernel(kern.weights.reshaped((cout, cin * k * k)), kern.bias)
     assert exact_bound(x, kern) >= 2**20 and exact_bound(flat, dkern) >= 2**20
     with pytest.MonkeyPatch.context() as mp:
@@ -463,11 +490,11 @@ def test_fixed_point_sums_past_the_bound_take_the_certificate():
         got = T.conv2d(x, kern, 1)
         got_dense = T.dense(flat, dkern)
     assert sums == [2]
-    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want) > 0
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got_dense), want))
     assert got_dense.saturations == sum(o.saturations for o in want) > 0
 
 
@@ -509,10 +536,10 @@ def test_fixed_point_certificate_refolds_what_it_cannot_settle():
     biases = np.array([b for _, b in PAST_BOUND_SUMS.values()])
     terms = weights.shape[1]
     small = np.where(np.abs(PAST_BOUND_INPUT) > 2, 0.0, PAST_BOUND_INPUT)
-    images = np.stack([PAST_BOUND_INPUT, -PAST_BOUND_INPUT, small])
+    images = np.stack([PAST_BOUND_INPUT, -PAST_BOUND_INPUT, small], axis=-1)
     flat = Tensor(images.shape, Q16_16, images.ravel())
     dkern = Kernel(Tensor(weights.shape, Q16_16, weights.ravel()), Tensor(biases.shape, Q16_16, biases))
-    x = Tensor((3, 1, 2, terms), Q16_16, np.stack([images, -images], axis=1).ravel())
+    x = Tensor((1, 2, terms, 3), Q16_16, np.stack([images, -images]).ravel())
     kern = Kernel(dkern.weights.reshaped((len(biases), 1, 1, terms)), dkern.bias)
     assert exact_bound(x, kern) >= 2**20 and exact_bound(flat, dkern) >= 2**20
     with pytest.MonkeyPatch.context() as mp:
@@ -523,34 +550,34 @@ def test_fixed_point_certificate_refolds_what_it_cannot_settle():
         got_dense = T.dense(flat, dkern)
     assert sums == [2]
     assert conv_folded > 0 and folded[0] - conv_folded > 0
-    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want) > 0
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got_dense), want))
     assert got_dense.saturations == sum(o.saturations for o in want) > 0
     # the first image's sums, as the comments of PAST_BOUND_SUMS give them
-    first = dict(zip(PAST_BOUND_SUMS, got_dense.array[0]))
+    first = dict(zip(PAST_BOUND_SUMS, got_dense.array[:, 0]))
     assert first["midpoint"] == 4 * RES and first["order-dependent"] == 2 * RES
     exact = math.fsum([2.0**-15] + list(weights[1] * PAST_BOUND_INPUT))
     assert np.rint(exact / RES) == 3
     assert first["max-midpoint"] == Q16_16.max_value and first["min-midpoint"] == Q16_16.min_value
     assert np.signbit(first["negative-zero"]) and np.signbit(first["minus-zero-bias"])
     assert first["cancelled-zero"] == 0 and not np.signbit(first["cancelled-zero"])
-    assert got.array[0, :, 0, 0].tobytes() == got_dense.array[0].tobytes()
+    assert got.array[:, 0, 0, 0].tobytes() == got_dense.array[:, 0].tobytes()
 
 
 def capturing_refolds(mp):
     """Patch tensor._fold_elements to record, per call, a mask of the
-    elements it folds in its destination moved to the output's (image,
-    channel, ...) layout, in the returned list."""
+    elements it folds in its destination, which has the output's (channel,
+    ..., image) layout, in the returned list."""
     masks = []
     real = T._fold_elements
 
     def fold(dst, w_rows, source, bias, flat):
         mask = np.zeros(dst.shape, dtype=bool)
         mask.reshape(-1)[flat] = True
-        masks.append(np.moveaxis(mask, 0, 1))
+        masks.append(mask)
         return real(dst, w_rows, source, bias, flat)
 
     mp.setattr(T, "_fold_elements", fold)
@@ -618,8 +645,8 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
     if fixed:
         # 64 * 30000 takes both kernels past the exact bound 2**20
         x[0], weights[0], dense_weights[0] = -30000.0, 64.0, 64.0
-    x = Tensor((n, cin, h, w), dtype, x)
-    flat = x.reshaped((n, cin * h * w))
+    x = Tensor((cin, h, w, n), dtype, x)
+    flat = x.reshaped((cin * h * w, n))
     kern = Kernel(Tensor((cout, cin, kh, kw), dtype, weights), Tensor((cout,), dtype, bias))
     dkern = Kernel(Tensor((cout, cin * h * w), dtype, dense_weights), kern.bias)
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
@@ -629,24 +656,24 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
         return np.stack([norms, np.ones_like(norms)]), None
 
     # per kernel: its input, the oracle of one image, every element's input
-    # window or row, keyed by (image, output position), and the bound's
-    # norms and terms as the kernel passes them to _bound
+    # window or column, keyed by (output position, image) in C order, and
+    # the bound's norms and terms as the kernel passes them to _bound
     cases = [
         (x, kern, lambda img: conv2d_naive(img, kern.weights, kern.bias, stride),
-         {(i, r, q): x.array[i, :, r * stride:r * stride + kh, q * stride:q * stride + kw].ravel()
-          for i in range(n) for r in range(oh) for q in range(ow)},
+         {(r, q, i): x.array[:, r * stride:r * stride + kh, q * stride:q * stride + kw, i].ravel()
+          for r in range(oh) for q in range(ow) for i in range(n)},
          conv_norms),
         (flat, dkern, lambda row: dense_naive(row, dkern.weights, dkern.bias),
-         {(i,): flat.array[i] for i in range(n)},
-         lambda inp: (np.ones((2, n)), inp.array.astype(np.float64).T)),
+         {(i,): flat.array[:, i] for i in range(n)},
+         lambda inp: (np.ones((2, n)), inp.array.astype(np.float64))),
     ]
     for inp, kernel, oracle, windows, operands in cases:
         with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
             masks = capturing_refolds(mp)
             got = T.conv2d(inp, kernel, stride) if kernel is kern else T.dense(inp, kernel)
-            wants = [oracle(row) for row in rows(inp)]
+            wants = [oracle(row) for row in columns(inp)]
         assert got.saturations == sum(o.saturations for o in wants)
-        assert got.array.tobytes() == np.stack([o.array for o in wants]).tobytes()
+        assert got.array.tobytes() == np.stack([o.array for o in wants], axis=-1).tobytes()
         folded = np.zeros(got.shape, dtype=bool)
         for mask in masks:
             assert mask.shape == got.shape  # one block or tile holds them all
@@ -657,7 +684,7 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
         T._bound(bounds, factors, *operands(inp))
         for c in range(cout):
             for (pos, window), e in zip(windows.items(), bounds[c]):
-                idx = (pos[0], c) + pos[1:]
+                idx = (c,) + pos
                 products = [float(wt) * float(xt) for wt, xt in zip(w_rows[c], window)]
                 if not all(math.isfinite(v) for v in products + [b[c]]):
                     assert folded[idx], idx
@@ -667,31 +694,33 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
 
 
 @pytest.mark.parametrize(
-    "n, cin, cout, h, w, kh, kw, stride, images, products, groups",
+    "n, cin, cout, h, w, kh, kw, stride, images, rows, products, groups",
     [
-        (6, 2, 8, 6, 6, 3, 2, 1, 2, 3, 1),
-        (7, 2, 8, 6, 6, 3, 2, 1, 2, 4, 2),
-        (2, 2, 8, 9, 7, 2, 3, 2, None, 8, 2),
-        (3, 3, 4, 8, 8, 3, 3, 2, 3, 1, 1),
+        (7, 2, 8, 12, 6, 3, 2, 1, 7, 3, 4, 1),
+        (6, 1, 8, 16, 6, 3, 2, 1, 6, 3, 5, 2),
+        (5, 2, 8, 9, 7, 2, 3, 2, 3, 1, 8, 4),
+        (3, 3, 4, 8, 8, 3, 3, 2, 3, 3, 1, 1),
     ],
     ids=["one-group-of-image-blocks", "two-groups-of-image-blocks", "row-blocks-at-stride-2", "one-block"],
 )
-def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride, images, products, groups):
-    """conv2d takes the window norms of a group of blocks' images at once
-    and each block reads its own: the norms of its blocks' _bound calls,
-    in call order, are bitwise the _window_norms of the whole batch, with
-    blocks of `images` images (or of one output row of one image, for
-    None), groups of several blocks or one, a short last group, and rows
-    at stride 2. Every row is bitwise equal to the oracles."""
+def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride, images, rows, products, groups):
+    """conv2d takes the window norms of a group of blocks' output rows at
+    once and each block reads its own: the norms of its blocks' _bound
+    calls, in call order, are bitwise the _window_norms of each run of the
+    blocks' images in turn, with blocks of `rows` output rows of all n
+    images or of one row of `images` of them (3 + 2 at stride 2), groups
+    of several blocks or one, and a short last group. Every image is
+    bitwise equal to the oracles."""
     rng = np.random.default_rng(8)
-    x = Tensor((n, cin, h, w), FLOAT32, batch_values(rng, (n, cin, h, w), FLOAT32))
+    x = Tensor((cin, h, w, n), FLOAT32, batch_values(rng, (cin, h, w, n), FLOAT32))
     kern = Kernel(
         Tensor((cout, cin, kh, kw), FLOAT32, batch_values(rng, (cout, cin, kh, kw), FLOAT32)),
         Tensor((cout,), FLOAT32, batch_values(rng, (cout,), FLOAT32)),
     )
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     held, per = product_geometry(x, kern)
-    budget = scratch_budget(held, per, ow if images is None else images * oh * ow)
+    budget = scratch_budget(held, per, rows * ow * images)
+    assert product_block(budget, n, oh, ow, held, per) == (images, rows)
     norms, calls = [], [0]
     real_bound, real_norms = T._bound, T._window_norms
 
@@ -708,9 +737,10 @@ def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride,
         mp.setattr(T, "_window_norms", window_norms)
         got, sums = tiled(T.conv2d, budget, x, kern, stride)
     assert (sums, calls[0]) == (products, groups)
-    assert np.concatenate(norms).tobytes() == T._window_norms(x.array, kh, kw, stride).ravel().tobytes()
-    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    runs = [T._window_norms(x.array[..., i:i + images], kh, kw, stride).ravel() for i in range(0, n, images)]
+    assert np.concatenate(norms).tobytes() == np.concatenate(runs).tobytes()
+    want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
 
 # lenet layers in Q16.16 with weights scaled by 64 on inputs up to +-30000:
@@ -730,20 +760,20 @@ def test_saturated_ends_settle_without_a_refold(layer):
     kern = Kernel(Tensor(kern.weights.shape, Q16_16, kern.weights.data * 64), kern.bias)
     shape = SATURATING_LAYERS[layer]
     rng = np.random.default_rng(3)
-    x = Tensor((2,) + shape, Q16_16, np.rint((rng.random(2 * math.prod(shape)) * 2 - 1) * 30000 * 2**16) / 2**16)
+    x = Tensor(shape + (2,), Q16_16, np.rint((rng.random(2 * math.prod(shape)) * 2 - 1) * 30000 * 2**16) / 2**16)
     assert exact_bound(x, kern) >= 2**20
     op = (lambda t: T.conv2d(t, kern, 1)) if len(shape) == 3 else (lambda t: T.dense(t, kern))
     with pytest.MonkeyPatch.context() as mp:
         masks = capturing_refolds(mp)
         got = op(x)
     if len(shape) == 3:
-        want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
+        want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
     else:
-        want = [dense_naive(row, kern.weights, kern.bias) for row in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+        want = [dense_naive(row, kern.weights, kern.bias) for row in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
     assert got.saturations == sum(o.saturations for o in want) > got.size // 2
     assert len(masks) <= 1 and all(mask.shape == got.shape for mask in masks)
-    saturated = np.stack([np.abs(o.array) >= Q16_16.max_value for o in want])
+    saturated = np.stack([np.abs(o.array) >= Q16_16.max_value for o in want], axis=-1)
     assert not any((mask & saturated).any() for mask in masks)
 
 
@@ -785,8 +815,8 @@ def test_fixed_point_finish_in_every_range_of_the_bound(seed, span, sign, n, cin
         return np.rint(np.asarray(v) * 2**16) / 2**16
 
     x_max = q16(math.sqrt(target / depth))
-    x = q16(rng.uniform(-x_max, x_max, (n, cin, h, h)))
-    x[0] = sign * x_max
+    x = q16(rng.uniform(-x_max, x_max, (cin, h, h, n)))
+    x[..., 0] = sign * x_max
     bias = Tensor((cout,), Q16_16, q16(rng.uniform(-1, 1, cout)))
 
     def kernel(shape):
@@ -796,11 +826,11 @@ def test_fixed_point_finish_in_every_range_of_the_bound(seed, span, sign, n, cin
         return Kernel(Tensor(w.shape, Q16_16, w.ravel()), bias)
 
     x = Tensor(x.shape, Q16_16, x.ravel())
-    flat = x.reshaped((n, depth))
+    flat = x.reshaped((depth, n))
     kern, dkern = kernel((cin, k, k)), kernel((depth,))
     cases = [
-        (T.conv2d(x, kern), [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)], x, kern),
-        (T.dense(flat, dkern), [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)], flat, dkern),
+        (T.conv2d(x, kern), [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)], x, kern),
+        (T.dense(flat, dkern), [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)], flat, dkern),
     ]
     for got, want, inp, kernel in cases:
         bound = exact_bound(inp, kernel)
@@ -808,7 +838,7 @@ def test_fixed_point_finish_in_every_range_of_the_bound(seed, span, sign, n, cin
         _, _, factors, cap = T._operands(kernel, inp.array)
         assert (factors is None) == (bound < 2**20)
         assert cap == (bound if factors is None else math.inf)
-        assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+        assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
         assert got.saturations == sum(o.saturations for o in want)
         assert (got.saturations > 0) == (span != "below-half-range")
 
@@ -880,20 +910,20 @@ def test_float32_refolds_what_the_certificate_cannot_settle(seed, special, n, ci
         bias[-1] = -0.0
         return Kernel(Tensor(weights.shape, FLOAT32, weights.ravel()), Tensor((cout + 1,), FLOAT32, bias))
 
-    x = Tensor((n, cin, h, w), FLOAT32, midpoint_values(rng, (n, cin, h, w), special).ravel())
+    x = Tensor((cin, h, w, n), FLOAT32, midpoint_values(rng, (cin, h, w, n), special).ravel())
     kern = kernel((cin, k, k))
-    flat = x.reshaped((n, cin * h * w))
+    flat = x.reshaped((cin * h * w, n))
     dkern = kernel((cin * h * w,))
     with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
         folded = counting_refolds(mp)
         got = T.conv2d(x, kern, stride)
         conv_folded = folded[0]
         got_dense = T.dense(flat, dkern)
-        want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]
-        want_dense = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got_dense), want_dense))
-    assert conv_folded >= got.size // got.shape[1] and folded[0] - conv_folded >= n
+        want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
+        want_dense = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got_dense), want_dense))
+    assert conv_folded >= got.size // got.shape[0] and folded[0] - conv_folded >= n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -915,10 +945,10 @@ def test_nan_outputs_are_the_canonical_quiet_nan(seed, n, cin, cout, h, w, k, st
     row is bitwise equal to the oracles."""
     rng = np.random.default_rng(seed)
     k = min(k, h, w)
-    x = midpoint_values(rng, (n, cin, h, w), 0.2)
+    x = midpoint_values(rng, (cin, h, w, n), 0.2)
     x[0, 0, 0, 0] = rng.choice(SPECIAL_VALUES[2:])
     x = Tensor(x.shape, FLOAT32, x.ravel())
-    flat = x.reshaped((n, cin * h * w))
+    flat = x.reshaped((cin * h * w, n))
 
     def kernel(shape):
         weights = midpoint_values(rng, (cout,) + shape, 0.2)
@@ -928,14 +958,14 @@ def test_nan_outputs_are_the_canonical_quiet_nan(seed, n, cin, cout, h, w, k, st
     kern, dkern = kernel((cin, k, k)), kernel((cin * h * w,))
     with np.errstate(invalid="ignore", over="ignore"):
         cases = [
-            (T.conv2d(x, kern, stride), [conv2d_naive(img, kern.weights, kern.bias, stride) for img in rows(x)]),
-            (T.dense(flat, dkern), [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]),
+            (T.conv2d(x, kern, stride), [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]),
+            (T.dense(flat, dkern), [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]),
         ]
     for got, want in cases:
         nan = np.isnan(got.data)
         assert nan.any()
         assert (got.data[nan].view(np.uint32) == 0x7FC00000).all()
-        assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+        assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
 
 def test_order_dependent_float32_sum_is_refolded():
@@ -945,14 +975,14 @@ def test_order_dependent_float32_sum_is_refolded():
     adds the small terms first, round to 1 + 2**-23. The certificate cannot
     settle it, and the refold gives the fold's 1.0."""
     terms = np.array([2.0**-12] + [2.0**-27] * 3, dtype=np.float32)
-    x = Tensor((1, 4), FLOAT32, terms)
+    x = Tensor((4, 1), FLOAT32, terms)
     kern = Kernel(Tensor((1, 4), FLOAT32, terms), Tensor((1,), FLOAT32, np.ones(1, dtype=np.float32)))
     assert np.float32(math.fsum([1.0] + [float(t) ** 2 for t in terms])) == 1.0 + 2.0**-23
     with pytest.MonkeyPatch.context() as mp:
         folded = counting_refolds(mp)
         got = T.dense(x, kern)
     assert folded == [1]
-    assert bitwise_equal(rows(got)[0], dense_naive(rows(x)[0], kern.weights, kern.bias))
+    assert bitwise_equal(columns(got)[0], dense_naive(columns(x)[0], kern.weights, kern.bias))
     assert got.data[0] == 1.0
 
 
@@ -989,15 +1019,16 @@ def test_fold_elements_sums_left_to_right(per):
 
 
 def test_cifar_conv2_block_refolds_in_one_slice():
-    """cifar's conv2 (depth 800) on the pool1 outputs of synthesized
-    images runs one block per image, and each block refolds all its
-    flagged elements in one slice of the fold's scratch: more than the two
-    elements of 3 * 800 + 1 values that the block's own product scratch
-    held. A slice is one np.unravel_index call."""
+    """cifar's conv2 (depth 800) on the pool1 outputs of four synthesized
+    images runs blocks of two output rows of all four, and each block
+    refolds all its flagged elements in one slice of the fold's scratch:
+    more than the two elements of 3 * 800 + 1 values that the block's own
+    product scratch held. A slice is one np.unravel_index call."""
     model = seed_weights(build_cifar_net(), 2)
     images = synthesize(4, model.input_shape, 7, "uniform").images()
     _, taps = forward_batch(model, images, ("pool1",))
-    x = Tensor(taps["pool1"].shape, FLOAT32, taps["pool1"].ravel())
+    pool1 = np.moveaxis(taps["pool1"], 0, -1)
+    x = Tensor(pool1.shape, FLOAT32, pool1.ravel())
     kern = model.get_layer("conv2").params
     folds = []
     real_fold, real_unravel = T._fold_elements, np.unravel_index
@@ -1015,8 +1046,8 @@ def test_cifar_conv2_block_refolds_in_one_slice():
         mp.setattr(np, "unravel_index", unravel)
         sums = counting_products(mp)
         T.conv2d(x, kern, 1)
-    assert sums == [4]
-    assert len(folds) == 4 and max(size for size, _ in folds) > 2
+    assert sums == [5]
+    assert len(folds) == 5 and max(size for size, _ in folds) > 2
     assert all(slices == (size > 0) for size, slices in folds)
 
 
@@ -1030,14 +1061,14 @@ def test_all_zero_float32_sums_refold_only_for_a_minus_zero_bias(bias):
     oracles."""
     rng = np.random.default_rng(5)
     values = np.array([1.0, -2.0, 2.0**-12, 0.0, -0.0], dtype=np.float32)
-    x = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(3, 2, 5, 5))
-    x[0] = -0.0
+    x = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(2, 5, 5, 3))
+    x[..., 0] = -0.0
     x = Tensor(x.shape, FLOAT32, x.ravel())
     weights = rng.choice(values, size=(4, 2, 3, 3))
     weights[0] = 1.0
     biases = Tensor((4,), FLOAT32, np.full(4, bias, dtype=np.float32))
     kern = Kernel(Tensor(weights.shape, FLOAT32, weights.ravel()), biases)
-    flat = x.reshaped((3, 50))
+    flat = x.reshaped((50, 3))
     dense_weights = rng.choice(values, size=(4, 50))
     dense_weights[0] = 1.0
     dkern = Kernel(Tensor((4, 50), FLOAT32, dense_weights.ravel()), biases)
@@ -1046,12 +1077,12 @@ def test_all_zero_float32_sums_refold_only_for_a_minus_zero_bias(bias):
         got = T.conv2d(x, kern, 1)
         got_dense = T.dense(flat, dkern)
     assert folded == [got.size + got_dense.size if np.signbit(bias) else 0]
-    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
-    want = [dense_naive(row, dkern.weights, dkern.bias) for row in rows(flat)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got_dense), want))
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+    want = [dense_naive(row, dkern.weights, dkern.bias) for row in columns(flat)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got_dense), want))
     assert (got.data == 0).all() and (got_dense.data == 0).all()
-    assert np.signbit(got.array[0, 0]).all() == np.signbit(bias)
+    assert np.signbit(got.array[0, ..., 0]).all() == np.signbit(bias)
     assert np.signbit(got_dense.array[0, 0]) == np.signbit(bias)
 
 
@@ -1064,6 +1095,56 @@ def test_kernels_never_see_an_empty_batch():
             Tensor.from_array(np.zeros(shape, dtype=np.float32))
 
 
+@pytest.mark.parametrize("n", [1, 2, 37, 76])
+@pytest.mark.parametrize("case", ["f32", "f32-minus-zero-bias", "f32-nan-input", "q16", "q16-certified-minus-zero-bias"])
+def test_batch_column_is_the_kernel_on_its_image_alone(case, n):
+    """The layout contract at the real budget: column i of a conv2d,
+    maxpool2d or dense result on a batch of n images, image axis last, is
+    bitwise the same kernel on a batch of image i alone, and the
+    saturations are summed over the columns. The conv blocks hold one
+    output row of all 37 images, or of 38 of the 76. Image 0 of the -0.0
+    bias cases is all zeros, whose sums only the fold gives a sign; the
+    Q16.16 values are past the exact bound but for the certified case."""
+    rng = np.random.default_rng(n)
+    dtype = FLOAT32 if case.startswith("f32") else Q16_16
+    shape = (3, 32, 32)
+
+    def values(size):
+        if case.startswith("q16-certified"):
+            return fixed_values(rng, size, 4.0)
+        return batch_values(rng, (size,), dtype)
+
+    x = values(math.prod(shape) * n).reshape(shape + (n,))
+    if case.endswith("minus-zero-bias"):
+        x[..., 0] = 0.0
+    if case.endswith("nan-input"):
+        x[1, 5, 7, n // 2] = np.nan
+    x = Tensor(x.shape, dtype, x.ravel())
+
+    def kernel(w_shape):
+        bias = values(w_shape[0])
+        if case.endswith("minus-zero-bias"):
+            bias[0] = -0.0
+        return Kernel(Tensor(w_shape, dtype, values(math.prod(w_shape))), Tensor(w_shape[:1], dtype, bias))
+
+    conv, fc = kernel((8, 3, 3, 3)), kernel((10, math.prod(shape)))
+    if dtype == Q16_16:
+        assert (exact_bound(x, conv) < 2**20) == case.startswith("q16-certified")
+    calls = {
+        "conv2d": (x, lambda t: T.conv2d(t, conv, 1)),
+        "maxpool2d": (x, lambda t: T.maxpool2d(t, 2, 2)),
+        "dense": (x.reshaped((math.prod(shape), n)), lambda t: T.dense(t, fc)),
+    }
+    for name, (inp, call) in calls.items():
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = call(inp)
+            alone = [call(img.reshaped(img.shape + (1,))) for img in columns(inp)]
+        assert got.shape[-1] == n, name
+        assert all(got.array[..., i].tobytes() == a.data.tobytes() for i, a in enumerate(alone)), name
+        assert got.saturations == sum(a.saturations for a in alone), name
+        assert np.isnan(got.data).any() == case.endswith("nan-input"), name
+
+
 def test_quantized_lenet_fc2_takes_the_product():
     """quantize rounds fc2.bias[3], -5.7e-6, to -0.0; the layer still takes the
     matrix product (one per tile), and its relu3 inputs, zeros among them,
@@ -1073,14 +1154,14 @@ def test_quantized_lenet_fc2_takes_the_product():
     assert np.signbit(fc2.bias.data[3]) and fc2.bias.data[3] == 0
     images = saturating_images(model.input_shape, 4, seed=3)
     _, taps = forward_batch(model, images, ("relu3",))
-    x = Tensor(taps["relu3"].shape, Q16_16, taps["relu3"].ravel())
+    x = Tensor(taps["relu3"].T.shape, Q16_16, taps["relu3"].T.ravel())
     assert (x.data == 0).any()
     with pytest.MonkeyPatch.context() as mp:
         sums = counting_products(mp)
         got = T.dense(x, fc2)
     assert sums == [1]
-    want = [dense_naive(row, fc2.weights, fc2.bias) for row in rows(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(rows(got), want))
+    want = [dense_naive(row, fc2.weights, fc2.bias) for row in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
 
 @pytest.mark.parametrize(
@@ -1108,15 +1189,16 @@ def test_quantized_lenet_fc2_takes_the_product():
     ],
 )
 def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
-    """A batch of `whole` full blocks or tiles and a partial one peaks at
-    its output plus one block's or tile's scratch: no kernel holds a whole
-    batch's float64 accumulator, which for each of these batches would
-    exceed the bound. Every block or tile is one matrix product: of Q16.16
-    inputs in [0, 1), which are certified, of float32 inputs >= 0, and of
-    Q16.16 inputs up to 30000, or signed, on weights scaled by 64 (past
-    the bound), which take the per-element certificate. A conv block holds
-    whole images where one image's columns fit the budget, else output
-    rows of one image."""
+    """A batch of `whole` budgets of images and one more (dense: `whole`
+    full tiles and a partial one) peaks at its output plus one block's or
+    tile's scratch: no kernel holds a whole batch's float64 accumulator,
+    which for each of these batches would exceed the bound. Every block or
+    tile is one matrix product: of Q16.16 inputs in [0, 1), which are
+    certified, of float32 inputs >= 0, and of Q16.16 inputs up to 30000,
+    or signed, on weights scaled by 64 (past the bound), which take the
+    per-element certificate. A conv block holds output rows of all the
+    images where one row of them fits the budget, else one output row of
+    a run of them."""
     model = seed_weights(build(), 2)
     if case != "f32":
         model = quantize_model(model, Q16_16)
@@ -1139,19 +1221,22 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
         per_column, held = depth + 2 + 4 * out_shape[0], kern.weights.size + 3 * out_shape[0]
     per_image = per_column * window
     columns = (T.SCRATCH_BYTES // 8 - held) // per_column
-    if columns >= window:
-        n, blocks = whole * (columns // window) + 1, whole + 1
+    n = whole * max(1, columns // window) + 1
+    if spec.kind == "dense":
+        blocks = whole + 1
+    elif columns >= out_shape[2] * n:
+        # output rows of all n images, in blocks of at most columns // (width n) rows
+        blocks = -(-out_shape[1] // (columns // (out_shape[2] * n)))
     else:
-        # one image's output rows, in blocks of at most columns // width rows
-        n = whole + 1
-        blocks = n * -(-out_shape[1] // (columns // out_shape[2]))
+        # one output row of at most columns // width images
+        blocks = out_shape[1] * -(-n // (columns // out_shape[2]))
     values = np.random.default_rng(0).random(n * math.prod(in_shape))
     if case == "f32":
-        x = Tensor((n,) + in_shape, FLOAT32, values.astype(np.float32))
+        x = Tensor(in_shape + (n,), FLOAT32, values.astype(np.float32))
     else:
         if case != "q16":
             values = (values * 2 - 1 if case.endswith("signed") else values) * 30000
-        x = Tensor((n,) + in_shape, Q16_16, np.rint(values * 2**16) / 2**16)
+        x = Tensor(in_shape + (n,), Q16_16, np.rint(values * 2**16) / 2**16)
         assert (exact_bound(x, kern) >= 2**20) == (case != "q16")
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
     assert 8 * n * per_image > T.SCRATCH_BYTES + slack
@@ -1168,7 +1253,7 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert got.shape == (n,) + out_shape
+    assert got.shape == out_shape + (n,)
     assert peak <= got.data.nbytes + T.SCRATCH_BYTES + slack
     assert sums == [blocks]
 
@@ -1304,6 +1389,27 @@ def test_forward_batch_matches_forward_on_every_tap(model_case, counts_id, monke
             assert taps[name][i].tobytes() == tap.data.tobytes(), (name, i, n)
 
 
+@pytest.mark.parametrize("build, q16", [(build_lenet, False), (build_lenet, True), (build_cifar_net, False)],
+                         ids=["lenet-f32", "lenet-q16", "cifar-f32"])
+def test_forward_batch_at_the_real_chunk_matches_forward(build, q16):
+    """The seeded models at the real budget: forward_batch over chunk - 1,
+    chunk, chunk + 1 and 2 chunk + 1 images, whose short last chunks run
+    through the pass buffers viewed in their own shapes, gives every label
+    and tap of the per-image forward bitwise."""
+    model = seed_weights(build(), 2)
+    if q16:
+        model = quantize_model(model, Q16_16)
+    chunk = forward_chunk(model)
+    images = synthesize(2 * chunk + 1, model.input_shape, 9, "uniform").images()
+    traces = [forward(model, img) for img in images]
+    shapes = layer_output_shapes(model)
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        labels, taps = forward_batch(model, images[:n], list(shapes))
+        assert labels.tolist() == [t.final_label for t in traces[:n]], n
+        for name, tap in taps.items():
+            assert tap.tobytes() == b"".join(t.taps[name].data.tobytes() for t in traces[:n]), (name, n)
+
+
 @pytest.mark.parametrize(
     "name, chunk",
     [("mlp-f32", 512), ("lenet-f32", 75), ("lenet-q16", 37), ("cifar-f32", 10)],
@@ -1421,8 +1527,8 @@ def test_first_stage_parts_at_the_real_budget(name, parts, monkeypatch):
     real, conv1 = T.conv2d, []
 
     def counting(input, kernel, *args, **kwargs):
-        if input.shape[1:] == model.input_shape:
-            conv1.append(input.shape[0])
+        if input.shape[:-1] == model.input_shape:
+            conv1.append(input.shape[-1])
         return real(input, kernel, *args, **kwargs)
 
     monkeypatch.setattr(T, "conv2d", counting)

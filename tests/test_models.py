@@ -98,14 +98,14 @@ def test_forward_matches_manual_composition():
     img = uniform_image((1, 28, 28), 0)
     trace = forward(m, img)
 
-    x = img.reshaped((1,) + img.shape)
+    x = img.reshaped(img.shape + (1,))
     x = T.conv2d(x, m.get_layer("conv1").params, 1)
     x = T.relu(x)
     x = T.maxpool2d(x, 2, 2)
     x = T.conv2d(x, m.get_layer("conv2").params, 1)
     x = T.relu(x)
     x = T.maxpool2d(x, 2, 2)
-    x = x.reshaped((1, x.size))
+    x = x.reshaped((x.size, 1))
     fc1 = T.dense(x, m.get_layer("fc1").params)
     x = T.relu(fc1)
     x = T.dense(x, m.get_layer("fc2").params)

@@ -126,7 +126,7 @@ def test_conv2d_rectangular_kernels():
 
 def test_conv2d_shape_and_dtype_errors():
     rng = np.random.default_rng(14)
-    x = rand_tensor(rng, (1, 2, 4, 4))
+    x = rand_tensor(rng, (2, 4, 4, 1))
     with pytest.raises(DimensionError):
         T.conv2d(x.reshaped((2, 4, 4)), rand_kernel(rng, (1, 2, 2, 2)))  # one image, no batch
     with pytest.raises(DimensionError):
@@ -142,9 +142,9 @@ def test_conv2d_shape_and_dtype_errors():
 def test_conv2d_linearity_power_of_two():
     # scaling input by 2 scales output by exactly 2 when bias is zero
     rng = np.random.default_rng(15)
-    x = rand_tensor(rng, (1, 2, 6, 6))
+    x = rand_tensor(rng, (2, 6, 6, 1))
     kern = Kernel(rand_tensor(rng, (3, 2, 3, 3)), Tensor.from_array(np.zeros((3,))))
-    doubled = Tensor((1, 2, 6, 6), FLOAT32, (x.data * np.float32(2)))
+    doubled = Tensor((2, 6, 6, 1), FLOAT32, (x.data * np.float32(2)))
     assert np.array_equal(T.conv2d(doubled, kern).data, T.conv2d(x, kern).data * np.float32(2))
 
 
@@ -179,7 +179,7 @@ def test_dense_errors():
     with pytest.raises(DimensionError):
         T.dense(rand_tensor(rng, (4,)), rand_kernel(rng, (2, 4)))  # one row, no batch
     with pytest.raises(DimensionError):
-        T.dense(rand_tensor(rng, (1, 3)), rand_kernel(rng, (2, 4)))
+        T.dense(rand_tensor(rng, (3, 1)), rand_kernel(rng, (2, 4)))
     with pytest.raises(DimensionError):
         T.dense(rand_tensor(rng, (2, 2)), rand_kernel(rng, (2, 4)))
 
@@ -205,9 +205,9 @@ def test_maxpool_errors():
     with pytest.raises(DimensionError):
         T.maxpool2d(rand_tensor(rng, (1, 2, 2)), 1, 1)  # one image, no batch
     with pytest.raises(DimensionError):
-        T.maxpool2d(rand_tensor(rng, (1, 1, 2, 2)), 3, 1)
+        T.maxpool2d(rand_tensor(rng, (1, 2, 2, 1)), 3, 1)
     with pytest.raises(ValueError):
-        T.maxpool2d(rand_tensor(rng, (1, 1, 2, 2)), 1, 0)
+        T.maxpool2d(rand_tensor(rng, (1, 2, 2, 1)), 1, 0)
 
 
 # --- fixed point ---------------------------------------------------------
@@ -291,7 +291,7 @@ def test_relu():
 
 def kernel_calls(dtype):
     """{name: (input, call(input, out))} of every kernel that takes out, on
-    a batch whose first image is all zeros and kernels whose first bias is
+    a batch whose first image (column 0) is all zeros and kernels whose first bias is
     zero, so that some sums are zeros, which are refolded; the Q16.16
     operands are past the exactness bound, and many sums saturate."""
     rng = np.random.default_rng(61)
@@ -299,14 +299,14 @@ def kernel_calls(dtype):
 
     def batch(shape):
         t = rand_tensor(rng, shape, dtype, scale)
-        return Tensor(shape, dtype, np.where(np.arange(t.size) < t.size // shape[0], 0, t.data).astype(t.data.dtype))
+        return Tensor(shape, dtype, np.where(np.arange(t.size) % shape[-1] == 0, 0, t.data).astype(t.data.dtype))
 
     def kernel(w_shape):
         k = rand_kernel(rng, w_shape, dtype, scale)
         return Kernel(k.weights, Tensor(k.bias.shape, dtype, np.where(np.arange(w_shape[0]) == 0, 0, k.bias.data)))
 
     conv, fc = kernel((4, 2, 3, 3)), kernel((5, 30))
-    images, rows = batch((3, 2, 9, 9)), batch((4, 30))
+    images, rows = batch((2, 9, 9, 3)), batch((30, 4))
     return {
         "conv2d": (images, lambda x, out: T.conv2d(x, conv, 2, out=out)),
         "dense": (rows, lambda x, out: T.dense(x, fc, out=out)),
@@ -364,7 +364,7 @@ def test_kernel_refuses_an_unfit_out_before_writing(name):
 
 def test_ops_are_deterministic():
     rng = np.random.default_rng(51)
-    x = rand_tensor(rng, (1, 3, 7, 7))
+    x = rand_tensor(rng, (3, 7, 7, 1))
     kern = rand_kernel(rng, (4, 3, 3, 3))
     a = T.conv2d(x, kern, 2)
     b = T.conv2d(x, kern, 2)
@@ -383,12 +383,12 @@ def test_float32_kernel_converts_its_weights_once(monkeypatch):
 
     monkeypatch.setattr(T, "_sum_products", spy)
     for _ in range(2):
-        T.conv2d(rand_tensor(rng, (2, 2, 6, 6)), conv)
-        T.dense(rand_tensor(rng, (2, 5)), fc)
-    # one product per call: conv2d's weights on the left, dense's transposed on the right
+        T.conv2d(rand_tensor(rng, (2, 6, 6, 2)), conv)
+        T.dense(rand_tensor(rng, (5, 2)), fc)
+    # one product per call, the weights on the left of both
     assert len(products) == 4
     assert all(a is conv.weight_rows for a, _ in products[::2])
-    assert all(b.base is fc.weight_rows for _, b in products[1::2])
+    assert all(a is fc.weight_rows for a, _ in products[1::2])
     for kern in (conv, fc):
         assert kern.weight_rows.dtype == np.float64 and not kern.weight_rows.flags.writeable
         assert np.array_equal(kern.weight_rows, kern.weights.data.reshape(kern.weights.shape[0], -1))

@@ -19,7 +19,7 @@ from trojansim.models import (
 )
 from trojansim.profiling import SigmaBand, in_bands
 from trojansim.rng import Xoshiro256StarStar
-from trojansim.tensor import Q16_16, Kernel, Tensor
+from trojansim.tensor import Q16_16, Kernel, Tensor, quantize
 from trojansim.trojan import (
     ARMED,
     DORMANT,
@@ -412,31 +412,44 @@ def test_run_compromised_matches_step_fuzz(quantized):
 
 
 def test_each_used_malicious_image_is_forwarded_once(monkeypatch):
-    real = models.forward
-    forwarded = []
+    """The stream is one batched pass, and the malicious images the walk
+    used are labelled by one more, each image once, in index order."""
+    real = trojan.forward_batch
+    passes = []
 
-    def counting(model, image):
-        forwarded.append(image)
-        return real(model, image)
+    def counting(model, images, keep):
+        passes.append([id(img) for img in images])
+        return real(model, images, keep)
 
-    # every name the package calls forward through
-    monkeypatch.setattr(models, "forward", counting)
-    monkeypatch.setattr(trojan, "forward", counting)
+    monkeypatch.setattr(trojan, "forward_batch", counting)
     m = mirror_model()
     config = make_config(malicious_values=(0.1, 0.2, 0.3), selection=ROUND_ROBIN)
 
     _, report, _ = run_compromised(m, config, scalar_stream([0.0, 1.0, 2.0, 0.5]))
     assert report.trigger_count == 0
-    assert forwarded == []
+    assert len(passes) == 1  # the stream's alone
 
+    passes.clear()
     stream = scalar_stream([3.5, 0.0, 3.5, 0.0, 3.5, 0.0, 3.5, 0.0, 3.5, 0.0])
     _, report, state = run_compromised(m, config, stream)
     assert [e.used_malicious_index for e in state.log if e.kind == "Substituted"] == [0, 1, 2, 0, 1]
-    assert [id(img) for img in forwarded] == [id(img) for img in config.malicious_images]
+    assert passes[1:] == [[id(img) for img in config.malicious_images]]
 
-    forwarded.clear()
+    passes.clear()
     _, _, state = run_compromised(m, config, scalar_stream([3.5, 0.0, 3.5, 0.0]))
-    assert [id(img) for img in forwarded] == [id(img) for img in config.malicious_images[:2]]
+    assert passes[1:] == [[id(img) for img in config.malicious_images[:2]]]
+
+
+def test_malicious_images_of_both_input_dtypes_label_as_forward_does():
+    """A fixed-point model takes float32 images and images of its own
+    format: run_compromised labels a mix of both, one batched pass per
+    dtype, as the per-image forward does."""
+    m = quantize_model(mirror_model(), Q16_16)
+    images = (scalar_image(-5.0), quantize(scalar_image(0.25), Q16_16))
+    config = TrojanConfig("out", (UPPER,), images)
+    labels, _, state = run_compromised(m, config, scalar_stream([3.5, 0.0, 3.5, 0.0]))
+    assert [e.used_malicious_index for e in state.log if e.kind == "Substituted"] == [0, 1]
+    assert [labels[1], labels[3]] == [forward(m, img).final_label for img in images] == [1, 0]
 
 
 def test_stream_is_forwarded_in_one_call(monkeypatch):
