@@ -63,10 +63,14 @@ tests compare against):
     of a -0.0 bias), whose sign only the fold decides, and float32 sums
     with a NaN or infinite term, which makes |b|, ||w|| or ||x|| NaN or
     infinite and E NaN or +inf (0 * inf is NaN), so that s -+ E are NaN
-    or infinities of both signs, never equal. The fold gathers their terms
-    from the input (conv2d: from the block's float64 columns, the same
-    values) and sums them by np.add.accumulate, the running sum:
-    Ziv's strategy, a fast path, a rounding test and an exact fallback.
+    or infinities of both signs, never equal. Each block hands the call's
+    refold its flagged elements with a copy of their terms (conv2d: from
+    the block's float64 columns, the same values as the input; dense: from
+    the tile's columns); the refold sums them by np.add.accumulate, the
+    running sum, once its share of the budget fills and at the end of the
+    call, under the NumPy error state of the caller; the kernels turn
+    invalid and overflow warnings off around their blocks, once per call.
+    Ziv's strategy: a fast path, a rounding test and an exact fallback.
   * NaN. A NaN output comes only from the fold, as its E is NaN, and the
     fold makes every NaN sum the canonical quiet NaN (positive, zero
     payload; float32 0x7FC00000): which payload IEEE arithmetic keeps
@@ -107,14 +111,19 @@ tests compare against):
     run of its images) or by a tile of the batch's columns (dense). With the
     image axis last, a block's copy from the input moves runs of ow*N values
     (stride 1, every image) and its products land in out as they lie there.
-    Its float64 scratch fits SCRATCH_BYTES beside the float64 weights and
-    bias: per output element the product and, under the per-element
-    certificate, E and two values for rounding, and per column its norm and
-    a one. The window columns (or the tile's copy), the products with their
-    E and the rounding test's upper ends are three arrays per thread;
-    conv2d's window norms of a group of blocks' rows and the refold have one
-    more each, of at most a quarter of SCRATCH_BYTES (or one block's rows,
-    or one element, where that is more). All are kept from call to call and
+    What a block holds fits SCRATCH_BYTES, counted in bytes as the code
+    holds it (_footprint). Per column: its float64 window column (dense:
+    the tile's float64 copy of its input, none for a certified batch), and
+    per output element the float64 sum. Under the per-element certificate,
+    beside the block, the float64 weights, bias and bound factors, and per
+    column also its norm and a one, and per output element E (float64),
+    the rounding test's upper end in the output's storage dtype (float32:
+    4 bytes) and at most three flag bytes of the test's masks. The window
+    columns (or the tile's copy), the sums with their E and the rounding
+    test's upper ends are three arrays per thread; conv2d's window norms
+    of a group of blocks' rows and the refold have one more each, of at
+    most a quarter of SCRATCH_BYTES (or one block's rows, or one element,
+    where that is more). All are kept from call to call and
     grown on demand, so that a pass of many blocks touches no fresh pages
     once they have grown. Saturations are summed.
   * conv2d, maxpool2d, dense and relu write into a caller's `out` array
@@ -295,6 +304,24 @@ class Kernel:
         return w_rows
 
     @cached_property
+    def bias_values(self) -> np.ndarray:
+        """The bias as read-only float64: the first term of every fold and
+        the addend of every product."""
+        bias = self.bias.array.astype(np.float64, copy=False)
+        bias.flags.writeable = False
+        return bias
+
+    @cached_property
+    def minus_zero_bias(self) -> np.ndarray | None:
+        """Which output channels' bias is -0.0, as a read-only bool mask, or
+        None where none is: only the fold signs their zero sums
+        (_round_sums)."""
+        bias = self.bias_values
+        minus = np.signbit(bias) & (bias == 0)
+        minus.flags.writeable = False
+        return minus if minus.any() else None
+
+    @cached_property
     def bound_factors(self) -> np.ndarray:
         """The factors of the bound E of the module docstring: one float64
         row (k ||w_c||_2, k |b_c|) per output channel c."""
@@ -338,15 +365,19 @@ def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray, bound: float = m
     return saturated
 
 
-def _scratch(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+def _scratch(name: str, size: int, dtype: type = np.float64, keep: int = 0) -> np.ndarray:
     """size elements of dtype at the start of this thread's float64
     scratch array `name`, which is kept across calls and grown on demand:
-    its contents are whatever the last call left there."""
+    its contents are whatever the last call left there, the first `keep`
+    elements kept when it grows."""
     words = -(-size * np.dtype(dtype).itemsize // 8)
     arrays = vars(_SCRATCH)
     if name not in arrays or arrays[name].size < words:
+        kept = arrays[name][:keep].copy() if keep else None
         arrays.pop(name, None)  # freed before its successor is made
         arrays[name] = np.empty(words)
+        if keep:
+            arrays[name][:keep] = kept
     return arrays[name][:words].view(dtype)[:size]
 
 
@@ -366,11 +397,28 @@ def _output(out: np.ndarray | None, shape: tuple[int, ...], dtype: DType, input:
     return out
 
 
+def _footprint(kernel: Kernel, factors: np.ndarray | None, copied: int) -> tuple[int, int]:
+    """The bytes a conv2d block or dense tile holds (module docstring):
+    beside it, and per column, `copied` float64 input terms (conv2d: the
+    window column; dense: the tile's copy of its input, if any) and what
+    the sums take. A batch that _any_order_is_exact certifies (factors
+    None) takes one float64 sum per output element. Otherwise the float64
+    weights, bias and bound factors are held beside the block, each column
+    has its norm and a one, and each output element its sum and E in
+    float64, the rounding test's upper end in the output's storage dtype
+    and the test's flag bytes, of which _round_sums holds at most three at
+    once."""
+    out_ch = kernel.weights.shape[0]
+    if factors is None:
+        return 0, 8 * (copied + out_ch)
+    upper = np.dtype(_storage(kernel.dtype)).itemsize
+    return 8 * (kernel.weight_rows.size + 3 * out_ch), 8 * (copied + 2) + out_ch * (16 + upper + 3)
+
+
 def _tile_length(n: int, fixed: int, per_image: int) -> int:
-    """Images per dense tile: as many as keep
-    `fixed` float64 values plus `per_image` per image within SCRATCH_BYTES;
-    at least one, at most n."""
-    return max(1, min(n, (SCRATCH_BYTES // 8 - fixed) // per_image))
+    """Images per dense tile: as many as keep `fixed` bytes plus
+    `per_image` per image within SCRATCH_BYTES; at least one, at most n."""
+    return max(1, min(n, (SCRATCH_BYTES - fixed) // per_image))
 
 
 def _any_order_is_exact(x: np.ndarray, kernel: Kernel) -> float | None:
@@ -387,19 +435,19 @@ def _any_order_is_exact(x: np.ndarray, kernel: Kernel) -> float | None:
 def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarray) -> None:
     """out = a @ b + bias on BLAS, summed in whatever order it picks: the
     one matrix product of conv2d and dense. A float32 sum it makes
-    non-finite is refolded, so warnings are left to the fold."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.matmul(a, b, out=out)
-        out += bias
+    non-finite is refolded, so the kernels run it with invalid and
+    overflow warnings off and leave them to the fold."""
+    np.matmul(a, b, out=out)
+    out += bias
 
 
 def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
-    """The kernel's weight_rows, its bias as float64, its bound_factors and
-    a cap on every sum's magnitude for the finish: for a fixed-point batch x
-    that _any_order_is_exact certifies, None and its bound B; otherwise the
+    """The kernel's weight_rows, bias_values, its bound_factors and a cap on
+    every sum's magnitude for the finish: for a fixed-point batch x that
+    _any_order_is_exact certifies, None and its bound B; otherwise the
     factors and infinity."""
     w_rows = kernel.weight_rows
-    bias = kernel.bias.array.astype(np.float64, copy=False)
+    bias = kernel.bias_values
     bound = None if kernel.dtype == FLOAT32 else _any_order_is_exact(x, kernel)
     if bound is None:
         return w_rows, bias, kernel.bound_factors, math.inf
@@ -410,11 +458,11 @@ def _bound(e: np.ndarray, factors: np.ndarray, norms: np.ndarray, terms: np.ndar
     """E of the module docstring into e (channel, element): one product of
     the factors by norms, whose row 0 holds each element's input 2-norm and
     row 1 ones. Given terms (term, element, float64), row 0 is first
-    filled with their 2-norms (dense)."""
+    filled with their 2-norms (dense). 0 * inf is NaN, which flags the
+    element: the kernels run this with invalid warnings off."""
     if terms is not None:
         np.sqrt(np.einsum("ij,ij->j", terms, terms, out=norms[0]), out=norms[0])
-    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which flags
-        np.matmul(factors, norms, out=e)
+    np.matmul(factors, norms, out=e)
 
 
 def _window_norms(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -447,89 +495,150 @@ def _window_norms(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return buf[:down].reshape(oh, w, n)[:, :stride * (ow - 1) + 1:stride]
 
 
-def _fold_elements(dst: np.ndarray, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
-                   flat: np.ndarray) -> None:
-    """Fold the elements at C-order indices `flat` of dst, a (channel,
-    *element axes) view, in the pinned order: bias[c], then w_rows[c, t]
-    times term t of the element's input for t = 0, 1, ...; source holds
-    the inputs as (*term axes, *element axes), in any layout. The float64
-    sums go into dst, a NaN one as the canonical quiet NaN. The fold's
-    scratch is this thread's, as many elements as there are, up to a
-    quarter of SCRATCH_BYTES (at least one): a slice of elements takes
-    its bias, weights and products in two thirds of it, and its gathered
-    inputs the last third's size."""
-    if not flat.size:
-        return
+def _fold_elements(dtype: DType, dst: np.ndarray, w_rows: np.ndarray, bias: np.ndarray, at: np.ndarray,
+                   terms: np.ndarray) -> int:
+    """Fold the elements at C-order indices `at` of dst, a conv2d or dense
+    output (channel first), in the pinned order, returning the
+    saturations: bias[c], then w_rows[c, t] times term t of the element's
+    input for t = 0, 1, ..., where the element's row of terms (element,
+    term + 1), float64, holds its inputs from column 1 on and is
+    overwritten. The float64 sums go into dst, a NaN one as the canonical
+    quiet NaN, and fixed-point ones rounded and saturated."""
     depth = w_rows.shape[1]
-    width = 3 * depth + 1
-    per = max(1, min(flat.size, SCRATCH_BYTES // 32 // width))
-    scratch = _scratch("fold", width * per)
-    for start in range(0, flat.size, per):
-        c, *at = np.unravel_index(flat[start:start + per], dst.shape)
-        f = c.size
-        terms = scratch[:(depth + 1) * f].reshape(f, depth + 1)
-        ws = w_rows.take(c, 0, scratch[(depth + 1) * f:(2 * depth + 1) * f].reshape(f, depth), "clip")
-        terms[:, 0] = bias[c]
-        np.multiply(ws, source[(Ellipsis, *at)].reshape(depth, f).T, out=terms[:, 1:])
-        # accumulate is defined as the running sum, term after term
-        np.add.accumulate(terms, axis=1, out=terms)
-        sums = terms[:, depth]
-        # which payload a NaN sum keeps depends on NumPy's loop
-        sums[np.isnan(sums)] = np.nan
-        dst[(c, *at)] = sums
+    c = at // (dst.size // w_rows.shape[0])
+    terms[:, 0] = bias[c]
+    np.multiply(terms[:, 1:], w_rows[c], out=terms[:, 1:])
+    # accumulate is defined as the running sum, term after term
+    np.add.accumulate(terms, axis=1, out=terms)
+    sums = terms[:, depth]
+    # which payload a NaN sum keeps depends on NumPy's loop
+    sums[np.isnan(sums)] = np.nan
+    saturations = 0 if dtype == FLOAT32 else _finish(sums, dtype, sums)
+    dst.reshape(-1)[at] = sums
+    return saturations
 
 
-def _round_sums(dtype: DType, w_rows: np.ndarray, source: np.ndarray, bias: np.ndarray,
-                sums: np.ndarray, out: np.ndarray, bound: float) -> int:
-    """Round a block's BLAS sums into out, a (channel, *element axes)
-    view, returning the saturations; source is the block's input as
-    _fold_elements takes it. Certified fixed-point sums (one row per
-    channel) are exact: the zeros of a -0.0 bias are refolded for their
-    sign, then all are rounded, and saturated unless their cap `bound`
-    (from _operands) proves that none can be. Otherwise the rows are the
-    sums s, then their bounds E (from _bound), and the per-element
+class _Refold:
+    """The elements of one conv2d or dense call that the certificates leave
+    to the fold: each block copies them, with their terms, into this
+    thread's fold scratch (gather), and they are folded together, by
+    _fold_elements, once `per` of them fill it and at the end of the call
+    (flush), under the NumPy error state the call was made in, as the
+    kernels turn invalid and overflow warnings off around their blocks.
+    The scratch grows to the elements gathered at once, up to half of the
+    fold's share, a quarter of SCRATCH_BYTES (at least one element); the
+    fold takes the other half for the weights of the elements' channels."""
+
+    def __init__(self, kernel: Kernel, out: np.ndarray):
+        self.dtype, self.w_rows, self.bias, self.out = kernel.dtype, kernel.weight_rows, kernel.bias_values, out
+        # elements per output channel
+        self.plane = out.size // out.shape[0]
+        self.per = max(1, min(out.size, SCRATCH_BYTES // 32 // (2 * self.w_rows.shape[1] + 1)))
+        # the caller's modes; an errstate that names no callback keeps the caller's
+        self.state = np.geterr()
+        self.terms, self.at, self.count, self.saturations = None, None, 0, 0
+
+    def gather(self, flat: np.ndarray, cols: np.ndarray, first: int, run: int | None = None) -> None:
+        """Take over the elements at C-order indices `flat` of a block's
+        (channel, column) sums, column j's input terms being column j of
+        cols. Column j is at index first + j of its channel's plane of out,
+        or, for a block of runs of `run` columns one image row (out's last
+        axis) apart, at first + (j // run) N + j % run."""
+        width = cols.shape[0] + 1
+        while flat.size:
+            if self.at is None:
+                self.at = np.empty(self.per, dtype=np.intp)
+            k = self.count
+            part, flat = flat[:self.per - k], flat[self.per - k:]
+            self.count += part.size
+            # one row per element: its bias, then its terms
+            self.terms = _scratch("fold", self.count * width, keep=k * width).reshape(-1, width)
+            c, j = np.divmod(part, cols.shape[1])
+            self.terms[k:, 1:] = cols[:, j].T
+            if run is not None:
+                j = j // run * self.out.shape[-1] + j % run
+            at = np.multiply(c, self.plane, out=self.at[k:self.count])
+            at += j
+            at += first
+            if self.count == self.per:
+                self.flush()
+
+    def flush(self) -> None:
+        """Fold the elements gathered so far into out, adding their
+        saturations."""
+        if self.count:
+            with np.errstate(**self.state):
+                self.saturations += _fold_elements(self.dtype, self.out, self.w_rows, self.bias,
+                                                   self.at[:self.count], self.terms)
+            self.count = 0
+
+
+def _round_sums(kernel: Kernel, refold: _Refold, sums: np.ndarray, out: np.ndarray, bound: float,
+                cols: np.ndarray, first: int, run: int | None = None) -> int:
+    """Round a block's BLAS sums into out, a (channel, *element axes) view
+    of the call's output, returning the saturations, and hand the elements
+    left to the fold to refold with their terms, cols (term, column) and
+    first and run as refold.gather takes them. Certified fixed-point sums
+    (one row per channel) are exact: all are rounded, and saturated unless
+    their cap `bound` (from _operands) proves that none can be, and the
+    zeros of a -0.0 bias are refolded for their sign. Otherwise the rows
+    are the sums s, then their bounds E (from _bound), and the per-element
     certificate of the module docstring runs: an element it settles keeps
     s - E (float32: rounded; fixed point: rounded and saturated by the
-    finish), the rest are folded."""
-    out_ch = w_rows.shape[0]
-    minus = np.signbit(bias) & (bias == 0)
+    finish), the rest are refolded. Run with invalid and overflow warnings
+    off."""
+    out_ch = kernel.weights.shape[0]
+    minus = kernel.minus_zero_bias
+    if minus is not None:
+        minus = minus.reshape((-1,) + (1,) * (out.ndim - 1))
     if sums.shape[0] == out_ch:
-        if minus.any():
-            zeros = (sums == 0) & minus.reshape((-1,) + (1,) * (out.ndim - 1))
-            _fold_elements(sums, w_rows, source, bias, np.flatnonzero(zeros))
-        return _finish(sums, dtype, out, bound)
+        zeros = None if minus is None else np.flatnonzero((sums == 0) & minus)
+        saturations = _finish(sums, kernel.dtype, out, bound)
+        if zeros is not None:
+            refold.gather(zeros, cols, first, run)
+        return saturations
     s, e = sums[:out_ch], sums[out_ch:]
     hi = _scratch("hi", out.size, out.dtype).reshape(out.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # computed in float64; a float32 out and hi round on output
-        np.subtract(s, e, out=out)
-        np.add(s, e, out=hi)
+    # computed in float64; a float32 out and hi round on output
+    np.subtract(s, e, out=out)
+    np.add(s, e, out=hi)
     lo = out
-    if dtype != FLOAT32:
+    if kernel.dtype != FLOAT32:
         # rint(v * 2^f) before the clip, out keeping s - E for _finish; an end
         # past the range counts as one unit past it, so two ends past the same
         # limit settle the element and its saturation
-        scale = 2.0 ** dtype.frac_bits
-        limits = np.rint(dtype.min_value * scale) - 1, np.rint(dtype.max_value * scale) + 1
+        scale = 2.0 ** kernel.dtype.frac_bits
+        limits = np.rint(kernel.dtype.min_value * scale) - 1, np.rint(kernel.dtype.max_value * scale) + 1
         lo = np.clip(np.rint(np.multiply(out, scale, out=s), out=s), *limits, out=s)
         np.clip(np.rint(np.multiply(hi, scale, out=hi), out=hi), *limits, out=hi)
-    flagged = np.flatnonzero((hi != lo) | (lo == 0))
+    flags = hi != lo
     del hi
-    if flagged.size:
+    zeros = lo == 0
+    if zeros.any():
         # a zero of all-zero terms and bias (e == 0) stands unless the bias is
         # -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
-        stands = (lo.flat[flagged] == 0) & (e.flat[flagged] == 0) & ~minus[flagged // (lo.size // out_ch)]
-        _fold_elements(out, w_rows, source, bias, flagged[~stands])
-    return 0 if dtype == FLOAT32 else _finish(out, dtype, out)
+        folds = e != 0
+        if minus is not None:
+            folds |= minus
+        zeros &= folds
+        flags |= zeros
+    flat = np.flatnonzero(flags)
+    saturations = 0
+    if kernel.dtype != FLOAT32:
+        # the refold finishes and counts its own elements
+        out[flags] = 0
+        saturations = _finish(out, kernel.dtype, out)
+    refold.gather(flat, cols, first, run)
+    return saturations
 
 
 def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tuple[int, int]:
     """Images and output rows per conv2d product block: as many columns (one
-    per output position of an image) as keep `fixed` float64 values plus
+    per output position of an image) as keep `fixed` bytes plus
     `per_column` per column within SCRATCH_BYTES. Rows of all n images
     while one row of them fits, the rows split evenly into blocks; else one
     row of the images split evenly into blocks of at least one image."""
-    columns = (SCRATCH_BYTES // 8 - fixed) // per_column
+    columns = (SCRATCH_BYTES - fixed) // per_column
     if columns >= ow * n:
         blocks = -(-oh // (columns // (ow * n)))
         return n, -(-oh // blocks)
@@ -545,20 +654,18 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
     are taken for a group of whole blocks' rows at a time (_window_norms,
     on the input rows they read), as many as fit a quarter of
     SCRATCH_BYTES, at least one block's; a block copies its slice of them,
-    (output row, column, image), into row 0 of its (||x||, 1). Its refold
-    gathers terms from its columns."""
+    (output row, column, image), into row 0 of its (||x||, 1). Its
+    elements left to the fold are gathered from its columns and folded
+    once per call (_Refold)."""
     _, h, w, n = x.shape
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[1:3]
     w_rows, bias, factors, bound = _operands(kernel, x)
     depth = w_rows.shape[1]
-    if factors is None:
-        held, per_column, acc_rows = 0, depth + out_ch, out_ch
-    else:
-        held, per_column, acc_rows = w_rows.size + 3 * out_ch, depth + 2 + 4 * out_ch, 2 * out_ch
+    acc_rows = out_ch if factors is None else 2 * out_ch
     # windows[ci, u, v, r, c, i] is term (ci, u, v) of output (r, c) of image i
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
-    images, rows = _product_block(n, oh, ow, held, per_column)
+    images, rows = _product_block(n, oh, ow, *_footprint(kernel, factors, depth))
     columns = rows * ow * images
     cols_buf = _scratch("terms", depth * columns)
     acc_buf = _scratch("acc", acc_rows * columns)
@@ -567,28 +674,32 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
         # output rows R whose (rows read + R) W images norm values fit
         fit = (SCRATCH_BYTES // 32 // (w * images) - kh + stride) // (stride + 1)
         group = rows * max(1, fit // rows)
+    refold = _Refold(kernel, out)
     saturations = 0
-    for start in range(0, n, images):
-        for top in range(0, oh, rows):
-            # runs of ow m contiguous values at stride 1 when m is every image
-            block = windows[:, :, :, top:top + rows, :, start:start + images]
-            r, m = block.shape[3], block.shape[5]
-            cols = cols_buf[:depth * r * ow * m].reshape(block.shape)
-            np.copyto(cols, block)
-            cols = cols.reshape(depth, -1)
-            acc = acc_buf[:acc_rows * cols.shape[1]].reshape(acc_rows, -1)
-            _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
-            if factors is not None:
-                first = top % group
-                if first == 0:
-                    span = min(group, oh - top)
-                    slab = x[:, top * stride:(top + span - 1) * stride + kh, :, start:start + m]
-                    group_norms = _window_norms(slab, kh, kw, stride)
-                np.copyto(norms[0, :cols.shape[1]].reshape(r, ow, m), group_norms[first:first + r])
-                _bound(acc[out_ch:], factors, norms[:, :cols.shape[1]])
-            saturations += _round_sums(kernel.dtype, w_rows, cols.reshape(-1, r, ow, m), bias,
-                                       acc.reshape(-1, r, ow, m), out[:, top:top + r, :, start:start + m], bound)
-    return saturations
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, n, images):
+            for top in range(0, oh, rows):
+                # runs of ow m contiguous values at stride 1 when m is every image
+                block = windows[:, :, :, top:top + rows, :, start:start + images]
+                r, m = block.shape[3], block.shape[5]
+                cols = cols_buf[:depth * r * ow * m].reshape(block.shape)
+                np.copyto(cols, block)
+                cols = cols.reshape(depth, -1)
+                acc = acc_buf[:acc_rows * cols.shape[1]].reshape(acc_rows, -1)
+                _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
+                if factors is not None:
+                    first = top % group
+                    if first == 0:
+                        span = min(group, oh - top)
+                        slab = x[:, top * stride:(top + span - 1) * stride + kh, :, start:start + m]
+                        group_norms = _window_norms(slab, kh, kw, stride)
+                    np.copyto(norms[0, :cols.shape[1]].reshape(r, ow, m), group_norms[first:first + r])
+                    _bound(acc[out_ch:], factors, norms[:, :cols.shape[1]])
+                saturations += _round_sums(kernel, refold, acc.reshape(-1, r, ow, m),
+                                           out[:, top:top + r, :, start:start + m], bound, cols,
+                                           top * ow * n + start, None if m == n else m)
+    refold.flush()
+    return saturations + refold.saturations
 
 
 def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
@@ -596,29 +707,33 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
     tiles of images (columns), one product each, rounded by _round_sums. A
     tile of a batch that _any_order_is_exact certifies is rounded in its
     columns of out; any other takes a float64 copy of its columns and
-    their E."""
+    their E. The elements left to the fold are folded once per call
+    (_Refold)."""
     m, n = kernel.weights.shape
     images = x.shape[1]
     w_rows, bias, factors, bound = _operands(kernel, x)
+    refold = _Refold(kernel, out)
     saturations = 0
-    if factors is None:
-        tile = _tile_length(images, 0, m)
-        for start in range(0, images, tile):
-            acc, xs = out[:, start:start + tile], x[:, start:start + tile]
-            _sum_products(w_rows, xs, bias[:, None], acc)
-            saturations += _round_sums(kernel.dtype, w_rows, xs, bias, acc, acc, bound)
-        return saturations
-    tile = _tile_length(images, w_rows.size + 3 * m, n + 2 + 4 * m)
-    x_buf, acc_buf, norms = _scratch("terms", n * tile), _scratch("acc", 2 * m * tile), np.ones((2, tile))
-    for start in range(0, images, tile):
-        t = min(tile, images - start)
-        xs = x_buf[:n * t].reshape(n, t)
-        np.copyto(xs, x[:, start:start + t])
-        acc = acc_buf[:2 * m * t].reshape(2 * m, t)
-        _sum_products(w_rows, xs, bias[:, None], acc[:m])
-        _bound(acc[m:], factors, norms[:, :t], xs)
-        saturations += _round_sums(kernel.dtype, w_rows, xs, bias, acc, out[:, start:start + t], bound)
-    return saturations
+    with np.errstate(invalid="ignore", over="ignore"):
+        if factors is None:
+            tile = _tile_length(images, *_footprint(kernel, factors, 0))
+            for start in range(0, images, tile):
+                acc, xs = out[:, start:start + tile], x[:, start:start + tile]
+                _sum_products(w_rows, xs, bias[:, None], acc)
+                saturations += _round_sums(kernel, refold, acc, acc, bound, xs, start)
+        else:
+            tile = _tile_length(images, *_footprint(kernel, factors, n))
+            x_buf, acc_buf, norms = _scratch("terms", n * tile), _scratch("acc", 2 * m * tile), np.ones((2, tile))
+            for start in range(0, images, tile):
+                t = min(tile, images - start)
+                xs = x_buf[:n * t].reshape(n, t)
+                np.copyto(xs, x[:, start:start + t])
+                acc = acc_buf[:2 * m * t].reshape(2 * m, t)
+                _sum_products(w_rows, xs, bias[:, None], acc[:m])
+                _bound(acc[m:], factors, norms[:, :t], xs)
+                saturations += _round_sums(kernel, refold, acc, out[:, start:start + t], bound, xs, start)
+    refold.flush()
+    return saturations + refold.saturations
 
 
 def _check_same_dtype(a: DType, b: DType, what: str) -> None:

@@ -30,6 +30,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,26 +165,28 @@ def test_batched_kernels_match_oracles_row_by_row(seed, fixed, n, cin, cout, h, 
 
 def product_geometry(x, kern):
     """How conv2d (4-D weights) or dense lays out its matrix products on
-    x, one per block or tile, as (held, per): the float64 values held
-    beside the blocks or tiles (none for a Q16.16 batch under the exact
-    bound; else the weights and bias as float64 and the bound's two
-    factors per channel), and the float64 values per column of a conv
-    block (its K-major column) or per image of a dense tile (nothing
-    under the exact bound, else its input copy) plus, per output element,
-    the product (and under the per-element certificate its bound and two
-    more values for rounding, plus the column's or image's input norm and
-    a one beside it)."""
+    x, one per block or tile, as (held, per) bytes: what is held beside
+    the blocks or tiles (nothing for a Q16.16 batch under the exact bound;
+    else the weights and bias as float64 and the bound's two factors per
+    channel), and what a column of a conv block or an image of a dense
+    tile takes: its float64 input terms (a conv block's K-major column; a
+    dense tile's input copy, none under the exact bound) and, per output
+    element, the float64 product; under the per-element certificate also
+    the column's or image's input norm and a one, and per output element
+    the bound E, the rounding test's upper end as the output stores it
+    (float32 4 bytes, Q16.16 8) and three flag bytes."""
     out_ch = kern.weights.shape[0]
     depth = kern.weights.size // out_ch
     if x.dtype != FLOAT32 and exact_bound(x, kern) < 2**20:
-        return 0, (depth if len(kern.weights.shape) == 4 else 0) + out_ch
-    return kern.weights.size + 3 * out_ch, depth + 2 + 4 * out_ch
+        return 0, 8 * ((depth if len(kern.weights.shape) == 4 else 0) + out_ch)
+    upper = 4 if x.dtype == FLOAT32 else 8
+    return 8 * (kern.weights.size + 3 * out_ch), 8 * (depth + 2) + out_ch * (16 + upper + 3)
 
 
 def scratch_budget(held, per, count):
-    """SCRATCH_BYTES that holds `held` float64 values plus `per` for each of
-    `count` conv block columns or dense tile images."""
-    return 8 * (held + per * count)
+    """SCRATCH_BYTES that holds `held` bytes plus `per` for each of `count`
+    conv block columns or dense tile images."""
+    return held + per * count
 
 
 def tiled(kernel, budget, *args):
@@ -412,7 +415,7 @@ def test_product_blocks_of_output_rows_match_oracles(case, stride):
     assert not fixed or exact_bound(x, kern) < 2**20
     held, per_column = product_geometry(x, kern)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "SCRATCH_BYTES", 8 * (held + per_column * (3 * ow * n + 1)))
+        mp.setattr(T, "SCRATCH_BYTES", held + per_column * (3 * ow * n + 1))
         sums = counting_products(mp)
         got = T.conv2d(x, kern, stride)
     assert sums == [-(-oh // 3)]
@@ -442,7 +445,7 @@ def test_product_blocks_of_one_row_of_some_images_match_oracles(case, stride):
     oh, ow = (11 - k) // stride + 1, (7 - k) // stride + 1
     assert not fixed or exact_bound(x, kern) < 2**20
     held, per_column = product_geometry(x, kern)
-    budget = 8 * (held + per_column * (3 * ow + 1))
+    budget = held + per_column * (3 * ow + 1)
     assert product_block(budget, n, oh, ow, held, per_column) == (3, 1)
     got, sums = tiled(T.conv2d, budget, x, kern, stride)
     assert sums == 3 * oh
@@ -569,16 +572,16 @@ def test_fixed_point_certificate_refolds_what_it_cannot_settle():
 
 def capturing_refolds(mp):
     """Patch tensor._fold_elements to record, per call, a mask of the
-    elements it folds in its destination, which has the output's (channel,
-    ..., image) layout, in the returned list."""
+    elements it folds in its destination, the kernel's output (channel,
+    ..., image), in the returned list."""
     masks = []
     real = T._fold_elements
 
-    def fold(dst, w_rows, source, bias, flat):
+    def fold(dtype, dst, w_rows, bias, at, terms):
         mask = np.zeros(dst.shape, dtype=bool)
-        mask.reshape(-1)[flat] = True
+        mask.reshape(-1)[at] = True
         masks.append(mask)
-        return real(dst, w_rows, source, bias, flat)
+        return real(dtype, dst, w_rows, bias, at, terms)
 
     mp.setattr(T, "_fold_elements", fold)
     return masks
@@ -676,12 +679,12 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
         assert got.array.tobytes() == np.stack([o.array for o in wants], axis=-1).tobytes()
         folded = np.zeros(got.shape, dtype=bool)
         for mask in masks:
-            assert mask.shape == got.shape  # one block or tile holds them all
             folded |= mask
         w_rows, b, factors, _ = T._operands(kernel, inp.array)
         assert factors is not None
         bounds = np.empty((cout, len(windows)))
-        T._bound(bounds, factors, *operands(inp))
+        with np.errstate(invalid="ignore"):  # as the kernels run it
+            T._bound(bounds, factors, *operands(inp))
         for c in range(cout):
             for (pos, window), e in zip(windows.items(), bounds[c]):
                 idx = (c,) + pos
@@ -696,9 +699,9 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
 @pytest.mark.parametrize(
     "n, cin, cout, h, w, kh, kw, stride, images, rows, products, groups",
     [
-        (7, 2, 8, 12, 6, 3, 2, 1, 7, 3, 4, 1),
-        (6, 1, 8, 16, 6, 3, 2, 1, 6, 3, 5, 2),
-        (5, 2, 8, 9, 7, 2, 3, 2, 3, 1, 8, 4),
+        (7, 2, 8, 11, 6, 3, 2, 1, 7, 3, 3, 1),
+        (6, 1, 8, 12, 6, 3, 2, 1, 6, 3, 4, 2),
+        (5, 2, 16, 9, 7, 2, 3, 2, 3, 1, 8, 4),
         (3, 3, 4, 8, 8, 3, 3, 2, 3, 3, 1, 1),
     ],
     ids=["one-group-of-image-blocks", "two-groups-of-image-blocks", "row-blocks-at-stride-2", "one-block"],
@@ -873,9 +876,9 @@ def counting_refolds(mp):
     folded = [0]
     real = T._fold_elements
 
-    def counted(dst, w_rows, cols, bias, flat):
-        folded[0] += flat.size
-        return real(dst, w_rows, cols, bias, flat)
+    def counted(dtype, dst, w_rows, bias, at, terms):
+        folded[0] += at.size
+        return real(dtype, dst, w_rows, bias, at, terms)
 
     mp.setattr(T, "_fold_elements", counted)
     return folded
@@ -988,23 +991,31 @@ def test_order_dependent_float32_sum_is_refolded():
 
 @pytest.mark.parametrize("per", [1, 3, None], ids=["slices-of-1", "slices-of-3", "own-buffer"])
 def test_fold_elements_sums_left_to_right(per):
-    """_fold_elements adds bias first, then term by term, as a scalar loop
+    """The refold adds bias first, then term by term, as a scalar loop
     does, on terms where NumPy's pairwise sum gives other bits: 1 plus
     forty 2**-53-sized terms each round away when added to 1 one at a time,
-    while pairwise partial sums of them do not. A budget whose fold scratch
-    holds one or three elements per slice, or the real one, whose holds
-    them all."""
+    while pairwise partial sums of them do not. Five elements are gathered
+    at once and written as float64: under a budget whose fold share holds
+    one or three elements they are folded in slices of that many as the
+    share fills (5 or 3 + 2), under the real one in one slice at the
+    flush."""
     rng = np.random.default_rng(11)
     depth, columns = 40, 5
     w_rows = np.full((2, depth), 2.0**-27)
     cols = rng.choice([2.0**-26, 3 * 2.0**-26, -(2.0**-26)], size=(depth, columns))
     bias = np.array([1.0, -1.0])
+    kern = Kernel(Tensor((2, depth), FLOAT32, w_rows.ravel().astype(np.float32)),
+                  Tensor((2,), FLOAT32, bias.astype(np.float32)))
     dst = np.zeros((2, columns))
     flat = np.arange(0, dst.size, 2)
     with pytest.MonkeyPatch.context() as mp:
         if per is not None:
-            mp.setattr(T, "SCRATCH_BYTES", 32 * per * (3 * depth + 1))
-        T._fold_elements(dst, w_rows, cols, bias, flat)
+            mp.setattr(T, "SCRATCH_BYTES", 32 * per * (2 * depth + 1))
+        masks = capturing_refolds(mp)
+        refold = T._Refold(kern, dst)
+        refold.gather(flat, cols, 0)
+        refold.flush()
+    assert [int(m.sum()) for m in masks] == {1: [1] * 5, 3: [3, 2], None: [5]}[per]
     differs = 0
     for f in flat:
         c, j = divmod(int(f), columns)
@@ -1018,37 +1029,124 @@ def test_fold_elements_sums_left_to_right(per):
     assert not dst.reshape(-1)[untouched].any()
 
 
-def test_cifar_conv2_block_refolds_in_one_slice():
+def test_cifar_conv2_refolds_as_the_fold_scratch_fills():
     """cifar's conv2 (depth 800) on the pool1 outputs of four synthesized
-    images runs blocks of two output rows of all four, and each block
-    refolds all its flagged elements in one slice of the fold's scratch:
-    more than the two elements of 3 * 800 + 1 values that the block's own
-    product scratch held. A slice is one np.unravel_index call."""
+    images runs 5 blocks of two output rows of all four. Each block hands
+    its flagged elements to the call's refold, and they are folded when
+    the fold's scratch (half of a quarter of the budget: 20 elements of
+    801 values, beside their 800 weights) fills and once more at the end
+    of the call: fewer folds than blocks with flagged elements, each full
+    but the last."""
     model = seed_weights(build_cifar_net(), 2)
     images = synthesize(4, model.input_shape, 7, "uniform").images()
     _, taps = forward_batch(model, images, ("pool1",))
     pool1 = np.moveaxis(taps["pool1"], 0, -1)
     x = Tensor(pool1.shape, FLOAT32, pool1.ravel())
     kern = model.get_layer("conv2").params
-    folds = []
-    real_fold, real_unravel = T._fold_elements, np.unravel_index
+    gathered = []
+    real_gather = T._Refold.gather
 
-    def fold(dst, w_rows, source, bias, flat):
-        folds.append([flat.size, 0])
-        return real_fold(dst, w_rows, source, bias, flat)
-
-    def unravel(*args, **kwargs):
-        folds[-1][1] += 1
-        return real_unravel(*args, **kwargs)
+    def gather(self, flat, *args):
+        gathered.append(flat.size)
+        return real_gather(self, flat, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_fold_elements", fold)
-        mp.setattr(np, "unravel_index", unravel)
+        mp.setattr(T._Refold, "gather", gather)
+        masks = capturing_refolds(mp)
         sums = counting_products(mp)
-        T.conv2d(x, kern, 1)
-    assert sums == [5]
-    assert len(folds) == 5 and max(size for size, _ in folds) > 2
-    assert all(slices == (size > 0) for size, slices in folds)
+        got = T.conv2d(x, kern, 1)
+    assert sums == [5] and len(gathered) == 5
+    per = T.SCRATCH_BYTES // 32 // (2 * 800 + 1)
+    folds = [int(m.sum()) for m in masks]
+    total = sum(gathered)
+    assert per == 20 and total > per
+    assert folds == [per] * (total // per) + [total % per] * (total % per > 0)
+    assert len(folds) < sum(size > 0 for size in gathered)
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+
+
+def refold_across_blocks_cases():
+    """A float32 conv2d and a dense call, each with flagged sums in three or
+    more product blocks or tiles, and the SCRATCH_BYTES under which they
+    meet them: a NaN, a 0 * inf and an inf - inf sum, and zero sums of the
+    -0.0 bias of channel 1 over -0.0 inputs. conv2d: 2 output channels over 3x1x2 windows
+    of 5 images of 3x6x3, in blocks of 2 output rows of all 5 images,
+    flagged sums in rows 0, 2, 4 and 5. dense: 2 outputs of 64 inputs on
+    170 images, in tiles of 26, flagged sums in images 5, 70, 120 and 130.
+    Each budget leaves the fold scratch room for exactly 5 (conv2d: 2400
+    // 32 // (2 * 6 + 1)) or 4 (dense) elements."""
+    rng = np.random.default_rng(4)
+    bias = Tensor((2,), FLOAT32, np.array([0.25, -0.0], dtype=np.float32))
+    x = rng.uniform(0.5, 1.0, (3, 6, 3, 5)).astype(np.float32)
+    w = rng.uniform(0.5, 1.0, (2, 3, 1, 2)).astype(np.float32)
+    w[0, 1, 0, 0] = 0.0
+    x[0, 0, 0, 1] = np.nan
+    x[1, 2, 0, 3] = np.inf  # times channel 0's zero weight: NaN
+    x[0, 4, 0, 0], x[2, 4, 0, 0] = -np.inf, np.inf
+    x[:, 5, :, 2] = -0.0
+    conv = (Tensor(x.shape, FLOAT32, x.ravel()), Kernel(Tensor(w.shape, FLOAT32, w.ravel()), bias), 2400)
+    x = rng.uniform(0.5, 1.0, (64, 170)).astype(np.float32)
+    w = rng.uniform(0.5, 1.0, (2, 64)).astype(np.float32)
+    w[0, 1] = 0.0
+    x[0, 5] = np.nan
+    x[:, 70] = -0.0
+    x[1, 120] = np.inf
+    x[2, 130], x[3, 130] = -np.inf, np.inf
+    dense = (Tensor(x.shape, FLOAT32, x.ravel()), Kernel(Tensor(w.shape, FLOAT32, w.ravel()), bias), 32 * 129 * 4)
+    return {"conv2d": conv, "dense": dense}
+
+
+@pytest.mark.parametrize("name", ["conv2d", "dense"])
+def test_refold_gathers_across_blocks(name):
+    """A call's flagged sums, handed over block by block (_Refold.gather),
+    are folded when the fold's scratch fills, once mid-call, and once more
+    at the end (_fold_elements calls): 2 + 2 + 4 into folds of 5 and 3
+    (conv2d), 2 + 1 + 2 + 2 into 4 and 3 (dense). Every column is bitwise
+    the oracles', NaN, infinities and the -0.0 bias's signed zeros
+    included. The folds run under the caller's error state, as each
+    block's fold did: its invalid warnings are the ones the per-block
+    folds gave (from the products' multiply and the running sum), an
+    errstate that raises on them stops the call, and one that ignores
+    them leaves none."""
+    x, kern, budget = refold_across_blocks_cases()[name]
+    call = (lambda: T.conv2d(x, kern, 1)) if name == "conv2d" else (lambda: T.dense(x, kern))
+    gathered = []
+    real_gather = T._Refold.gather
+
+    def gather(self, flat, *args):
+        gathered.append(flat.size)
+        return real_gather(self, flat, *args)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(T, "SCRATCH_BYTES", budget)
+        mp.setattr(T._Refold, "gather", gather)
+        masks = capturing_refolds(mp)
+        sums = counting_products(mp)
+        got = call()
+    folds = [int(m.sum()) for m in masks]
+    if name == "conv2d":
+        assert (sums, gathered, folds) == ([3], [2, 2, 4], [5, 3])
+    else:
+        assert (sums, gathered, folds) == ([7], [2, 0, 1, 0, 2, 2, 0], [4, 3])
+    with np.errstate(invalid="ignore", over="ignore"):
+        oracle = conv2d_naive if name == "conv2d" else dense_naive
+        want = [oracle(img, kern.weights, kern.bias, *([1] if name == "conv2d" else [])) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+    assert np.isnan(got.data).any() and np.signbit(got.array[1][got.array[1] == 0]).all()
+    assert {(w.category, str(w.message)) for w in caught} == {
+        (RuntimeWarning, "invalid value encountered in multiply"),
+        (RuntimeWarning, "invalid value encountered in accumulate"),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SCRATCH_BYTES", budget)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            call()
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            assert call().data.tobytes() == got.data.tobytes()
+        assert not caught
 
 
 @pytest.mark.parametrize("bias", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
@@ -1095,14 +1193,15 @@ def test_kernels_never_see_an_empty_batch():
             Tensor.from_array(np.zeros(shape, dtype=np.float32))
 
 
-@pytest.mark.parametrize("n", [1, 2, 37, 76])
+@pytest.mark.parametrize("n", [1, 2, 37, 76, 90])
 @pytest.mark.parametrize("case", ["f32", "f32-minus-zero-bias", "f32-nan-input", "q16", "q16-certified-minus-zero-bias"])
 def test_batch_column_is_the_kernel_on_its_image_alone(case, n):
     """The layout contract at the real budget: column i of a conv2d,
     maxpool2d or dense result on a batch of n images, image axis last, is
     bitwise the same kernel on a batch of image i alone, and the
-    saturations are summed over the columns. The conv blocks hold one
-    output row of all 37 images, or of 38 of the 76. Image 0 of the -0.0
+    saturations are summed over the columns. The conv blocks hold 2
+    output rows of all 37 images (certified: 3), one row of all 76, and
+    one row of 45 of the 90 (certified: of all 90). Image 0 of the -0.0
     bias cases is all zeros, whose sums only the fold gives a sign; the
     Q16.16 values are past the exact bound but for the certified case."""
     rng = np.random.default_rng(n)
@@ -1210,17 +1309,20 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
     out_shape = layer_output_shapes(model)[layer]
     depth = kern.weights.size // out_shape[0]
     window = math.prod(out_shape[1:])
-    # per output position, float64 values: certified fixed point, the
-    # K-major column (conv) and the product per output element; otherwise
-    # the column (conv) or input row (dense), its norm and a one, and per output
-    # element the product, its bound and two more for rounding, beside the
-    # float64 weights and bias and the bound's two factors per channel
+    # bytes per output position: certified fixed point, the float64
+    # K-major column (conv) and product per output element; otherwise the
+    # column (conv) or input row (dense), its norm and a one, and per
+    # output element the product and its bound, the rounding test's upper
+    # end as the output stores it and three flag bytes, beside the float64
+    # weights and bias and the bound's two factors per channel
     if case == "q16":
-        per_column, held = (depth if spec.kind == "conv" else 0) + out_shape[0], 0
+        per_column, held = 8 * ((depth if spec.kind == "conv" else 0) + out_shape[0]), 0
     else:
-        per_column, held = depth + 2 + 4 * out_shape[0], kern.weights.size + 3 * out_shape[0]
+        upper = 4 if case == "f32" else 8
+        per_column = 8 * (depth + 2) + out_shape[0] * (16 + upper + 3)
+        held = 8 * (kern.weights.size + 3 * out_shape[0])
     per_image = per_column * window
-    columns = (T.SCRATCH_BYTES // 8 - held) // per_column
+    columns = (T.SCRATCH_BYTES - held) // per_column
     n = whole * max(1, columns // window) + 1
     if spec.kind == "dense":
         blocks = whole + 1
@@ -1239,7 +1341,7 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
         x = Tensor(in_shape + (n,), Q16_16, np.rint(values * 2**16) / 2**16)
         assert (exact_bound(x, kern) >= 2**20) == (case != "q16")
     slack = 256 << 10  # NumPy's own ufunc buffers (8192 elements per operand)
-    assert 8 * n * per_image > T.SCRATCH_BYTES + slack
+    assert n * per_image > T.SCRATCH_BYTES + slack
 
     vars(T._SCRATCH).clear()  # this thread's kernel scratch grows anew, whatever ran before
     with pytest.MonkeyPatch.context() as mp:
@@ -1420,6 +1522,41 @@ def test_stage_chunks_at_the_real_budget(name, chunk):
     stored: conv1's output for the convnets (lenet 6·24·24 float32 or
     float64 values, cifar 32·28·28 float32), fc1's 512 float32 for mlp."""
     assert forward_chunk(MODELS[name][0]()) == chunk
+
+
+@pytest.mark.parametrize(
+    "build, q16, blocks",
+    [
+        (build_lenet, False, {"conv1": (24, 1800), "conv2": (8, 600)}),
+        (build_lenet, True, {"conv1": (6, 3552), "conv2": (4, 592)}),
+        (build_cifar_net, False, {"conv1": (14, 560), "conv2": (10, 100)}),
+    ],
+    ids=["lenet-f32", "lenet-q16", "cifar-f32"],
+)
+def test_conv_product_blocks_at_the_real_chunk(build, q16, blocks):
+    """The product blocks of every conv layer in forward_batch over one
+    full chunk at the real budget, as (products, columns of each):
+    float32 lenet conv1 one output row of all 75 images (24 x 24 x 75
+    columns) and conv2 one row of all 75 (8 x 8 x 75), which fits now that
+    a block counts the bytes it holds; Q16.16 lenet, certified, 4 and 2
+    rows of all 37; cifar 2 rows and one row of all 10."""
+    model = seed_weights(build(), 2)
+    if q16:
+        model = quantize_model(model, Q16_16)
+    convs = {id(layer.params.weight_rows): layer.name for layer in model.layers if layer.kind == "conv"}
+    got = {name: [] for name in convs.values()}
+    real = T._sum_products
+
+    def spy(a, b, bias, out):
+        if id(a) in convs:
+            got[convs[id(a)]].append(b.shape[1])
+        return real(a, b, bias, out)
+
+    images = synthesize(forward_chunk(model), model.input_shape, 9, "uniform").images()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_sum_products", spy)
+        forward_batch(model, images, ())
+    assert got == {name: [columns] * products for name, (products, columns) in blocks.items()}
 
 
 @pytest.mark.parametrize("name", ["cifar-f32", "lenet-f32", "lenet-q16"])
