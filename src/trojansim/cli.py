@@ -190,6 +190,15 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     }
 
 
+def _sized_by(field: str, make):
+    """make(); an array it allocates that the allocator refuses is a
+    ConfigError naming the config field, a count, that sized it."""
+    try:
+        return make()
+    except MemoryError:
+        raise ConfigError(f"config field {field} is too large: its arrays cannot be allocated") from None
+
+
 def _input_file(path: str, field: str, error: type[Exception]) -> str:
     """path, the input file that config field `field` names; error, naming
     the field, if nothing is there or it is a directory."""
@@ -232,16 +241,15 @@ def _split_dataset(cfg: dict, model: models.ModelSpec, stream: bool) -> tuple[Da
         seed=ds["split"]["seed"],
     )
     if ds["kind"] == "synthetic":
-        return synthesize_split(ds["count"], model.input_shape, ds["seed"], ds["mode"], plan, stream)
+        return _sized_by("dataset.count", lambda: synthesize_split(
+            ds["count"], model.input_shape, ds["seed"], ds["mode"], plan, stream))
     if ds["kind"] == "mnist":
         base = parse_idx(_input_file(ds["imagesPath"], "dataset.imagesPath", DataError),
                          _input_file(ds["labelsPath"], "dataset.labelsPath", DataError))
     else:
         base = parse_cifar10(_input_file(ds["binPath"], "dataset.binPath", DataError))
-    if base.image_shape is not None and base.image_shape != model.input_shape:
-        raise DataError(
-            f"dataset images are {base.image_shape}, model expects {model.input_shape}"
-        )
+    if base.image_shape != model.input_shape:
+        raise DataError(f"dataset images are {base.image_shape}, model expects {model.input_shape}")
     return split(base, plan)
 
 
@@ -267,10 +275,9 @@ def build_trojan_config(cfg: dict, model: models.ModelSpec, bands) -> tuple[Troj
             if not np.isfinite(img.data).all():
                 raise DataError(f"malicious image {key!r} holds non-finite values")
     else:
-        noise = synthesize(
-            t["maliciousCount"], model.input_shape, t["maliciousSeed"], "uniform"
-        )
-        images = tuple(img for img, _ in noise.items)
+        noise = _sized_by("trojan.maliciousCount", lambda: synthesize(
+            t["maliciousCount"], model.input_shape, t["maliciousSeed"]))
+        images = tuple(noise.images())
     config = TrojanConfig(
         watch_layer=cfg["watchLayer"],
         bands=tuple(bands),
@@ -330,7 +337,7 @@ def cmd_forge(cfg: dict) -> None:
     stats, bands = _forge_phase(cfg, model, validation)
     layer_length = stats.count // len(validation) if len(validation) else 0
     est = cfg["estimator"]
-    probe = make_probe_dataset(model, est["probeCount"], est["probeSeed"])
+    probe = _sized_by("estimator.probeCount", lambda: make_probe_dataset(model, est["probeCount"], est["probeSeed"]))
     estimate = estimate_trigger_rate(
         (model, probe, cfg["watchLayer"]), bands, layer_length, mode="monteCarlo"
     )
@@ -347,11 +354,9 @@ def cmd_attack(cfg: dict) -> None:
     labels, report, state = run_compromised(model, trojan_cfg, stream)
     # a dormant cycle's label is its clean label, so only the legitimate
     # images dropped on substituted cycles are forwarded again
-    clean = list(labels)
     dropped = sorted(substituted_cycles(state))
-    relabelled = models.forward_batch(model, [stream.items[c][0] for c in dropped], ())[0]
-    for c, label in zip(dropped, relabelled.tolist()):
-        clean[c] = label
+    clean = np.array(labels, dtype=np.int64)
+    clean[dropped] = models.forward_batch(model, stream.pixels[dropped], ())[0]
 
     out = _output_dir(Path(cfg["outputDir"]))
     weightfile.write_entries(malicious_blob, out / "malicious.dlaw")
@@ -372,7 +377,7 @@ def cmd_attack(cfg: dict) -> None:
     write_labels_csv(labels, state, out / "labels.csv")
     with open(out / "clean_labels.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("cycle,label\n")
-        for c, label in enumerate(clean):
+        for c, label in enumerate(clean.tolist()):
             f.write(f"{c},{label}\n")
 
 
@@ -391,17 +396,10 @@ def cmd_defend(cfg: dict) -> None:
         plan = defense_mod.ScalePlan.from_json(d["scale"])
         validation, stream = build_datasets(cfg, model)
         est = cfg["estimator"]
-        report = defense_mod.evaluate_altered_defense(
-            model,
-            validation,
-            plan,
-            stream,
-            float(cfg["kLo"]),
-            float(cfg["kHi"]),
-            cfg["watchLayer"],
-            probe_count=est["probeCount"],
-            probe_seed=est["probeSeed"],
-        )
+        # the adversary's probe set is the only array sized anew here
+        report = _sized_by("estimator.probeCount", lambda: defense_mod.evaluate_altered_defense(
+            model, validation, plan, stream, float(cfg["kLo"]), float(cfg["kHi"]), cfg["watchLayer"],
+            probe_count=est["probeCount"], probe_seed=est["probeSeed"]))
         extra = {"scalePlan": plan.to_json()}
     elif kind == "distributed":
         views = defense_mod.partition(

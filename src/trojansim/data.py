@@ -1,8 +1,9 @@
 """Dataset containers, binary parsers (MNIST IDX, CIFAR-10), synthetic
 generators, and the validation/stream split.
 
-Pixels are normalized to [0,1] float32 at ingest; any fixed-point conversion
-happens inside the model pipeline.
+A dataset is one array of pixels and one of labels, which every producer
+here fills or slices. Pixels are normalized to [0,1] float32 at ingest; any
+fixed-point conversion happens inside the model pipeline.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,29 +29,46 @@ CIFAR_RECORD_LEN = 3073  # 1 label byte + 3*32*32 pixels
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """A named set of images: pixels, one read-only C-contiguous float32
+    (N, *image_shape) array whose rows are the images, and labels, one
+    read-only int64 (N,) array of their classes in [0, NUM_CLASSES). Both
+    are frozen as given, pixels that are not C-contiguous copied first."""
+
     name: str
-    items: tuple[tuple[Tensor, int], ...]
+    pixels: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        shapes = {img.shape for img, _ in self.items}
-        if len(shapes) > 1:
-            raise DataError(f"dataset {self.name!r} mixes image shapes: {sorted(shapes)}")
-        for i, (_, label) in enumerate(self.items):
-            if not 0 <= label < NUM_CLASSES:
-                raise DataError(f"dataset {self.name!r} item {i} has label {label} outside [0, {NUM_CLASSES})")
+        pixels, labels = np.ascontiguousarray(self.pixels), self.labels
+        if (pixels.ndim < 2 or pixels.dtype != np.float32
+                or labels.dtype != np.int64 or labels.shape != pixels.shape[:1]):
+            raise DataError(f"dataset {self.name!r} needs float32 (N, *image_shape) pixels and int64 (N,) labels, "
+                            f"got {pixels.dtype} pixels {pixels.shape} and {labels.dtype} labels {labels.shape}")
+        _check_labels(labels, lambda i: DataError(
+            f"dataset {self.name!r} item {i} has label {labels[i]} outside [0, {NUM_CLASSES})"))
+        pixels.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "pixels", pixels)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.pixels)
 
     @property
-    def image_shape(self) -> tuple[int, ...] | None:
-        return self.items[0][0].shape if self.items else None
+    def image_shape(self) -> tuple[int, ...]:
+        return self.pixels.shape[1:]
 
     def images(self) -> list[Tensor]:
-        return [img for img, _ in self.items]
+        """The images as tensors viewing their pixel rows. Passes over a
+        dataset take its pixels; this stays for the benchmark's workloads
+        (perfbench), which hold malicious images as tensors, and the CLI's
+        synthesized malicious images come from it."""
+        rows = self.pixels.reshape(len(self), math.prod(self.image_shape))
+        return [Tensor._built(self.image_shape, FLOAT32, row) for row in rows]
 
-    def labels(self) -> list[int]:
-        return [label for _, label in self.items]
+    @cached_property
+    def items(self) -> tuple[tuple[Tensor, int], ...]:
+        """(image, label) pairs, built on first use. No package code reads
+        them; they stay because the benchmark (perfbench) does."""
+        return tuple(zip(self.images(), self.labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -99,7 +118,14 @@ class ByteCursor:
 
 
 def _scale_pixels(raw: np.ndarray) -> np.ndarray:
-    return raw.astype(np.float32) / np.float32(255.0)
+    return np.divide(raw, np.float32(255.0), dtype=np.float32)
+
+
+def _check_labels(labels: np.ndarray, error) -> None:
+    """Raise error(i), i the first index whose label is outside [0, NUM_CLASSES)."""
+    bad = np.flatnonzero((labels < 0) | (labels >= NUM_CLASSES))
+    if bad.size:
+        raise error(int(bad[0]))
 
 
 def parse_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
@@ -125,22 +151,12 @@ def parse_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         raise ParseError(
             f"label count {label_count} does not match image count {count}", offset=4
         )
-    labels = lab_cur.take(count, "label data")
+    labels = np.frombuffer(lab_cur.take(count, "label data"), dtype=np.uint8)
     lab_cur.done()
-    for i, label in enumerate(labels):
-        if label >= NUM_CLASSES:
-            raise ParseError(f"label {label} at item {i} outside [0, {NUM_CLASSES})", offset=8 + i)
-
-    scaled = _scale_pixels(pixels)
-    per_image = rows * cols
-    items = tuple(
-        (
-            Tensor((1, rows, cols), FLOAT32, scaled[i * per_image : (i + 1) * per_image]),
-            int(labels[i]),
-        )
-        for i in range(count)
-    )
-    return Dataset(name="mnist", items=items)
+    _check_labels(labels, lambda i: ParseError(f"label {labels[i]} at item {i} outside [0, {NUM_CLASSES})",
+                                               offset=8 + i))
+    scaled = _scale_pixels(pixels).reshape(count, 1, rows, cols)
+    return Dataset("mnist", scaled, labels.astype(np.int64))
 
 
 def parse_cifar10(bin_path: str | Path) -> Dataset:
@@ -152,15 +168,11 @@ def parse_cifar10(bin_path: str | Path) -> Dataset:
             f"file size {len(buf)} is not a multiple of {CIFAR_RECORD_LEN}",
             offset=full * CIFAR_RECORD_LEN,
         )
-    items = []
-    for rec in range(len(buf) // CIFAR_RECORD_LEN):
-        start = rec * CIFAR_RECORD_LEN
-        label = buf[start]
-        if label >= NUM_CLASSES:
-            raise ParseError(f"record {rec} has label {label} outside [0, {NUM_CLASSES})", offset=start)
-        raw = np.frombuffer(buf, dtype=np.uint8, count=CIFAR_RECORD_LEN - 1, offset=start + 1)
-        items.append((Tensor((3, 32, 32), FLOAT32, _scale_pixels(raw)), label))
-    return Dataset(name="cifar10", items=tuple(items))
+    records = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD_LEN)
+    _check_labels(records[:, 0], lambda rec: ParseError(
+        f"record {rec} has label {records[rec, 0]} outside [0, {NUM_CLASSES})", offset=rec * CIFAR_RECORD_LEN))
+    pixels = _scale_pixels(records[:, 1:]).reshape(len(records), 3, 32, 32)
+    return Dataset("cifar10", pixels, records[:, 0].astype(np.int64))
 
 
 def synthesize(
@@ -179,31 +191,29 @@ def synthesize(
     images are drawn with it: the draws of the others are jumped over.
     """
     _check_synthesis(count, mode)
-    if indices is None:
-        indices = range(count)
-    elif any(not 0 <= a < b for a, b in zip(indices, [*indices[1:], count])):
+    if indices is not None and any(not 0 <= a < b for a, b in zip(indices, [*indices[1:], count])):
         raise ConfigError(f"synthesis indices must ascend within [0, {count})")
+    drawn = np.arange(count) if indices is None else np.asarray(indices, dtype=np.int64)
+    labels = drawn % NUM_CLASSES
     rng = Xoshiro256StarStar(seed)
     n = math.prod(shape)
     # image i's draws start i * per_image draws after the seed's state
     # whichever images are drawn, so each image gets the same bits as a
     # draw of its own
     if mode == "uniform":
-        pixels = rng.next_double_rows(indices, n, np.float32)
-        pixels.flags.writeable = False
-        items = tuple((Tensor._built(shape, FLOAT32, row), i % NUM_CLASSES) for i, row in zip(indices, pixels))
-        return Dataset(name=_synthetic_name(mode, seed), items=items)
-    # Box-Muller takes a block's worth of images' doubles per bulk draw
-    per_image = 2 * ((n + 1) // 2)
-    per_call = max(1, BLOCK_DRAWS // per_image)
-    items = []
-    done = 0  # images past the state
-    for at in range(0, len(indices), per_call):
-        group = np.asarray(indices[at:at + per_call], dtype=np.int64)
-        for i, row in zip(group.tolist(), rng.next_double_rows(group - done, per_image)):
-            items.append((Tensor(shape, FLOAT32, np.array(_box_muller(row, n), dtype=np.float32)), i % NUM_CLASSES))
-        done = int(group[-1]) + 1
-    return Dataset(name=_synthetic_name(mode, seed), items=tuple(items))
+        pixels = rng.next_double_rows(drawn, n, np.float32)
+    else:
+        # Box-Muller takes a block's worth of images' doubles per bulk draw
+        per_image = 2 * ((n + 1) // 2)
+        per_call = max(1, BLOCK_DRAWS // per_image)
+        pixels = np.empty((len(drawn), n), dtype=np.float32)
+        done = 0  # images past the state
+        for at in range(0, len(drawn), per_call):
+            group = drawn[at:at + per_call]
+            for row, draws in zip(pixels[at:at + per_call], rng.next_double_rows(group - done, per_image)):
+                row[:] = _box_muller(draws, n)
+            done = int(group[-1]) + 1
+    return Dataset(_synthetic_name(mode, seed), pixels.reshape(len(drawn), *shape), labels)
 
 
 def _check_synthesis(count: int, mode: str) -> None:
@@ -254,12 +264,6 @@ def split_indices(count: int, plan: SplitPlan, name: str = "dataset") -> tuple[l
     return sorted(perm[: plan.validation_count]), sorted(perm[plan.validation_count : need])
 
 
-def _subsets(name: str, items, val_idx: list[int], stream_idx: list[int]) -> tuple[Dataset, Dataset]:
-    validation = Dataset(name=f"{name}/validation", items=tuple(items[i] for i in val_idx))
-    stream = Dataset(name=f"{name}/stream", items=tuple(items[i] for i in stream_idx))
-    return validation, stream
-
-
 def split(dataset: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
     """Carve disjoint validation and stream subsets, order-preserving.
 
@@ -267,20 +271,33 @@ def split(dataset: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
     dataset order is kept.
     """
     val_idx, stream_idx = split_indices(len(dataset), plan, dataset.name)
-    return _subsets(dataset.name, dataset.items, val_idx, stream_idx)
+    return tuple(Dataset(f"{dataset.name}/{kind}", dataset.pixels[rows], dataset.labels[rows])
+                 for kind, rows in (("validation", val_idx), ("stream", stream_idx)))
 
 
 def synthesize_split(
     count: int, shape: tuple[int, ...], seed: int, mode: str, plan: SplitPlan, stream: bool = True
 ) -> tuple[Dataset, Dataset | None]:
     """split(synthesize(count, shape, seed, mode), plan), drawing only the
-    images it keeps: the validation set's, and the stream's unless stream is
-    false, when the stream comes back as None."""
+    images it keeps, in one walk: the validation set's, and the stream's
+    unless stream is false, when the stream comes back as None."""
     _check_synthesis(count, mode)
     val_idx, stream_idx = split_indices(count, plan, _synthetic_name(mode, seed))
-    if not stream:
-        stream_idx = []
-    drawn = sorted(val_idx + stream_idx)
+    drawn = sorted(val_idx + stream_idx) if stream else val_idx
     images = synthesize(count, shape, seed, mode, drawn)
-    validation, kept = _subsets(images.name, dict(zip(drawn, images.items)), val_idx, stream_idx)
-    return validation, kept if stream else None
+    if not stream:
+        return Dataset(f"{images.name}/validation", images.pixels, images.labels), None
+    # the sets interleave: the stream's rows move up in place (synthesize's
+    # array, held by nothing else) a quarter of SCRATCH_BYTES at a time, each
+    # block below the rows left, and the validation rows, set aside, go last
+    in_val = np.isin(drawn, val_idx)
+    pixels, labels, rows = images.pixels, images.labels, np.flatnonzero(~in_val)
+    held = pixels[in_val]
+    pixels.flags.writeable = True
+    block = max(1, BLOCK_DRAWS // (2 * math.prod(shape)))
+    for at in range(0, len(rows), block):
+        part = rows[at:at + block]
+        pixels[at:at + len(part)] = pixels[part]
+    pixels[len(rows):] = held
+    return (Dataset(f"{images.name}/validation", pixels[len(rows):], labels[in_val]),
+            Dataset(f"{images.name}/stream", pixels[:len(rows)], labels[rows]))

@@ -39,8 +39,7 @@ from .profiling import (
     profile_layer,
     wilson_half_width,
 )
-from .rng import BLOCK_DRAWS, Xoshiro256StarStar
-from .tensor import FLOAT32, Tensor
+from .rng import Xoshiro256StarStar
 
 PER_IMAGE = "perImage"
 PER_PIXEL = "perPixel"
@@ -68,20 +67,20 @@ class ScalePlan:
         return ScalePlan(seed=obj["seed"], mode=obj.get("mode", PER_IMAGE), r_min=r_min, r_max=r_max)
 
 
-def scale_factors(plan: ScalePlan, dataset: Dataset) -> list[np.ndarray]:
-    """The per-image scale draws, regenerable for audit.
-
-    perImage yields one factor per image; perPixel yields one per pixel.
-    Draw order is image-major, so the two modes share a seed discipline.
+def scale_factors(plan: ScalePlan, dataset: Dataset) -> np.ndarray:
+    """The scale draws, regenerable for audit, as one (N, width) float64
+    array: row i holds image i's factors, perImage one and perPixel one per
+    pixel. Draw order is image-major, so the two modes share a seed
+    discipline.
     """
     lo, hi = plan.r_min, plan.r_max
     # a dataset has one image shape, so every image takes the same draws
-    width = 1 if plan.mode == PER_IMAGE else math.prod(dataset.image_shape or (1,))
+    width = 1 if plan.mode == PER_IMAGE else math.prod(dataset.image_shape)
     factors = Xoshiro256StarStar(plan.seed).next_double_rows(len(dataset), width)
     # the same float64 sequence as rng.uniform(lo, hi), one draw after another
     factors *= hi - lo
     factors += lo
-    return list(factors)
+    return factors
 
 
 def alter_validation(dataset: Dataset, plan: ScalePlan) -> Dataset:
@@ -90,20 +89,12 @@ def alter_validation(dataset: Dataset, plan: ScalePlan) -> Dataset:
     With r_min = r_max = 1 every factor is exactly 1.0 and the output is
     bitwise identical to the input.
     """
-    factors = scale_factors(plan, dataset)
-    n = dataset.items[0][0].size if dataset.items else 0
-    scaled = np.empty((len(dataset), n), dtype=np.float32)
-    # each image times its factors in float64, rounded once to float32, a
-    # slice of BLOCK_DRAWS pixels' worth of images at a time
-    per_slice = max(1, BLOCK_DRAWS // max(n, 1))
-    images = dataset.images()
-    for at in range(0, len(images), per_slice):
-        part = slice(at, at + per_slice)
-        np.multiply(np.stack([img.data for img in images[part]]), np.stack(factors[part]), out=scaled[part],
-                    dtype=np.float64, casting="unsafe")
-    scaled.flags.writeable = False
-    items = tuple((Tensor._built(img.shape, FLOAT32, row), label) for (img, label), row in zip(dataset.items, scaled))
-    return Dataset(name=f"{dataset.name}/altered", items=items)
+    rows = dataset.pixels.reshape(len(dataset), math.prod(dataset.image_shape))
+    # each image times its factors in float64, rounded once to float32; the
+    # ufunc's buffered loop keeps its float64 temporaries small
+    scaled = np.multiply(rows, scale_factors(plan, dataset), dtype=np.float64, casting="unsafe",
+                         out=np.empty(rows.shape, dtype=np.float32))
+    return Dataset(f"{dataset.name}/altered", scaled.reshape(dataset.pixels.shape), dataset.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +138,7 @@ class DefenseReport:
 
 def stream_hit_rate(model: ModelSpec, bands, dataset: Dataset, watch_layer: str) -> tuple[int, int]:
     """(hits, images): how many images put any watched element in a band."""
-    _, taps = forward_batch(model, dataset.images(), (watch_layer,))
+    _, taps = forward_batch(model, dataset.pixels, (watch_layer,))
     mask = in_bands(taps[watch_layer], bands)
     hits = int(np.count_nonzero(mask.any(axis=tuple(range(1, mask.ndim)))))
     return hits, len(dataset)

@@ -213,35 +213,14 @@ def _layer_outputs(
         yield layer.name, x
 
 
-def _stack_inputs(model: ModelSpec, images: Sequence[Tensor], first: int = 0) -> Tensor:
-    """The input gate of forward and forward_batch: every image must have the
-    model's input shape and the first image's dtype; they are stacked along
-    a new last axis into one (C, H, W, N) batch, and float32 images are
-    quantized into a fixed-point model's format on entry. first is the
-    index of images[0], for error messages."""
-    dtype = images[0].dtype
-    for i, img in enumerate(images, first):
-        if img.shape != model.input_shape:
-            raise DimensionError(
-                f"image {i} shape {img.shape} does not match model input {model.input_shape}"
-            )
-        if img.dtype != dtype:
-            raise ValueError(f"image {i} is {img.dtype}, image {first} is {dtype}")
-    stacked = np.stack([img.array for img in images], axis=-1)
-    x = Tensor._built(stacked.shape, dtype, stacked.reshape(-1))
-    mode = model_numeric_dtype(model)
-    if isinstance(mode, FixedFormat) and dtype == FLOAT32:
-        x = T.quantize(x, mode)
-    return x
-
-
 def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
-    """Run one image through the model as a batch of one, tapping every
-    layer output."""
-    outs = dict(_layer_outputs(model.layers, _stack_inputs(model, [image])))
-    taps = {name: out.reshaped(out.shape[:-1]) for name, out in outs.items()}
-    label = np.argmax(outs[model.layers[-1].name].data)
-    return ForwardTrace(final_label=int(label), taps=taps)
+    """forward_batch of one image, tapping every layer, as tensors. Passes
+    take forward_batch; this stays for the benchmark (perfbench), which
+    labels images one by one with it."""
+    labels, taps = forward_batch(model, image.array[np.newaxis], model.layer_names())
+    dtype = model_numeric_dtype(model) or FLOAT32
+    taps = {name: Tensor._built(tap.shape[1:], dtype, tap.reshape(-1)) for name, tap in taps.items()}
+    return ForwardTrace(final_label=int(labels[0]), taps=taps)
 
 
 def forward_chunk(model: ModelSpec) -> int:
@@ -255,29 +234,40 @@ def forward_chunk(model: ModelSpec) -> int:
 
 
 def forward_batch(
-    model: ModelSpec, images: Sequence[Tensor], keep: Sequence[str]
+    model: ModelSpec, images: np.ndarray, keep: Sequence[str]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run many images through the model, forward_chunk(model) at a time.
+    """Run an (N, *model.input_shape) array of images through the model,
+    forward_chunk(model) at a time: float32 pixels, quantized on entry into
+    a fixed-point model, or float64 values of a fixed-point model's format.
 
-    Returns (labels, taps): labels[i] is forward(model, images[i]).final_label
-    and taps[name][i] is its tap data for each layer named in keep, shaped
-    like the layer's output and stored as forward stores it (float32, or
-    float64 for fixed point). Every value is bitwise equal to the per-image
-    forward. Each chunk of images is stacked, image axis last, walked
-    through every layer once, and its kept taps, image by image, and labels
-    are written before the next chunk is stacked, so a pass holds one
-    chunk's activations whatever its length. Every chunk's layers write
-    into the same two buffers, allocated once per pass, each as long as the
-    chunk's widest output that _pass_buffers puts in it (conv1's in the
-    first and pool1's in the second for both convnets) and viewed in each
-    chunk's own shapes, so a short last chunk's outputs are whole arrays
-    too.
+    Returns (labels, taps): labels[i] is image i's label, the first index
+    of its largest logit, and taps[name][i] its output of each layer named
+    in keep, stored as float32, or float64 for fixed point. Every value is
+    bitwise what a pass of image i alone gives, whatever the chunk and the
+    image's place in it. Each chunk of images is copied, image axis last,
+    walked through every layer once, and its kept taps, image by image,
+    and labels are written before the next chunk is copied, so a pass
+    holds one chunk's activations whatever its length. Every chunk's
+    layers write into the same two buffers, allocated once per pass, each
+    as long as the chunk's widest output that _pass_buffers puts in it
+    (conv1's in the first and pool1's in the second for both convnets) and
+    viewed in each chunk's own shapes, so a short last chunk's outputs are
+    whole arrays too.
     """
+    # the input gate: float32 pixels, or float64 values of a fixed-point
+    # model's format, which the Tensor constructor checks chunk by chunk
+    if images.shape[1:] != model.input_shape:
+        raise DimensionError(f"images of shape {images.shape[1:]} do not match model input {model.input_shape}")
+    mode = model_numeric_dtype(model) or FLOAT32
+    store = T._storage(mode)
+    if images.dtype not in (np.float32, store):
+        raise ValueError(f"images are {images.dtype}, model {model.name!r} takes float32"
+                         + ("" if mode == FLOAT32 else f", or float64 values of {mode}"))
+    dtype = FLOAT32 if images.dtype == np.float32 else mode
     shapes = layer_output_shapes(model)
     for name in keep:
         model.get_layer(name)  # unknown layer -> error listing valid names
     n = len(images)
-    store = T._storage(model_numeric_dtype(model) or FLOAT32)
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = forward_chunk(model)
@@ -287,8 +277,11 @@ def forward_batch(
         for b in (0, 1)
     ]
     for start in range(0, n, chunk):
-        x = _stack_inputs(model, images[start:start + chunk], start)
+        x = np.moveaxis(images[start:start + chunk], 0, -1).copy()
         m = x.shape[-1]
+        x = Tensor(x.shape, dtype, x.reshape(-1))
+        if dtype != mode:
+            x = T.quantize(x, mode)  # float32 pixels into a fixed-point model
         outs = [None if held is None else buffers[held][:math.prod(shape) * m].reshape(shape + (m,))
                 for held, shape in plan]
         for name, x in _layer_outputs(model.layers, x, outs):

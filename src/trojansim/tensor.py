@@ -235,9 +235,9 @@ class Tensor:
     @classmethod
     def _built(cls, shape: tuple[int, ...], dtype: DType, data: np.ndarray, saturations: int = 0) -> "Tensor":
         """A tensor of values this module's ops made representable by
-        construction (kernel outputs, reshapes, batches stacked from checked
-        tensors): the layout is checked, the fixed-point value scan of
-        direct construction is skipped."""
+        construction (kernel outputs, reshapes, quantize): the layout is
+        checked, the fixed-point value scan of direct construction is
+        skipped."""
         t = object.__new__(cls)
         # field by field, as the dataclass's __init__ sets them, so that the
         # instance keeps the class's shared-key dict (vars(t).update makes

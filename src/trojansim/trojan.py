@@ -135,7 +135,7 @@ def run_compromised(
             f"watchLayer {config.watch_layer!r} not in model; valid: {model.layer_names()}"
         )
     n = len(stream)
-    clean, taps = forward_batch(model, stream.images(), (config.watch_layer,))
+    clean, taps = forward_batch(model, stream.pixels, (config.watch_layer,))
     tap = taps[config.watch_layer]
     tap = tap.reshape(n, math.prod(tap.shape[1:]))  # an empty stream leaves no size to infer
     mask = in_bands(tap, config.bands)
@@ -155,7 +155,7 @@ def run_compromised(
     malicious_labels: dict[int, int] = {}
     for dtype in {config.malicious_images[i].dtype for i in used}:
         same = [i for i in used if config.malicious_images[i].dtype == dtype]
-        found = forward_batch(model, [config.malicious_images[i] for i in same], ())[0]
+        found = forward_batch(model, np.stack([config.malicious_images[i].array for i in same]), ())[0]
         malicious_labels.update(zip(same, found.tolist()))
     clean_labels = clean.tolist()
     labels = list(clean_labels)

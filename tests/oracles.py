@@ -208,6 +208,27 @@ def run_partitioned(views: list[DesignerView], image: Tensor) -> Tensor:
     return out
 
 
+def stacked(images, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Tensors of one dtype as one (N, *image shape) array, the batch
+    models.forward_batch takes; shape is the image shape of an empty list."""
+    images = list(images)
+    if not images:
+        return np.empty((0, *shape), dtype=np.float32)
+    return np.stack([img.array for img in images])
+
+
+def dataset_of(name: str, pairs, shape: tuple[int, ...] | None = None) -> Dataset:
+    """The Dataset of (float32 image tensor, label) pairs; shape is the
+    image shape of an empty one."""
+    pairs = list(pairs)
+    labels = np.array([label for _, label in pairs], dtype=np.int64)
+    return Dataset(name, stacked([img for img, _ in pairs], shape), labels)
+
+
+def _bytes_of(pixels: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(pixels.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+
+
 def write_idx(dataset: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
     """Write a single-channel dataset back to the IDX pair format.
 
@@ -215,28 +236,20 @@ def write_idx(dataset: Dataset, images_path: str | Path, labels_path: str | Path
     IDX files round-trip exactly.
     """
     shape = dataset.image_shape
-    if shape is None:
-        shape = (1, 0, 0)
     if len(shape) != 3 or shape[0] != 1:
         raise ConfigError(f"IDX writer needs (1, H, W) images, got {shape}")
     _, rows, cols = shape
-    img_blob = bytearray(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
-    lab_blob = bytearray(struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)))
-    for img, label in dataset.items:
-        raw = np.clip(np.rint(img.data.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
-        img_blob += raw.tobytes()
-        lab_blob.append(label)
-    Path(images_path).write_bytes(bytes(img_blob))
-    Path(labels_path).write_bytes(bytes(lab_blob))
+    img_blob = struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols) + _bytes_of(dataset.pixels).tobytes()
+    lab_blob = struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)) + dataset.labels.astype(np.uint8).tobytes()
+    Path(images_path).write_bytes(img_blob)
+    Path(labels_path).write_bytes(lab_blob)
 
 
 def write_cifar10(dataset: Dataset, bin_path: str | Path) -> None:
     """Write a (3, 32, 32) dataset to the CIFAR-10 binary record format."""
     shape = dataset.image_shape
-    if shape is not None and shape != (3, 32, 32):
+    if shape != (3, 32, 32):
         raise ConfigError(f"CIFAR-10 writer needs (3, 32, 32) images, got {shape}")
-    blob = bytearray()
-    for img, label in dataset.items:
-        blob.append(label)
-        blob += np.clip(np.rint(img.data.astype(np.float64) * 255.0), 0, 255).astype(np.uint8).tobytes()
-    Path(bin_path).write_bytes(bytes(blob))
+    records = np.concatenate([dataset.labels.astype(np.uint8)[:, None],
+                              _bytes_of(dataset.pixels).reshape(len(dataset), 3 * 32 * 32)], axis=1)
+    Path(bin_path).write_bytes(records.tobytes())

@@ -209,12 +209,12 @@ def test_criterion_2_dormant_implant_is_bitwise_invisible():
     t0 = time.monotonic()
     model = frozen_model()
     _, stream = frozen_datasets()
-    mal = synthesize(1, (1, 28, 28), seed=99).items[0][0]
+    mal = synthesize(1, (1, 28, 28), seed=99).images()[0]
     unreachable = SigmaBand("fc1", 1e9, 2e9, "upper", 3.0, 4.0)
     config = TrojanConfig("fc1", (unreachable,), (mal,))
 
     state = TrojanState()
-    for cycle, (img, _) in enumerate(stream.items):
+    for cycle, img in enumerate(stream.images()):
         effective, state, events, trace = step(state, model, config, cycle, img)
         clean = forward(model, img)
         assert events == []
@@ -242,10 +242,8 @@ def test_criterion_3_substitution_timing_fuzz():
         length = int(rng.integers(4, 13))
         stream = Dataset(
             "fuzz",
-            tuple(
-                (Tensor.from_array(rng.uniform(-2, 2, 4).astype(np.float32)), 0)
-                for _ in range(length)
-            ),
+            np.stack([rng.uniform(-2, 2, 4).astype(np.float32) for _ in range(length)]),
+            np.zeros(length, dtype=np.int64),
         )
         center = float(rng.uniform(-1.2, 1.2))
         width = float(rng.uniform(0.05, 0.5))
@@ -314,7 +312,7 @@ def test_criterion_5_seeded_pipeline_attack_and_rate_agreement():
         f"diff {diff} > 3*{combined}"
     )
 
-    mal = synthesize(1, (1, 28, 28), seed=1337).items[0][0]
+    mal = synthesize(1, (1, 28, 28), seed=1337).images()[0]
     labels, report, state = run_compromised(model, TrojanConfig("fc1", tuple(bands), (mal,)), stream)
     assert report.clean_equivalence is True
     assert report.trigger_count >= 1
@@ -369,7 +367,7 @@ def test_criterion_6_scaled_validation_countermeasure():
     # the countermeasure's premise: scaling commutes exactly with the
     # pipeline when biases are absent and the factor is a power of two
     m = bias_free_stack()
-    img = synthesize(1, (1, 6, 6), seed=12).items[0][0]
+    img = synthesize(1, (1, 6, 6), seed=12).images()[0]
     for r in (0.5, 2.0, 4.0):
         scaled = Tensor.from_array(img.data.reshape(img.shape) * np.float32(r))
         base_trace, scaled_trace = forward(m, img), forward(m, scaled)
@@ -385,7 +383,7 @@ def test_criterion_6_scaled_validation_countermeasure():
 def test_criterion_7_distributed_views_compose_and_underdetermine():
     t0 = time.monotonic()
     model = frozen_model()
-    images = [img for img, _ in synthesize(10, (1, 28, 28), seed=55).items]
+    images = synthesize(10, (1, 28, 28), seed=55).images()
     param_names = {l.name for l in model.layers if l.params is not None}
     n_layers = len(model.layers)
 
@@ -423,8 +421,8 @@ def test_criterion_8_formats_roundtrip_and_malformed_inputs_carry_offsets(tmp_pa
     write_idx(once, images, labels)
     twice = parse_idx(images, labels)
     assert all(
-        np.array_equal(a.data, b.data) and la == lb
-        for (a, la), (b, lb) in zip(once.items, twice.items)
+        np.array_equal(a, b) and la == lb
+        for a, la, b, lb in zip(once.pixels, once.labels, twice.pixels, twice.labels)
     )
 
     # IDX malformed: wrong magic, truncated pixels, bad label
@@ -454,8 +452,8 @@ def test_criterion_8_formats_roundtrip_and_malformed_inputs_carry_offsets(tmp_pa
     write_cifar10(c_once, cbin)
     c_twice = parse_cifar10(cbin)
     assert all(
-        np.array_equal(a.data, b.data) and la == lb
-        for (a, la), (b, lb) in zip(c_once.items, c_twice.items)
+        np.array_equal(a, b) and la == lb
+        for a, la, b, lb in zip(c_once.pixels, c_once.labels, c_twice.pixels, c_twice.labels)
     )
     raw = bytearray(cbin.read_bytes())
     raw[3073 * 2] = 33  # label byte of record 2

@@ -39,7 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trojansim import rng as R, tensor as T
-from trojansim.data import Dataset, SplitPlan, synthesize, synthesize_split
+from trojansim.data import SplitPlan, synthesize, synthesize_split
 from trojansim.defense import stream_hit_rate
 from trojansim.errors import ConfigError, DimensionError
 from trojansim.models import (
@@ -67,9 +67,11 @@ from oracles import (
     check_trigger_naive,
     columns,
     conv2d_naive,
+    dataset_of,
     dense_naive,
     maxpool2d_naive,
     quantize_naive,
+    stacked,
 )
 
 TINY = 2.0 ** -30
@@ -1038,7 +1040,7 @@ def test_cifar_conv2_refolds_as_the_fold_scratch_fills():
     of the call: fewer folds than blocks with flagged elements, each full
     but the last."""
     model = seed_weights(build_cifar_net(), 2)
-    images = synthesize(4, model.input_shape, 7, "uniform").images()
+    images = synthesize(4, model.input_shape, 7, "uniform").pixels
     _, taps = forward_batch(model, images, ("pool1",))
     pool1 = np.moveaxis(taps["pool1"], 0, -1)
     x = Tensor(pool1.shape, FLOAT32, pool1.ravel())
@@ -1252,7 +1254,7 @@ def test_quantized_lenet_fc2_takes_the_product():
     fc2 = model.get_layer("fc2").params
     assert np.signbit(fc2.bias.data[3]) and fc2.bias.data[3] == 0
     images = saturating_images(model.input_shape, 4, seed=3)
-    _, taps = forward_batch(model, images, ("relu3",))
+    _, taps = forward_batch(model, stacked(images), ("relu3",))
     x = Tensor(taps["relu3"].T.shape, Q16_16, taps["relu3"].T.ravel())
     assert (x.data == 0).any()
     with pytest.MonkeyPatch.context() as mp:
@@ -1477,7 +1479,7 @@ def test_forward_batch_matches_forward_on_every_tap(model_case, counts_id, monke
     monkeypatch.setattr(T, "SCRATCH_BYTES", budget)
     total = counting_saturations(monkeypatch)
     shapes = layer_output_shapes(model)
-    labels, taps = forward_batch(model, images[:n], list(shapes))
+    labels, taps = forward_batch(model, stacked(images[:n], model.input_shape), list(shapes))
     assert labels.shape == (n,)
     assert labels.tolist() == [t.final_label for t in traces[:n]]
     assert total[0] == sum(saturations[:n]), n
@@ -1502,11 +1504,11 @@ def test_forward_batch_at_the_real_chunk_matches_forward(build, q16):
     if q16:
         model = quantize_model(model, Q16_16)
     chunk = forward_chunk(model)
-    images = synthesize(2 * chunk + 1, model.input_shape, 9, "uniform").images()
-    traces = [forward(model, img) for img in images]
+    data = synthesize(2 * chunk + 1, model.input_shape, 9, "uniform")
+    traces = [forward(model, img) for img in data.images()]
     shapes = layer_output_shapes(model)
     for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-        labels, taps = forward_batch(model, images[:n], list(shapes))
+        labels, taps = forward_batch(model, data.pixels[:n], list(shapes))
         assert labels.tolist() == [t.final_label for t in traces[:n]], n
         for name, tap in taps.items():
             assert tap.tobytes() == b"".join(t.taps[name].data.tobytes() for t in traces[:n]), (name, n)
@@ -1552,7 +1554,7 @@ def test_conv_product_blocks_at_the_real_chunk(build, q16, blocks):
             got[convs[id(a)]].append(b.shape[1])
         return real(a, b, bias, out)
 
-    images = synthesize(forward_chunk(model), model.input_shape, 9, "uniform").images()
+    images = synthesize(forward_chunk(model), model.input_shape, 9, "uniform").pixels
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_sum_products", spy)
         forward_batch(model, images, ())
@@ -1566,7 +1568,7 @@ def test_forward_batch_memory_stays_within_four_budgets(name):
     input's activations."""
     build, make_images, _ = MODELS[name]
     model = build()
-    images = make_images(model.input_shape, 300, seed=1)
+    images = stacked(make_images(model.input_shape, 300, seed=1))
     vars(T._SCRATCH).clear()  # this thread's kernel scratch grows anew, whatever ran before
     tracemalloc.start()
     try:
@@ -1588,7 +1590,7 @@ from trojansim.data import synthesize
 model = models.seed_weights(models.build_model(sys.argv[1]), 2)
 if sys.argv[2] == "q16":
     model = models.quantize_model(model, tensor.Q16_16)
-images = synthesize(300, model.input_shape, 1, "uniform").images()
+images = synthesize(300, model.input_shape, 1, "uniform").pixels
 models.forward_batch(model, images, ())
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 models.forward_batch(model, images, ())
@@ -1605,10 +1607,11 @@ def test_a_pass_takes_no_fresh_pages_per_chunk(name, dtype):
     once, so every activation or kernel scratch a chunk made anew would
     touch fresh pages: a chunk's output of conv1 alone is 1 MB, 250 faults.
     A pass reuses its two activation buffers and the kernels their
-    per-thread scratch, and takes a few faults per image (the stacked
-    input of each chunk and small temporaries), where making them per
-    chunk took 18 to 85. One BLAS thread, as in the benchmark: a threaded
-    OpenBLAS product maps its own job array afresh on every call."""
+    per-thread scratch, and takes a few faults per image (the batch-last
+    copy of each chunk's input and small temporaries), where making them
+    per chunk took 18 to 85. One BLAS thread, as in the benchmark: a
+    threaded OpenBLAS product maps its own job array afresh on every
+    call."""
     env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="0", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(T.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", FAULTS_PER_IMAGE, name, dtype],
@@ -1625,8 +1628,8 @@ def test_concurrent_passes_match_sequential_ones():
     cifar = seed_weights(build_cifar_net(), 2)
     q16 = MODELS["lenet-q16"][0]()
     jobs = [
-        (cifar, synthesize(25, cifar.input_shape, 4, "uniform").images()),
-        (q16, saturating_images(q16.input_shape, 80, seed=4)),
+        (cifar, synthesize(25, cifar.input_shape, 4, "uniform").pixels),
+        (q16, stacked(saturating_images(q16.input_shape, 80, seed=4))),
     ]
     alone = [forward_batch(model, images, list(layer_output_shapes(model))) for model, images in jobs]
     start = threading.Barrier(len(jobs))
@@ -1669,27 +1672,45 @@ def test_first_stage_parts_at_the_real_budget(name, parts, monkeypatch):
         return real(input, kernel, *args, **kwargs)
 
     monkeypatch.setattr(T, "conv2d", counting)
-    forward_batch(model, make_images(model.input_shape, 300, seed=2), ())
+    forward_batch(model, stacked(make_images(model.input_shape, 300, seed=2)), ())
     assert conv1 == parts
 
 
 def test_forward_batch_dtype_on_empty_input():
     model = quantize_model(seed_weights(build_lenet(), 2), Q16_16)
-    labels, taps = forward_batch(model, [], ("fc1",))
+    labels, taps = forward_batch(model, stacked([], model.input_shape), ("fc1",))
     assert labels.shape == (0,) and taps["fc1"].shape == (0, 120)
     assert taps["fc1"].dtype == np.float64
-    _, taps = forward_batch(seed_weights(build_lenet(), 2), [], ("fc1",))
+    _, taps = forward_batch(seed_weights(build_lenet(), 2), stacked([], model.input_shape), ("fc1",))
     assert taps["fc1"].dtype == np.float32
 
 
 def test_forward_batch_rejects_mismatched_image_shape():
     model = seed_weights(build_lenet(), 2)
-    good = cancelling_images((1, 28, 28), 3, seed=0)
     bad = cancelling_images((1, 27, 27), 1, seed=1)
     with pytest.raises(DimensionError):
-        forward_batch(model, bad, ())
-    with pytest.raises(DimensionError, match="image 3"):
-        forward_batch(model, good + bad, ("fc1",))
+        forward_batch(model, stacked(bad), ())
+    good = stacked(cancelling_images((1, 28, 28), 3, seed=0))
+    with pytest.raises(DimensionError, match=r"images of shape \(28, 28\) do not match"):
+        forward_batch(model, good[:, 0], ("fc1",))
+
+
+def test_forward_batch_gates_the_input_dtype():
+    """float32 pixels for any model; float64 only for a fixed-point model,
+    whose format must hold every value, as a Tensor of it checks them."""
+    f32 = seed_weights(build_lenet(), 2)
+    q16 = quantize_model(f32, Q16_16)
+    pixels = synthesize(3, f32.input_shape, 4).pixels
+    quantized = T.quantize(Tensor.from_array(pixels), Q16_16).array
+    for bad in (pixels.astype(np.float16), pixels.astype(np.int64), quantized):
+        with pytest.raises(ValueError, match="model 'lenet' takes float32"):
+            forward_batch(f32, bad, ())
+    with pytest.raises(ValueError, match="not representable in Q16.16"):
+        forward_batch(q16, pixels.astype(np.float64), ())
+    with pytest.raises(ValueError, match="outside Q16.16 range"):
+        forward_batch(q16, quantized + 40000.0, ())
+    want = [forward(q16, Tensor(f32.input_shape, Q16_16, img.reshape(-1))).final_label for img in quantized]
+    assert forward_batch(q16, quantized, ())[0].tolist() == want == forward_batch(q16, pixels, ())[0].tolist()
 
 
 def test_batched_stream_hit_rate_matches_per_image_check_trigger():
@@ -1705,12 +1726,12 @@ def test_batched_stream_hit_rate_matches_per_image_check_trigger():
     cases = [[], [upper], [upper, lower]]
     for bands in cases:
         want = sum(
-            1 for img, _ in data.items if check_trigger_naive(forward(model, img).taps["fc1"].data, bands) is not None
+            1 for img in data.images() if check_trigger_naive(forward(model, img).taps["fc1"].data, bands) is not None
         )
         assert stream_hit_rate(model, bands, data, "fc1") == (want, len(data))
         if bands:
             assert 0 < want < len(data)  # the bands split the images
-    empty = Dataset("none", ())
+    empty = dataset_of("none", (), model.input_shape)
     assert stream_hit_rate(model, cases[1], empty, "fc1") == (0, 0)
 
 
@@ -1992,12 +2013,13 @@ def test_synthesized_subsets_equal_the_whole_set(seed, shape, mode):
     for indices in subsets:
         part = synthesize(count, shape, seed, mode, indices)
         assert part.name == whole.name
-        assert part.labels() == [i % 10 for i in indices]
-        for (img, _), i in zip(part.items, indices):
-            assert img.data.tobytes() == whole.items[i][0].data.tobytes(), (indices[:3], i)
+        assert part.labels.tolist() == [i % 10 for i in indices]
+        for img, i in zip(part.pixels, indices):
+            assert img.tobytes() == whole.pixels[i].tobytes(), (indices[:3], i)
 
 
-# a Tensor, its row view and its (image, label) pair take under 400 bytes
+# per image beside its pixels: its label and index (16 bytes), and a
+# split's index lists of the whole set (under 100 bytes per image drawn)
 IMAGE_SLACK = 512
 
 # (datasets, images drawn): 2000 contiguous LeNet images, and a split's 800
@@ -2011,8 +2033,9 @@ SYNTHESIZED = {
 @pytest.mark.parametrize("case", list(SYNTHESIZED))
 def test_synthesized_dataset_memory(case):
     """A uniform dataset is one float32 array of its pixels, drawn in one
-    walk through one SCRATCH_BYTES record, and an object or two per image:
-    no float64 copy of the dataset is ever made."""
+    walk through one SCRATCH_BYTES record, and one array of its labels: no
+    float64 copy of the dataset, and no copy of a split's rows, is ever
+    made."""
     draw, images = SYNTHESIZED[case]
     draw()
     tracemalloc.start()
@@ -2066,7 +2089,7 @@ def lenet_q16_forward_digest():
     with pytest.MonkeyPatch.context() as mp:
         total = counting_saturations(mp)
         sums = counting_products(mp)
-        _, taps = forward_batch(model, images, list(layer_output_shapes(model)))
+        _, taps = forward_batch(model, stacked(images), list(layer_output_shapes(model)))
     assert sums[0] > 0
     digest = hashlib.sha256()
     for name, tap in taps.items():
@@ -2081,7 +2104,7 @@ def float32_forward_digest(build, count, seed):
     the model with weights seed 2 on `count` synthesized images: realistic
     sums, which the certificate settles almost everywhere."""
     model = seed_weights(build(), 2)
-    images = [img for img, _ in synthesize(count, model.input_shape, seed).items]
+    images = synthesize(count, model.input_shape, seed).pixels
     labels, taps = forward_batch(model, images, list(layer_output_shapes(model)))
     digest = hashlib.sha256()
     for name, tap in taps.items():
@@ -2097,12 +2120,12 @@ def float32_forward_digest(build, count, seed):
 # deterministic but wrong fails these, where the rerun gates would not
 RECORDED_DIGESTS = {
     "lenet-1100-uniform": (
-        lambda: sha256_of(("", img) for img, _ in synthesize(1100, (1, 28, 28), 11).items),
+        lambda: sha256_of(("", img) for img in synthesize(1100, (1, 28, 28), 11).images()),
         "9f5099ea84d246fcf15abafd3b61f12cc32e4590122e48fae9146e7c4b9f28ce",
     ),
     "cifar-60-probes": (
         lambda: sha256_of(
-            ("", img) for img, _ in synthesize(60, (3, 32, 32), 7, "gaussianActivationProbe").items
+            ("", img) for img in synthesize(60, (3, 32, 32), 7, "gaussianActivationProbe").images()
         ),
         "b97a8777f603eb46973d02fdc16b03cfe5cd9b118b09a34bbcd76d90f0804b3c",
     ),
@@ -2189,6 +2212,6 @@ def test_synthesize_matches_per_image_scalar_draws(shape, mode):
         data = synthesize(count, shape, seed=9, mode=mode)
         want = scalar_synthesize(count, shape, 9, mode)
         assert len(data) == count
-        assert data.labels() == [i % 10 for i in range(count)]
-        for (img, _), ref in zip(data.items, want):
-            assert img.shape == shape and img.data.tobytes() == ref.tobytes()
+        assert data.labels.tolist() == [i % 10 for i in range(count)]
+        for img, ref in zip(data.pixels, want):
+            assert img.shape == shape and img.tobytes() == ref.tobytes()

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import write_cifar10, write_idx
-from trojansim import cli
+from trojansim import cli, defense, models, profiling, trojan
 from trojansim import data as data_mod
 from trojansim.data import SplitPlan, split, synthesize
 from trojansim.errors import ParseError
@@ -557,7 +558,7 @@ def binary_inputs(tmp_path_factory):
     write_idx(synthesize(16, (1, 28, 28), seed=8), root / "img.idx", root / "lab.idx")
     write_cifar10(synthesize(6, (3, 32, 32), seed=9), root / "c.bin")
     write_entries(model_params(seed_weights(build_lenet(), 2)), root / "w.dlaw")
-    write_entries({"m0": synthesize(1, (1, 28, 28), seed=5).items[0][0]}, root / "m.dlaw")
+    write_entries({"m0": synthesize(1, (1, 28, 28), seed=5).images()[0]}, root / "m.dlaw")
     mnist = {"kind": "mnist", "imagesPath": str(root / "img.idx"), "labelsPath": str(root / "lab.idx"),
              "split": {"validationCount": 8, "streamCount": 8, "seed": 3}}
     cifar = {"kind": "cifar10", "binPath": str(root / "c.bin"),
@@ -774,8 +775,65 @@ def test_validation_only_datasets_equal_the_split_of_the_whole_set(tmp_path, mod
     validation, stream = cli.build_datasets(cfg, model)
     for got in ((cli.build_validation(cfg, model),), (validation, stream)):
         for a, b in zip(got, want):
-            assert a.name == b.name and a.labels() == b.labels()
-            assert [img.data.tobytes() for img in a.images()] == [img.data.tobytes() for img in b.images()]
+            assert a.name == b.name and a.labels.tolist() == b.labels.tolist()
+            assert [img.tobytes() for img in a.pixels] == [img.tobytes() for img in b.pixels]
+
+
+# SHA-256 of every file the README Quick-start config's five phases write,
+# as the per-image (Tensor, label) datasets wrote them: outputDir "out"
+README_OUTPUTS = {
+    "attack_report.json": "5d7d8883d7251a2252b53302ef10b943357ad9760cade23c00753a475ccace97",
+    "bands.json": "a234611bce62ebc0ae896f542835c2a95786d068ec2658a770fc145b73bdb98f",
+    "clean_labels.csv": "2f7e570258b1f1e133d81e6e8ef0f9eb5ed78839e5c3d1a63e15778d25c5c21b",
+    "defense_report.json": "3af82cd0874b5982ef56d4b350cf43ce4eaf5e8151a8dcd00afc5b36d5e76e28",
+    "estimate.json": "18914aba3329930325ca89891895d6d493fbf0e9b1892082cdc7dbbe224708e7",
+    "events.json": "6266205595e581c8d624f4646009b977d28d26f6356b19651fdfe762fc7054be",
+    "histogram.csv": "bc669a1c20192b0d30bdbcfc9eb1823ce6a08010a4e7cd82d07f6126501d236c",
+    "labels.csv": "d34a33908ed08c3e6defb83f69342e268359b48813f1cd0bc70f2ed8f0256d23",
+    "malicious.dlaw": "157b3956f8408997a38cafc0ad29f6b2ccb78ad2af109c66af50faea005d153d",
+    "stats.json": "c6ab7c6c27a22b914adfb349aab2c15ffc722ca1eabfbcdf0a2029488f33b3e6",
+    "summary.json": "a94c3a1982992ca609bd058e5d6f084c25cfc05692a68748546229d119f22106",
+    "views/view0.dlaw": "01b86085a429ce5e93459274428f02dd201cb1a91bd77d03ca751ac2952c5828",
+    "views/view0.json": "7590d6ec830c88b418ed64a2443995ccc7fb6e09ca02614544c028b3db694e91",
+    "views/view1.dlaw": "375cb292a059f2fb329257b674facc73b998dab1526cc1b8d03950d5f4c5b9f8",
+    "views/view1.json": "0c3c2f79bb335c92e2ce6bfefbad2eef77b7ee6952870ecf562407bb5da04e80",
+}
+
+
+def test_every_phase_passes_arrays_and_writes_the_recorded_bytes(tmp_path, monkeypatch):
+    """The README Quick-start config's five phases never read
+    Dataset.items, hand forward_batch arrays only, and build image tensors
+    only for the attack's one malicious image; every file they write has
+    the recorded bytes."""
+    def no_items(dataset):
+        raise AssertionError(f"Dataset.items read on {dataset.name!r}")
+
+    real = models.forward_batch
+
+    def arrays_only(model, images, keep):
+        assert type(images) is np.ndarray
+        return real(model, images, keep)
+
+    tensors = []
+    images = data_mod.Dataset.images
+
+    def counting(dataset):
+        tensors.append((phase, len(dataset)))
+        return images(dataset)
+
+    monkeypatch.setattr(data_mod.Dataset, "items", property(no_items))
+    monkeypatch.setattr(data_mod.Dataset, "images", counting)
+    for module in (models, profiling, trojan, defense):
+        monkeypatch.setattr(module, "forward_batch", arrays_only)
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, {"modelName": "lenet", "weights": {"seed": 2}, "dataset": README_DATASET,
+                                     "outputDir": "out", "defense": {"kind": "distributed", "k": 2}})
+    for phase in ("profile", "forge", "attack", "defend", "report"):
+        assert run(phase, config, "--out", "out") == 0, phase
+    assert tensors == [("attack", 1)]
+    written = {p.relative_to("out").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in Path("out").rglob("*") if p.is_file()}
+    assert written == README_OUTPUTS
 
 
 @pytest.fixture
@@ -814,6 +872,35 @@ def test_each_phase_draws_only_the_dataset_images_it_uses(tmp_path, dataset_rows
     dataset_rows.clear()
     assert run(phase, write_config(tmp_path, cfg)) == 0
     assert dataset_rows[11] == images
+
+
+# 7e13 images: the first array each sizes, the split's words or the
+# images' indices, takes 5.6e14 bytes, past 2^48, which the allocator
+# refuses outright
+REFUSED_COUNT = 7 * 10**13
+
+
+@pytest.mark.parametrize(
+    "path, phases",
+    [
+        ("dataset.count", PHASES),
+        ("estimator.probeCount", ("forge", "defend")),
+        ("trojan.maliciousCount", ("attack",)),
+    ],
+    ids=["dataset.count", "estimator.probeCount", "trojan.maliciousCount"],
+)
+def test_counts_the_allocator_refuses_exit_2_naming_the_field(tmp_path, capsys, path, phases):
+    """The identity plan lets the adversary forge, so defend reaches its probe set too."""
+    cfg = base_config(tmp_path / "out", defense=dict(ALTERED, scale={"seed": 99, "range": [1.0, 1.0]}))
+    section, key = path.split(".")
+    cfg[section] = dict(cfg.get(section, {}), **{key: REFUSED_COUNT})
+    config = write_config(tmp_path, cfg)
+    for phase in PHASES:
+        code, err = run(phase, config), capsys.readouterr().err
+        if phase in phases:
+            assert (code, err) == (2, f"error: config field {path} is too large: its arrays cannot be allocated\n")
+        else:
+            assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("phase", PHASES)

@@ -14,6 +14,7 @@ from trojansim.data import (
     synthesize,
     synthesize_split,
 )
+from trojansim.defense import PER_IMAGE, PER_PIXEL, ScalePlan, alter_validation
 from trojansim.errors import ConfigError, DataError, ParseError
 from trojansim.rng import Xoshiro256StarStar
 
@@ -37,11 +38,11 @@ def test_parse_idx_known_images(tmp_path):
     img, lab = idx_pair(tmp_path, [0, 128, 255, 64, 10, 20, 30, 40], [3, 7])
     ds = parse_idx(img, lab)
     assert len(ds) == 2 and ds.image_shape == (1, 2, 2)
-    first = ds.items[0][0].data
+    first = ds.pixels[0].reshape(-1)
     assert first[0] == 0.0 and first[2] == 1.0  # byte 0 -> 0.0, byte 255 -> 1.0
     expected = np.array([0, 128, 255, 64], dtype=np.uint8).astype(np.float32) / np.float32(255)
     assert np.array_equal(first, expected)
-    assert ds.labels() == [3, 7]
+    assert ds.labels.tolist() == [3, 7]
 
 
 def test_parse_idx_bad_magic(tmp_path):
@@ -84,8 +85,8 @@ def test_idx_write_then_read_roundtrip(tmp_path):
     again_i, again_l = tmp_path / "i2.idx", tmp_path / "l2.idx"
     write_idx(back, again_i, again_l)
     back2 = parse_idx(again_i, again_l)
-    for (a, la), (b, lb) in zip(back.items, back2.items):
-        assert np.array_equal(a.data, b.data) and la == lb
+    for a, la, b, lb in zip(back.pixels, back.labels, back2.pixels, back2.labels):
+        assert np.array_equal(a, b) and la == lb
 
 
 def test_write_idx_rejects_multichannel(tmp_path):
@@ -104,7 +105,7 @@ def test_parse_cifar_empty_and_single(tmp_path):
 
     p.write_bytes(bytes([7]) + bytes(range(256)) * 12)
     ds = parse_cifar10(p)
-    assert len(ds) == 1 and ds.items[0][1] == 7
+    assert len(ds) == 1 and ds.labels[0] == 7
     assert ds.image_shape == (3, 32, 32)
 
 
@@ -133,8 +134,8 @@ def test_cifar_write_then_read_roundtrip(tmp_path):
     back = parse_cifar10(p)
     write_cifar10(back, tmp_path / "c2.bin")
     back2 = parse_cifar10(tmp_path / "c2.bin")
-    for (a, la), (b, lb) in zip(back.items, back2.items):
-        assert np.array_equal(a.data, b.data) and la == lb
+    for a, la, b, lb in zip(back.pixels, back.labels, back2.pixels, back2.labels):
+        assert np.array_equal(a, b) and la == lb
 
 
 # --- synthesize ----------------------------------------------------------
@@ -144,18 +145,18 @@ def test_synthesize_deterministic():
     a = synthesize(4, (1, 3, 3), seed=5)
     b = synthesize(4, (1, 3, 3), seed=5)
     c = synthesize(4, (1, 3, 3), seed=6)
-    for (ia, _), (ib, _) in zip(a.items, b.items):
-        assert np.array_equal(ia.data, ib.data)
-    assert not np.array_equal(a.items[0][0].data, c.items[0][0].data)
+    for ia, ib in zip(a.pixels, b.pixels):
+        assert np.array_equal(ia, ib)
+    assert not np.array_equal(a.pixels[0], c.pixels[0])
 
 
 def test_synthesize_modes_and_labels():
     ds = synthesize(12, (1, 2, 2), seed=0)
-    assert ds.labels() == [i % 10 for i in range(12)]
-    for img, _ in ds.items:
-        assert np.all((img.data >= 0) & (img.data < 1))
+    assert ds.labels.tolist() == [i % 10 for i in range(12)]
+    for img in ds.pixels:
+        assert np.all((img >= 0) & (img < 1))
     probe = synthesize(40, (1, 4, 4), seed=0, mode="gaussianActivationProbe")
-    vals = np.concatenate([img.data for img, _ in probe.items])
+    vals = probe.pixels.reshape(-1)
     assert abs(float(vals.mean())) < 0.2 and 0.7 < float(vals.std()) < 1.3
     assert len(synthesize(0, (1, 2, 2), seed=0)) == 0
     with pytest.raises(ConfigError):
@@ -171,22 +172,25 @@ def test_split_counts_disjoint_and_order():
     base = synthesize(50, (1, 2, 2), seed=3)
     val, stream = split(base, SplitPlan(10, 25, seed=1))
     assert len(val) == 10 and len(stream) == 25
-    val_ids = {id(img) for img, _ in val.items}
-    stream_ids = {id(img) for img, _ in stream.items}
+    # each image identified by its bytes: the 50 uniform images are distinct
+    pos = {img.tobytes(): i for i, img in enumerate(base.pixels)}
+    assert len(pos) == len(base)
+    val_ids = {img.tobytes() for img in val.pixels}
+    stream_ids = {img.tobytes() for img in stream.pixels}
     assert not val_ids & stream_ids
     # order preserved: positions within the base dataset stay ascending
-    pos = {id(img): i for i, (img, _) in enumerate(base.items)}
     for part in (val, stream):
-        indices = [pos[id(img)] for img, _ in part.items]
+        indices = [pos[img.tobytes()] for img in part.pixels]
         assert indices == sorted(indices)
+        assert part.labels.tolist() == [i % 10 for i in indices]
 
 
 def test_split_deterministic():
     base = synthesize(40, (1, 2, 2), seed=3)
     v1, s1 = split(base, SplitPlan(5, 20, seed=9))
     v2, s2 = split(base, SplitPlan(5, 20, seed=9))
-    assert [l for _, l in v1.items] == [l for _, l in v2.items]
-    assert all(np.array_equal(a.data, b.data) for (a, _), (b, _) in zip(s1.items, s2.items))
+    assert v1.labels.tolist() == v2.labels.tolist()
+    assert all(np.array_equal(a, b) for a, b in zip(s1.pixels, s2.pixels))
 
 
 def test_split_empty_validation_and_insufficient():
@@ -238,8 +242,8 @@ def test_synthesize_split_equals_split_of_the_whole_set(count, v, s, mode):
         if not keep_stream:
             assert got[1] is None
         for a, b in zip(got, want if keep_stream else want[:1]):
-            assert a.name == b.name and a.labels() == b.labels()
-            assert [img.data.tobytes() for img in a.images()] == [img.data.tobytes() for img in b.images()]
+            assert a.name == b.name and a.labels.tolist() == b.labels.tolist()
+            assert [img.tobytes() for img in a.pixels] == [img.tobytes() for img in b.pixels]
 
 
 def test_synthesize_split_checks_the_mode_before_the_counts():
@@ -251,5 +255,107 @@ def test_synthesize_split_checks_the_mode_before_the_counts():
 
 def test_dataset_invariants():
     ds = synthesize(3, (1, 2, 2), seed=1)
-    with pytest.raises(DataError):
-        Dataset("mix", (ds.items[0], (synthesize(1, (1, 3, 3), 0).items[0][0], 1)))
+    with pytest.raises(DataError, match="item 1 has label 10"):
+        Dataset("bad", ds.pixels, np.array([3, 10, -1], dtype=np.int64))
+    with pytest.raises(DataError, match="item 2 has label -1"):
+        Dataset("bad", ds.pixels, np.array([3, 4, -1], dtype=np.int64))
+    with pytest.raises(DataError, match="labels"):
+        Dataset("short", ds.pixels, ds.labels[:2])
+    with pytest.raises(DataError, match="labels"):
+        Dataset("int32", ds.pixels, ds.labels.astype(np.int32))
+    with pytest.raises(DataError, match="pixels"):
+        Dataset("float64", ds.pixels.astype(np.float64), ds.labels)
+    with pytest.raises(DataError, match="pixels"):
+        Dataset("flat", ds.pixels.reshape(-1)[:3], ds.labels)
+
+
+def _parsed_idx(tmp_path):
+    write_idx(synthesize(7, (1, 5, 4), seed=2), tmp_path / "i.idx", tmp_path / "l.idx")
+    return parse_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+
+
+def _parsed_cifar(tmp_path):
+    write_cifar10(synthesize(4, (3, 32, 32), seed=3), tmp_path / "c.bin")
+    return parse_cifar10(tmp_path / "c.bin")
+
+
+def _altered(mode):
+    return alter_validation(synthesize(6, (2, 3, 3), seed=4), ScalePlan(9, mode, 0.5, 2.0))
+
+
+# every producer of a Dataset, by name: (tmp_path -> dataset, image shape)
+PRODUCERS = {
+    "parse_idx": (_parsed_idx, (1, 5, 4)),
+    "parse_cifar10": (_parsed_cifar, (3, 32, 32)),
+    "uniform": (lambda _: synthesize(9, (2, 3, 4), seed=5), (2, 3, 4)),
+    "gaussian": (lambda _: synthesize(9, (1, 3, 3), seed=5, mode="gaussianActivationProbe"), (1, 3, 3)),
+    "picked": (lambda _: synthesize(9, (1, 3, 3), seed=5, indices=[1, 4, 8]), (1, 3, 3)),
+    "empty": (lambda _: synthesize(0, (1, 3, 3), seed=5), (1, 3, 3)),
+    "split-validation": (lambda _: split(synthesize(20, (1, 3, 3), seed=6), SplitPlan(5, 9, seed=1))[0], (1, 3, 3)),
+    "split-stream": (lambda _: split(synthesize(20, (1, 3, 3), seed=6), SplitPlan(5, 9, seed=1))[1], (1, 3, 3)),
+    "synthesize_split-validation": (
+        lambda _: synthesize_split(20, (1, 3, 3), 6, "uniform", SplitPlan(5, 9, seed=1))[0], (1, 3, 3)),
+    "synthesize_split-stream": (
+        lambda _: synthesize_split(20, (1, 3, 3), 6, "gaussianActivationProbe", SplitPlan(5, 9, seed=1))[1],
+        (1, 3, 3)),
+    "altered-perImage": (lambda _: _altered(PER_IMAGE), (2, 3, 3)),
+    "altered-perPixel": (lambda _: _altered(PER_PIXEL), (2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_dataset_contract_of_every_producer(producer, tmp_path):
+    make, shape = PRODUCERS[producer]
+    ds = make(tmp_path)
+    n = len(ds)
+    assert ds.pixels.dtype == np.float32 and ds.pixels.shape == (n, *shape) and ds.image_shape == shape
+    assert ds.pixels.flags.c_contiguous and not ds.pixels.flags.writeable
+    assert ds.labels.dtype == np.int64 and ds.labels.shape == (n,)
+    assert all(0 <= label < 10 for label in ds.labels.tolist())
+    with pytest.raises(ValueError):
+        ds.pixels[...] = 0
+
+
+@pytest.mark.parametrize("producer", ["parse_idx", "uniform", "gaussian", "split-stream", "altered-perPixel"])
+def test_dataset_contract_images_and_items_are_the_rows(producer, tmp_path):
+    make, shape = PRODUCERS[producer]
+    ds = make(tmp_path)
+    images = ds.images()
+    assert len(images) == len(ds.items) == len(ds)
+    for row, label, img, (item, item_label) in zip(ds.pixels, ds.labels, images, ds.items):
+        assert img.shape == item.shape == shape and img.dtype == item.dtype == "float32"
+        assert img.data.tobytes() == item.data.tobytes() == row.tobytes()
+        assert item_label == label and type(item_label) is int
+    assert ds.items is ds.items  # built once
+
+
+def test_parse_idx_reports_the_first_of_two_bad_labels(tmp_path):
+    img, lab = idx_pair(tmp_path, [0] * 20, [1, 2, 10, 3, 255])
+    with pytest.raises(ParseError, match="label 10 at item 2") as e:
+        parse_idx(img, lab)
+    assert e.value.offset == 8 + 2
+
+
+def test_parse_cifar_reports_the_first_of_two_bad_labels(tmp_path):
+    p = tmp_path / "c.bin"
+    good, bad, worse = (bytes([label]) + bytes(3072) for label in (4, 12, 10))
+    p.write_bytes(good + good + bad + good + worse)
+    with pytest.raises(ParseError, match="record 2 has label 12") as e:
+        parse_cifar10(p)
+    assert e.value.offset == 3073 * 2
+
+
+def test_parsed_pixels_are_bytes_over_255_image_by_image(tmp_path):
+    raw = np.arange(3 * 20, dtype=np.int64).reshape(3, 20) * 37 % 256
+    img, lab = idx_pair(tmp_path, raw.reshape(-1).tolist(), [0, 5, 9], rows=4, cols=5)
+    ds = parse_idx(img, lab)
+    for got, want in zip(ds.pixels, raw):
+        assert got.tobytes() == (want.astype(np.uint8).astype(np.float32) / np.float32(255)).tobytes()
+    p = tmp_path / "c.bin"
+    records = np.arange(2 * 3073, dtype=np.int64).reshape(2, 3073) * 101 % 256
+    records[:, 0] = [3, 8]
+    p.write_bytes(records.astype(np.uint8).tobytes())
+    ds = parse_cifar10(p)
+    assert ds.labels.tolist() == [3, 8]
+    for got, want in zip(ds.pixels, records[:, 1:]):
+        assert got.tobytes() == (want.astype(np.uint8).astype(np.float32) / np.float32(255)).tobytes()

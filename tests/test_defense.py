@@ -95,9 +95,9 @@ def test_scale_plan_validation_and_json():
 def test_scale_factors_shapes_and_range():
     data = tiny_dataset(6, shape=(2, 3, 3), seed=4)
     per_image = scale_factors(ScalePlan(1, PER_IMAGE, 0.5, 2.0), data)
-    assert len(per_image) == 6 and all(f.size == 1 for f in per_image)
+    assert per_image.shape == (6, 1) and all(f.size == 1 for f in per_image)
     per_pixel = scale_factors(ScalePlan(1, PER_PIXEL, 0.5, 2.0), data)
-    assert all(f.size == 18 for f in per_pixel)
+    assert per_pixel.shape == (6, 18) and all(f.size == 18 for f in per_pixel)
     for factors in (per_image, per_pixel):
         for f in factors:
             assert np.all(f >= 0.5) and np.all(f < 2.0)
@@ -112,10 +112,10 @@ def test_scale_factors_equal_scalar_uniform_calls_across_a_block_edge(mode):
         img, count = Tensor.from_array(np.zeros((1, 1, 1))), BLOCK_DRAWS + 1
     else:
         img, count = Tensor.from_array(np.zeros((1, 28, 28))), BLOCK_DRAWS // 784 + 1
-    data = Dataset("d", ((img, 0),) * count)
+    data = Dataset("d", np.zeros((count, *img.shape), dtype=np.float32), np.zeros(count, dtype=np.int64))
     factors = scale_factors(ScalePlan(21, mode, 0.5, 2.0), data)
     rng = Xoshiro256StarStar(21)
-    assert isinstance(factors, list) and len(factors) == count
+    assert isinstance(factors, np.ndarray) and factors.dtype == np.float64 and len(factors) == count
     for f in factors:
         want = np.array([rng.uniform(0.5, 2.0) for _ in range(f.size)])
         assert f.size == (1 if mode == PER_IMAGE else img.size)
@@ -126,16 +126,16 @@ def test_identity_plan_is_bitwise_noop():
     data = tiny_dataset(10, seed=5)
     altered = alter_validation(data, ScalePlan(7, PER_IMAGE, 1.0, 1.0))
     assert len(altered) == len(data)
-    for (a, la), (b, lb) in zip(data.items, altered.items):
+    for a, la, b, lb in zip(data.pixels, data.labels, altered.pixels, altered.labels):
         assert la == lb
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 def test_power_of_two_scaling_is_exact():
     data = tiny_dataset(4, shape=(1, 3, 3), seed=6)
     altered = alter_validation(data, ScalePlan(0, PER_IMAGE, 2.0, 2.0))
-    for (a, _), (b, _) in zip(data.items, altered.items):
-        assert np.array_equal(b.data, a.data * np.float32(2.0))
+    for a, b in zip(data.pixels, altered.pixels):
+        assert np.array_equal(b, a * np.float32(2.0))
 
 
 def test_per_pixel_scaling_matches_declared_factors():
@@ -143,30 +143,30 @@ def test_per_pixel_scaling_matches_declared_factors():
     plan = ScalePlan(11, PER_PIXEL, 0.5, 2.0)
     factors = scale_factors(plan, data)
     altered = alter_validation(data, plan)
-    for (img, _), (scaled, _), f in zip(data.items, altered.items, factors):
-        expect = (img.data.astype(np.float64) * f).astype(np.float32)
-        assert np.array_equal(scaled.data, expect)
+    for img, scaled, f in zip(data.pixels, altered.pixels, factors):
+        expect = (img.reshape(-1).astype(np.float64) * f).astype(np.float32)
+        assert np.array_equal(scaled.reshape(-1), expect)
 
 
 @pytest.mark.parametrize("mode", [PER_IMAGE, PER_PIXEL])
 def test_altered_images_equal_the_per_image_products(mode):
     """Each altered image is (A as float64 * r) rounded once to float32,
-    as one image at a time computes it, across the slices the images are
-    multiplied in."""
+    as one image at a time computes it, across the buffers of the one
+    multiply's loop (8192 elements: 10 images and a part)."""
     per_slice = BLOCK_DRAWS // 784
     data = synthesize(2 * per_slice + 3, (1, 28, 28), 13)
     plan = ScalePlan(5, mode, 0.9, 1.1)
     altered = alter_validation(data, plan)
-    assert altered.name == "synthetic-uniform-13/altered" and altered.labels() == data.labels()
-    for (img, _), (scaled, _), r in zip(data.items, altered.items, scale_factors(plan, data)):
-        want = (img.data.astype(np.float64) * r).astype(np.float32)
-        assert scaled.shape == img.shape and scaled.data.tobytes() == want.tobytes()
-        assert not scaled.data.flags.writeable
+    assert altered.name == "synthetic-uniform-13/altered" and altered.labels.tolist() == data.labels.tolist()
+    for img, scaled, r in zip(data.pixels, altered.pixels, scale_factors(plan, data)):
+        want = (img.reshape(-1).astype(np.float64) * r).astype(np.float32)
+        assert scaled.shape == img.shape and scaled.tobytes() == want.tobytes()
+    assert not altered.pixels.flags.writeable
 
 
 def test_forward_is_homogeneous_under_power_of_two_scaling():
     m = bias_free_stack()
-    img = tiny_dataset(1, shape=(1, 6, 6), seed=12).items[0][0]
+    img = tiny_dataset(1, shape=(1, 6, 6), seed=12).images()[0]
     doubled = Tensor.from_array(img.data.reshape(img.shape) * np.float32(2.0))
     t1, t2 = forward(m, img), forward(m, doubled)
     for name in ("c", "r", "p", "d"):
@@ -180,7 +180,7 @@ def test_identity_plan_leaves_attack_intact():
     m = seeded_lenet()
     base = synthesize(1100, (1, 28, 28), seed=11)
     val, stream = split(base, SplitPlan(100, 1000, seed=3))
-    short_stream = Dataset("s", stream.items[:300])
+    short_stream = Dataset("s", stream.pixels[:300], stream.labels[:300])
     report = evaluate_altered_defense(
         m, val, ScalePlan(5, PER_IMAGE, 1.0, 1.0), short_stream, probe_count=400
     )
@@ -194,7 +194,7 @@ def test_random_scaling_defeats_band_forging():
     m = seeded_lenet()
     base = synthesize(1100, (1, 28, 28), seed=11)
     val, stream = split(base, SplitPlan(100, 1000, seed=3))
-    short_stream = Dataset("s", stream.items[:50])
+    short_stream = Dataset("s", stream.pixels[:50], stream.labels[:50])
     report = evaluate_altered_defense(
         m, val, ScalePlan(5, PER_IMAGE, 0.5, 2.0), short_stream, probe_count=50
     )
@@ -287,7 +287,7 @@ def test_partition_argument_validation():
 
 def test_partitioned_composition_is_bitwise_exact():
     m = seeded_lenet()
-    images = [img for img, _ in synthesize(2, (1, 28, 28), seed=21).items]
+    images = synthesize(2, (1, 28, 28), seed=21).images()
     for k in (2, 5, 12):
         views = partition(m, k=k)
         for img in images:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bitwise_equal
+from oracles import bitwise_equal, stacked
 from trojansim import tensor as T
 from trojansim import models, weightfile
 from trojansim.errors import ConfigError, DataError, DimensionError, ParseError
@@ -127,7 +127,7 @@ def test_forward_and_forward_batch_label_ties_to_lowest_index():
     images = [uniform_image((4,), seed) for seed in range(3)]
     for model in (m, quantize_model(m, Q16_16)):
         assert [forward(model, img).final_label for img in images] == [1, 1, 1]
-        labels, _ = forward_batch(model, images, ())
+        labels, _ = forward_batch(model, stacked(images), ())
         assert labels.tolist() == [1, 1, 1]
 
 

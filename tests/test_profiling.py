@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dataset_of
 from trojansim.data import Dataset, synthesize
 from trojansim.errors import ConfigError, DegenerateStatsError, DimensionError, ForgeError
 from trojansim.models import LayerSpec, ModelSpec, build_lenet, seed_weights
@@ -34,7 +35,7 @@ def linear_probe_model(rows):
 
 def one_image_dataset(value=1.0):
     img = Tensor.from_array(np.array([value], dtype=np.float32))
-    return Dataset("one", ((img, 0),))
+    return dataset_of("one", ((img, 0),))
 
 
 def flat_stats(mean, stddev, layer="fc1", bins=101):
@@ -78,7 +79,7 @@ def test_profile_unknown_layer_lists_names():
 def test_profile_layer_order_insensitive():
     m = seed_weights(build_lenet(), 2)
     base = synthesize(20, (1, 28, 28), seed=7)
-    shuffled = Dataset("shuf", tuple(reversed(base.items)))
+    shuffled = Dataset("shuf", base.pixels[::-1], base.labels[::-1])
     a = profile_layer(m, base, "fc1")
     b = profile_layer(m, shuffled, "fc1")
     assert a.mean == b.mean and a.stddev == b.stddev
@@ -87,7 +88,7 @@ def test_profile_layer_order_insensitive():
 
 
 def test_profile_empty_dataset():
-    stats = profile_layer(linear_probe_model([1.0]), Dataset("e", ()), "out")
+    stats = profile_layer(linear_probe_model([1.0]), dataset_of("e", (), (1,)), "out")
     assert stats.count == 0 and stats.stddev == 0.0
 
 
@@ -232,10 +233,9 @@ def test_widening_band_never_decreases_estimates():
 
 def test_model_source_estimate_counts_real_taps():
     m = linear_probe_model([1.0, 2.0])
-    probe = Dataset(
+    probe = dataset_of(
         "p",
-        tuple((Tensor.from_array(np.array([v], dtype=np.float32)), 0)
-              for v in (0.1, 0.5, 2.0, 3.0)),
+        ((Tensor.from_array(np.array([v], dtype=np.float32)), 0) for v in (0.1, 0.5, 2.0, 3.0)),
     )
     band = SigmaBand("out", 3.9, 6.5, "upper", 3, 4)
     est = estimate_trigger_rate((m, probe, "out"), [band], 2, mode="monteCarlo")
@@ -306,7 +306,7 @@ def test_histogram_export_roundtrip(tmp_path):
 
 
 def test_histogram_export_empty(tmp_path):
-    stats = profile_layer(linear_probe_model([1.0]), Dataset("e", ()), "out")
+    stats = profile_layer(linear_probe_model([1.0]), dataset_of("e", (), (1,)), "out")
     path = tmp_path / "h.csv"
     export_histogram(stats, path)
     assert path.read_text() == "bin_lo,bin_hi,count\n"

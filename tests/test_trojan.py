@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from oracles import check_trigger_naive, step
+from oracles import check_trigger_naive, dataset_of, stacked, step
 from trojansim import models, trojan
-from trojansim.data import Dataset, synthesize
+from trojansim.data import synthesize
 from trojansim.errors import ConfigError, DataError, DimensionError
 from trojansim.models import (
     LayerSpec,
@@ -48,7 +48,7 @@ def scalar_image(v):
 
 
 def scalar_stream(values, name="stream"):
-    return Dataset(name, tuple((scalar_image(v), 0) for v in values))
+    return dataset_of(name, ((scalar_image(v), 0) for v in values), (1,))
 
 
 def band(lo, hi, side="upper", layer="out"):
@@ -121,7 +121,8 @@ def test_scripted_run_timing_and_suppression():
 
     state = TrojanState()
     effective_inputs = []
-    for cycle, (img, _) in enumerate(stream.items):
+    images = stream.images()
+    for cycle, img in enumerate(images):
         eff, state, _, _ = step(state, m, config, cycle, img)
         effective_inputs.append(eff)
 
@@ -134,7 +135,7 @@ def test_scripted_run_timing_and_suppression():
     assert np.array_equal(effective_inputs[2].data, config.malicious_images[0].data)
     # every other cycle ran the stream image unmodified
     for c in (0, 1, 3, 4, 6):
-        assert effective_inputs[c] is stream.items[c][0]
+        assert effective_inputs[c] is images[c]
     # cycle 2's legit input (3.9, in-band) was dropped without ever being
     # evaluated, and the in-band malicious tap did not re-arm the machine:
     # cycle 3 stayed dormant.
@@ -184,13 +185,13 @@ def test_substituted_label_is_clean_forward_of_malicious():
 def test_unreachable_bands_leave_pipeline_bitwise_clean():
     m = seed_weights(build_lenet(), 2)
     stream = synthesize(20, (1, 28, 28), seed=77)
-    mal = synthesize(1, (1, 28, 28), seed=78).items[0][0]
+    mal = synthesize(1, (1, 28, 28), seed=78).images()[0]
     config = TrojanConfig("fc1", (SigmaBand("fc1", 1e6, 2e6, "upper", 3.0, 4.0),), (mal,))
     labels, report, state = run_compromised(m, config, stream)
     assert state.log == () and state.mode == DORMANT
     assert report.trigger_count == 0 and report.substitutions == 0
     assert report.clean_equivalence is True
-    for (img, _), label in zip(stream.items, labels):
+    for img, label in zip(stream.images(), labels):
         trace = forward(m, img)
         assert label == trace.final_label
 
@@ -296,7 +297,7 @@ def step_reference(model, config, stream):
     """Drive step cycle by cycle: the per-cycle definition of the payload."""
     state = TrojanState()
     labels = []
-    for cycle, (img, _) in enumerate(stream.items):
+    for cycle, img in enumerate(stream.images()):
         _, state, _, trace = step(state, model, config, cycle, img)
         labels.append(trace.final_label)
     return labels, state
@@ -325,12 +326,12 @@ def lenet_pool(model, watch, seed):
     images 0 and 1 (hot) and keep every tap element of images 2-5 (cold)
     out of the bands."""
     pool = synthesize(6, (1, 28, 28), seed=seed).images()
-    flat = forward_batch(model, pool, (watch,))[1][watch].reshape(len(pool), -1)
+    flat = forward_batch(model, stacked(pool), (watch,))[1][watch].reshape(len(pool), -1)
     return pool, flat
 
 
 def pool_stream(pool, picks):
-    return Dataset("stream", tuple((pool[p], 0) for p in picks))
+    return dataset_of("stream", ((pool[p], 0) for p in picks))
 
 
 def test_chunk_edges_final_trigger_and_in_band_malicious_image():
@@ -418,7 +419,7 @@ def test_each_used_malicious_image_is_forwarded_once(monkeypatch):
     passes = []
 
     def counting(model, images, keep):
-        passes.append([id(img) for img in images])
+        passes.append(images.tobytes())
         return real(model, images, keep)
 
     monkeypatch.setattr(trojan, "forward_batch", counting)
@@ -433,11 +434,11 @@ def test_each_used_malicious_image_is_forwarded_once(monkeypatch):
     stream = scalar_stream([3.5, 0.0, 3.5, 0.0, 3.5, 0.0, 3.5, 0.0, 3.5, 0.0])
     _, report, state = run_compromised(m, config, stream)
     assert [e.used_malicious_index for e in state.log if e.kind == "Substituted"] == [0, 1, 2, 0, 1]
-    assert passes[1:] == [[id(img) for img in config.malicious_images]]
+    assert passes[1:] == [stacked(config.malicious_images).tobytes()]
 
     passes.clear()
     _, _, state = run_compromised(m, config, scalar_stream([3.5, 0.0, 3.5, 0.0]))
-    assert passes[1:] == [[id(img) for img in config.malicious_images[:2]]]
+    assert passes[1:] == [stacked(config.malicious_images[:2]).tobytes()]
 
 
 def test_malicious_images_of_both_input_dtypes_label_as_forward_does():
@@ -464,14 +465,14 @@ def test_stream_is_forwarded_in_one_call(monkeypatch):
     model = seed_weights(build_lenet(), 2)
     n = 2 * forward_chunk(model) + 3
     stream = synthesize(n, model.input_shape, seed=5)
-    mal = synthesize(1, model.input_shape, seed=6).items[0][0]
+    mal = synthesize(1, model.input_shape, seed=6).images()[0]
     config = TrojanConfig("fc1", (SigmaBand("fc1", 1e6, 2e6, "upper", 3.0, 4.0),), (mal,))
     labels, _, _ = run_compromised(model, config, stream)
     assert calls == [n] and len(labels) == n
 
 
 def test_empty_stream_runs_clean():
-    labels, report, state = run_compromised(mirror_model(), make_config(), Dataset("e", ()))
+    labels, report, state = run_compromised(mirror_model(), make_config(), dataset_of("e", (), (1,)))
     assert labels == []
     assert report == AttackReport(0, 0, 0.0, 0, 0, True)
     assert state == TrojanState()
