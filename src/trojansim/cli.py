@@ -396,10 +396,9 @@ def cmd_defend(cfg: dict) -> None:
         plan = defense_mod.ScalePlan.from_json(d["scale"])
         validation, stream = build_datasets(cfg, model)
         est = cfg["estimator"]
-        # the adversary's probe set is the only array sized anew here
-        report = _sized_by("estimator.probeCount", lambda: defense_mod.evaluate_altered_defense(
-            model, validation, plan, stream, float(cfg["kLo"]), float(cfg["kHi"]), cfg["watchLayer"],
-            probe_count=est["probeCount"], probe_seed=est["probeSeed"]))
+        probe = _sized_by("estimator.probeCount", lambda: make_probe_dataset(model, est["probeCount"], est["probeSeed"]))
+        report = defense_mod.evaluate_altered_defense(
+            model, validation, plan, stream, probe, float(cfg["kLo"]), float(cfg["kHi"]), cfg["watchLayer"])
         extra = {"scalePlan": plan.to_json()}
     elif kind == "distributed":
         views = defense_mod.partition(

@@ -35,7 +35,6 @@ from .profiling import (
     estimate_trigger_rate,
     forge_bands,
     in_bands,
-    make_probe_dataset,
     profile_layer,
     wilson_half_width,
 )
@@ -149,18 +148,18 @@ def evaluate_altered_defense(
     true_validation: Dataset,
     plan: ScalePlan,
     stream_data: Dataset,
+    probe: Dataset,
     k_lo: float = 3.0,
     k_hi: float = 4.0,
     watch_layer: str = "fc1",
-    probe_count: int = 2000,
-    probe_seed: int = 7177,
 ) -> DefenseReport:
     """Simulate the adversary working from the scaled validation set.
 
     The adversary profiles the watch layer on the ALTERED set and forges
     bands from those statistics. Designed rate: the adversary's own
-    Monte-Carlo estimate, from forward passes over probe inputs they can
-    synthesize themselves (they hold the full model). Actual rate: the same
+    Monte-Carlo estimate, from forward passes over probe, inputs they can
+    synthesize themselves (make_probe_dataset; they hold the full model),
+    which goes unused when no bands are forged. Actual rate: the same
     bands measured against the true deployment stream. The defense is judged
     effective when the bands collide with true validation observations
     (stealthiness broken) or the actual rate strays more than 3 Wilson
@@ -187,7 +186,6 @@ def evaluate_altered_defense(
             verdict=verdict,
         )
 
-    probe = make_probe_dataset(model, probe_count, probe_seed)
     designed = estimate_trigger_rate(
         (model, probe, watch_layer), bands, layer_length, mode="monteCarlo"
     )

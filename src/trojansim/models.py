@@ -213,14 +213,32 @@ def _layer_outputs(
         yield layer.name, x
 
 
+def _input_chunks(model: ModelSpec, images: np.ndarray, chunk: int) -> Iterator[Tensor]:
+    """The input gate of forward and forward_batch, checked as the first
+    chunk is asked for: an (N, *model.input_shape) array of float32 pixels,
+    quantized on entry into a fixed-point model, or of float64 values of its
+    format, which Tensor checks. Yields chunk images at a time, image axis last."""
+    mode = model_numeric_dtype(model) or FLOAT32
+    if images.shape[1:] != model.input_shape:
+        raise DimensionError(f"images of shape {images.shape[1:]} do not match model input {model.input_shape}")
+    if images.dtype not in (np.float32, T._storage(mode)):
+        raise ValueError(f"images are {images.dtype}, model {model.name!r} takes float32"
+                         + ("" if mode == FLOAT32 else f", or float64 values of {mode}"))
+    dtype = FLOAT32 if images.dtype == np.float32 else mode
+    for start in range(0, len(images), chunk):
+        x = np.moveaxis(images[start:start + chunk], 0, -1).copy()
+        x = Tensor(x.shape, dtype, x.reshape(-1))
+        yield x if dtype == mode else T.quantize(x, mode)
+
+
 def forward(model: ModelSpec, image: Tensor) -> ForwardTrace:
-    """forward_batch of one image, tapping every layer, as tensors. Passes
-    take forward_batch; this stays for the benchmark (perfbench), which
-    labels images one by one with it."""
-    labels, taps = forward_batch(model, image.array[np.newaxis], model.layer_names())
-    dtype = model_numeric_dtype(model) or FLOAT32
-    taps = {name: Tensor._built(tap.shape[1:], dtype, tap.reshape(-1)) for name, tap in taps.items()}
-    return ForwardTrace(final_label=int(labels[0]), taps=taps)
+    """One image through the model as a batch of one, every layer tapped
+    into a tensor of its own: the per-image walk forward_batch is tested
+    against, kept for the benchmark (perfbench) too."""
+    (x,) = _input_chunks(model, image.array[np.newaxis], 1)
+    outs = dict(_layer_outputs(model.layers, x))
+    taps = {name: out.reshaped(out.shape[:-1]) for name, out in outs.items()}
+    return ForwardTrace(final_label=int(np.argmax(outs[model.layers[-1].name].data)), taps=taps)
 
 
 def forward_chunk(model: ModelSpec) -> int:
@@ -240,34 +258,22 @@ def forward_batch(
     forward_chunk(model) at a time: float32 pixels, quantized on entry into
     a fixed-point model, or float64 values of a fixed-point model's format.
 
-    Returns (labels, taps): labels[i] is image i's label, the first index
-    of its largest logit, and taps[name][i] its output of each layer named
-    in keep, stored as float32, or float64 for fixed point. Every value is
-    bitwise what a pass of image i alone gives, whatever the chunk and the
-    image's place in it. Each chunk of images is copied, image axis last,
-    walked through every layer once, and its kept taps, image by image,
-    and labels are written before the next chunk is copied, so a pass
-    holds one chunk's activations whatever its length. Every chunk's
-    layers write into the same two buffers, allocated once per pass, each
-    as long as the chunk's widest output that _pass_buffers puts in it
-    (conv1's in the first and pool1's in the second for both convnets) and
-    viewed in each chunk's own shapes, so a short last chunk's outputs are
-    whole arrays too.
+    Returns (labels, taps): labels[i] is forward(model, image i)'s label
+    and taps[name][i] its tap data for each layer named in keep (float32,
+    or float64 for fixed point), every value bitwise equal. Each chunk is
+    copied image axis last, walked through every layer once, and its kept
+    taps and labels are written before the next chunk is copied, so a pass
+    holds one chunk's activations whatever its length. Every chunk's layers
+    write into two buffers allocated once per pass, each as long as the
+    chunk's widest output that _pass_buffers puts in it (conv1's in the
+    first and pool1's in the second for both convnets) and viewed in each
+    chunk's own shapes, so a short last chunk's outputs are whole arrays.
     """
-    # the input gate: float32 pixels, or float64 values of a fixed-point
-    # model's format, which the Tensor constructor checks chunk by chunk
-    if images.shape[1:] != model.input_shape:
-        raise DimensionError(f"images of shape {images.shape[1:]} do not match model input {model.input_shape}")
-    mode = model_numeric_dtype(model) or FLOAT32
-    store = T._storage(mode)
-    if images.dtype not in (np.float32, store):
-        raise ValueError(f"images are {images.dtype}, model {model.name!r} takes float32"
-                         + ("" if mode == FLOAT32 else f", or float64 values of {mode}"))
-    dtype = FLOAT32 if images.dtype == np.float32 else mode
     shapes = layer_output_shapes(model)
     for name in keep:
         model.get_layer(name)  # unknown layer -> error listing valid names
     n = len(images)
+    store = T._storage(model_numeric_dtype(model) or FLOAT32)
     labels = np.empty(n, dtype=np.int64)
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = forward_chunk(model)
@@ -276,12 +282,8 @@ def forward_batch(
         np.empty(min(n, chunk) * max((math.prod(shape) for held, shape in plan if held == b), default=0), dtype=store)
         for b in (0, 1)
     ]
-    for start in range(0, n, chunk):
-        x = np.moveaxis(images[start:start + chunk], 0, -1).copy()
-        m = x.shape[-1]
-        x = Tensor(x.shape, dtype, x.reshape(-1))
-        if dtype != mode:
-            x = T.quantize(x, mode)  # float32 pixels into a fixed-point model
+    for k, x in enumerate(_input_chunks(model, images, chunk)):
+        start, m = k * chunk, x.shape[-1]
         outs = [None if held is None else buffers[held][:math.prod(shape) * m].reshape(shape + (m,))
                 for held, shape in plan]
         for name, x in _layer_outputs(model.layers, x, outs):

@@ -353,13 +353,13 @@ def test_criterion_6_scaled_validation_countermeasure():
 
     identity = evaluate_altered_defense(
         model, validation, ScalePlan(5, PER_IMAGE, 1.0, 1.0), stream,
-        probe_count=PROBE_COUNT, probe_seed=PROBE_SEED)
+        make_probe_dataset(model, PROBE_COUNT, PROBE_SEED))
     assert identity.verdict == "ineffective", (
         "scaling by exactly 1 must leave the attack working: " + repr(identity))
 
     randomized = evaluate_altered_defense(
         model, validation, ScalePlan(5, PER_IMAGE, 0.5, 2.0), stream,
-        probe_count=PROBE_COUNT, probe_seed=PROBE_SEED)
+        make_probe_dataset(model, PROBE_COUNT, PROBE_SEED))
     assert randomized.verdict == "effective"
     assert any("cannot forge" in f or "collision" in f
                for f in randomized.exposure_findings)

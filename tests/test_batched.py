@@ -1493,6 +1493,21 @@ def test_forward_batch_matches_forward_on_every_tap(model_case, counts_id, monke
             assert taps[name][i].tobytes() == tap.data.tobytes(), (name, i, n)
 
 
+def test_forward_taps_carry_their_kernels_saturations(model_case):
+    """forward's conv and dense taps are the kernels' own outputs: with
+    the input's quantize, their saturation counts are every saturation of
+    the image's walk, and the Q16.16 images saturate conv1."""
+    model, _, _, images, traces, saturations = model_case
+    mode = model_numeric_dtype(model)
+    kinds = {layer.name: layer.kind for layer in model.layers}
+    at_taps = []
+    for img, trace, want in zip(images, traces, saturations):
+        at_taps.append(sum(tap.saturations for name, tap in trace.taps.items() if kinds[name] in ("conv", "dense")))
+        entry = T.quantize(img, mode).saturations if mode == Q16_16 else 0
+        assert entry + at_taps[-1] == want
+    assert (sum(at_taps) > 0) == (mode == Q16_16)
+
+
 @pytest.mark.parametrize("build, q16", [(build_lenet, False), (build_lenet, True), (build_cifar_net, False)],
                          ids=["lenet-f32", "lenet-q16", "cifar-f32"])
 def test_forward_batch_at_the_real_chunk_matches_forward(build, q16):

@@ -30,9 +30,12 @@ from trojansim.models import (
     model_params,
     seed_weights,
 )
+from trojansim.profiling import make_probe_dataset
 from trojansim.rng import BLOCK_DRAWS, Xoshiro256StarStar
 from trojansim.tensor import Kernel, Tensor
 from trojansim.weightfile import read_entries
+
+PROBE_SEED = 7177
 
 
 def seeded_lenet():
@@ -182,7 +185,7 @@ def test_identity_plan_leaves_attack_intact():
     val, stream = split(base, SplitPlan(100, 1000, seed=3))
     short_stream = Dataset("s", stream.pixels[:300], stream.labels[:300])
     report = evaluate_altered_defense(
-        m, val, ScalePlan(5, PER_IMAGE, 1.0, 1.0), short_stream, probe_count=400
+        m, val, ScalePlan(5, PER_IMAGE, 1.0, 1.0), short_stream, make_probe_dataset(m, 400, PROBE_SEED)
     )
     assert report.kind == "alteredValidation"
     assert report.verdict == "ineffective"
@@ -196,7 +199,7 @@ def test_random_scaling_defeats_band_forging():
     val, stream = split(base, SplitPlan(100, 1000, seed=3))
     short_stream = Dataset("s", stream.pixels[:50], stream.labels[:50])
     report = evaluate_altered_defense(
-        m, val, ScalePlan(5, PER_IMAGE, 0.5, 2.0), short_stream, probe_count=50
+        m, val, ScalePlan(5, PER_IMAGE, 0.5, 2.0), short_stream, make_probe_dataset(m, 50, PROBE_SEED)
     )
     assert_bandless_report(report, "effective", "adversary cannot forge collision-free bands")
 
@@ -205,7 +208,7 @@ def test_degenerate_adversary_stats_are_inconclusive():
     m = zero_weight_model()
     val = tiny_dataset(5)
     report = evaluate_altered_defense(
-        m, val, ScalePlan(0, PER_IMAGE, 0.5, 2.0), val, watch_layer="out", probe_count=10
+        m, val, ScalePlan(0, PER_IMAGE, 0.5, 2.0), val, make_probe_dataset(m, 10, PROBE_SEED), watch_layer="out"
     )
     assert_bandless_report(report, "inconclusive", "adversary profiling degenerate: ")
 
