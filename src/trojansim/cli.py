@@ -190,12 +190,20 @@ def resolve_config(raw: dict, out_override: str | None, seed_override: int | Non
     }
 
 
+# how NumPy refuses an array whose bytes it cannot index, before it asks
+# the allocator
+_TOO_BIG = "array is too big"
+
+
 def _sized_by(field: str, make):
-    """make(); an array it allocates that the allocator refuses is a
-    ConfigError naming the config field, a count, that sized it."""
+    """make(); an array it sizes that the allocator refuses, or that NumPy
+    refuses as too big to index, is a ConfigError naming the config field,
+    a count, that sized it."""
     try:
         return make()
-    except MemoryError:
+    except (MemoryError, ValueError) as e:
+        if isinstance(e, ValueError) and not str(e).startswith(_TOO_BIG):
+            raise
         raise ConfigError(f"config field {field} is too large: its arrays cannot be allocated") from None
 
 

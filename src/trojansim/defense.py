@@ -137,7 +137,7 @@ class DefenseReport:
 
 def stream_hit_rate(model: ModelSpec, bands, dataset: Dataset, watch_layer: str) -> tuple[int, int]:
     """(hits, images): how many images put any watched element in a band."""
-    _, taps = forward_batch(model, dataset.pixels, (watch_layer,))
+    _, taps = forward_batch(model, dataset.pixels, (watch_layer,), labels=False)
     mask = in_bands(taps[watch_layer], bands)
     hits = int(np.count_nonzero(mask.any(axis=tuple(range(1, mask.ndim)))))
     return hits, len(dataset)

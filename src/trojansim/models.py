@@ -252,32 +252,36 @@ def forward_chunk(model: ModelSpec) -> int:
 
 
 def forward_batch(
-    model: ModelSpec, images: np.ndarray, keep: Sequence[str]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    model: ModelSpec, images: np.ndarray, keep: Sequence[str], labels: bool = True
+) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Run an (N, *model.input_shape) array of images through the model,
     forward_chunk(model) at a time: float32 pixels, quantized on entry into
     a fixed-point model, or float64 values of a fixed-point model's format.
 
     Returns (labels, taps): labels[i] is forward(model, image i)'s label
     and taps[name][i] its tap data for each layer named in keep (float32,
-    or float64 for fixed point), every value bitwise equal. Each chunk is
-    copied image axis last, walked through every layer once, and its kept
-    taps and labels are written before the next chunk is copied, so a pass
-    holds one chunk's activations whatever its length. Every chunk's layers
-    write into two buffers allocated once per pass, each as long as the
-    chunk's widest output that _pass_buffers puts in it (conv1's in the
-    first and pool1's in the second for both convnets) and viewed in each
-    chunk's own shapes, so a short last chunk's outputs are whole arrays.
+    or float64 for fixed point), every value bitwise equal. A pass without
+    labels (labels=False) returns None for them and walks the layers only
+    down to the deepest one kept. Each chunk is copied image axis last,
+    walked through those layers once, and its kept taps and labels are
+    written before the next chunk is copied, so a pass holds one chunk's
+    activations whatever its length. Every chunk's layers write into two
+    buffers allocated once per pass, each as long as the chunk's widest
+    output that _pass_buffers puts in it (conv1's in the first and pool1's
+    in the second for both convnets) and viewed in each chunk's own
+    shapes, so a short last chunk's outputs are whole arrays.
     """
     shapes = layer_output_shapes(model)
+    names = model.layer_names()
     for name in keep:
         model.get_layer(name)  # unknown layer -> error listing valid names
+    layers = model.layers if labels else model.layers[:1 + max(map(names.index, keep), default=-1)]
     n = len(images)
     store = T._storage(model_numeric_dtype(model) or FLOAT32)
-    labels = np.empty(n, dtype=np.int64)
+    found = np.empty(n, dtype=np.int64) if labels else None
     taps = {name: np.empty((n,) + shapes[name], dtype=store) for name in keep}
     chunk = forward_chunk(model)
-    plan = list(zip(_pass_buffers(model.layers), shapes.values()))
+    plan = [(held, shapes[layer.name]) for held, layer in zip(_pass_buffers(layers), layers)]
     buffers = [
         np.empty(min(n, chunk) * max((math.prod(shape) for held, shape in plan if held == b), default=0), dtype=store)
         for b in (0, 1)
@@ -286,11 +290,12 @@ def forward_batch(
         start, m = k * chunk, x.shape[-1]
         outs = [None if held is None else buffers[held][:math.prod(shape) * m].reshape(shape + (m,))
                 for held, shape in plan]
-        for name, x in _layer_outputs(model.layers, x, outs):
+        for name, x in _layer_outputs(layers, x, outs):
             if name in taps:
                 taps[name][start:start + m] = np.moveaxis(x.array, -1, 0)
-        labels[start:start + m] = np.argmax(x.array, axis=0)
-    return labels, taps
+        if labels:
+            found[start:start + m] = np.argmax(x.array, axis=0)
+    return found, taps
 
 
 def seed_weights(model: ModelSpec, seed: int) -> ModelSpec:

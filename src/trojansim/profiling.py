@@ -139,7 +139,7 @@ class TriggerRateEstimate:
 def collect_observations(model: ModelSpec, dataset: Dataset, layer_name: str) -> np.ndarray:
     """All scalar elements of one layer's tap across a dataset, as float64,
     image by image in row-major order."""
-    _, taps = forward_batch(model, dataset.pixels, (layer_name,))
+    _, taps = forward_batch(model, dataset.pixels, (layer_name,), labels=False)
     return taps[layer_name].reshape(-1).astype(np.float64, copy=False)
 
 

@@ -31,47 +31,64 @@ tests compare against):
     2^-2f, never underflow. Either way |r - s| <= 2 gamma_n * A, and any
     E >= (n + 4) * 2^-51 * A is twice what that and the roundings of s -+ E
     need (n < 2^25): fl(s - E) <= r <= fl(s + E).
-  * E without a second product, by Cauchy-Schwarz: A <= |b| + ||w||_2
-    ||x||_2, w the output channel's weights and x the element's window or
-    row. E = k |b| + (k ||w||) ||x|| with k = (n + 5) * 2^-51 (exact): the
-    channel factors once per kernel (Kernel.bound_factors), the norms
-    ||x|| before a group of blocks (conv2d, for their output rows at once)
-    or once per tile (dense), and E as one product of the factors by
-    (||x||, 1). Squares of float32 values are exact in float64,
-    fixed-point ones within u; a squared sum adds nonnegative terms, so
-    in any order and grouping it ends at least (1 - gamma_(n-1)) times
-    the exact one. conv2d groups a window's squares by channels, then
-    rows, then columns, adding shifted slices of the channel sums, so
-    overlapping windows share partial sums; a difference of prefix sums
-    would add terms of both signs, which this bound does not cover. Each
-    square root, product and the sum (fused or not) rounds once. So E >= k (|b|
-    + ||w|| ||x||)(1 - gamma_(2n+3)) >= (n + 4) * 2^-51 * A, as (n + 5)
-    gamma_(2n+3) <= 1 for n < 2^25. No step underflows (nonzero squares
-    are at least 2^-298 or 2^-2f) or overflows (float32 squares < 2^256).
+  * One bound per window, without a second product, by Cauchy-Schwarz:
+    A <= |b| + ||w||_2 ||x||_2, w the output channel's weights and x the
+    element's window or column, which all the channels share. Let k = (n +
+    5) * 2^-51 (exact). The kernels take E = F ||x|| + G for every channel
+    of a window, with F = max_c k ||w_c|| and G = max_c k |b_c| once per
+    kernel (Kernel.bound_factors), in place of the norms ||x|| of a group
+    of blocks (conv2d, for their output rows at once: _window_bounds) or
+    of a tile (dense: _to_bounds). Squares of float32 values are exact in
+    float64, fixed-point ones within u; a squared sum adds nonnegative
+    terms, so in any order and grouping it ends at least (1 -
+    gamma_(n-1)) times the exact one. conv2d groups a window's squares by
+    channels, then rows, then columns, adding shifted slices of the
+    channel sums, so overlapping windows share partial sums; a difference
+    of prefix sums would add terms of both signs, which this bound does
+    not cover. Each square root, product and sum rounds once, so channel
+    c's own bound fl(fl(k ||w_c||) ||x|| + fl(k |b_c|)), rounded the same
+    way, is at least k (|b_c| + ||w_c|| ||x||)(1 - gamma_(2n+3)) >= (n +
+    4) * 2^-51 * A, as (n + 5) gamma_(2n+3) <= 1 for n < 2^25. A max is
+    exact and rounding is monotone, so F and G are at least every
+    channel's factors and E at least every channel's bound: one step more,
+    and E covers each channel's A. No step underflows (nonzero squares are
+    at least 2^-298 or 2^-2f) or overflows (float32 squares < 2^256); a
+    NaN or infinite weight or bias of any channel makes F or G, and so
+    every E of the kernel, NaN or +inf.
   * The rounding test. Rounding to the output is monotone (float64 to
     float32, overflow to infinity included; fixed point v -> rint(v *
     2^f), compared before saturation), so where the two ends round to
     the same nonzero value, r rounds to it; fixed point keeps s - E for
     the finish to round and saturate as r. Two fixed-point ends past the
     same saturation limit settle the element too: r saturates there
-    alike. E = 0 only where the bias and every weight or every input are
-    signed zeros, and so every term: the fold ends on -0.0 only when the
-    bias and every term are -0.0, and s, which adds the bias last, is
-    +0.0 when the bias is +0.0, as are s -+ E, so that zero stands. The
-    other elements are folded: those near a rounding midpoint, every
-    other zero (of a cancelling sum, of zero terms with nonzero norms, or
-    of a -0.0 bias), whose sign only the fold decides, and float32 sums
-    with a NaN or infinite term, which makes |b|, ||w|| or ||x|| NaN or
-    infinite and E NaN or +inf (0 * inf is NaN), so that s -+ E are NaN
-    or infinities of both signs, never equal. Each block hands the call's
-    refold its flagged elements with a copy of their terms (conv2d: from
-    the block's float64 columns, the same values as the input; dense: from
-    the tile's columns); the refold sums them by np.add.accumulate, the
-    running sum, once its share of the budget fills and at the end of the
-    call, under the NumPy error state of the caller; the kernels turn
-    invalid and overflow warnings off around their blocks, once per call.
-    Ziv's strategy: a fast path, a rounding test and an exact fallback.
-  * NaN. A NaN output comes only from the fold, as its E is NaN, and the
+    alike. E = 0 only where G = 0 and F ||x|| = 0, so where every bias
+    and every weight or every input of the window are signed zeros, and
+    so every term: the fold ends on -0.0 only when the bias and every
+    term are -0.0, and s, which adds the bias last, is +0.0 when the bias
+    is +0.0, as are s -+ E, so that zero stands. The other elements are
+    folded: those near a rounding midpoint, every other zero (of a
+    cancelling sum, of zero terms with a nonzero bound, or of a -0.0
+    bias), whose sign only the fold decides, and float32 sums with a NaN
+    or infinite term, which makes |b|, ||w|| or ||x|| NaN or infinite and
+    E NaN or +inf (0 * inf is NaN), so that s -+ E are NaN or infinities
+    of both signs, never equal. The zeros take a pass of their own, which
+    float32 kernels with G >= 2^-148 skip: every E is then at least
+    2^-148, and a lower end s - E that rounds to a float32 zero, |fl(s -
+    E)| <= 2^-150, leaves s + E > 2^-147 - 2^-149, whose upper end, at
+    least 2^-149, differs from it, so the element is flagged already.
+    Each block hands the call's refold the output positions of its
+    flagged elements. Once `per` of them are held, and at the end of the
+    call, the refold reads their terms from the call's input (conv2d:
+    each element's window; dense: its column) into the window-column
+    scratch, term-major (term + 1, element), and np.add.reduce over the
+    term axis, from -0.0, adds each term row to the running sums of all
+    of them: the element axis is NumPy's fast axis, and every element's
+    sum is its running sum (a lone element is summed beside a copy of
+    itself, as np.add.reduce would sum a single column pairwise). It runs
+    under the NumPy error state of the caller; the kernels turn invalid
+    and overflow warnings off around their blocks, once per call. Ziv's
+    strategy: a fast path, a rounding test and an exact fallback.
+  * NaN. A NaN output comes only from the fold, as its bound is NaN, and the
     fold makes every NaN sum the canonical quiet NaN (positive, zero
     payload; float32 0x7FC00000): which payload IEEE arithmetic keeps
     where NaNs of different payloads or an inf - inf meet depends on the
@@ -115,17 +132,23 @@ tests compare against):
     holds it (_footprint). Per column: its float64 window column (dense:
     the tile's float64 copy of its input, none for a certified batch), and
     per output element the float64 sum. Under the per-element certificate,
-    beside the block, the float64 weights, bias and bound factors, and per
-    column also its norm and a one, and per output element E (float64),
-    the rounding test's upper end in the output's storage dtype (float32:
-    4 bytes) and at most three flag bytes of the test's masks. The window
-    columns (or the tile's copy), the sums with their E and the rounding
-    test's upper ends are three arrays per thread; conv2d's window norms
-    of a group of blocks' rows and the refold have one more each, of at
-    most a quarter of SCRATCH_BYTES (or one block's rows, or one element,
-    where that is more). All are kept from call to call and
-    grown on demand, so that a pass of many blocks touches no fresh pages
-    once they have grown. Saturations are summed.
+    beside the block, the float64 weights and bias, and per column also
+    its bound (float64; conv2d's lies in the map of its group of blocks),
+    and per output element the rounding test's upper end in the output's
+    storage dtype (float32: 4 bytes) and the flag bytes of the test's
+    masks, three with the zero pass and one without. The window columns
+    (or the tile's copy), the sums and the rounding test's upper ends are
+    three arrays per thread; conv2d's
+    window bounds of a group of blocks' rows have one more, of at most a
+    quarter of SCRATCH_BYTES (or one block's rows, where that is more).
+    The window columns are free from a block's product to the next
+    block's copy: the squares and row sums of the window bounds are made
+    there, and the refold folds there, taking no more bytes than the
+    blocks hold (two elements where that is more; a quarter of
+    SCRATCH_BYTES for a certified dense call, which holds none). All are
+    kept from call to call and grown on demand, so that a pass of many
+    blocks touches no fresh pages once they have grown. Saturations are
+    summed.
   * conv2d, maxpool2d, dense and relu write into a caller's `out` array
     (C-contiguous, of the result's shape and storage dtype) where one is
     given, else into a new one; relu's may hold its input, the others'
@@ -322,12 +345,22 @@ class Kernel:
         return minus if minus.any() else None
 
     @cached_property
-    def bound_factors(self) -> np.ndarray:
-        """The factors of the bound E of the module docstring: one float64
-        row (k ||w_c||_2, k |b_c|) per output channel c."""
+    def bound_factors(self) -> tuple[float, float]:
+        """The factors (F, G) of the per-window bound of the module
+        docstring: F = max_c k ||w_c||_2 and G = max_c k |b_c| over the
+        output channels c, NaN where any channel's is."""
         w_rows = self.weight_rows
-        factors = np.stack([np.sqrt(np.einsum("ij,ij->i", w_rows, w_rows)), np.abs(self.bias.array)], axis=1)
-        return factors * ((w_rows.shape[1] + 6) * 2.0 ** -51)
+        k = (w_rows.shape[1] + 6) * 2.0 ** -51
+        norms = np.sqrt(np.einsum("ij,ij->i", w_rows, w_rows))
+        return float(np.max(norms * k)), float(np.max(np.abs(self.bias_values) * k))
+
+    @cached_property
+    def zero_pass(self) -> bool:
+        """Whether the rounding test runs its zero pass (_round_sums): for
+        fixed point always, for float32 only where G < 2^-148, as every
+        bound of at least 2^-148 flags a zero lower end already (module
+        docstring)."""
+        return self.dtype != FLOAT32 or self.bound_factors[1] < 2.0 ** -148
 
     @cached_property
     def max_row_magnitude(self) -> float:
@@ -397,22 +430,22 @@ def _output(out: np.ndarray | None, shape: tuple[int, ...], dtype: DType, input:
     return out
 
 
-def _footprint(kernel: Kernel, factors: np.ndarray | None, copied: int) -> tuple[int, int]:
+def _footprint(kernel: Kernel, factors: tuple[float, float] | None, copied: int) -> tuple[int, int]:
     """The bytes a conv2d block or dense tile holds (module docstring):
     beside it, and per column, `copied` float64 input terms (conv2d: the
     window column; dense: the tile's copy of its input, if any) and what
     the sums take. A batch that _any_order_is_exact certifies (factors
     None) takes one float64 sum per output element. Otherwise the float64
-    weights, bias and bound factors are held beside the block, each column
-    has its norm and a one, and each output element its sum and E in
-    float64, the rounding test's upper end in the output's storage dtype
-    and the test's flag bytes, of which _round_sums holds at most three at
-    once."""
+    weights and bias are held beside the block, each column has its bound
+    (float64), and each output element its float64 sum, the rounding
+    test's upper end in the output's storage dtype and the test's flag
+    bytes: three with the zero pass, one without (Kernel.zero_pass)."""
     out_ch = kernel.weights.shape[0]
     if factors is None:
         return 0, 8 * (copied + out_ch)
     upper = np.dtype(_storage(kernel.dtype)).itemsize
-    return 8 * (kernel.weight_rows.size + 3 * out_ch), 8 * (copied + 2) + out_ch * (16 + upper + 3)
+    flags = 3 if kernel.zero_pass else 1
+    return 8 * (kernel.weight_rows.size + out_ch), 8 * (copied + 1) + out_ch * (8 + upper + flags)
 
 
 def _tile_length(n: int, fixed: int, per_image: int) -> int:
@@ -441,7 +474,7 @@ def _sum_products(a: np.ndarray, b: np.ndarray, bias: np.ndarray, out: np.ndarra
     out += bias
 
 
-def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
+def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None, float]:
     """The kernel's weight_rows, bias_values, its bound_factors and a cap on
     every sum's magnitude for the finish: for a fixed-point batch x that
     _any_order_is_exact certifies, None and its bound B; otherwise the
@@ -454,63 +487,82 @@ def _operands(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return w_rows, bias, None, bound
 
 
-def _bound(e: np.ndarray, factors: np.ndarray, norms: np.ndarray, terms: np.ndarray | None = None) -> None:
-    """E of the module docstring into e (channel, element): one product of
-    the factors by norms, whose row 0 holds each element's input 2-norm and
-    row 1 ones. Given terms (term, element, float64), row 0 is first
-    filled with their 2-norms (dense). 0 * inf is NaN, which flags the
-    element: the kernels run this with invalid warnings off."""
-    if terms is not None:
-        np.sqrt(np.einsum("ij,ij->j", terms, terms, out=norms[0]), out=norms[0])
-    np.matmul(factors, norms, out=e)
+def _to_bounds(norms: np.ndarray, factors: tuple[float, float]) -> None:
+    """The bound F ||x|| + G of the module docstring, in place of the
+    input 2-norms ||x||: a NaN or infinite factor or norm makes it NaN or
+    +inf (0 * inf is NaN), which flags the element, so the kernels run
+    this with invalid warnings off."""
+    np.multiply(norms, factors[0], out=norms)
+    np.add(norms, factors[1], out=norms)
 
 
-def _window_norms(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """The 2-norm of every kh x kw window, at the stride, of the batch x
-    (C, H, W, N), as an (oh, ow, N) float64 view of this thread's norm
-    scratch of (H + oh) W N values (module docstring). The squares are
-    summed over channels into H rows of W N sums; adding kh of those rows,
-    shifted by one input row at a time, gives every output row's window
-    rows summed, then adding kw slices of that run shifted by multiples of
-    N sums the windows' columns into the squares' place, and the square
-    roots follow. Sums at starts whose window would wrap past a row's end
-    are made too, but never read."""
+def _window_bounds(x: np.ndarray, kh: int, kw: int, stride: int, factors: tuple[float, float]) -> np.ndarray:
+    """The bound of every kh x kw window, at the stride, of the batch x
+    (C, H, W, N) under factors (F, G) (_to_bounds), as an (oh, ow, N)
+    float64 view of this thread's bound scratch of oh W N values (module
+    docstring). The squares are summed over channels into H rows of W N
+    sums and adding kh of those rows, shifted by one input row at a time,
+    gives every output row's window rows summed, both in the
+    window-column scratch, which no block uses between its product and
+    the next block's copy. Adding kw slices of that run shifted by
+    multiples of N then sums the windows' columns into the bound scratch,
+    and the square roots and the bounds follow there. Sums at starts whose
+    window would wrap past a row's end are made too, but never read."""
     _, h, w, n = x.shape
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     size, down = h * w * n, oh * w * n
-    buf = _scratch("norms", size + down)
-    squares = np.einsum("chwn,chwn->hwn", x, x, dtype=np.float64, out=buf[:size].reshape(h, w, n)).reshape(h, -1)
-    rows = buf[size:size + down].reshape(oh, -1)
+    work = _scratch("terms", size + down)
+    squares = np.einsum("chwn,chwn->hwn", x, x, dtype=np.float64, out=work[:size].reshape(h, w, n)).reshape(h, -1)
+    rows = work[size:].reshape(oh, -1)
     last = stride * (oh - 1) + 1
     np.copyto(rows, squares[:last:stride])
     for u in range(1, kh):
         np.add(rows, squares[u:u + last:stride], out=rows)
     rows = rows.reshape(-1)
-    # the norms take the place of the squares, which are read no more
+    buf = _scratch("bounds", down)
     norms = buf[:down - (kw - 1) * n]
     np.copyto(norms, rows[:norms.size])
     for v in range(1, kw):
         np.add(norms, rows[v * n:v * n + norms.size], out=norms)
     np.sqrt(norms, out=norms)
-    return buf[:down].reshape(oh, w, n)[:, :stride * (ow - 1) + 1:stride]
+    _to_bounds(norms, factors)
+    return buf.reshape(oh, w, n)[:, :stride * (ow - 1) + 1:stride]
 
 
 def _fold_elements(dtype: DType, dst: np.ndarray, w_rows: np.ndarray, bias: np.ndarray, at: np.ndarray,
-                   terms: np.ndarray) -> int:
+                   x: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> int:
     """Fold the elements at C-order indices `at` of dst, a conv2d or dense
     output (channel first), in the pinned order, returning the
-    saturations: bias[c], then w_rows[c, t] times term t of the element's
-    input for t = 0, 1, ..., where the element's row of terms (element,
-    term + 1), float64, holds its inputs from column 1 on and is
-    overwritten. The float64 sums go into dst, a NaN one as the canonical
-    quiet NaN, and fixed-point ones rounded and saturated."""
-    depth = w_rows.shape[1]
+    saturations: bias[c], then w_rows[c, t] times input t of the element
+    for t = 0, 1, ..., where input t of element j lies at flat index
+    offsets[t, 0] + starts[j] of x, for j < at.size, and starts has at
+    least two entries, the further one a copy of starts[0]. The terms are
+    read, term-major (term + 1, element), into this thread's window-column
+    scratch ("terms"), beside their flat indices, which the weights of
+    their channels then take the place of, and their inputs as x stores
+    them, and each term row is added to the running sums of all elements
+    at once (np.add.reduce over the term axis runs row after row; over a
+    single column it would sum pairwise, hence the copy), starting from
+    -0.0, the identity that keeps a -0.0 bias. The float64 sums go into
+    dst, a NaN one as the canonical quiet NaN, and fixed-point ones rounded
+    and saturated."""
+    depth, width = offsets.shape[0], starts.size
+    cells = depth * width
+    buf = _scratch("terms", cells + (depth + 1) * width + -(-cells * x.itemsize // 8))
+    index = buf[:cells].view(np.intp).reshape(depth, width)
+    terms = buf[cells:cells + (depth + 1) * width].reshape(depth + 1, width)
+    inputs = buf[cells + (depth + 1) * width:].view(x.dtype)[:cells].reshape(depth, width)
+    np.add(offsets, starts, out=index)
+    np.take(x.reshape(-1), index, out=inputs, mode="clip")
+    # then the weight rows of the elements' channels in the indices' place
     c = at // (dst.size // w_rows.shape[0])
-    terms[:, 0] = bias[c]
-    np.multiply(terms[:, 1:], w_rows[c], out=terms[:, 1:])
-    # accumulate is defined as the running sum, term after term
-    np.add.accumulate(terms, axis=1, out=terms)
-    sums = terms[:, depth]
+    if width > at.size:
+        c = c[[0, 0]]
+    weights = buf[:cells].reshape(width, depth)
+    np.take(w_rows, c, axis=0, out=weights, mode="clip")
+    np.take(bias, c, out=terms[0], mode="clip")
+    np.multiply(inputs, weights.T, out=terms[1:])
+    sums = np.add.reduce(terms, axis=0, initial=-0.0)[:at.size]
     # which payload a NaN sum keeps depends on NumPy's loop
     sums[np.isnan(sums)] = np.nan
     saturations = 0 if dtype == FLOAT32 else _finish(sums, dtype, sums)
@@ -520,41 +572,44 @@ def _fold_elements(dtype: DType, dst: np.ndarray, w_rows: np.ndarray, bias: np.n
 
 class _Refold:
     """The elements of one conv2d or dense call that the certificates leave
-    to the fold: each block copies them, with their terms, into this
-    thread's fold scratch (gather), and they are folded together, by
-    _fold_elements, once `per` of them fill it and at the end of the call
-    (flush), under the NumPy error state the call was made in, as the
-    kernels turn invalid and overflow warnings off around their blocks.
-    The scratch grows to the elements gathered at once, up to half of the
-    fold's share, a quarter of SCRATCH_BYTES (at least one element); the
-    fold takes the other half for the weights of the elements' channels."""
+    to the fold: each block hands over their output positions (gather),
+    and they are folded together, by _fold_elements, once `per` of them
+    are held and at the end of the call (flush), under the NumPy error
+    state the call was made in, as the kernels turn invalid and overflow
+    warnings off around their blocks. A fold reads the elements' terms
+    from the call's input x (conv2d: each element's window; dense: its
+    column) into the window-column scratch, which no block uses between
+    its rounding and the next block's copy: `room`, the bytes the call's
+    blocks or tiles hold there (none for a certified dense call: a
+    quarter of SCRATCH_BYTES), sets `per`, so that a fold fits (or two
+    elements, where that is more)."""
 
-    def __init__(self, kernel: Kernel, out: np.ndarray):
+    def __init__(self, kernel: Kernel, out: np.ndarray, x: np.ndarray, room: int, stride: int = 1):
         self.dtype, self.w_rows, self.bias, self.out = kernel.dtype, kernel.weight_rows, kernel.bias_values, out
+        self.x, self.window, self.stride = x, kernel.weights.shape[2:], stride
         # elements per output channel
         self.plane = out.size // out.shape[0]
-        self.per = max(1, min(out.size, SCRATCH_BYTES // 32 // (2 * self.w_rows.shape[1] + 1)))
+        # per element, beside a word of rounding: per term an index, an input
+        # and a float64 term, and its float64 bias
+        depth = self.w_rows.shape[1]
+        self.per = max(1, min(out.size, ((room or SCRATCH_BYTES // 4) - 8) // ((16 + x.itemsize) * depth + 8)))
         # the caller's modes; an errstate that names no callback keeps the caller's
         self.state = np.geterr()
-        self.terms, self.at, self.count, self.saturations = None, None, 0, 0
+        self.at, self.offsets, self.count, self.saturations = None, None, 0, 0
 
-    def gather(self, flat: np.ndarray, cols: np.ndarray, first: int, run: int | None = None) -> None:
+    def gather(self, flat: np.ndarray, columns: int, first: int, run: int | None = None) -> None:
         """Take over the elements at C-order indices `flat` of a block's
-        (channel, column) sums, column j's input terms being column j of
-        cols. Column j is at index first + j of its channel's plane of out,
-        or, for a block of runs of `run` columns one image row (out's last
-        axis) apart, at first + (j // run) N + j % run."""
-        width = cols.shape[0] + 1
+        (channel, column) sums of `columns` columns. Column j is at index
+        first + j of its channel's plane of out, or, for a block of runs of
+        `run` columns one image row (out's last axis) apart, at first +
+        (j // run) N + j % run."""
         while flat.size:
             if self.at is None:
                 self.at = np.empty(self.per, dtype=np.intp)
             k = self.count
             part, flat = flat[:self.per - k], flat[self.per - k:]
             self.count += part.size
-            # one row per element: its bias, then its terms
-            self.terms = _scratch("fold", self.count * width, keep=k * width).reshape(-1, width)
-            c, j = np.divmod(part, cols.shape[1])
-            self.terms[k:, 1:] = cols[:, j].T
+            c, j = np.divmod(part, columns)
             if run is not None:
                 j = j // run * self.out.shape[-1] + j % run
             at = np.multiply(c, self.plane, out=self.at[k:self.count])
@@ -564,44 +619,74 @@ class _Refold:
                 self.flush()
 
     def flush(self) -> None:
-        """Fold the elements gathered so far into out, adding their
+        """Fold the elements held so far into out, adding their
         saturations."""
-        if self.count:
-            with np.errstate(**self.state):
-                self.saturations += _fold_elements(self.dtype, self.out, self.w_rows, self.bias,
-                                                   self.at[:self.count], self.terms)
-            self.count = 0
+        if not self.count:
+            return
+        x, depth = self.x, self.w_rows.shape[1]
+        at = self.at[:self.count]
+        # each element's first input in x (a lone one's twice), and each
+        # term's offset from it
+        start = at % self.plane if self.count > 1 else (at % self.plane)[[0, 0]]
+        if x.ndim == 4:
+            (c, h, w, n), (kh, kw), ow = x.shape, self.window, self.out.shape[2]
+            r, rest = np.divmod(start, ow * n)
+            col, i = np.divmod(rest, n)
+            start = (r * w + col) * (self.stride * n) + i
+        if self.offsets is None:
+            if x.ndim == 2:
+                self.offsets = np.arange(depth)[:, None] * x.shape[1]
+            else:
+                rows = (np.arange(c)[:, None, None] * h + np.arange(kh)[:, None]) * w + np.arange(kw)
+                self.offsets = rows.reshape(-1, 1) * n
+        with np.errstate(**self.state):
+            self.saturations += _fold_elements(self.dtype, self.out, self.w_rows, self.bias, at, x, self.offsets,
+                                               start)
+        self.count = 0
 
 
-def _round_sums(kernel: Kernel, refold: _Refold, sums: np.ndarray, out: np.ndarray, bound: float,
-                cols: np.ndarray, first: int, run: int | None = None) -> int:
-    """Round a block's BLAS sums into out, a (channel, *element axes) view
-    of the call's output, returning the saturations, and hand the elements
-    left to the fold to refold with their terms, cols (term, column) and
+def _flag_zeros(flags: np.ndarray, lo: np.ndarray, bounds: np.ndarray, minus: np.ndarray | None) -> None:
+    """The zero pass of the rounding test: flag the zero lower ends lo
+    (channel, *element axes) whose sign only the fold decides, all but
+    the zeros of all-zero terms and bias (bound 0) of a bias that is not
+    -0.0 (minus, broadcast over the elements, marks the -0.0 ones): s adds
+    the bias last, and +0.0 + +-0.0 is +0.0."""
+    zeros = lo == 0
+    if zeros.any():
+        folds = bounds != 0
+        if minus is not None:
+            folds = folds | minus
+        zeros &= folds
+        flags |= zeros
+
+
+def _round_sums(kernel: Kernel, refold: _Refold, sums: np.ndarray, out: np.ndarray, cap: float,
+                bounds: np.ndarray | None, first: int, run: int | None = None) -> int:
+    """Round a block's BLAS sums (channel, *element axes) into out, a view
+    of the call's output of their shape, returning the saturations, and
+    hand the positions of the elements left to the fold to refold, with
     first and run as refold.gather takes them. Certified fixed-point sums
-    (one row per channel) are exact: all are rounded, and saturated unless
-    their cap `bound` (from _operands) proves that none can be, and the
-    zeros of a -0.0 bias are refolded for their sign. Otherwise the rows
-    are the sums s, then their bounds E (from _bound), and the per-element
-    certificate of the module docstring runs: an element it settles keeps
-    s - E (float32: rounded; fixed point: rounded and saturated by the
-    finish), the rest are refolded. Run with invalid and overflow warnings
-    off."""
-    out_ch = kernel.weights.shape[0]
+    (bounds None) are exact: all are rounded, and saturated unless their
+    cap (from _operands) proves that none can be, and the zeros of a -0.0
+    bias are refolded for their sign. Otherwise bounds (*element axes)
+    holds each column's bound, shared by its channels, and the
+    per-element certificate of the module docstring runs: an element it
+    settles keeps s - bound (float32: rounded; fixed point: rounded and
+    saturated by the finish), the rest are refolded. Run with invalid and
+    overflow warnings off."""
     minus = kernel.minus_zero_bias
     if minus is not None:
         minus = minus.reshape((-1,) + (1,) * (out.ndim - 1))
-    if sums.shape[0] == out_ch:
+    if bounds is None:
         zeros = None if minus is None else np.flatnonzero((sums == 0) & minus)
-        saturations = _finish(sums, kernel.dtype, out, bound)
+        saturations = _finish(sums, kernel.dtype, out, cap)
         if zeros is not None:
-            refold.gather(zeros, cols, first, run)
+            refold.gather(zeros, out[0].size, first, run)
         return saturations
-    s, e = sums[:out_ch], sums[out_ch:]
     hi = _scratch("hi", out.size, out.dtype).reshape(out.shape)
     # computed in float64; a float32 out and hi round on output
-    np.subtract(s, e, out=out)
-    np.add(s, e, out=hi)
+    np.subtract(sums, bounds, out=out)
+    np.add(sums, bounds, out=hi)
     lo = out
     if kernel.dtype != FLOAT32:
         # rint(v * 2^f) before the clip, out keeping s - E for _finish; an end
@@ -609,26 +694,20 @@ def _round_sums(kernel: Kernel, refold: _Refold, sums: np.ndarray, out: np.ndarr
         # limit settle the element and its saturation
         scale = 2.0 ** kernel.dtype.frac_bits
         limits = np.rint(kernel.dtype.min_value * scale) - 1, np.rint(kernel.dtype.max_value * scale) + 1
-        lo = np.clip(np.rint(np.multiply(out, scale, out=s), out=s), *limits, out=s)
+        lo = np.clip(np.rint(np.multiply(out, scale, out=sums), out=sums), *limits, out=sums)
         np.clip(np.rint(np.multiply(hi, scale, out=hi), out=hi), *limits, out=hi)
     flags = hi != lo
-    del hi
-    zeros = lo == 0
-    if zeros.any():
-        # a zero of all-zero terms and bias (e == 0) stands unless the bias is
-        # -0.0: s adds the bias last, and +0.0 + +-0.0 is +0.0
-        folds = e != 0
-        if minus is not None:
-            folds |= minus
-        zeros &= folds
-        flags |= zeros
-    flat = np.flatnonzero(flags)
+    if kernel.zero_pass:
+        _flag_zeros(flags, lo, bounds, minus)
     saturations = 0
+    flagged = np.count_nonzero(flags)
     if kernel.dtype != FLOAT32:
         # the refold finishes and counts its own elements
-        out[flags] = 0
+        if flagged:
+            out[flags] = 0
         saturations = _finish(out, kernel.dtype, out)
-    refold.gather(flat, cols, first, run)
+    if flagged:
+        refold.gather(np.flatnonzero(flags), out[0].size, first, run)
     return saturations
 
 
@@ -649,32 +728,28 @@ def _product_block(n: int, oh: int, ow: int, fixed: int, per_column: int) -> tup
 def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray) -> int:
     """conv2d of the batch x into out on BLAS, returning the saturations:
     blocks of output rows of a run of images (_product_block), one product
-    each, rounded by _round_sums straight into out, with their columns' E
-    unless _any_order_is_exact certifies the batch. The window norms of E
-    are taken for a group of whole blocks' rows at a time (_window_norms,
-    on the input rows they read), as many as fit a quarter of
-    SCRATCH_BYTES, at least one block's; a block copies its slice of them,
-    (output row, column, image), into row 0 of its (||x||, 1). Its
-    elements left to the fold are gathered from its columns and folded
-    once per call (_Refold)."""
+    each, rounded by _round_sums straight into out, with their windows'
+    bounds unless _any_order_is_exact certifies the batch. The bounds are
+    taken for a group of whole blocks' rows at a time (_window_bounds, on
+    the input rows they read, after the group's first product), as many
+    as fit a quarter of SCRATCH_BYTES, at least one block's, and each
+    block reads its slice of them. Its elements left to the fold are
+    folded once per call (_Refold)."""
     _, h, w, n = x.shape
     out_ch, _, kh, kw = kernel.weights.shape
     oh, ow = out.shape[1:3]
-    w_rows, bias, factors, bound = _operands(kernel, x)
+    w_rows, bias, factors, cap = _operands(kernel, x)
     depth = w_rows.shape[1]
-    acc_rows = out_ch if factors is None else 2 * out_ch
     # windows[ci, u, v, r, c, i] is term (ci, u, v) of output (r, c) of image i
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
     images, rows = _product_block(n, oh, ow, *_footprint(kernel, factors, depth))
     columns = rows * ow * images
-    cols_buf = _scratch("terms", depth * columns)
-    acc_buf = _scratch("acc", acc_rows * columns)
+    acc_buf = _scratch("acc", out_ch * columns)
     if factors is not None:
-        norms = np.ones((2, columns))
-        # output rows R whose (rows read + R) W images norm values fit
-        fit = (SCRATCH_BYTES // 32 // (w * images) - kh + stride) // (stride + 1)
-        group = rows * max(1, fit // rows)
-    refold = _Refold(kernel, out)
+        # output rows whose W images bounds fit a quarter of the budget
+        group = rows * max(1, SCRATCH_BYTES // 32 // (w * images) // rows)
+    bounds = None
+    refold = _Refold(kernel, out, x, 8 * depth * columns, stride)
     saturations = 0
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, n, images):
@@ -682,21 +757,21 @@ def _conv2d_products(x: np.ndarray, kernel: Kernel, stride: int, out: np.ndarray
                 # runs of ow m contiguous values at stride 1 when m is every image
                 block = windows[:, :, :, top:top + rows, :, start:start + images]
                 r, m = block.shape[3], block.shape[5]
-                cols = cols_buf[:depth * r * ow * m].reshape(block.shape)
+                # fetched per block: the window bounds and the refold work there too
+                cols = _scratch("terms", depth * r * ow * m).reshape(block.shape)
                 np.copyto(cols, block)
                 cols = cols.reshape(depth, -1)
-                acc = acc_buf[:acc_rows * cols.shape[1]].reshape(acc_rows, -1)
-                _sum_products(w_rows, cols, bias[:, None], acc[:out_ch])
+                acc = acc_buf[:out_ch * cols.shape[1]].reshape(out_ch, -1)
+                _sum_products(w_rows, cols, bias[:, None], acc)
                 if factors is not None:
                     first = top % group
                     if first == 0:
                         span = min(group, oh - top)
                         slab = x[:, top * stride:(top + span - 1) * stride + kh, :, start:start + m]
-                        group_norms = _window_norms(slab, kh, kw, stride)
-                    np.copyto(norms[0, :cols.shape[1]].reshape(r, ow, m), group_norms[first:first + r])
-                    _bound(acc[out_ch:], factors, norms[:, :cols.shape[1]])
+                        group_bounds = _window_bounds(slab, kh, kw, stride, factors)
+                    bounds = group_bounds[first:first + r]
                 saturations += _round_sums(kernel, refold, acc.reshape(-1, r, ow, m),
-                                           out[:, top:top + r, :, start:start + m], bound, cols,
+                                           out[:, top:top + r, :, start:start + m], cap, bounds,
                                            top * ow * n + start, None if m == n else m)
     refold.flush()
     return saturations + refold.saturations
@@ -707,31 +782,32 @@ def _dense_products(x: np.ndarray, kernel: Kernel, out: np.ndarray) -> int:
     tiles of images (columns), one product each, rounded by _round_sums. A
     tile of a batch that _any_order_is_exact certifies is rounded in its
     columns of out; any other takes a float64 copy of its columns and
-    their E. The elements left to the fold are folded once per call
-    (_Refold)."""
+    their bounds, from the copy's column norms (_to_bounds). The elements
+    left to the fold are folded once per call (_Refold)."""
     m, n = kernel.weights.shape
     images = x.shape[1]
-    w_rows, bias, factors, bound = _operands(kernel, x)
-    refold = _Refold(kernel, out)
+    w_rows, bias, factors, cap = _operands(kernel, x)
+    tile = _tile_length(images, *_footprint(kernel, factors, 0 if factors is None else n))
+    refold = _Refold(kernel, out, x, 0 if factors is None else 8 * n * tile)
     saturations = 0
     with np.errstate(invalid="ignore", over="ignore"):
         if factors is None:
-            tile = _tile_length(images, *_footprint(kernel, factors, 0))
             for start in range(0, images, tile):
                 acc, xs = out[:, start:start + tile], x[:, start:start + tile]
                 _sum_products(w_rows, xs, bias[:, None], acc)
-                saturations += _round_sums(kernel, refold, acc, acc, bound, xs, start)
+                saturations += _round_sums(kernel, refold, acc, acc, cap, None, start)
         else:
-            tile = _tile_length(images, *_footprint(kernel, factors, n))
-            x_buf, acc_buf, norms = _scratch("terms", n * tile), _scratch("acc", 2 * m * tile), np.ones((2, tile))
+            acc_buf, bounds_buf = _scratch("acc", m * tile), np.empty(tile)
             for start in range(0, images, tile):
                 t = min(tile, images - start)
-                xs = x_buf[:n * t].reshape(n, t)
+                # fetched per tile, as the refold works there too
+                xs = _scratch("terms", n * t).reshape(n, t)
                 np.copyto(xs, x[:, start:start + t])
-                acc = acc_buf[:2 * m * t].reshape(2 * m, t)
-                _sum_products(w_rows, xs, bias[:, None], acc[:m])
-                _bound(acc[m:], factors, norms[:, :t], xs)
-                saturations += _round_sums(kernel, refold, acc, out[:, start:start + t], bound, xs, start)
+                acc = acc_buf[:m * t].reshape(m, t)
+                _sum_products(w_rows, xs, bias[:, None], acc)
+                bounds = np.sqrt(np.einsum("ij,ij->j", xs, xs, out=bounds_buf[:t]), out=bounds_buf[:t])
+                _to_bounds(bounds, factors)
+                saturations += _round_sums(kernel, refold, acc, out[:, start:start + t], cap, bounds, start)
     refold.flush()
     return saturations + refold.saturations
 

@@ -169,20 +169,22 @@ def product_geometry(x, kern):
     """How conv2d (4-D weights) or dense lays out its matrix products on
     x, one per block or tile, as (held, per) bytes: what is held beside
     the blocks or tiles (nothing for a Q16.16 batch under the exact bound;
-    else the weights and bias as float64 and the bound's two factors per
-    channel), and what a column of a conv block or an image of a dense
-    tile takes: its float64 input terms (a conv block's K-major column; a
-    dense tile's input copy, none under the exact bound) and, per output
-    element, the float64 product; under the per-element certificate also
-    the column's or image's input norm and a one, and per output element
-    the bound E, the rounding test's upper end as the output stores it
-    (float32 4 bytes, Q16.16 8) and three flag bytes."""
+    else the weights and bias as float64), and what a column of a conv
+    block or an image of a dense tile takes: its float64 input terms (a
+    conv block's K-major column; a dense tile's input copy, none under the
+    exact bound) and, per output element, the float64 product; under the
+    per-element certificate also the column's or image's bound, one
+    float64 shared by its channels, and per output element the rounding
+    test's upper end as the output stores it (float32 4 bytes, Q16.16 8)
+    and the flag bytes, three where the zero pass runs and one where it
+    does not."""
     out_ch = kern.weights.shape[0]
     depth = kern.weights.size // out_ch
     if x.dtype != FLOAT32 and exact_bound(x, kern) < 2**20:
         return 0, 8 * ((depth if len(kern.weights.shape) == 4 else 0) + out_ch)
     upper = 4 if x.dtype == FLOAT32 else 8
-    return 8 * (kern.weights.size + 3 * out_ch), 8 * (depth + 2) + out_ch * (16 + upper + 3)
+    flags = 3 if kern.zero_pass else 1
+    return 8 * (kern.weights.size + out_ch), 8 * (depth + 1) + out_ch * (8 + upper + flags)
 
 
 def scratch_budget(held, per, count):
@@ -579,11 +581,11 @@ def capturing_refolds(mp):
     masks = []
     real = T._fold_elements
 
-    def fold(dtype, dst, w_rows, bias, at, terms):
+    def fold(dtype, dst, w_rows, bias, at, *inputs):
         mask = np.zeros(dst.shape, dtype=bool)
         mask.reshape(-1)[at] = True
         masks.append(mask)
-        return real(dtype, dst, w_rows, bias, at, terms)
+        return real(dtype, dst, w_rows, bias, at, *inputs)
 
     mp.setattr(T, "_fold_elements", fold)
     return masks
@@ -630,15 +632,15 @@ def bound_values(rng, size, fixed, special):
     stride=st.integers(1, 2),
 )
 def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout, h, w, kh, kw, stride):
-    """Every element's bound E, as conv2d computes it (_window_norms, on
+    """Every window's bound, as conv2d computes it (_window_bounds, on
     square and rectangular kernels, at strides 1 and 2) and as dense does
-    (_bound on the rows), is at least (n + 4) 2**-51 A, n its terms (the
-    bias and the products) and A the math.fsum of |b| and the |w x|, on
-    signed, subnormal, zero and near-max float32 values and on Q16.16
-    values past the exact bound. An element with a NaN or infinite term
-    is always refolded, and every row is bitwise equal to the oracles,
-    every NaN the canonical quiet NaN whatever the payloads of its
-    terms."""
+    (_to_bounds on the column norms), is at least (n + 4) 2**-51 A for every
+    output channel, n the element's terms (the bias and the products) and
+    A the math.fsum of |b| and the |w x|, on signed, subnormal, zero and
+    near-max float32 values and on Q16.16 values past the exact bound. An
+    element with a NaN or infinite term or bound is always refolded, and every row
+    is bitwise equal to the oracles, every NaN the canonical quiet NaN
+    whatever the payloads of its terms."""
     rng = np.random.default_rng(seed)
     special = special and not fixed
     dtype = Q16_16 if fixed else FLOAT32
@@ -656,23 +658,27 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
     dkern = Kernel(Tensor((cout, cin * h * w), dtype, dense_weights), kern.bias)
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
 
-    def conv_norms(inp):
-        norms = T._window_norms(inp.array, kh, kw, stride).ravel()
-        return np.stack([norms, np.ones_like(norms)]), None
+    def conv_bounds(inp, factors):
+        return T._window_bounds(inp.array, kh, kw, stride, factors).ravel().copy()
+
+    def dense_bounds(inp, factors):
+        bounds = np.sqrt(np.einsum("ij,ij->j", *[inp.array.astype(np.float64)] * 2))
+        T._to_bounds(bounds, factors)
+        return bounds
 
     # per kernel: its input, the oracle of one image, every element's input
     # window or column, keyed by (output position, image) in C order, and
-    # the bound's norms and terms as the kernel passes them to _bound
+    # the bounds as the kernel computes them
     cases = [
         (x, kern, lambda img: conv2d_naive(img, kern.weights, kern.bias, stride),
          {(r, q, i): x.array[:, r * stride:r * stride + kh, q * stride:q * stride + kw, i].ravel()
           for r in range(oh) for q in range(ow) for i in range(n)},
-         conv_norms),
+         conv_bounds),
         (flat, dkern, lambda row: dense_naive(row, dkern.weights, dkern.bias),
          {(i,): flat.array[:, i] for i in range(n)},
-         lambda inp: (np.ones((2, n)), inp.array.astype(np.float64))),
+         dense_bounds),
     ]
-    for inp, kernel, oracle, windows, operands in cases:
+    for inp, kernel, oracle, windows, window_bounds in cases:
         with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
             masks = capturing_refolds(mp)
             got = T.conv2d(inp, kernel, stride) if kernel is kern else T.dense(inp, kernel)
@@ -684,38 +690,104 @@ def test_bounds_cover_the_exact_magnitude_sum(seed, fixed, special, n, cin, cout
             folded |= mask
         w_rows, b, factors, _ = T._operands(kernel, inp.array)
         assert factors is not None
-        bounds = np.empty((cout, len(windows)))
         with np.errstate(invalid="ignore"):  # as the kernels run it
-            T._bound(bounds, factors, *operands(inp))
+            bounds = window_bounds(inp, factors)
         for c in range(cout):
-            for (pos, window), e in zip(windows.items(), bounds[c]):
+            for (pos, window), e in zip(windows.items(), bounds):
                 idx = (c,) + pos
                 products = [float(wt) * float(xt) for wt, xt in zip(w_rows[c], window)]
-                if not all(math.isfinite(v) for v in products + [b[c]]):
+                # another channel's infinite or NaN weight or bias makes
+                # the window's bound +inf or NaN, which flags it too
+                if not all(math.isfinite(v) for v in products + [b[c], e]):
                     assert folded[idx], idx
                     continue
                 exact = math.fsum([abs(b[c])] + [abs(v) for v in products])
                 assert Fraction(float(e)) >= Fraction(w_rows.shape[1] + 5, 2**51) * Fraction(exact), idx
 
 
+def channel_bounds(kernel, norms):
+    """Each output channel's own bound of the element-wise certificate,
+    k (||w_c||, |b_c|) times (||x||, 1) as (channel, window) float64 with k
+    = (n + 5) 2**-51, and the per-window bound F ||x|| + G of the kernels,
+    F and G the channels' maxima of those factors."""
+    w_rows = kernel.weight_rows
+    k = (w_rows.shape[1] + 6) * 2.0**-51
+    factors = np.stack([np.sqrt(np.einsum("ij,ij->i", w_rows, w_rows)) * k, np.abs(kernel.bias_values) * k], axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        per_channel = factors @ np.stack([norms, np.ones_like(norms)])
+        bounds = norms.copy()
+        T._to_bounds(bounds, kernel.bound_factors)
+    return per_channel, bounds
+
+
+# float32 weight classes for the bound's maxima: mixed norms, signed
+# zeros, subnormals, and infinities and NaNs
+CHANNEL_VALUES = np.array([0.5, -3.0, 2.0**-20, 0.0, -0.0, 2.0**-149, -(2.0**-140), 2.0**100], dtype=np.float32)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    special=st.booleans(),
+    cout=st.integers(1, 6),
+    depth=st.integers(1, 12),
+    n=st.integers(1, 4),
+)
+def test_window_bound_covers_every_channel_bound(seed, special, cout, depth, n):
+    """The per-window bound F ||x|| + G is at least every output channel's
+    own bound k ||w_c|| ||x|| + k |b_c| after rounding, on seeded kernels
+    whose channels have norms apart by up to 2**120 (one channel scaled
+    per example), and with +-0.0, subnormal and, if special, infinite and
+    NaN weights and biases: where a channel's bound is NaN the window's is
+    NaN too, and the window's bound is NaN or at least each channel's. It
+    reads F and G from Kernel.bound_factors, which are the maxima over
+    the channels, and the kernels give the oracles' bits."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([CHANNEL_VALUES, SPECIAL_VALUES]) if special else CHANNEL_VALUES
+    weights = rng.choice(values, size=(cout, depth)) * rng.uniform(0.5, 2, (cout, depth)).astype(np.float32)
+    weights[rng.integers(cout)] *= np.float32(2.0 ** rng.integers(-20, 21))
+    bias = rng.choice(values, size=cout)
+    x = rng.choice(np.concatenate([CHANNEL_VALUES[:7], [np.float32(1e30)]]), size=(depth, n)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = Kernel(Tensor((cout, depth), FLOAT32, weights.astype(np.float32).ravel()),
+                      Tensor((cout,), FLOAT32, bias.astype(np.float32)))
+        norms = np.sqrt(np.einsum("ij,ij->j", *[x.astype(np.float64)] * 2))
+    per_channel, bounds = channel_bounds(kern, norms)
+    f, g = kern.bound_factors
+    k = (depth + 6) * 2.0**-51
+    with np.errstate(invalid="ignore"):
+        want_f = np.sqrt(np.einsum("ij,ij->i", kern.weight_rows, kern.weight_rows)) * k
+    assert np.array_equal(f, np.max(want_f), equal_nan=True)
+    assert np.array_equal(g, np.max(np.abs(kern.bias_values) * k), equal_nan=True)
+    nan = np.isnan(bounds)
+    assert (nan | ~np.isnan(per_channel).any(axis=0)).all()
+    assert (bounds[~nan] >= per_channel[:, ~nan]).all()
+    inp = Tensor((depth, n), FLOAT32, x.ravel())
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = T.dense(inp, kern)
+        want = [dense_naive(row, kern.weights, kern.bias) for row in columns(inp)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+
+
 @pytest.mark.parametrize(
     "n, cin, cout, h, w, kh, kw, stride, images, rows, products, groups",
     [
-        (7, 2, 8, 11, 6, 3, 2, 1, 7, 3, 3, 1),
-        (6, 1, 8, 12, 6, 3, 2, 1, 6, 3, 4, 2),
-        (5, 2, 16, 9, 7, 2, 3, 2, 3, 1, 8, 4),
+        (7, 2, 8, 8, 6, 3, 2, 1, 7, 3, 2, 1),
+        (6, 1, 8, 20, 6, 3, 2, 1, 6, 3, 6, 2),
+        (5, 2, 16, 9, 7, 2, 3, 2, 3, 1, 8, 2),
         (3, 3, 4, 8, 8, 3, 3, 2, 3, 3, 1, 1),
     ],
     ids=["one-group-of-image-blocks", "two-groups-of-image-blocks", "row-blocks-at-stride-2", "one-block"],
 )
 def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride, images, rows, products, groups):
-    """conv2d takes the window norms of a group of blocks' output rows at
-    once and each block reads its own: the norms of its blocks' _bound
-    calls, in call order, are bitwise the _window_norms of each run of the
-    blocks' images in turn, with blocks of `rows` output rows of all n
-    images or of one row of `images` of them (3 + 2 at stride 2), groups
-    of several blocks or one, and a short last group. Every image is
-    bitwise equal to the oracles."""
+    """conv2d takes the window bounds of a group of blocks' output rows at
+    once and each block reads its own: the bounds its blocks hand to
+    _round_sums, in call order, are bitwise the _window_bounds of each run
+    of the blocks' images in turn, with blocks of `rows` output rows of
+    all n images or of one row of `images` of them (3 + 2 at stride 2,
+    each run one group), groups of several blocks or one, and a short
+    last group (12 + 6 rows). Every image is bitwise equal to the
+    oracles."""
     rng = np.random.default_rng(8)
     x = Tensor((cin, h, w, n), FLOAT32, batch_values(rng, (cin, h, w, n), FLOAT32))
     kern = Kernel(
@@ -726,24 +798,25 @@ def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride,
     held, per = product_geometry(x, kern)
     budget = scratch_budget(held, per, rows * ow * images)
     assert product_block(budget, n, oh, ow, held, per) == (images, rows)
-    norms, calls = [], [0]
-    real_bound, real_norms = T._bound, T._window_norms
+    read, calls = [], [0]
+    real_round, real_bounds = T._round_sums, T._window_bounds
 
-    def bound(e, factors, block_norms, terms=None):
-        norms.append(block_norms[0].copy())
-        return real_bound(e, factors, block_norms, terms)
+    def round_sums(kernel, refold, sums, out, cap, bounds, *args):
+        read.append(bounds.copy().ravel())
+        return real_round(kernel, refold, sums, out, cap, bounds, *args)
 
-    def window_norms(*args):
+    def window_bounds(*args):
         calls[0] += 1
-        return real_norms(*args)
+        return real_bounds(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_bound", bound)
-        mp.setattr(T, "_window_norms", window_norms)
+        mp.setattr(T, "_round_sums", round_sums)
+        mp.setattr(T, "_window_bounds", window_bounds)
         got, sums = tiled(T.conv2d, budget, x, kern, stride)
     assert (sums, calls[0]) == (products, groups)
-    runs = [T._window_norms(x.array[..., i:i + images], kh, kw, stride).ravel() for i in range(0, n, images)]
-    assert np.concatenate(norms).tobytes() == np.concatenate(runs).tobytes()
+    runs = [T._window_bounds(x.array[..., i:i + images], kh, kw, stride, kern.bound_factors).ravel()
+            for i in range(0, n, images)]
+    assert np.concatenate(read).tobytes() == np.concatenate(runs).tobytes()
     want = [conv2d_naive(img, kern.weights, kern.bias, stride) for img in columns(x)]
     assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
@@ -878,9 +951,9 @@ def counting_refolds(mp):
     folded = [0]
     real = T._fold_elements
 
-    def counted(dtype, dst, w_rows, bias, at, terms):
+    def counted(dtype, dst, w_rows, bias, at, *inputs):
         folded[0] += at.size
-        return real(dtype, dst, w_rows, bias, at, terms)
+        return real(dtype, dst, w_rows, bias, at, *inputs)
 
     mp.setattr(T, "_fold_elements", counted)
     return folded
@@ -991,20 +1064,31 @@ def test_order_dependent_float32_sum_is_refolded():
     assert got.data[0] == 1.0
 
 
+def fold_budget(per, depth, itemsize=4):
+    """A SCRATCH_BYTES whose quarter, the fold's room in a call without a
+    window-column scratch of its own, holds `per` elements of `depth`
+    terms beside a word of rounding: per term an index and a float64
+    term, 8 bytes each, and an input as the call's input stores it, and
+    the element's float64 bias."""
+    return 4 * (per * ((16 + itemsize) * depth + 8) + 8)
+
+
 @pytest.mark.parametrize("per", [1, 3, None], ids=["slices-of-1", "slices-of-3", "own-buffer"])
 def test_fold_elements_sums_left_to_right(per):
     """The refold adds bias first, then term by term, as a scalar loop
     does, on terms where NumPy's pairwise sum gives other bits: 1 plus
     forty 2**-53-sized terms each round away when added to 1 one at a time,
-    while pairwise partial sums of them do not. Five elements are gathered
-    at once and written as float64: under a budget whose fold share holds
-    one or three elements they are folded in slices of that many as the
-    share fills (5 or 3 + 2), under the real one in one slice at the
+    while pairwise partial sums of them do not. Five elements of a dense
+    call's output are handed over at once by their positions, their terms
+    read from the call's input columns, and written as float64: under a
+    budget whose fold share holds one or three elements they are folded
+    in slices of that many as the share fills (5 or 3 + 2; a lone element
+    beside a copy of itself), under the real one in one slice at the
     flush."""
     rng = np.random.default_rng(11)
     depth, columns = 40, 5
     w_rows = np.full((2, depth), 2.0**-27)
-    cols = rng.choice([2.0**-26, 3 * 2.0**-26, -(2.0**-26)], size=(depth, columns))
+    x = rng.choice(np.array([2.0**-26, 3 * 2.0**-26, -(2.0**-26)], dtype=np.float32), size=(depth, columns))
     bias = np.array([1.0, -1.0])
     kern = Kernel(Tensor((2, depth), FLOAT32, w_rows.ravel().astype(np.float32)),
                   Tensor((2,), FLOAT32, bias.astype(np.float32)))
@@ -1012,10 +1096,10 @@ def test_fold_elements_sums_left_to_right(per):
     flat = np.arange(0, dst.size, 2)
     with pytest.MonkeyPatch.context() as mp:
         if per is not None:
-            mp.setattr(T, "SCRATCH_BYTES", 32 * per * (2 * depth + 1))
+            mp.setattr(T, "SCRATCH_BYTES", fold_budget(per, depth))
         masks = capturing_refolds(mp)
-        refold = T._Refold(kern, dst)
-        refold.gather(flat, cols, 0)
+        refold = T._Refold(kern, dst, x, 0)
+        refold.gather(flat, columns, 0)
         refold.flush()
     assert [int(m.sum()) for m in masks] == {1: [1] * 5, 3: [3, 2], None: [5]}[per]
     differs = 0
@@ -1023,24 +1107,76 @@ def test_fold_elements_sums_left_to_right(per):
         c, j = divmod(int(f), columns)
         acc = float(bias[c])
         for t in range(depth):
-            acc += float(w_rows[c, t]) * float(cols[t, j])
+            acc += float(w_rows[c, t]) * float(x[t, j])
         assert dst[c, j].tobytes() == np.float64(acc).tobytes()
-        differs += np.sum(np.concatenate([bias[c:c + 1], w_rows[c] * cols[:, j]])) != acc
+        differs += np.sum(np.concatenate([bias[c:c + 1], w_rows[c] * x[:, j]])) != acc
     assert differs > 0
     untouched = np.setdiff1d(np.arange(dst.size), flat)
     assert not dst.reshape(-1)[untouched].any()
 
 
+# inputs whose products with 2**-27 put 2**-53, then forty-seven 2**-54,
+# after a bias of 1: added to 1 one at a time each rounds away, so the
+# running sum stays 1, while a pairwise sum of one column of them adds the
+# small ones together first and ends past 1
+LONE_INPUTS = np.array([2.0**-26] + [2.0**-27] * 47, dtype=np.float32)
+
+
+@pytest.mark.parametrize("case", ["one", "two", "all-minus-zero"])
+def test_fold_elements_of_one_two_and_minus_zero_terms(case):
+    """Folds of the sizes and signs the refold's reduction must get right,
+    each one flush of a dense call's refold, written as float64 and held
+    against a scalar running sum: a lone element, summed beside a copy of
+    itself, whose terms a pairwise sum of their one column (np.add.reduce
+    over a single column) adds in another order; two elements of two
+    channels; and two elements whose -0.0 bias and terms are all -0.0,
+    which the fold ends on -0.0 only because it starts from -0.0, where a
+    reduction from +0.0 gives +0.0."""
+    depth = LONE_INPUTS.size
+    if case == "all-minus-zero":
+        x = np.full((depth, 3), -0.0, dtype=np.float32)
+        weights = np.full((2, depth), 1.0, dtype=np.float32)
+        bias = np.full(2, -0.0, dtype=np.float32)
+    else:
+        x = np.stack([LONE_INPUTS, -LONE_INPUTS, LONE_INPUTS * 2], axis=1)
+        weights = np.stack([np.full(depth, 2.0**-27), np.full(depth, -(2.0**-28))]).astype(np.float32)
+        bias = np.array([1.0, -1.0], dtype=np.float32)
+    kern = Kernel(Tensor(weights.shape, FLOAT32, weights.ravel()), Tensor((2,), FLOAT32, bias))
+    at = {"one": [0], "two": [1, 5], "all-minus-zero": [2, 4]}[case]
+    dst = np.zeros((2, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        masks = capturing_refolds(mp)
+        refold = T._Refold(kern, dst, x, 0)
+        refold.gather(np.array(at), 3, 0)
+        refold.flush()
+    assert [int(m.sum()) for m in masks] == [len(at)]
+    for f in at:
+        c, j = divmod(f, 3)
+        terms = [float(bias[c])] + [float(wt) * float(xt) for wt, xt in zip(weights[c], x[:, j])]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc += t
+        assert dst[c, j].tobytes() == np.float64(acc).tobytes(), f
+        if case == "one":
+            assert np.add.reduce(np.array(terms)[:, None], axis=0)[0] != acc
+    assert np.count_nonzero(dst) == np.count_nonzero(dst.reshape(-1)[at])
+    if case == "all-minus-zero":
+        assert np.signbit(dst.reshape(-1)[at]).all()
+
+
 def test_cifar_conv2_refolds_as_the_fold_scratch_fills():
-    """cifar's conv2 (depth 800) on the pool1 outputs of four synthesized
-    images runs 5 blocks of two output rows of all four. Each block hands
-    its flagged elements to the call's refold, and they are folded when
-    the fold's scratch (half of a quarter of the budget: 20 elements of
-    801 values, beside their 800 weights) fills and once more at the end
-    of the call: fewer folds than blocks with flagged elements, each full
-    but the last."""
+    """cifar's conv2 (depth 800) on the pool1 outputs of eight synthesized
+    images runs 10 blocks of one output row of all eight. Each block hands
+    the positions of its flagged elements to the call's refold, and they
+    are folded when the fold's room (the blocks' window-column scratch,
+    800 x 80 float64 values, holds 31 elements of 800 terms at 16008 bytes
+    each, beside a word) fills and once more at the end of the call:
+    fewer folds than blocks with flagged elements, each full but the
+    last. Every refolded element is bitwise the scalar fold of its window
+    (dense_naive of the window and its channel's weights), and image 0
+    is bitwise the oracle's."""
     model = seed_weights(build_cifar_net(), 2)
-    images = synthesize(4, model.input_shape, 7, "uniform").pixels
+    images = synthesize(8, model.input_shape, 7, "uniform").pixels
     _, taps = forward_batch(model, images, ("pool1",))
     pool1 = np.moveaxis(taps["pool1"], 0, -1)
     x = Tensor(pool1.shape, FLOAT32, pool1.ravel())
@@ -1057,15 +1193,19 @@ def test_cifar_conv2_refolds_as_the_fold_scratch_fills():
         masks = capturing_refolds(mp)
         sums = counting_products(mp)
         got = T.conv2d(x, kern, 1)
-    assert sums == [5] and len(gathered) == 5
-    per = T.SCRATCH_BYTES // 32 // (2 * 800 + 1)
+    assert sums == [10] and len(gathered) == 10
+    per = (8 * 800 * 80 - 8) // (20 * 800 + 8)
     folds = [int(m.sum()) for m in masks]
     total = sum(gathered)
-    assert per == 20 and total > per
+    assert per == 31 and total > per
     assert folds == [per] * (total // per) + [total % per] * (total % per > 0)
     assert len(folds) < sum(size > 0 for size in gathered)
-    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
-    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
+    w_rows = kern.weights.array.reshape(32, -1)
+    for c, r, q, i in zip(*np.nonzero(np.logical_or.reduce(masks))):
+        window = Tensor((800,), FLOAT32, x.array[:, r:r + 5, q:q + 5, i].ravel())
+        row = Kernel(Tensor((1, 800), FLOAT32, w_rows[c]), Tensor((1,), FLOAT32, kern.bias.data[c:c + 1]))
+        assert got.array[c, r, q, i].tobytes() == dense_naive(window, row.weights, row.bias).data.tobytes()
+    assert bitwise_equal(columns(got)[0], conv2d_naive(columns(x)[0], kern.weights, kern.bias, 1))
 
 
 def refold_across_blocks_cases():
@@ -1075,9 +1215,11 @@ def refold_across_blocks_cases():
     -0.0 bias of channel 1 over -0.0 inputs. conv2d: 2 output channels over 3x1x2 windows
     of 5 images of 3x6x3, in blocks of 2 output rows of all 5 images,
     flagged sums in rows 0, 2, 4 and 5. dense: 2 outputs of 64 inputs on
-    170 images, in tiles of 26, flagged sums in images 5, 70, 120 and 130.
-    Each budget leaves the fold scratch room for exactly 5 (conv2d: 2400
-    // 32 // (2 * 6 + 1)) or 4 (dense) elements."""
+    170 images, in tiles of 12, flagged sums in images 5, 70, 120 and 130.
+    The fold's room, the blocks' window columns (conv2d: 6 x 20 float64
+    values) or the tiles' input copy (dense: 64 x 12), holds exactly 7
+    (conv2d: 952 // 128, 20 bytes per term and 8 per element) or 4 (dense:
+    6136 // 1288) elements."""
     rng = np.random.default_rng(4)
     bias = Tensor((2,), FLOAT32, np.array([0.25, -0.0], dtype=np.float32))
     x = rng.uniform(0.5, 1.0, (3, 6, 3, 5)).astype(np.float32)
@@ -1095,20 +1237,20 @@ def refold_across_blocks_cases():
     x[:, 70] = -0.0
     x[1, 120] = np.inf
     x[2, 130], x[3, 130] = -np.inf, np.inf
-    dense = (Tensor(x.shape, FLOAT32, x.ravel()), Kernel(Tensor(w.shape, FLOAT32, w.ravel()), bias), 32 * 129 * 4)
+    dense = (Tensor(x.shape, FLOAT32, x.ravel()), Kernel(Tensor(w.shape, FLOAT32, w.ravel()), bias), 7640)
     return {"conv2d": conv, "dense": dense}
 
 
 @pytest.mark.parametrize("name", ["conv2d", "dense"])
 def test_refold_gathers_across_blocks(name):
-    """A call's flagged sums, handed over block by block (_Refold.gather),
-    are folded when the fold's scratch fills, once mid-call, and once more
-    at the end (_fold_elements calls): 2 + 2 + 4 into folds of 5 and 3
-    (conv2d), 2 + 1 + 2 + 2 into 4 and 3 (dense). Every column is bitwise
-    the oracles', NaN, infinities and the -0.0 bias's signed zeros
-    included. The folds run under the caller's error state, as each
-    block's fold did: its invalid warnings are the ones the per-block
-    folds gave (from the products' multiply and the running sum), an
+    """A call's flagged sums, handed over by position block by block
+    (_Refold.gather, only by blocks that flag any), are folded whenever
+    the fold's scratch fills and once more at the end (_fold_elements
+    calls): 2 + 2 + 4 into folds of 7 and 1 (conv2d), 2 + 1 + 4 into 4
+    and 3 (dense). Every column is bitwise the oracles', NaN,
+    infinities and the -0.0 bias's signed zeros included. The folds run
+    under the caller's error state: its invalid warnings are the ones the
+    fold gives (from the products' multiply and the running sum), an
     errstate that raises on them stops the call, and one that ignores
     them leaves none."""
     x, kern, budget = refold_across_blocks_cases()[name]
@@ -1129,9 +1271,9 @@ def test_refold_gathers_across_blocks(name):
         got = call()
     folds = [int(m.sum()) for m in masks]
     if name == "conv2d":
-        assert (sums, gathered, folds) == ([3], [2, 2, 4], [5, 3])
+        assert (sums, gathered, folds) == ([3], [2, 2, 4], [7, 1])
     else:
-        assert (sums, gathered, folds) == ([7], [2, 0, 1, 0, 2, 2, 0], [4, 3])
+        assert (sums, gathered, folds) == ([15], [2, 1, 4], [4, 3])
     with np.errstate(invalid="ignore", over="ignore"):
         oracle = conv2d_naive if name == "conv2d" else dense_naive
         want = [oracle(img, kern.weights, kern.bias, *([1] if name == "conv2d" else [])) for img in columns(x)]
@@ -1139,7 +1281,7 @@ def test_refold_gathers_across_blocks(name):
     assert np.isnan(got.data).any() and np.signbit(got.array[1][got.array[1] == 0]).all()
     assert {(w.category, str(w.message)) for w in caught} == {
         (RuntimeWarning, "invalid value encountered in multiply"),
-        (RuntimeWarning, "invalid value encountered in accumulate"),
+        (RuntimeWarning, "invalid value encountered in reduce"),
     }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SCRATCH_BYTES", budget)
@@ -1184,6 +1326,81 @@ def test_all_zero_float32_sums_refold_only_for_a_minus_zero_bias(bias):
     assert (got.data == 0).all() and (got_dense.data == 0).all()
     assert np.signbit(got.array[0, ..., 0]).all() == np.signbit(bias)
     assert np.signbit(got_dense.array[0, 0]) == np.signbit(bias)
+
+
+# channel 0's bias b0 sets G = k |b0| with k = (2 + 6) 2**-51 = 2**-48, as
+# the bound factor of a depth-2 kernel: well below, just below and at the
+# 2**-148 from which float32 calls skip the zero pass
+ZERO_PASS_BIASES = {
+    "well-below": 2.0**-103,
+    "just-below": 2.0**-100 * (1 - 2.0**-24),
+    "at": 2.0**-100,
+}
+
+
+@pytest.mark.parametrize("bias", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+@pytest.mark.parametrize("case", list(ZERO_PASS_BIASES))
+def test_zero_pass_at_the_bound_factor_boundary(case, bias):
+    """float32 conv2d and dense with G = max_c k |b_c| just at, and below,
+    2**-148, over all-zero windows (+-0.0 inputs) and a +0.0 or -0.0 bias
+    in channel 1: every zero sum's sign is the fold's, bitwise equal to
+    the oracles. Below 2**-148 the zero pass runs: at G = 2**-151 a zero
+    sum's lower end s - G rounds to -0.0 beside an upper end of +0.0, so
+    only the zero pass refolds it, and without it a +0.0 sum would read
+    -0.0. From 2**-148 on every zero lower end differs from its upper end
+    and the pass is skipped, and every zero sum is still refolded."""
+    rng = np.random.default_rng(12)
+    b0 = np.float32(ZERO_PASS_BIASES[case])
+    assert float(b0) == ZERO_PASS_BIASES[case]
+    biases = Tensor((2,), FLOAT32, np.array([b0, bias], dtype=np.float32))
+    x = rng.choice(np.array([0.0, -0.0], dtype=np.float32), size=(1, 3, 4, 3))
+    conv = Kernel(Tensor((2, 1, 1, 2), FLOAT32, np.array([0.5, -1.0, 0.25, 2.0], dtype=np.float32)), biases)
+    flat = x.reshape(-1, 3)[:2]
+    dense = Kernel(Tensor((2, 2), FLOAT32, np.array([0.5, -1.0, 0.25, 2.0], dtype=np.float32)), biases)
+    g = conv.bound_factors[1]
+    assert g == dense.bound_factors[1] == float(b0) * 2.0**-48
+    assert (g < 2.0**-148) == (case != "at")
+    cases = [
+        (lambda t: T.conv2d(t, conv, 1), x, lambda img: conv2d_naive(img, conv.weights, conv.bias, 1)),
+        (lambda t: T.dense(t, dense), flat, lambda row: dense_naive(row, dense.weights, dense.bias)),
+    ]
+    for call, values, oracle in cases:
+        inp = Tensor(values.shape, FLOAT32, values.ravel())
+        passes, real = [], T._flag_zeros
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_flag_zeros", lambda *args: passes.append(1) or real(*args))
+            folded = counting_refolds(mp)
+            got = call(inp)
+        want = [oracle(img) for img in columns(inp)]
+        assert all(bitwise_equal(gc, o) for gc, o in zip(columns(got), want))
+        assert bool(passes) == (case != "at")
+        # channel 1 is all zero sums, and each is refolded
+        assert (got.array[1] == 0).all() and folded[0] == got.array[1].size
+        assert np.signbit(got.array[1]).any() == np.signbit(bias)
+
+
+def test_a_tap_only_pass_stops_at_its_deepest_tap():
+    """forward_batch without labels runs no kernel past the deepest layer
+    it keeps, and writes the taps of a full pass bitwise: keeping lenet's
+    fc1 it calls dense once per chunk (fc1 alone), keeping conv2 never;
+    collect_observations and stream_hit_rate take that walk."""
+    model = seed_weights(build_lenet(), 2)
+    data = synthesize(2 * forward_chunk(model) + 3, model.input_shape, 6, "uniform")
+    fc = {id(model.get_layer(name).params): name for name in ("fc1", "fc2", "fc3")}
+    _, full = forward_batch(model, data.pixels, ("conv2", "fc1"))
+    for keep, runs in [(("fc1",), ["fc1"] * 3), (("conv2",), []), (("conv2", "fc1"), ["fc1"] * 3)]:
+        called, real = [], T.dense
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "dense", lambda x, kernel, **kw: called.append(fc[id(kernel)]) or real(x, kernel, **kw))
+            labels, taps = forward_batch(model, data.pixels, keep, labels=False)
+            observed = collect_observations(model, data, keep[-1])
+            hits = stream_hit_rate(model, [SigmaBand(keep[-1], 0.0, 1.0, "upper", 3.0, 4.0)], data, keep[-1])
+        assert labels is None
+        assert called == runs * 3
+        for name in keep:
+            assert taps[name].tobytes() == full[name].tobytes()
+        assert observed.tobytes() == full[keep[-1]].reshape(-1).astype(np.float64).tobytes()
+        assert hits[1] == len(data)
 
 
 def test_kernels_never_see_an_empty_batch():
@@ -1313,16 +1530,18 @@ def test_kernel_scratch_stays_within_budget(case, build, layer, whole):
     window = math.prod(out_shape[1:])
     # bytes per output position: certified fixed point, the float64
     # K-major column (conv) and product per output element; otherwise the
-    # column (conv) or input row (dense), its norm and a one, and per
-    # output element the product and its bound, the rounding test's upper
-    # end as the output stores it and three flag bytes, beside the float64
-    # weights and bias and the bound's two factors per channel
+    # column (conv) or input row (dense) and its bound, and per output
+    # element the product, the rounding test's upper end as the output
+    # stores it and the flag bytes (three, or one for float32, whose
+    # seeded kernels skip the zero pass), beside the float64 weights and
+    # bias
     if case == "q16":
         per_column, held = 8 * ((depth if spec.kind == "conv" else 0) + out_shape[0]), 0
     else:
-        upper = 4 if case == "f32" else 8
-        per_column = 8 * (depth + 2) + out_shape[0] * (16 + upper + 3)
-        held = 8 * (kern.weights.size + 3 * out_shape[0])
+        upper, flags = (4, 1) if case == "f32" else (8, 3)
+        assert kern.zero_pass == (case != "f32")
+        per_column = 8 * (depth + 1) + out_shape[0] * (8 + upper + flags)
+        held = 8 * (kern.weights.size + out_shape[0])
     per_image = per_column * window
     columns = (T.SCRATCH_BYTES - held) // per_column
     n = whole * max(1, columns // window) + 1
@@ -1544,19 +1763,22 @@ def test_stage_chunks_at_the_real_budget(name, chunk):
 @pytest.mark.parametrize(
     "build, q16, blocks",
     [
-        (build_lenet, False, {"conv1": (24, 1800), "conv2": (8, 600)}),
-        (build_lenet, True, {"conv1": (6, 3552), "conv2": (4, 592)}),
-        (build_cifar_net, False, {"conv1": (14, 560), "conv2": (10, 100)}),
+        (build_lenet, False, {"conv1": [3600] * 12, "conv2": [600] * 8}),
+        (build_lenet, True, {"conv1": [3552] * 6, "conv2": [592] * 4}),
+        (build_cifar_net, False, {"conv1": [840] * 9 + [280], "conv2": [100] * 10}),
     ],
     ids=["lenet-f32", "lenet-q16", "cifar-f32"],
 )
 def test_conv_product_blocks_at_the_real_chunk(build, q16, blocks):
     """The product blocks of every conv layer in forward_batch over one
-    full chunk at the real budget, as (products, columns of each):
-    float32 lenet conv1 one output row of all 75 images (24 x 24 x 75
-    columns) and conv2 one row of all 75 (8 x 8 x 75), which fits now that
-    a block counts the bytes it holds; Q16.16 lenet, certified, 4 and 2
-    rows of all 37; cifar 2 rows and one row of all 10."""
+    full chunk at the real budget, as the columns of each product in call
+    order: float32 lenet conv1 two output rows of all 75 images (2 x 24
+    x 75 columns) and conv2 one row of all 75 (8 x 75); Q16.16 lenet,
+    certified, 4 and 2 rows of all 37; cifar conv1 three rows of all 10,
+    the 28 rows in 9 such blocks and one of the last row, and conv2 one
+    row of all 10. The per-window bound takes no bytes per output element
+    and a conv column's lies in its group's bounds, which lets lenet
+    conv1's blocks hold two rows and cifar conv1's three."""
     model = seed_weights(build(), 2)
     if q16:
         model = quantize_model(model, Q16_16)
@@ -1573,7 +1795,7 @@ def test_conv_product_blocks_at_the_real_chunk(build, q16, blocks):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_sum_products", spy)
         forward_batch(model, images, ())
-    assert got == {name: [columns] * products for name, (products, columns) in blocks.items()}
+    assert got == blocks
 
 
 @pytest.mark.parametrize("name", ["cifar-f32", "lenet-f32", "lenet-q16"])

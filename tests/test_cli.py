@@ -810,9 +810,9 @@ def test_every_phase_passes_arrays_and_writes_the_recorded_bytes(tmp_path, monke
 
     real = models.forward_batch
 
-    def arrays_only(model, images, keep):
+    def arrays_only(model, images, keep, **labels):
         assert type(images) is np.ndarray
-        return real(model, images, keep)
+        return real(model, images, keep, **labels)
 
     tensors = []
     images = data_mod.Dataset.images
@@ -894,6 +894,36 @@ def test_counts_the_allocator_refuses_exit_2_naming_the_field(tmp_path, capsys, 
     cfg = base_config(tmp_path / "out", defense=dict(ALTERED, scale={"seed": 99, "range": [1.0, 1.0]}))
     section, key = path.split(".")
     cfg[section] = dict(cfg.get(section, {}), **{key: REFUSED_COUNT})
+    config = write_config(tmp_path, cfg)
+    for phase in PHASES:
+        code, err = run(phase, config), capsys.readouterr().err
+        if phase in phases:
+            assert (code, err) == (2, f"error: config field {path} is too large: its arrays cannot be allocated\n")
+        else:
+            assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "path, count, phases",
+    [
+        ("dataset.count", 2**62, PHASES),
+        ("estimator.probeCount", 2**60, ("forge", "defend")),
+        ("estimator.probeCount", 2**62, ("forge", "defend")),
+        ("trojan.maliciousCount", 2**60, ("attack",)),
+        ("trojan.maliciousCount", 2**62, ("attack",)),
+    ],
+    ids=["dataset.count-2^62", "estimator.probeCount-2^60", "estimator.probeCount-2^62",
+         "trojan.maliciousCount-2^60", "trojan.maliciousCount-2^62"],
+)
+def test_counts_numpy_refuses_as_too_big_exit_2_naming_the_field(tmp_path, capsys, path, count, phases):
+    """Counts whose first array would pass 2**63 bytes, which NumPy refuses
+    (ValueError: array is too big) before it asks the allocator: the
+    split's words or the images' indices of 2**62 images, and 2**60 or
+    2**62 probe or malicious images. Each exits 2 naming the field, in
+    every phase that draws it, as a count the allocator refuses does."""
+    cfg = base_config(tmp_path / "out", defense=dict(ALTERED, scale={"seed": 99, "range": [1.0, 1.0]}))
+    section, key = path.split(".")
+    cfg[section] = dict(cfg.get(section, {}), **{key: count})
     config = write_config(tmp_path, cfg)
     for phase in PHASES:
         code, err = run(phase, config), capsys.readouterr().err
