@@ -398,19 +398,15 @@ def _finish(acc: np.ndarray, fmt: FixedFormat, out: np.ndarray, bound: float = m
     return saturated
 
 
-def _scratch(name: str, size: int, dtype: type = np.float64, keep: int = 0) -> np.ndarray:
+def _scratch(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
     """size elements of dtype at the start of this thread's float64
     scratch array `name`, which is kept across calls and grown on demand:
-    its contents are whatever the last call left there, the first `keep`
-    elements kept when it grows."""
+    its contents are whatever the last call left there."""
     words = -(-size * np.dtype(dtype).itemsize // 8)
     arrays = vars(_SCRATCH)
     if name not in arrays or arrays[name].size < words:
-        kept = arrays[name][:keep].copy() if keep else None
         arrays.pop(name, None)  # freed before its successor is made
         arrays[name] = np.empty(words)
-        if keep:
-            arrays[name][:keep] = kept
     return arrays[name][:words].view(dtype)[:size]
 
 

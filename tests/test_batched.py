@@ -774,7 +774,7 @@ def test_window_bound_covers_every_channel_bound(seed, special, cout, depth, n):
     [
         (7, 2, 8, 8, 6, 3, 2, 1, 7, 3, 2, 1),
         (6, 1, 8, 20, 6, 3, 2, 1, 6, 3, 6, 2),
-        (5, 2, 16, 9, 7, 2, 3, 2, 3, 1, 8, 2),
+        (5, 2, 16, 17, 7, 2, 3, 2, 3, 1, 16, 4),
         (3, 3, 4, 8, 8, 3, 3, 2, 3, 3, 1, 1),
     ],
     ids=["one-group-of-image-blocks", "two-groups-of-image-blocks", "row-blocks-at-stride-2", "one-block"],
@@ -785,9 +785,10 @@ def test_conv_blocks_read_their_window_norms(n, cin, cout, h, w, kh, kw, stride,
     _round_sums, in call order, are bitwise the _window_bounds of each run
     of the blocks' images in turn, with blocks of `rows` output rows of
     all n images or of one row of `images` of them (3 + 2 at stride 2,
-    each run one group), groups of several blocks or one, and a short
-    last group (12 + 6 rows). Every image is bitwise equal to the
-    oracles."""
+    each run in groups of 6 + 2 rows, so a later group's slab starts at
+    input row top * stride), groups of several blocks or one, and a short
+    last group (12 + 6 rows at stride 1). Every image is bitwise equal to
+    the oracles."""
     rng = np.random.default_rng(8)
     x = Tensor((cin, h, w, n), FLOAT32, batch_values(rng, (cin, h, w, n), FLOAT32))
     kern = Kernel(
@@ -1173,8 +1174,8 @@ def test_cifar_conv2_refolds_as_the_fold_scratch_fills():
     each, beside a word) fills and once more at the end of the call:
     fewer folds than blocks with flagged elements, each full but the
     last. Every refolded element is bitwise the scalar fold of its window
-    (dense_naive of the window and its channel's weights), and image 0
-    is bitwise the oracle's."""
+    (dense_naive of the window and its channel's weights), and every
+    image is bitwise the oracle's."""
     model = seed_weights(build_cifar_net(), 2)
     images = synthesize(8, model.input_shape, 7, "uniform").pixels
     _, taps = forward_batch(model, images, ("pool1",))
@@ -1205,7 +1206,8 @@ def test_cifar_conv2_refolds_as_the_fold_scratch_fills():
         window = Tensor((800,), FLOAT32, x.array[:, r:r + 5, q:q + 5, i].ravel())
         row = Kernel(Tensor((1, 800), FLOAT32, w_rows[c]), Tensor((1,), FLOAT32, kern.bias.data[c:c + 1]))
         assert got.array[c, r, q, i].tobytes() == dense_naive(window, row.weights, row.bias).data.tobytes()
-    assert bitwise_equal(columns(got)[0], conv2d_naive(columns(x)[0], kern.weights, kern.bias, 1))
+    want = [conv2d_naive(img, kern.weights, kern.bias, 1) for img in columns(x)]
+    assert all(bitwise_equal(g, o) for g, o in zip(columns(got), want))
 
 
 def refold_across_blocks_cases():
